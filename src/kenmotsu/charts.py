@@ -49,11 +49,6 @@ class DifferentiationConfig:
         if not (self.step > 0.0 and np.isfinite(self.step)):
             raise ValueError("step must be a positive finite number")
 
-    @property
-    def reach(self) -> float:
-        """How far a single derivative stencil extends from the base point."""
-        return self.step
-
 
 @dataclass(frozen=True)
 class ChartManifold:
@@ -135,7 +130,7 @@ class ChartManifold:
                     f"metric_partials returned shape {dg.shape} at {p.tolist()}"
                 )
             return dg
-        p = self.require_inside(point, margin=cfg.reach)
+        p = self.require_inside(point, margin=cfg.step)
         return array_field_partials(self.metric, p, cfg)
 
 
@@ -233,7 +228,7 @@ def riemann_of_connection(
     Differentiating the coefficient field may nest a second stencil inside
     the first, so the point must sit at least 2h inside the domain.
     """
-    p = manifold.require_inside(point, margin=2.0 * cfg.reach)
+    p = manifold.require_inside(point, margin=2.0 * cfg.step)
     dgamma = array_field_partials(lambda q: gamma_field(q).gamma, p, cfg)
     gamma = gamma_field(p).gamma
     t1 = np.moveaxis(dgamma, 0, 1)  # t1[l,i,j,k] = d_i Gamma^l_jk
@@ -290,17 +285,26 @@ def covariant_derivative(
     out[a, ...] = (nabla_{d_a} T)[...], with +Gamma corrections on
     contravariant slots and -Gamma on covariant ones.
     """
-    p = manifold.require_inside(point, margin=cfg.reach)
+    p = manifold.require_inside(point, margin=cfg.step)
     base = field(p)
     gamma = gamma_field(p).gamma
     comps = array_field_partials(lambda q: field(q).components, p, cfg)
-    for s, var in enumerate(base.variance):
+    comps = _add_connection_terms(comps, base.components, base.variance, gamma)
+    return MultiTensor(manifold.dim, (DOWN,) + base.variance, comps)
+
+
+def _add_connection_terms(
+    partials: np.ndarray, base: np.ndarray, variance: tuple[str, ...], gamma: np.ndarray
+) -> np.ndarray:
+    """Turn coordinate partials of a tensor field into its covariant derivative."""
+    comps = partials
+    for s, var in enumerate(variance):
         if var == UP:
             # +Gamma^k_am T[.. m at s ..]; tensordot leaves axes (k, a, rest)
-            corr = np.tensordot(gamma, base.components, axes=(2, s))
+            corr = np.tensordot(gamma, base, axes=(2, s))
             comps = comps + np.moveaxis(corr, (0, 1), (s + 1, 0))
         else:
             # -Gamma^m_ab T[.. m at s ..]; tensordot leaves axes (a, b, rest)
-            corr = np.tensordot(gamma, base.components, axes=(0, s))
+            corr = np.tensordot(gamma, base, axes=(0, s))
             comps = comps - np.moveaxis(corr, (0, 1), (0, s + 1))
-    return MultiTensor(manifold.dim, (DOWN,) + base.variance, comps)
+    return comps

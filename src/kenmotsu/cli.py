@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .catalog import NamedExample, by_name, catalog
-from .charts import DifferentiationConfig, DomainError, MetricError, ricci
+from .charts import DifferentiationConfig, DomainError, MetricError
 from .conditions import (
     check_derivation_identity,
     check_semisymmetry_condition,
@@ -27,6 +29,7 @@ from .conditions import (
     einstein_fit,
 )
 from .connection import (
+    CurvatureBundle,
     NonMetricConnection,
     check_curvature_relation,
     check_deformation_form,
@@ -34,8 +37,9 @@ from .connection import (
     check_reeb_curvature_degeneracy,
     check_reeb_transport,
     check_torsion,
+    curvature_bundle,
 )
-from .report import IdentityResidualReport
+from .report import IDENTITIES, IdentityResidualReport
 from .structure import (
     StructureError,
     check_almost_contact,
@@ -43,55 +47,7 @@ from .structure import (
     check_kenmotsu,
 )
 
-SUITE_ORDER = (
-    "axioms",
-    "kenmotsu",
-    "curvature",
-    "connection",
-    "irregularity",
-    "semisymmetry",
-    "weyl",
-)
-
-BASE_TOLERANCES = {
-    "structure-axioms": 1e-10,
-    "kenmotsu-condition": 1e-5,
-    "curvature-eta-component": 1e-5,
-    "curvature-on-reeb": 1e-5,
-    "curvature-from-reeb": 1e-5,
-    "ricci-on-reeb": 1e-5,
-    "torsion-form": 1e-10,
-    "nonmetricity": 1e-5,
-    "reeb-transport": 1e-5,
-    "deformation-form": 1e-5,
-    "riemann-cross-check": 1e-5,
-    "ricci-cross-check": 1e-5,
-    "scalar-cross-check": 1e-5,
-    "ricci-symmetry": 1e-5,
-    "irregularity": 1e-5,
-    "derivation-identity": 1e-4,
-    "semisymmetry-condition": 1e-5,
-    "einstein-ricci-fit": 1e-4,
-    "eta-einstein-fit": 1e-4,
-    "scalar-curvature-constant": 1e-4,
-    "modified-scalar-constant": 1e-4,
-    "weyl-traceless": 1e-5,
-    "weyl-vanishing": 1e-5,
-    "tachibana-metric": 1e-12,
-    "weyl-tachibana": 1e-5,
-}
-
-# identities whose residual stacks two finite-difference curvature passes;
-# these scale with the example's fd_tolerance_scale
-_FD_SCALED = {
-    "kenmotsu-condition",
-    "curvature-eta-component",
-    "curvature-on-reeb",
-    "curvature-from-reeb",
-    "ricci-on-reeb",
-    "riemann-cross-check",
-    "irregularity",
-}
+SUITE_ORDER = tuple(dict.fromkeys(identity.suite for identity in IDENTITIES.values()))
 
 # threshold on the joint Einstein fit residual, in (1,1) components
 EINSTEIN_FIT_THRESHOLD = 1e-4
@@ -115,12 +71,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.num_points < 1:
             raise UsageError("--points must be at least 1")
-        if not self.step > 0:
-            raise UsageError("--step must be positive")
+        if not (self.step > 0 and math.isfinite(self.step)):
+            raise UsageError("--step must be a positive finite number")
         if self.output_format not in ("text", "json"):
             raise UsageError(f"unknown output format {self.output_format!r}")
         for name in self.tolerances:
-            if name not in BASE_TOLERANCES:
+            if name not in IDENTITIES:
                 raise UsageError(f"unknown identity in --tol: {name!r}")
 
     def to_dict(self) -> dict:
@@ -234,17 +190,8 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _tolerance(identity: str, example: NamedExample, overrides: dict[str, float]) -> float:
-    if identity in overrides:
-        return float(overrides[identity])
-    base = BASE_TOLERANCES[identity]
-    if identity in _FD_SCALED:
-        return base * example.fd_tolerance_scale
-    return base
-
-
 class _ManifoldRunner:
-    """Runs suites for one example, sharing sample points and verdicts."""
+    """Runs suites for one example, sharing sample points, geometry and verdicts."""
 
     def __init__(self, example: NamedExample, config: RunConfig):
         self.example = example
@@ -276,11 +223,32 @@ class _ManifoldRunner:
             ),
         }
 
+    @cached_property
+    def bundles(self) -> list[CurvatureBundle]:
+        """The geometry of every sample point, built once for all suites."""
+        return [curvature_bundle(self.conn, p, self.cfg) for p in self.points]
+
     def _stamped(self, report: IdentityResidualReport) -> IdentityResidualReport:
-        report.tolerance = _tolerance(
-            report.identity, self.example, self.config.tolerances
-        )
+        """Set the gate: a --tol override, else the base tolerance, fd-scaled."""
+        identity = IDENTITIES[report.identity]
+        if report.identity in self.config.tolerances:
+            report.tolerance = float(self.config.tolerances[report.identity])
+        elif identity.fd_scaled:
+            report.tolerance = identity.tolerance * self.example.fd_tolerance_scale
+        else:
+            report.tolerance = identity.tolerance
         return report
+
+    def _entry(self, report: IdentityResidualReport) -> IdentityEntry:
+        identity = IDENTITIES[report.identity]
+        ex = self.example
+        if identity.kenmotsu_only and not ex.expected_kenmotsu:
+            report.status = "info"
+            report.note = "closed form not applicable off the Kenmotsu class"
+        expected = None
+        if report.status == "ok":
+            expected = all(getattr(ex, f"expected_{flag}") for flag in identity.expect)
+        return IdentityEntry(self._stamped(report), expected=expected)
 
     def run_suite(self, suite: str) -> SuiteOutcome:
         if not self.axioms.passed and suite != "axioms":
@@ -290,92 +258,42 @@ class _ManifoldRunner:
                 note="prerequisite failed: structure axioms",
             )
         try:
-            entries = getattr(self, f"_suite_{suite}")()
+            reports = getattr(self, f"_suite_{suite}")()
         except (DomainError, MetricError, StructureError) as exc:
             return SuiteOutcome(name=suite, status="error", note=str(exc))
-        return SuiteOutcome(name=suite, entries=entries)
+        return SuiteOutcome(name=suite, entries=[self._entry(r) for r in reports])
 
-    # -- individual suites ------------------------------------------------
+    # -- individual suites: each returns its reports in table order --------
 
-    def _suite_axioms(self) -> list[IdentityEntry]:
-        return [IdentityEntry(self.axioms, expected=True)]
+    def _suite_axioms(self) -> list[IdentityResidualReport]:
+        return [self.axioms]
 
-    def _suite_kenmotsu(self) -> list[IdentityEntry]:
-        return [IdentityEntry(self.kenmotsu, expected=self.example.expected_kenmotsu)]
+    def _suite_kenmotsu(self) -> list[IdentityResidualReport]:
+        return [self.kenmotsu]
 
-    def _suite_curvature(self) -> list[IdentityEntry]:
-        reports = check_curvature_identities(
-            self.example.manifold, self.example.structure, self.points, self.cfg
-        )
-        return [
-            IdentityEntry(self._stamped(r), expected=self.example.expected_kenmotsu)
-            for r in reports
-        ]
-
-    def _suite_connection(self) -> list[IdentityEntry]:
+    def _suite_curvature(self) -> list[IdentityResidualReport]:
         ex = self.example
-        kenmotsu = ex.expected_kenmotsu
-        entries = [
-            IdentityEntry(
-                self._stamped(check_torsion(self.conn, self.points, self.cfg)),
-                expected=True,
-            ),
-            IdentityEntry(
-                self._stamped(check_nonmetricity(self.conn, self.points, self.cfg)),
-                expected=True,
-            ),
-            IdentityEntry(
-                self._stamped(check_reeb_transport(self.conn, self.points, self.cfg)),
-                expected=kenmotsu,
-            ),
-            IdentityEntry(
-                self._stamped(check_deformation_form(self.conn, self.points, self.cfg)),
-                expected=kenmotsu,
-            ),
-        ]
-        cross = check_curvature_relation(self.conn, self.points, self.cfg)
-        expectations: dict[str, bool | None] = {
-            "riemann-cross-check": kenmotsu,
-            "ricci-cross-check": kenmotsu,
-            "scalar-cross-check": True,
-            "ricci-symmetry": True,
-        }
-        for report in cross:
-            expected = expectations[report.identity]
-            if not kenmotsu and report.identity in ("scalar-cross-check", "ricci-symmetry"):
-                # comparison formulas assume the defining condition; off it
-                # the numbers are recorded but assert nothing
-                report.status = "info"
-                report.note = "closed form not applicable off the Kenmotsu class"
-                expected = None
-            entries.append(IdentityEntry(self._stamped(report), expected=expected))
-            if report.identity == "scalar-cross-check" and kenmotsu:
-                self.verdicts["scalar_shift_deviation"] = report.max_residual
-        return entries
+        return check_curvature_identities(ex.manifold, ex.structure, self.bundles, self.cfg)
 
-    def _suite_irregularity(self) -> list[IdentityEntry]:
-        report = check_reeb_curvature_degeneracy(self.conn, self.points, self.cfg)
-        return [
-            IdentityEntry(self._stamped(report), expected=self.example.expected_kenmotsu)
+    def _suite_connection(self) -> list[IdentityResidualReport]:
+        args = (self.conn, self.bundles, self.cfg)
+        reports = [
+            check_torsion(*args),
+            check_nonmetricity(*args),
+            check_reeb_transport(*args),
+            check_deformation_form(*args),
         ]
+        riemann, ricci, scalar, symmetry = check_curvature_relation(*args)
+        if self.example.expected_kenmotsu:
+            self.verdicts["scalar_shift_deviation"] = scalar.max_residual
+        return reports + [riemann, ricci, scalar, symmetry]
 
-    def _suite_semisymmetry(self) -> list[IdentityEntry]:
-        ex = self.example
-        entries = [
-            IdentityEntry(
-                self._stamped(
-                    check_derivation_identity(self.conn, self.points, self.cfg)
-                ),
-                expected=ex.expected_kenmotsu,
-            )
-        ]
-        verdict = check_semisymmetry_condition(self.conn, self.points, self.cfg)
-        entries.append(
-            IdentityEntry(self._stamped(verdict.condition), expected=ex.expected_einstein)
-        )
-        consequence = ex.expected_einstein and ex.expected_kenmotsu
-        for row in verdict.companions:
-            entries.append(IdentityEntry(self._stamped(row), expected=consequence))
+    def _suite_irregularity(self) -> list[IdentityResidualReport]:
+        return [check_reeb_curvature_degeneracy(self.conn, self.bundles, self.cfg)]
+
+    def _suite_semisymmetry(self) -> list[IdentityResidualReport]:
+        derivation = check_derivation_identity(self.conn, self.bundles, self.cfg)
+        verdict = check_semisymmetry_condition(self.conn, self.bundles, self.cfg)
         self.verdicts.update(
             {
                 "einstein": verdict.ricci_fit.residual < EINSTEIN_FIT_THRESHOLD,
@@ -392,40 +310,18 @@ class _ManifoldRunner:
                 "mean_modified_scalar": verdict.modified_scalar_mean,
             }
         )
-        return entries
+        return [derivation, verdict.condition, *verdict.companions]
 
-    def _suite_weyl(self) -> list[IdentityEntry]:
-        ex = self.example
-        traceless, vanishing, metric_q = check_weyl(
-            ex.manifold, self.points, self.cfg
-        )
-        entries = [
-            IdentityEntry(self._stamped(traceless), expected=True),
-            IdentityEntry(self._stamped(vanishing), expected=ex.expected_weyl_flat),
-            IdentityEntry(self._stamped(metric_q), expected=True),
+    def _suite_weyl(self) -> list[IdentityResidualReport]:
+        manifold = self.example.manifold
+        # the relation is gated where the Levi-Civita Ricci fits a*g at every point
+        einstein = max(
+            einstein_fit(b.lc_ricci, b.metric, b.xi, b.eta).residual for b in self.bundles
+        ) < EINSTEIN_FIT_THRESHOLD
+        return [
+            *check_weyl(manifold, self.bundles, self.cfg),
+            check_weyl_commutation(manifold, self.bundles, self.cfg, einstein=einstein),
         ]
-        einstein = self._measured_einstein()
-        commutation = check_weyl_commutation(
-            ex.manifold, self.points, self.cfg, einstein=einstein
-        )
-        expected = True if commutation.status == "ok" else None
-        entries.append(IdentityEntry(self._stamped(commutation), expected=expected))
-        return entries
-
-    def _measured_einstein(self) -> bool:
-        """Joint Einstein fit of the Levi-Civita Ricci over the run's points."""
-        if self.example.manifold.dim < 5:
-            return False
-        worst = 0.0
-        m = self.example.manifold
-        for p in self.points:
-            gpair = m.metric_pair_at(p)
-            ric = ricci(m, p, self.cfg)
-            xi = self.example.structure.xi_at(m.dim, p)
-            eta = self.example.structure.eta_at(m.dim, p)
-            fit = einstein_fit(ric, gpair, xi, eta, fit_eta=False)
-            worst = max(worst, fit.residual)
-        return worst < EINSTEIN_FIT_THRESHOLD
 
     def outcome(self, requested: tuple[str, ...]) -> ManifoldOutcome:
         out = ManifoldOutcome(name=self.example.name, dim=self.example.manifold.dim)
@@ -563,8 +459,8 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
             out[name] = float(value)
         except ValueError as exc:
             raise UsageError(f"bad tolerance value in {pair!r}") from exc
-        if out[name] <= 0:
-            raise UsageError(f"tolerance must be positive in {pair!r}")
+        if not (out[name] > 0 and math.isfinite(out[name])):
+            raise UsageError(f"tolerance must be a positive finite number in {pair!r}")
     return out
 
 

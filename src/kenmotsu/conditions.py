@@ -28,15 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import (
-    ChartManifold,
-    DifferentiationConfig,
-    ricci_from_riemann,
-    riemann,
-    scalar_curvature_of,
-)
-from .connection import NonMetricConnection, curvature_bundle
-from .report import IdentityResidualReport, PointResidual
+from .charts import ChartManifold, DifferentiationConfig
+from .connection import CurvatureBundle, NonMetricConnection, _bundles
+from .report import IdentityResidualReport, PointResidual, new_report
 from .tensors import DOWN, MetricPair, MultiTensor, lower_slot, slots
 
 _SUPPORTED_TARGET_RANKS = (2, 4)
@@ -99,7 +93,7 @@ def check_derivation_identity(
     conn: NonMetricConnection,
     points: list[np.ndarray],
     cfg: DifferentiationConfig,
-    tol: float = 1e-4,
+    tol: float | None = None,
 ) -> IdentityResidualReport:
     """Check the derivation-action identity relating both connections.
 
@@ -107,9 +101,8 @@ def check_derivation_identity(
     side from Levi-Civita data; holds on every Kenmotsu chart, Einstein or
     not, so it is an end-to-end test of the whole pipeline.
     """
-    report = IdentityResidualReport("derivation-identity", tol)
-    for point in points:
-        b = curvature_bundle(conn, point, cfg)
+    report = new_report("derivation-identity", tol)
+    for b in _bundles(conn.manifold, conn.structure, points, cfg):
         lhs = derivation_action(b.riemann, b.ricci).components
         rhs = (
             derivation_action(b.lc_riemann, b.lc_ricci).components
@@ -204,9 +197,9 @@ def check_semisymmetry_condition(
     conn: NonMetricConnection,
     points: list[np.ndarray],
     cfg: DifferentiationConfig,
-    tol: float = 1e-5,
-    fit_tol: float = 1e-4,
-    scalar_tol: float = 1e-4,
+    tol: float | None = None,
+    fit_tol: float | None = None,
+    scalar_tol: float | None = None,
 ) -> SemisymmetryVerdict:
     """Evaluate the four-term bracket and the consequences of it vanishing.
 
@@ -215,24 +208,21 @@ def check_semisymmetry_condition(
     carries joint Einstein fits of S (b forced to 0) and of ric_K (free
     a, b) plus the scalar means and worst deviations from those targets.
     """
-    m = conn.manifold
-    n = m.n
-    report = IdentityResidualReport("semisymmetry-condition", tol)
-    einstein_row = IdentityResidualReport("einstein-ricci-fit", fit_tol)
-    eta_row = IdentityResidualReport("eta-einstein-fit", fit_tol)
-    scalar_row = IdentityResidualReport("scalar-curvature-constant", scalar_tol)
-    mod_scalar_row = IdentityResidualReport("modified-scalar-constant", scalar_tol)
+    n = conn.manifold.n
+    report = new_report("semisymmetry-condition", tol)
+    einstein_row = new_report("einstein-ricci-fit", fit_tol)
+    eta_row = new_report("eta-einstein-fit", fit_tol)
+    scalar_row = new_report("scalar-curvature-constant", scalar_tol)
+    mod_scalar_row = new_report("modified-scalar-constant", scalar_tol)
+    bundles = _bundles(conn.manifold, conn.structure, points, cfg)
     plain_samples = []
     modified_samples = []
     scal_sum = 0.0
     mod_scal_sum = 0.0
-    for point in points:
-        b = curvature_bundle(conn, point, cfg)
-        p = np.asarray(b.point)
+    for b in bundles:
         g = b.metric.matrix
         ginv = b.metric.inverse
-        xi = conn.structure.xi_at(m.dim, p)
-        eta = conn.structure.eta_at(m.dim, p)
+        xi, eta = b.xi, b.eta
         defect = _semisymmetry_defect(g, b.lc_ricci.components)
         # normalize with the inverse metric on the Z slot so the residual is
         # scale-free, matching the (1,1) convention of the fits
@@ -267,7 +257,7 @@ def check_semisymmetry_condition(
         )
         scal_sum += b.lc_scalar
         mod_scal_sum += b.scalar
-    count = max(len(points), 1)
+    count = max(len(bundles), 1)
     ricci_fit = _fit_operator_samples(plain_samples, fit_eta=False)
     modified_fit = _fit_operator_samples(modified_samples, fit_eta=True)
     report.extras.update(
@@ -307,36 +297,11 @@ def check_semisymmetry_condition(
 def weyl_tensor(
     manifold: ChartManifold, point: np.ndarray, cfg: DifferentiationConfig
 ) -> MultiTensor:
-    """Conformal curvature tensor as a (1,3) tensor.
-
-    C(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY]/(m-2)
-              + r [g(Y,Z)X - g(X,Z)Y] / ((m-1)(m-2))
+    """Conformal curvature tensor as a (1,3) tensor; see :attr:`CurvatureBundle.weyl`.
 
     Fully traceless; identically zero in dimension 3 and on space forms.
     """
-    m = manifold.dim
-    p = manifold.require_inside(point, margin=2.0 * cfg.reach)
-    gpair = manifold.metric_pair_at(p)
-    g = gpair.matrix
-    eye = np.eye(m)
-    riem = riemann(manifold, p, cfg)
-    ric = ricci_from_riemann(riem)
-    q = gpair.inverse @ ric.components
-    r = scalar_curvature_of(ric, gpair)
-    s = ric.components
-    term_s = (
-        np.einsum("jk,li->lijk", s, eye)
-        - np.einsum("ik,lj->lijk", s, eye)
-        + np.einsum("jk,li->lijk", g, q)
-        - np.einsum("ik,lj->lijk", g, q)
-    )
-    term_g = np.einsum("jk,li->lijk", g, eye) - np.einsum("ik,lj->lijk", g, eye)
-    comps = (
-        riem.components
-        - term_s / (m - 2)
-        + r * term_g / ((m - 1) * (m - 2))
-    )
-    return MultiTensor(m, slots("uddd"), comps)
+    return CurvatureBundle(manifold, None, point, cfg).weyl
 
 
 def weyl_trace_residual(weyl: MultiTensor, gpair: MetricPair) -> float:
@@ -356,7 +321,7 @@ def check_weyl_commutation(
     manifold: ChartManifold,
     points: list[np.ndarray],
     cfg: DifferentiationConfig,
-    tol: float = 1e-5,
+    tol: float | None = None,
     einstein: bool = False,
 ) -> IdentityResidualReport:
     """Commutator of the Weyl and curvature actions against Tachibana terms.
@@ -370,7 +335,7 @@ def check_weyl_commutation(
     normalization and the contact-n one, since the literature is ambiguous
     about which dimension enters the scale.
     """
-    report = IdentityResidualReport("weyl-tachibana", tol)
+    report = new_report("weyl-tachibana", tol)
     if manifold.dim < 5:
         report.status = "not-applicable"
         report.note = "conformal tensor is identically zero in dimension 3"
@@ -382,12 +347,8 @@ def check_weyl_commutation(
     n = manifold.n
     worst = {"commutator": 0.0, "tachibana-riemann": 0.0, "tachibana-weyl": 0.0,
              "relation-total-dim": 0.0, "relation-contact-n": 0.0}
-    for point in points:
-        p = manifold.require_inside(point, margin=2.0 * cfg.reach)
-        gpair = manifold.metric_pair_at(p)
-        riem = riemann(manifold, p, cfg)
-        weyl = weyl_tensor(manifold, p, cfg)
-        r = scalar_curvature_of(ricci_from_riemann(riem), gpair)
+    for b in _bundles(manifold, None, points, cfg):
+        gpair, riem, weyl, r = b.metric, b.lc_riemann, b.weyl, b.lc_scalar
         riem4 = lower_slot(riem, 0, gpair)
         weyl4 = lower_slot(weyl, 0, gpair)
         commutator = (
@@ -414,7 +375,7 @@ def check_weyl_commutation(
         for k, v in mags.items():
             worst[k] = max(worst[k], v)
         headline = max(mags["commutator"], mags["tachibana-riemann"], mags["tachibana-weyl"])
-        report.points.append(PointResidual(tuple(p), headline))
+        report.points.append(PointResidual(b.point, headline))
     report.extras.update(worst)
     return report
 
@@ -423,24 +384,21 @@ def check_weyl(
     manifold: ChartManifold,
     points: list[np.ndarray],
     cfg: DifferentiationConfig,
-    trace_tol: float = 1e-5,
-    vanish_tol: float = 1e-5,
+    trace_tol: float | None = None,
+    vanish_tol: float | None = None,
 ) -> tuple[IdentityResidualReport, IdentityResidualReport, IdentityResidualReport]:
     """Tracelessness, vanishing, and metric-Tachibana sanity in one sweep."""
-    traceless = IdentityResidualReport("weyl-traceless", trace_tol)
-    vanishing = IdentityResidualReport("weyl-vanishing", vanish_tol)
-    metric_q = IdentityResidualReport("tachibana-metric", 1e-12)
-    for point in points:
-        p = manifold.require_inside(point, margin=2.0 * cfg.reach)
-        gpair = manifold.metric_pair_at(p)
-        weyl = weyl_tensor(manifold, p, cfg)
-        ptuple = tuple(p)
+    traceless = new_report("weyl-traceless", trace_tol)
+    vanishing = new_report("weyl-vanishing", vanish_tol)
+    metric_q = new_report("tachibana-metric")
+    for b in _bundles(manifold, None, points, cfg):
+        gpair, weyl = b.metric, b.weyl
         traceless.points.append(
-            PointResidual(ptuple, weyl_trace_residual(weyl, gpair))
+            PointResidual(b.point, weyl_trace_residual(weyl, gpair))
         )
         vanishing.points.append(
-            PointResidual(ptuple, float(np.max(np.abs(weyl.components))))
+            PointResidual(b.point, float(np.max(np.abs(weyl.components))))
         )
         qgg = tachibana(gpair, gpair.lower).components
-        metric_q.points.append(PointResidual(ptuple, float(np.max(np.abs(qgg)))))
+        metric_q.points.append(PointResidual(b.point, float(np.max(np.abs(qgg)))))
     return traceless, vanishing, metric_q

@@ -1,9 +1,11 @@
-"""Result records for pointwise identity checks.
+"""Result records for pointwise identity checks, and the identity table.
 
 Every check in this package evaluates some tensor identity at a list of
 sample points and reports the worst absolute residual per point.  The
 record keeps enough structure for the CLI to render text and JSON views
-without recomputing anything.
+without recomputing anything.  :data:`IDENTITIES` is the one place that
+says, per identity, which suite runs it, how tight its gate is and what a
+chart is expected to make of it; the checks and the CLI both read it.
 """
 
 from __future__ import annotations
@@ -76,3 +78,64 @@ class IdentityResidualReport:
             "extras": {k: float(v) for k, v in sorted(self.extras.items())},
             "points": [p.to_dict() for p in self.points],
         }
+
+
+@dataclass(frozen=True)
+class Identity:
+    """How one identity is gated.
+
+    ``tolerance`` is the base gate, the default of every ``check_*``
+    function.  ``fd_scaled`` identities stack two finite-difference
+    curvature passes, so the CLI multiplies their gate by the chart's
+    ``fd_tolerance_scale``.  ``expect`` names the catalog flags
+    (``kenmotsu``, ``einstein``, ``weyl_flat``) whose conjunction the row is
+    expected to match; an empty tuple means the identity holds on every
+    chart.  A ``kenmotsu_only`` row compares closed forms that assume the
+    defining condition, so off the Kenmotsu class it is recorded as INFO.
+    """
+
+    suite: str
+    tolerance: float
+    fd_scaled: bool = False
+    expect: tuple[str, ...] = ()
+    kenmotsu_only: bool = False
+
+
+_KENMOTSU = ("kenmotsu",)
+_EINSTEIN_KENMOTSU = ("einstein", "kenmotsu")
+
+# in suite order, and in row order within each suite
+IDENTITIES: dict[str, Identity] = {
+    "structure-axioms": Identity("axioms", 1e-10),
+    "kenmotsu-condition": Identity("kenmotsu", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "curvature-eta-component": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "curvature-on-reeb": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "curvature-from-reeb": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "ricci-on-reeb": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "torsion-form": Identity("connection", 1e-10),
+    "nonmetricity": Identity("connection", 1e-5),
+    "reeb-transport": Identity("connection", 1e-5, expect=_KENMOTSU),
+    "deformation-form": Identity("connection", 1e-5, expect=_KENMOTSU),
+    "riemann-cross-check": Identity("connection", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "ricci-cross-check": Identity("connection", 1e-5, expect=_KENMOTSU),
+    "scalar-cross-check": Identity("connection", 1e-5, kenmotsu_only=True),
+    "ricci-symmetry": Identity("connection", 1e-5, kenmotsu_only=True),
+    "irregularity": Identity("irregularity", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "derivation-identity": Identity("semisymmetry", 1e-4, expect=_KENMOTSU),
+    "semisymmetry-condition": Identity("semisymmetry", 1e-5, expect=("einstein",)),
+    "einstein-ricci-fit": Identity("semisymmetry", 1e-4, expect=_EINSTEIN_KENMOTSU),
+    "eta-einstein-fit": Identity("semisymmetry", 1e-4, expect=_EINSTEIN_KENMOTSU),
+    "scalar-curvature-constant": Identity("semisymmetry", 1e-4, expect=_EINSTEIN_KENMOTSU),
+    "modified-scalar-constant": Identity("semisymmetry", 1e-4, expect=_EINSTEIN_KENMOTSU),
+    "weyl-traceless": Identity("weyl", 1e-5),
+    "weyl-vanishing": Identity("weyl", 1e-5, expect=("weyl_flat",)),
+    "tachibana-metric": Identity("weyl", 1e-12),
+    "weyl-tachibana": Identity("weyl", 1e-5),
+}
+
+
+def new_report(identity: str, tol: float | None = None) -> IdentityResidualReport:
+    """An empty report gated at ``tol``, or at the table's base tolerance."""
+    return IdentityResidualReport(
+        identity, IDENTITIES[identity].tolerance if tol is None else tol
+    )

@@ -29,10 +29,8 @@ from .charts import (
     DifferentiationConfig,
     covariant_derivative,
     levi_civita_field,
-    ricci_from_riemann,
-    riemann,
 )
-from .report import IdentityResidualReport, PointResidual
+from .report import IdentityResidualReport, PointResidual, new_report
 from .tensors import MultiTensor, slots
 
 
@@ -113,7 +111,7 @@ def check_almost_contact(
     structure: AlmostContactStructure,
     points: list[np.ndarray],
     cfg: DifferentiationConfig | None = None,
-    tol: float = 1e-10,
+    tol: float | None = None,
 ) -> IdentityResidualReport:
     """Check the three structure axioms at each point.
 
@@ -121,7 +119,7 @@ def check_almost_contact(
     unused: the axioms are algebraic.
     """
     del cfg
-    report = IdentityResidualReport("structure-axioms", tol)
+    report = new_report("structure-axioms", tol)
     worst: dict[str, float] = {}
     for point in points:
         res = axiom_residuals(manifold, structure, point)
@@ -140,7 +138,7 @@ def kenmotsu_residuals(
     cfg: DifferentiationConfig,
 ) -> dict[str, float]:
     """Residuals of the two equivalent forms of the defining condition."""
-    p = manifold.require_inside(point, margin=cfg.reach)
+    p = manifold.require_inside(point, margin=cfg.step)
     dim = manifold.dim
     g = manifold.metric_at(p)
     eta = structure.eta_at(dim, p)
@@ -163,10 +161,10 @@ def check_kenmotsu(
     structure: AlmostContactStructure,
     points: list[np.ndarray],
     cfg: DifferentiationConfig,
-    tol: float = 1e-5,
+    tol: float | None = None,
 ) -> IdentityResidualReport:
     """Check the defining covariant-derivative condition at each point."""
-    report = IdentityResidualReport("kenmotsu-condition", tol)
+    report = new_report("kenmotsu-condition", tol)
     worst = {"reeb-gradient": 0.0, "eta-gradient": 0.0}
     for point in points:
         res = kenmotsu_residuals(manifold, structure, point, cfg)
@@ -184,7 +182,7 @@ def check_curvature_identities(
     structure: AlmostContactStructure,
     points: list[np.ndarray],
     cfg: DifferentiationConfig,
-    tol: float = 1e-5,
+    tol: float | None = None,
 ) -> list[IdentityResidualReport]:
     """Check the four curvature identities of the Kenmotsu class.
 
@@ -198,40 +196,35 @@ def check_curvature_identities(
     a curvature sign-convention mismatch shows up as the primary residual
     exploding while the flipped one collapses.
     """
-    dim = manifold.dim
+    from .connection import _bundles  # connection imports this module
+
     n = manifold.n
-    eye = np.eye(dim)
+    eye = np.eye(manifold.dim)
     names = ("curvature-eta-component", "curvature-on-reeb",
              "curvature-from-reeb", "ricci-on-reeb")
-    reports = {name: IdentityResidualReport(name, tol) for name in names}
+    reports = {name: new_report(name, tol) for name in names}
     flipped = {name: 0.0 for name in names}
 
-    for point in points:
-        p = manifold.require_inside(point, margin=2.0 * cfg.reach)
-        g = manifold.metric_at(p)
-        eta = structure.eta_at(dim, p)
-        xi = structure.xi_at(dim, p)
-        riem = riemann(manifold, p, cfg).components
-        ric = ricci_from_riemann(
-            MultiTensor(dim, slots("uddd"), riem)
-        ).components
-        ptuple = tuple(np.asarray(point, float))
+    for b in _bundles(manifold, structure, points, cfg):
+        g, eta, xi = b.metric.matrix, b.eta, b.xi
+        riem = b.lc_riemann.components
+        ric = b.lc_ricci.components
 
         lhs = np.einsum("l,lijk->ijk", eta, riem)
         rhs = np.einsum("j,ik->ijk", eta, g) - np.einsum("i,jk->ijk", eta, g)
-        _record(reports, flipped, "curvature-eta-component", ptuple, lhs, rhs)
+        _record(reports, flipped, "curvature-eta-component", b.point, lhs, rhs)
 
         lhs = np.einsum("lijk,k->lij", riem, xi)
         rhs = np.einsum("i,lj->lij", eta, eye) - np.einsum("j,li->lij", eta, eye)
-        _record(reports, flipped, "curvature-on-reeb", ptuple, lhs, rhs)
+        _record(reports, flipped, "curvature-on-reeb", b.point, lhs, rhs)
 
         lhs = np.einsum("i,lijk->ljk", xi, riem)
         rhs = np.einsum("k,lj->ljk", eta, eye) - np.einsum("jk,l->ljk", g, xi)
-        _record(reports, flipped, "curvature-from-reeb", ptuple, lhs, rhs)
+        _record(reports, flipped, "curvature-from-reeb", b.point, lhs, rhs)
 
         lhs = ric @ xi
         rhs = -2.0 * n * eta
-        _record(reports, flipped, "ricci-on-reeb", ptuple, lhs, rhs)
+        _record(reports, flipped, "ricci-on-reeb", b.point, lhs, rhs)
 
     for name in names:
         reports[name].extras["opposite-sign-residual"] = flipped[name]

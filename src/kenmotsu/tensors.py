@@ -94,10 +94,6 @@ class MultiTensor:
             )
 
 
-def scalar(value: float, dim: int) -> MultiTensor:
-    return MultiTensor(dim, (), np.asarray(float(value)))
-
-
 def max_abs(t: MultiTensor) -> float:
     """Largest absolute component; 0.0 for an empty view never occurs here."""
     if t.rank == 0:

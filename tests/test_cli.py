@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+import kenmotsu as k
 import kenmotsu.cli as cli
 from kenmotsu import AlmostContactStructure, by_name
 from kenmotsu.catalog import NamedExample
 from kenmotsu.cli import SUITE_ORDER, RunConfig, UsageError, main, resolve_suites, run
+from kenmotsu.report import IDENTITIES
 
 
 def test_list_prints_catalog(capsys):
@@ -35,11 +37,19 @@ def test_unknown_suite_is_usage_error(capsys):
         "garbage",
         "kenmotsu-condition=abc",
         "kenmotsu-condition=-1e-6",
+        "kenmotsu-condition=inf",
+        "kenmotsu-condition=nan",
         "unknown-identity=1e-5",
     ],
 )
 def test_bad_tolerance_flags(flag, capsys):
     assert main(["--manifold", "h3", "--suite", "axioms", "--tol", flag]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
+def test_bad_step_is_usage_error(step, capsys):
+    assert main(["--manifold", "h3", "--suite", "kenmotsu", f"--step={step}"]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -203,3 +213,44 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert "structure-axioms" in proc.stdout
+
+
+def test_library_defaults_equal_cli_gates():
+    # h3 has fd_tolerance_scale 1, so every CLI gate is the base tolerance
+    ex = by_name("h3")
+    conn = k.NonMetricConnection(ex.manifold, ex.structure)
+    points = ex.sample_points(2, seed=0)
+    cfg = k.DifferentiationConfig()
+    verdict = k.check_semisymmetry_condition(conn, points, cfg)
+    library = [
+        k.check_almost_contact(ex.manifold, ex.structure, points),
+        k.check_kenmotsu(ex.manifold, ex.structure, points, cfg),
+        *k.check_curvature_identities(ex.manifold, ex.structure, points, cfg),
+        *(f(conn, points, cfg) for f in (
+            k.check_torsion, k.check_nonmetricity, k.check_reeb_transport,
+            k.check_deformation_form, k.check_reeb_curvature_degeneracy,
+            k.check_derivation_identity,
+        )),
+        *k.check_curvature_relation(conn, points, cfg),
+        verdict.condition,
+        *verdict.companions,
+        *k.check_weyl(ex.manifold, points, cfg),
+        k.check_weyl_commutation(ex.manifold, points, cfg),
+    ]
+    report = run(RunConfig(manifolds=("h3",), suites=("all",), num_points=2))
+    cli_gates = {
+        e.report.identity: e.report.tolerance
+        for suite in report.manifolds[0].suites
+        for e in suite.entries
+    }
+    assert {r.identity: r.tolerance for r in library} == cli_gates
+
+
+def test_rows_come_in_identity_table_order():
+    report = run(RunConfig(manifolds=("h5",), suites=("all",), num_points=1))
+    rows = [
+        (suite.name, e.report.identity)
+        for suite in report.manifolds[0].suites
+        for e in suite.entries
+    ]
+    assert rows == [(i.suite, name) for name, i in IDENTITIES.items()]
