@@ -23,15 +23,21 @@ from typing import Callable
 
 import numpy as np
 
-from .tensors import DOWN, UP, MetricPair, MultiTensor, contract, slots
+from .tensors import (
+    DOWN,
+    UP,
+    MetricError,
+    MetricPair,
+    MultiTensor,
+    contract,
+    metric_defect,
+    slots,
+    _tensordot_each,
+)
 
 
 class DomainError(ValueError):
     """A point (or a finite-difference stencil around it) leaves the chart."""
-
-
-class MetricError(ValueError):
-    """The metric callable returned something unusable at a point."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,33 @@ class DifferentiationConfig:
             raise ValueError("step must be a positive finite number")
 
 
+def _at_each(
+    f: Callable[[np.ndarray], np.ndarray],
+    points: np.ndarray,
+    shape: tuple[int, ...] | None,
+    what: str,
+    error: type[Exception],
+) -> np.ndarray:
+    """Call a per-point callable at every point of a (..., dim) batch and stack.
+
+    Every value must have ``shape`` (``None``: the first value's shape);
+    otherwise ``error`` names the callable and the point.  Each call gets a
+    read-only row of the batch.
+    """
+    flat = np.asarray(points, dtype=float).reshape(-1, points.shape[-1]).view()
+    flat.setflags(write=False)
+    out = None
+    for i, q in enumerate(flat):
+        value = np.asarray(f(q), dtype=float)
+        if out is None:
+            shape = value.shape if shape is None else shape
+            out = np.empty((len(flat),) + shape)
+        if value.shape != shape:
+            raise error(f"{what} returned shape {value.shape} at {q.tolist()}")
+        out[i] = value
+    return out.reshape(points.shape[:-1] + shape)
+
+
 @dataclass(frozen=True)
 class ChartManifold:
     """One coordinate chart with a metric.
@@ -58,6 +91,10 @@ class ChartManifold:
     ``metric_partials(p)``, when provided, returns dg[a, i, j] = d_a g_ij;
     otherwise partials are taken by finite differences.
     ``domain`` is a box: a (lo, hi) pair per coordinate.
+
+    Both callables take one point.  The ``*_at`` methods take one point,
+    shape (dim,), or a batch, shape (..., dim), call the callables at each
+    point and return arrays with the batch's leading axes.
     """
 
     dim: int
@@ -82,98 +119,117 @@ class ChartManifold:
         """The contact half-dimension: dim = 2n + 1."""
         return (self.dim - 1) // 2
 
+    def _inside(self, p: np.ndarray, margin: float) -> np.ndarray:
+        lo = np.array([lo for lo, _ in self.domain])
+        hi = np.array([hi for _, hi in self.domain])
+        return np.all((lo + margin <= p) & (p <= hi - margin), axis=-1)
+
     def contains(self, point: np.ndarray, margin: float = 0.0) -> bool:
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             return False
-        return all(
-            lo + margin <= x <= hi - margin for x, (lo, hi) in zip(p, self.domain)
-        )
+        return bool(self._inside(p, margin))
 
-    def require_inside(self, point: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
+    def require_inside(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        """The points as a float array, if every one sits ``margin`` inside the box."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim == 0 or p.shape[-1] != self.dim:
             raise DomainError(f"point has shape {p.shape}, expected ({self.dim},)")
-        if not self.contains(p, margin):
+        outside = ~self._inside(p, margin)
+        if np.any(outside):
+            first = p.reshape(-1, self.dim)[np.argmax(outside.ravel())]
             raise DomainError(
-                f"point {p.tolist()} leaves the chart domain (margin {margin})"
+                f"point {first.tolist()} leaves the chart domain (margin {margin})"
             )
         return p
 
-    def metric_at(self, point: np.ndarray) -> np.ndarray:
-        p = self.require_inside(point)
-        m = np.asarray(self.metric(p), dtype=float)
-        if m.shape != (self.dim, self.dim):
-            raise MetricError(f"metric returned shape {m.shape} at {p.tolist()}")
-        if not np.all(np.isfinite(m)):
-            raise MetricError(f"metric has non-finite entries at {p.tolist()}")
-        if np.max(np.abs(m - m.T)) > 1e-10:
-            raise MetricError(f"metric is not symmetric at {p.tolist()}")
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise MetricError(f"metric not positive definite at {p.tolist()}") from exc
+    def metric_at(self, points: np.ndarray) -> np.ndarray:
+        """g_ij at each point, validated by :func:`~kenmotsu.tensors.metric_defect`."""
+        p = self.require_inside(points)
+        m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
+        defect = metric_defect(m)
+        if defect is not None:
+            index, why = defect
+            raise MetricError(f"metric {why} at {p.reshape(-1, self.dim)[index].tolist()}")
         return m
 
-    def metric_pair_at(self, point: np.ndarray) -> MetricPair:
-        return MetricPair.from_matrix(self.metric_at(point))
+    def metric_pair_at(self, points: np.ndarray) -> MetricPair:
+        return MetricPair.from_matrix(self.metric_at(points))
 
     def metric_partials_at(
-        self, point: np.ndarray, cfg: DifferentiationConfig
+        self, points: np.ndarray, cfg: DifferentiationConfig
     ) -> np.ndarray:
-        """dg[a, i, j] = d_a g_ij, analytic when the chart provides it."""
+        """dg[..., a, i, j] = d_a g_ij, analytic when the chart provides it."""
         if self.metric_partials is not None:
-            p = self.require_inside(point)
-            dg = np.asarray(self.metric_partials(p), dtype=float)
-            if dg.shape != (self.dim,) * 3:
-                raise MetricError(
-                    f"metric_partials returned shape {dg.shape} at {p.tolist()}"
-                )
-            return dg
-        p = self.require_inside(point, margin=cfg.step)
+            p = self.require_inside(points)
+            return _at_each(
+                self.metric_partials, p, (self.dim,) * 3, "metric_partials", MetricError
+            )
+        p = self.require_inside(points, margin=cfg.step)
         return array_field_partials(self.metric, p, cfg)
+
+
+def stencil(points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
+    """The central-difference stencil of each point, shape (..., S, dim).
+
+    Entry 0 is the point itself; then, per axis a, the offsets +h and -h
+    along a and, with Richardson, +h/2 and -h/2.  S = 1 + 4 dim with
+    Richardson and 1 + 2 dim without.
+    """
+    p = np.asarray(points, dtype=float)
+    dim = p.shape[-1]
+    steps = (cfg.step, -cfg.step, cfg.step / 2.0, -cfg.step / 2.0)
+    steps = steps if cfg.richardson else steps[:2]
+    offsets = np.zeros((1 + dim * len(steps), dim))
+    for a in range(dim):
+        for s, h in enumerate(steps):
+            offsets[1 + a * len(steps) + s, a] = h
+    return p[..., None, :] + offsets
+
+
+def stencil_partials(
+    values: np.ndarray, cfg: DifferentiationConfig, axis: int
+) -> np.ndarray:
+    """Partials of a field from its values on :func:`stencil`.
+
+    ``axis`` is the stencil axis of ``values``; the derivative axis (length
+    dim) takes its place.  Central differences of width ``cfg.step``, with
+    one Richardson level when enabled.
+    """
+    per_axis = 4 if cfg.richardson else 2
+    v = np.moveaxis(values, axis, 0)
+    v = v[1:].reshape(((v.shape[0] - 1) // per_axis, per_axis) + v.shape[1:])
+    out = (v[:, 0] - v[:, 1]) / (2.0 * cfg.step)
+    if cfg.richardson:
+        d_half = (v[:, 2] - v[:, 3]) / (2.0 * (cfg.step / 2.0))
+        out = (4.0 * d_half - out) / 3.0
+    return np.moveaxis(out, 0, axis)
 
 
 def array_field_partials(
     f: Callable[[np.ndarray], np.ndarray],
-    point: np.ndarray,
+    points: np.ndarray,
     cfg: DifferentiationConfig,
 ) -> np.ndarray:
     """Partials of an array-valued field; the derivative axis comes first.
 
-    out[a, ...] = d_a f(point)[...], central differences of width ``cfg.step``
-    with one Richardson level when enabled.  Domain checking is the caller's
-    job; this function only evaluates f where it is told to.
+    out[..., a, ...] = d_a f(point)[...] for one point (dim,) or a batch
+    (..., dim): ``f`` is called at every stencil point (see
+    :func:`stencil`).  Domain checking is the caller's job; this function
+    only evaluates f where it is told to.
     """
-    p = np.asarray(point, dtype=float)
-    base = np.asarray(f(p), dtype=float)
-    dim = p.shape[0]
-    out = np.empty((dim,) + base.shape)
-
-    def central(h: float, axis: int) -> np.ndarray:
-        q_plus = p.copy()
-        q_minus = p.copy()
-        q_plus[axis] += h
-        q_minus[axis] -= h
-        return (np.asarray(f(q_plus), float) - np.asarray(f(q_minus), float)) / (2.0 * h)
-
-    for a in range(dim):
-        d_h = central(cfg.step, a)
-        if cfg.richardson:
-            d_half = central(cfg.step / 2.0, a)
-            out[a] = (4.0 * d_half - d_h) / 3.0
-        else:
-            out[a] = d_h
-    return out
+    p = np.asarray(points, dtype=float)
+    values = _at_each(f, stencil(p, cfg), None, "field", ValueError)
+    return stencil_partials(values, cfg, axis=p.ndim - 1)
 
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
-    """Coefficients Gamma^k_ij of a linear connection at one point.
+    """Coefficients Gamma^k_ij of a linear connection at one point or a batch.
 
-    Storage: gamma[k, i, j] with nabla_{d_i} d_j = Gamma^k_ij d_k.
-    ``symmetric=True`` asserts torsion-freeness (Levi-Civita case) and is
-    validated on construction.
+    Storage: gamma[..., k, i, j] with nabla_{d_i} d_j = Gamma^k_ij d_k; the
+    leading axes, if any, index points.  ``symmetric=True`` asserts
+    torsion-freeness (Levi-Civita case) and is validated on construction.
     """
 
     dim: int
@@ -182,31 +238,32 @@ class ConnectionCoefficients:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.gamma, dtype=float)
-        if arr.shape != (self.dim,) * 3:
-            raise ValueError(f"gamma shape {arr.shape}, expected {(self.dim,) * 3}")
+        if arr.ndim < 3 or arr.shape[-3:] != (self.dim,) * 3:
+            raise ValueError(f"gamma shape {arr.shape}, expected (..., {(self.dim,) * 3})")
         if not np.all(np.isfinite(arr)):
             raise ValueError("gamma has non-finite entries")
-        if self.symmetric and np.max(np.abs(arr - arr.transpose(0, 2, 1))) > 1e-8:
+        if self.symmetric and np.max(np.abs(arr - np.swapaxes(arr, -1, -2))) > 1e-8:
             raise ValueError("coefficients marked symmetric are not")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "gamma", arr)
 
 
-def levi_civita(
-    manifold: ChartManifold, point: np.ndarray, cfg: DifferentiationConfig
-) -> ConnectionCoefficients:
-    """Christoffel symbols of the metric at a point.
-
-    Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij)
-    """
-    p = manifold.require_inside(point)
-    gpair = manifold.metric_pair_at(p)
-    dg = manifold.metric_partials_at(p, cfg)
+def _christoffel(metric_inverse: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij), with leading point axes."""
     term = (
-        np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg) - dg
+        np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
     )
-    gamma = 0.5 * np.einsum("kl,lij->kij", gpair.inverse, term)
+    return 0.5 * np.einsum("...kl,...lij->...kij", metric_inverse, term)
+
+
+def levi_civita(
+    manifold: ChartManifold, points: np.ndarray, cfg: DifferentiationConfig
+) -> ConnectionCoefficients:
+    """Christoffel symbols of the metric at one point (dim,) or a batch (..., dim)."""
+    p = manifold.require_inside(points)
+    gpair = manifold.metric_pair_at(p)
+    gamma = _christoffel(gpair.inverse, manifold.metric_partials_at(p, cfg))
     return ConnectionCoefficients(manifold.dim, gamma, symmetric=True)
 
 
@@ -220,23 +277,35 @@ def levi_civita_field(manifold: ChartManifold, cfg: DifferentiationConfig) -> Ga
 def riemann_of_connection(
     manifold: ChartManifold,
     gamma_field: GammaField,
-    point: np.ndarray,
+    points: np.ndarray,
     cfg: DifferentiationConfig,
-) -> MultiTensor:
-    """Curvature of an arbitrary connection, as a (1,3) tensor.
+) -> MultiTensor | np.ndarray:
+    """Curvature of an arbitrary connection.
 
-    Differentiating the coefficient field may nest a second stencil inside
-    the first, so the point must sit at least 2h inside the domain.
+    ``gamma_field`` is called once, with the :func:`stencil` of every
+    point, shape (..., S, dim); its coefficients may also be one constant
+    (dim, dim, dim) array.  Differentiating the coefficient field may nest a
+    second stencil inside the first, so each point must sit at least 2h
+    inside the domain.  One point (dim,) gives a (1,3) tensor; a batch
+    (N, dim) gives the components, shape (N, dim, dim, dim, dim).
     """
-    p = manifold.require_inside(point, margin=2.0 * cfg.step)
-    dgamma = array_field_partials(lambda q: gamma_field(q).gamma, p, cfg)
-    gamma = gamma_field(p).gamma
-    t1 = np.moveaxis(dgamma, 0, 1)  # t1[l,i,j,k] = d_i Gamma^l_jk
-    t2 = t1.transpose(0, 2, 1, 3)
-    q1 = np.einsum("lim,mjk->lijk", gamma, gamma)
-    q2 = q1.transpose(0, 2, 1, 3)
-    riem = t1 - t2 + q1 - q2
-    return MultiTensor(manifold.dim, slots("uddd"), riem)
+    p = manifold.require_inside(points, margin=2.0 * cfg.step)
+    q = stencil(p, cfg)
+    gamma = np.broadcast_to(gamma_field(q).gamma, q.shape[:-1] + (manifold.dim,) * 3)
+    dgamma = stencil_partials(gamma, cfg, axis=p.ndim - 1)
+    riem = _curvature_components(gamma[..., 0, :, :, :], dgamma)
+    if p.ndim == 1:
+        return MultiTensor(manifold.dim, slots("uddd"), riem)
+    return riem
+
+
+def _curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """riem[..., l, i, j, k] from Gamma^l_jk and dgamma[..., i, l, j, k] = d_i Gamma^l_jk."""
+    t1 = np.swapaxes(dgamma, -4, -3)  # t1[l,i,j,k] = d_i Gamma^l_jk
+    t2 = np.swapaxes(t1, -3, -2)
+    q1 = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    q2 = np.swapaxes(q1, -3, -2)
+    return t1 - t2 + q1 - q2
 
 
 def riemann(
@@ -280,7 +349,7 @@ def covariant_derivative(
     point: np.ndarray,
     cfg: DifferentiationConfig,
 ) -> MultiTensor:
-    """Covariant derivative of a tensor field; the new slot comes first.
+    """Covariant derivative of a tensor field at a point; the new slot comes first.
 
     out[a, ...] = (nabla_{d_a} T)[...], with +Gamma corrections on
     contravariant slots and -Gamma on covariant ones.
@@ -289,22 +358,29 @@ def covariant_derivative(
     base = field(p)
     gamma = gamma_field(p).gamma
     comps = array_field_partials(lambda q: field(q).components, p, cfg)
-    comps = _add_connection_terms(comps, base.components, base.variance, gamma)
+    comps = _add_connection_terms(
+        comps[None], base.components[None], base.variance, gamma[None]
+    )[0]
     return MultiTensor(manifold.dim, (DOWN,) + base.variance, comps)
 
 
 def _add_connection_terms(
     partials: np.ndarray, base: np.ndarray, variance: tuple[str, ...], gamma: np.ndarray
 ) -> np.ndarray:
-    """Turn coordinate partials of a tensor field into its covariant derivative."""
+    """Turn coordinate partials of a tensor field into its covariant derivative.
+
+    Every array has a leading point axis: ``partials[n, a, ...]``,
+    ``base[n, ...]`` with one axis per entry of ``variance``, and
+    ``gamma[n, k, i, j]``.
+    """
     comps = partials
     for s, var in enumerate(variance):
         if var == UP:
-            # +Gamma^k_am T[.. m at s ..]; tensordot leaves axes (k, a, rest)
-            corr = np.tensordot(gamma, base, axes=(2, s))
-            comps = comps + np.moveaxis(corr, (0, 1), (s + 1, 0))
+            # +Gamma^k_am T[.. m at s ..]; the product leaves axes (k, a, rest)
+            corr = _tensordot_each(gamma, base, (2,), (s,))
+            comps = comps + np.moveaxis(corr, (1, 2), (s + 2, 1))
         else:
-            # -Gamma^m_ab T[.. m at s ..]; tensordot leaves axes (a, b, rest)
-            corr = np.tensordot(gamma, base, axes=(0, s))
-            comps = comps - np.moveaxis(corr, (0, 1), (0, s + 1))
+            # -Gamma^m_ab T[.. m at s ..]; the product leaves axes (a, b, rest)
+            corr = _tensordot_each(gamma, base, (0,), (s,))
+            comps = comps - np.moveaxis(corr, (1, 2), (1, s + 2))
     return comps

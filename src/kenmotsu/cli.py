@@ -17,7 +17,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .catalog import NamedExample, by_name, catalog
 from .charts import DifferentiationConfig, DomainError, MetricError
@@ -26,10 +25,9 @@ from .conditions import (
     check_semisymmetry_condition,
     check_weyl,
     check_weyl_commutation,
-    einstein_fit,
+    _point_fits,
 )
 from .connection import (
-    CurvatureBundle,
     NonMetricConnection,
     check_curvature_relation,
     check_deformation_form,
@@ -204,11 +202,14 @@ class _ManifoldRunner:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         self.conn = NonMetricConnection(example.manifold, example.structure)
+        # the geometry of every sample point, computed on first use for all
+        # of them at once and read by every suite
+        self.geometry = curvature_bundle(self.conn, self.points, self.cfg)
         self.axioms = self._stamped(
-            check_almost_contact(example.manifold, example.structure, self.points)
+            check_almost_contact(example.manifold, example.structure, self.geometry)
         )
         self.kenmotsu = self._stamped(
-            check_kenmotsu(example.manifold, example.structure, self.points, self.cfg)
+            check_kenmotsu(example.manifold, example.structure, self.geometry, self.cfg)
         )
         self.verdicts: dict = {
             "kenmotsu": self.kenmotsu.passed,
@@ -222,11 +223,6 @@ class _ManifoldRunner:
                 2 * example.n * (2 * example.n + 3)
             ),
         }
-
-    @cached_property
-    def bundles(self) -> list[CurvatureBundle]:
-        """The geometry of every sample point, built once for all suites."""
-        return [curvature_bundle(self.conn, p, self.cfg) for p in self.points]
 
     def _stamped(self, report: IdentityResidualReport) -> IdentityResidualReport:
         """Set the gate: a --tol override, else the base tolerance, fd-scaled."""
@@ -273,10 +269,10 @@ class _ManifoldRunner:
 
     def _suite_curvature(self) -> list[IdentityResidualReport]:
         ex = self.example
-        return check_curvature_identities(ex.manifold, ex.structure, self.bundles, self.cfg)
+        return check_curvature_identities(ex.manifold, ex.structure, self.geometry, self.cfg)
 
     def _suite_connection(self) -> list[IdentityResidualReport]:
-        args = (self.conn, self.bundles, self.cfg)
+        args = (self.conn, self.geometry, self.cfg)
         reports = [
             check_torsion(*args),
             check_nonmetricity(*args),
@@ -289,11 +285,11 @@ class _ManifoldRunner:
         return reports + [riemann, ricci, scalar, symmetry]
 
     def _suite_irregularity(self) -> list[IdentityResidualReport]:
-        return [check_reeb_curvature_degeneracy(self.conn, self.bundles, self.cfg)]
+        return [check_reeb_curvature_degeneracy(self.conn, self.geometry, self.cfg)]
 
     def _suite_semisymmetry(self) -> list[IdentityResidualReport]:
-        derivation = check_derivation_identity(self.conn, self.bundles, self.cfg)
-        verdict = check_semisymmetry_condition(self.conn, self.bundles, self.cfg)
+        derivation = check_derivation_identity(self.conn, self.geometry, self.cfg)
+        verdict = check_semisymmetry_condition(self.conn, self.geometry, self.cfg)
         self.verdicts.update(
             {
                 "einstein": verdict.ricci_fit.residual < EINSTEIN_FIT_THRESHOLD,
@@ -315,12 +311,12 @@ class _ManifoldRunner:
     def _suite_weyl(self) -> list[IdentityResidualReport]:
         manifold = self.example.manifold
         # the relation is gated where the Levi-Civita Ricci fits a*g at every point
-        einstein = max(
-            einstein_fit(b.lc_ricci, b.metric, b.xi, b.eta).residual for b in self.bundles
-        ) < EINSTEIN_FIT_THRESHOLD
+        g = self.geometry
+        fits = _point_fits(g.metric.inverse @ g.lc_ricci, g.xi, g.eta, fit_eta=False)
+        einstein = max(fit.residual for fit in fits) < EINSTEIN_FIT_THRESHOLD
         return [
-            *check_weyl(manifold, self.bundles, self.cfg),
-            check_weyl_commutation(manifold, self.bundles, self.cfg, einstein=einstein),
+            *check_weyl(manifold, self.geometry, self.cfg),
+            check_weyl_commutation(manifold, self.geometry, self.cfg, einstein=einstein),
         ]
 
     def outcome(self, requested: tuple[str, ...]) -> ManifoldOutcome:

@@ -29,19 +29,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartManifold, DifferentiationConfig
-from .connection import CurvatureBundle, NonMetricConnection, _bundles
-from .report import IdentityResidualReport, PointResidual, new_report
-from .tensors import DOWN, MetricPair, MultiTensor, lower_slot, slots
+from .connection import CurvatureBundle, NonMetricConnection, _bundle, _chunk_ranges, _mean
+from .report import IdentityResidualReport, new_report, per_point
+from .tensors import DOWN, MetricPair, MultiTensor, slots, _swap_slot_components, _tensordot_each
 
 _SUPPORTED_TARGET_RANKS = (2, 4)
 
 
 def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
-    """Apply a (1,3) endomorphism family to every slot of a (0,k) array."""
+    """Apply a (1,3) endomorphism family to every slot of a (0,k) array, point by point.
+
+    Both arrays carry a leading point axis.
+    """
     out = None
     for s in range(k):
-        term = np.tensordot(curv, target, axes=(0, s))
-        term = np.moveaxis(term, (0, 1, 2), (k, k + 1, s))
+        term = _tensordot_each(curv, target, (0,), (s,))
+        term = np.moveaxis(term, (1, 2, 3), (k + 1, k + 2, s + 1))
         out = term if out is None else out + term
     return -out
 
@@ -62,16 +65,19 @@ def _check_action_args(curv: MultiTensor, target: MultiTensor) -> int:
 def derivation_action(curv: MultiTensor, target: MultiTensor) -> MultiTensor:
     """(curv(X,Y) . target) as a (0,k+2) tensor, (X,Y) slots trailing."""
     k = _check_action_args(curv, target)
-    comps = _endomorphism_action(curv.components, target.components, k)
+    comps = _endomorphism_action(curv.components[None], target.components[None], k)[0]
     return MultiTensor(curv.dim, slots("d" * (k + 2)), comps)
+
+
+def _wedge(g: np.ndarray) -> np.ndarray:
+    """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components with leading point axes."""
+    eye = np.eye(g.shape[-1])
+    return np.einsum("...jz,mi->...mijz", g, eye) - np.einsum("...iz,mj->...mijz", g, eye)
 
 
 def metric_wedge(gpair: MetricPair) -> MultiTensor:
     """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y as a (1,3) tensor."""
-    g = gpair.matrix
-    eye = np.eye(gpair.dim)
-    comps = np.einsum("jz,mi->mijz", g, eye) - np.einsum("iz,mj->mijz", g, eye)
-    return MultiTensor(gpair.dim, slots("uddd"), comps)
+    return MultiTensor(gpair.dim, slots("uddd"), _wedge(gpair.matrix))
 
 
 def tachibana(gpair: MetricPair, target: MultiTensor) -> MultiTensor:
@@ -80,12 +86,12 @@ def tachibana(gpair: MetricPair, target: MultiTensor) -> MultiTensor:
 
 
 def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
-    """The four-term bracket, indexed out[z,u,i,j] for arguments (Z,U,X,Y)."""
+    """The four-term bracket, indexed out[..., z, u, i, j] for arguments (Z,U,X,Y)."""
     return (
-        -np.einsum("jz,iu->zuij", g, ric)
-        + np.einsum("iz,ju->zuij", g, ric)
-        - np.einsum("ju,zi->zuij", g, ric)
-        + np.einsum("iu,zj->zuij", g, ric)
+        -np.einsum("...jz,...iu->...zuij", g, ric)
+        + np.einsum("...iz,...ju->...zuij", g, ric)
+        - np.einsum("...ju,...zi->...zuij", g, ric)
+        + np.einsum("...iu,...zj->...zuij", g, ric)
     )
 
 
@@ -101,16 +107,13 @@ def check_derivation_identity(
     side from Levi-Civita data; holds on every Kenmotsu chart, Einstein or
     not, so it is an end-to-end test of the whole pipeline.
     """
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    lhs = _endomorphism_action(b.riemann, b.ricci, 2)
+    rhs = _endomorphism_action(b.lc_riemann, b.lc_ricci, 2) + _semisymmetry_defect(
+        b.metric.matrix, b.lc_ricci
+    )
     report = new_report("derivation-identity", tol)
-    for b in _bundles(conn.manifold, conn.structure, points, cfg):
-        lhs = derivation_action(b.riemann, b.ricci).components
-        rhs = (
-            derivation_action(b.lc_riemann, b.lc_ricci).components
-            + _semisymmetry_defect(b.metric.matrix, b.lc_ricci.components)
-        )
-        report.points.append(
-            PointResidual(b.point, float(np.max(np.abs(lhs - rhs))))
-        )
+    report.add_points(b.points, per_point(lhs - rhs))
     return report
 
 
@@ -193,6 +196,13 @@ class SemisymmetryVerdict:
     companions: list[IdentityResidualReport]
 
 
+def _point_fits(
+    ops: np.ndarray, xi: np.ndarray, eta: np.ndarray, fit_eta: bool
+) -> list[EinsteinFit]:
+    """One fit per point of a batch of (1,1) operators, see :class:`EinsteinFit`."""
+    return [_fit_operator_samples([sample], fit_eta) for sample in zip(ops, xi, eta)]
+
+
 def check_semisymmetry_condition(
     conn: NonMetricConnection,
     points: list[np.ndarray],
@@ -209,57 +219,36 @@ def check_semisymmetry_condition(
     a, b) plus the scalar means and worst deviations from those targets.
     """
     n = conn.manifold.n
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    g, ginv, xi, eta = b.metric.matrix, b.metric.inverse, b.xi, b.eta
+    defect = _semisymmetry_defect(g, b.lc_ricci)
+    # normalize with the inverse metric on the Z slot so the residual is
+    # scale-free, matching the (1,1) convention of the fits
+    defect_norm = np.einsum("...az,...zuij->...auij", ginv, defect)
     report = new_report("semisymmetry-condition", tol)
+    report.add_points(b.points, per_point(defect_norm))
+    plain_ops = ginv @ b.lc_ricci
+    modified_ops = ginv @ b.ricci
     einstein_row = new_report("einstein-ricci-fit", fit_tol)
+    einstein_row.add_points(
+        b.points,
+        [max(abs(f.a + 2.0 * n), f.residual) for f in _point_fits(plain_ops, xi, eta, False)],
+    )
     eta_row = new_report("eta-einstein-fit", fit_tol)
+    eta_row.add_points(
+        b.points,
+        [
+            max(abs(f.a - 2.0), abs(f.b + 2.0), f.residual)
+            for f in _point_fits(modified_ops, xi, eta, True)
+        ],
+    )
     scalar_row = new_report("scalar-curvature-constant", scalar_tol)
+    scalar_row.add_points(b.points, np.abs(b.lc_scalar + 2.0 * n * (2 * n + 1)))
     mod_scalar_row = new_report("modified-scalar-constant", scalar_tol)
-    bundles = _bundles(conn.manifold, conn.structure, points, cfg)
-    plain_samples = []
-    modified_samples = []
-    scal_sum = 0.0
-    mod_scal_sum = 0.0
-    for b in bundles:
-        g = b.metric.matrix
-        ginv = b.metric.inverse
-        xi, eta = b.xi, b.eta
-        defect = _semisymmetry_defect(g, b.lc_ricci.components)
-        # normalize with the inverse metric on the Z slot so the residual is
-        # scale-free, matching the (1,1) convention of the fits
-        defect_norm = np.einsum("az,zuij->auij", ginv, defect)
-        report.points.append(
-            PointResidual(b.point, float(np.max(np.abs(defect_norm))))
-        )
-        plain_op = (ginv @ b.lc_ricci.components, xi, eta)
-        modified_op = (ginv @ b.ricci.components, xi, eta)
-        plain_samples.append(plain_op)
-        modified_samples.append(modified_op)
-        point_fit = _fit_operator_samples([plain_op], fit_eta=False)
-        einstein_row.points.append(
-            PointResidual(b.point, max(abs(point_fit.a + 2.0 * n), point_fit.residual))
-        )
-        point_eta_fit = _fit_operator_samples([modified_op], fit_eta=True)
-        eta_row.points.append(
-            PointResidual(
-                b.point,
-                max(
-                    abs(point_eta_fit.a - 2.0),
-                    abs(point_eta_fit.b + 2.0),
-                    point_eta_fit.residual,
-                ),
-            )
-        )
-        scalar_row.points.append(
-            PointResidual(b.point, abs(b.lc_scalar + 2.0 * n * (2 * n + 1)))
-        )
-        mod_scalar_row.points.append(
-            PointResidual(b.point, abs(b.scalar - 4.0 * n))
-        )
-        scal_sum += b.lc_scalar
-        mod_scal_sum += b.scalar
-    count = max(len(bundles), 1)
-    ricci_fit = _fit_operator_samples(plain_samples, fit_eta=False)
-    modified_fit = _fit_operator_samples(modified_samples, fit_eta=True)
+    mod_scalar_row.add_points(b.points, np.abs(b.scalar - 4.0 * n))
+    ricci_fit = _fit_operator_samples(list(zip(plain_ops, xi, eta)), fit_eta=False)
+    modified_fit = _fit_operator_samples(list(zip(modified_ops, xi, eta)), fit_eta=True)
+    scalar_mean, modified_scalar_mean = _mean(b.lc_scalar), _mean(b.scalar)
     report.extras.update(
         {
             "einstein-a": ricci_fit.a,
@@ -267,8 +256,8 @@ def check_semisymmetry_condition(
             "eta-einstein-a": modified_fit.a,
             "eta-einstein-b": modified_fit.b,
             "eta-einstein-residual": modified_fit.residual,
-            "mean-scalar": scal_sum / count,
-            "mean-modified-scalar": mod_scal_sum / count,
+            "mean-scalar": scalar_mean,
+            "mean-modified-scalar": modified_scalar_mean,
         }
     )
     einstein_row.extras.update({"joint-a": ricci_fit.a, "joint-residual": ricci_fit.residual})
@@ -286,8 +275,8 @@ def check_semisymmetry_condition(
         holds=report.passed,
         ricci_fit=ricci_fit,
         modified_ricci_fit=modified_fit,
-        scalar_mean=scal_sum / count,
-        modified_scalar_mean=mod_scal_sum / count,
+        scalar_mean=scalar_mean,
+        modified_scalar_mean=modified_scalar_mean,
         scalar_deviation=scalar_row.max_residual,
         modified_scalar_deviation=mod_scalar_row.max_residual,
         companions=[einstein_row, eta_row, scalar_row, mod_scalar_row],
@@ -301,20 +290,24 @@ def weyl_tensor(
 
     Fully traceless; identically zero in dimension 3 and on space forms.
     """
-    return CurvatureBundle(manifold, None, point, cfg).weyl
+    weyl = CurvatureBundle(manifold, None, point, cfg).weyl[0]
+    return MultiTensor(manifold.dim, slots("uddd"), weyl)
+
+
+def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Per point, the max absolute value over all six single g-traces of the (0,4) form."""
+    c4 = _swap_slot_components(g, weyl, 0)
+    worst = np.zeros(len(c4))
+    for a in range(4):
+        for b in range(a + 1, 4):
+            moved = np.moveaxis(c4, (a + 1, b + 1), (1, 2))
+            worst = np.maximum(worst, per_point(_tensordot_each(ginv, moved, (0, 1), (0, 1))))
+    return worst
 
 
 def weyl_trace_residual(weyl: MultiTensor, gpair: MetricPair) -> float:
     """Max absolute value over all six single g-traces of the (0,4) form."""
-    c4 = lower_slot(weyl, 0, gpair).components
-    ginv = gpair.inverse
-    worst = 0.0
-    for a in range(4):
-        for b in range(a + 1, 4):
-            moved = np.moveaxis(c4, (a, b), (0, 1))
-            tr = np.tensordot(ginv, moved, axes=([0, 1], [0, 1]))
-            worst = max(worst, float(np.max(np.abs(tr))))
-    return worst
+    return float(_weyl_trace(weyl.components[None], gpair.matrix[None], gpair.inverse[None])[0])
 
 
 def check_weyl_commutation(
@@ -333,7 +326,8 @@ def check_weyl_commutation(
     it records the three magnitudes and the residual of the scaled relation
     C . R - R . C = -[r / (m(m-1))] Q(g,R) under both the total-dimension
     normalization and the contact-n one, since the literature is ambiguous
-    about which dimension enters the scale.
+    about which dimension enters the scale.  The rank-6 actions are taken
+    over chunks of points so that their memory stays bounded.
     """
     report = new_report("weyl-tachibana", tol)
     if manifold.dim < 5:
@@ -345,38 +339,32 @@ def check_weyl_commutation(
         report.note = "Einstein hypothesis fails here; magnitudes recorded only"
     m = manifold.dim
     n = manifold.n
-    worst = {"commutator": 0.0, "tachibana-riemann": 0.0, "tachibana-weyl": 0.0,
-             "relation-total-dim": 0.0, "relation-contact-n": 0.0}
-    for b in _bundles(manifold, None, points, cfg):
-        gpair, riem, weyl, r = b.metric, b.lc_riemann, b.weyl, b.lc_scalar
-        riem4 = lower_slot(riem, 0, gpair)
-        weyl4 = lower_slot(weyl, 0, gpair)
-        commutator = (
-            derivation_action(weyl, riem4).components
-            - derivation_action(riem, weyl4).components
-        )
-        q_riem = tachibana(gpair, riem4).components
-        q_weyl = tachibana(gpair, weyl4).components
-        mags = {
-            "commutator": float(np.max(np.abs(commutator))),
-            "tachibana-riemann": float(np.max(np.abs(q_riem))),
-            "tachibana-weyl": float(np.max(np.abs(q_weyl))),
-        }
+    b = _bundle(manifold, None, points, cfg)
+    keys = ("commutator", "tachibana-riemann", "tachibana-weyl",
+            "relation-total-dim", "relation-contact-n")
+    mags = {k: [] for k in keys}
+    for lo, hi in _chunk_ranges(len(b.points), 8 * m**6):
+        g = b.metric.matrix[lo:hi]
+        riem, weyl = b.lc_riemann[lo:hi], b.weyl[lo:hi]
+        riem4 = _swap_slot_components(g, riem, 0)
+        weyl4 = _swap_slot_components(g, weyl, 0)
+        commutator = _endomorphism_action(weyl, riem4, 4) - _endomorphism_action(riem, weyl4, 4)
+        wedge = _wedge(g)
+        q_riem = _endomorphism_action(wedge, riem4, 4)
         # dim >= 5 here, so the contact half-dimension n is at least 2 and
         # both normalizations of the scale factor are finite
+        r = b.lc_scalar[lo:hi].reshape((-1,) + (1,) * 6)
         scale_total = r / (m * (m - 1))
         scale_contact = r / (n * (n - 1))
-        mags["relation-total-dim"] = float(
-            np.max(np.abs(commutator + scale_total * q_riem))
-        )
-        mags["relation-contact-n"] = float(
-            np.max(np.abs(commutator + scale_contact * q_riem))
-        )
-        for k, v in mags.items():
-            worst[k] = max(worst[k], v)
-        headline = max(mags["commutator"], mags["tachibana-riemann"], mags["tachibana-weyl"])
-        report.points.append(PointResidual(b.point, headline))
-    report.extras.update(worst)
+        mags["commutator"].append(per_point(commutator))
+        mags["tachibana-riemann"].append(per_point(q_riem))
+        mags["tachibana-weyl"].append(per_point(_endomorphism_action(wedge, weyl4, 4)))
+        mags["relation-total-dim"].append(per_point(commutator + scale_total * q_riem))
+        mags["relation-contact-n"].append(per_point(commutator + scale_contact * q_riem))
+    mags = {k: np.concatenate(v) for k, v in mags.items()}
+    headline = np.max([mags[k] for k in keys[:3]], axis=0)
+    report.add_points(b.points, headline)
+    report.extras.update({k: float(np.max(v)) for k, v in mags.items()})
     return report
 
 
@@ -388,17 +376,12 @@ def check_weyl(
     vanish_tol: float | None = None,
 ) -> tuple[IdentityResidualReport, IdentityResidualReport, IdentityResidualReport]:
     """Tracelessness, vanishing, and metric-Tachibana sanity in one sweep."""
+    b = _bundle(manifold, None, points, cfg)
+    g = b.metric.matrix
     traceless = new_report("weyl-traceless", trace_tol)
+    traceless.add_points(b.points, _weyl_trace(b.weyl, g, b.metric.inverse))
     vanishing = new_report("weyl-vanishing", vanish_tol)
+    vanishing.add_points(b.points, per_point(b.weyl))
     metric_q = new_report("tachibana-metric")
-    for b in _bundles(manifold, None, points, cfg):
-        gpair, weyl = b.metric, b.weyl
-        traceless.points.append(
-            PointResidual(b.point, weyl_trace_residual(weyl, gpair))
-        )
-        vanishing.points.append(
-            PointResidual(b.point, float(np.max(np.abs(weyl.components))))
-        )
-        qgg = tachibana(gpair, gpair.lower).components
-        metric_q.points.append(PointResidual(b.point, float(np.max(np.abs(qgg)))))
+    metric_q.add_points(b.points, per_point(_endomorphism_action(_wedge(g), g, 2)))
     return traceless, vanishing, metric_q

@@ -17,17 +17,16 @@ numerically by computing the curvature twice, once straight from the
 coefficient field and once through the closed form.  Everything downstream
 consumes the direct computation; the closed form only feeds cross-checks.
 
-:class:`CurvatureBundle` is the per-point geometry every check reads: each
-``check_*`` function of the package accepts, in place of a coordinate
-point, a bundle already built at it, so one bundle per point serves every
-identity.
+:class:`CurvatureBundle` is the geometry every check reads, computed for a
+whole batch of points at once: each ``check_*`` function of the package
+accepts a bundle in place of its list of points, so one bundle per chart
+serves every identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +35,38 @@ from .charts import (
     ConnectionCoefficients,
     DifferentiationConfig,
     _add_connection_terms,
-    array_field_partials,
+    _christoffel,
     levi_civita,
-    levi_civita_field,
-    ricci_from_riemann,
     riemann_of_connection,
-    scalar_curvature_of,
+    stencil,
+    stencil_partials,
 )
-from .report import IdentityResidualReport, PointResidual, new_report
+from .report import IdentityResidualReport, new_report, per_point
 from .structure import AlmostContactStructure, StructureError, check_almost_contact
-from .tensors import MetricPair, MultiTensor, raise_slot, slots
+from .tensors import MetricPair, slots, _swap_slot_components
+
+# bytes that one array of a chunk of points may take: the curvature pass
+# and the rank-6 Weyl actions hold about ten such arrays at a time, so
+# their memory stays bounded whatever the number of points
+CHUNK_BYTES = 2**18
+
+
+def _chunk_ranges(count: int, bytes_per_point: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges over ``count`` points, each holding at most CHUNK_BYTES per array."""
+    size = max(1, CHUNK_BYTES // bytes_per_point)
+    return [(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _modified_coefficients(
+    lc_gamma: np.ndarray, g: np.ndarray, eta: np.ndarray, xi: np.ndarray
+) -> np.ndarray:
+    """G^k_ij = Gamma^k_ij - eta_j delta^k_i - g_ij xi^k, with leading point axes."""
+    eye = np.eye(g.shape[-1])
+    return (
+        lc_gamma
+        - np.einsum("...j,ki->...kij", eta, eye)
+        - np.einsum("...ij,...k->...kij", g, xi)
+    )
 
 
 @dataclass(frozen=True)
@@ -56,24 +77,18 @@ class NonMetricConnection:
     structure: AlmostContactStructure
 
     def coefficients_at(
-        self, point: np.ndarray, cfg: DifferentiationConfig
+        self, points: np.ndarray, cfg: DifferentiationConfig
     ) -> ConnectionCoefficients:
+        """Coefficients at one point (dim,) or a batch (..., dim)."""
         m = self.manifold
-        p = m.require_inside(point)
-        lc = levi_civita(m, p, cfg)
-        g = m.metric_at(p)
-        eta = self.structure.eta_at(m.dim, p)
-        xi = self.structure.xi_at(m.dim, p)
-        eye = np.eye(m.dim)
-        gamma = (
-            lc.gamma
-            - np.einsum("j,ki->kij", eta, eye)
-            - np.einsum("ij,k->kij", g, xi)
+        p = m.require_inside(points)
+        gamma = _modified_coefficients(
+            levi_civita(m, p, cfg).gamma,
+            m.metric_at(p),
+            self.structure.eta_at(m.dim, p),
+            self.structure.xi_at(m.dim, p),
         )
         return ConnectionCoefficients(m.dim, gamma, symmetric=False)
-
-    def coefficient_field(self, cfg: DifferentiationConfig):
-        return lambda p: self.coefficients_at(p, cfg)
 
 
 def build_connection(
@@ -93,48 +108,59 @@ def build_connection(
 
 
 class CurvatureBundle:
-    """The geometry of a chart and its structure at one point.
+    """The geometry of a chart and its structure at a batch of N points.
 
-    Each part is computed on first use and then kept: the metric pair,
-    ``eta``, ``xi``, the Levi-Civita and modified coefficients at the point,
-    the single-stencil partials of ``xi`` and ``eta``, one Levi-Civita and
-    one modified curvature pass, both Ricci tensors and scalars, the
-    closed-form modified curvature with its cross-check residuals and the
-    Weyl tensor.  ``riemann``/``ricci``/``scalar`` come from differentiating
-    the modified coefficient field (the direct route, consumed downstream);
-    ``*_closed_form`` come from the Levi-Civita curvature through
+    Every array has a leading point axis of length N, followed by one axis
+    of length dim per tensor slot; scalars per point have shape (N,).  Each
+    part is computed on first use and then kept, for all points at once:
+    ``metric`` (a :class:`~kenmotsu.tensors.MetricPair` of (N, dim, dim)
+    arrays), ``phi``, ``eta``, ``xi``, their partials ``dxi[n, a, k]`` and
+    ``deta[n, a, j]``, the Levi-Civita and modified coefficients
+    ``lc_gamma``/``gamma`` [n, k, i, j], one Levi-Civita and one modified
+    curvature pass ``lc_riemann``/``riemann`` [n, l, i, j, k], the
+    finite-difference metric partials ``dg_fd`` [n, a, i, j], both Ricci
+    tensors and scalars, the closed-form modified curvature with its
+    cross-check residuals and the Weyl tensor.
+
+    The chart and structure callables are called once at every point of
+    every stencil; everything after them is whole-array arithmetic.  The
+    curvature pass runs over chunks of points (:func:`_chunk_ranges`), so its
+    memory stays bounded.  ``riemann``/``ricci``/``scalar`` come from
+    differentiating the modified coefficient field (the direct route,
+    consumed downstream); ``*_closed_form`` come from the Levi-Civita
+    curvature through
 
         K(X,Y)Z = R(X,Y)Z + g(Y,Z) X - g(X,Z) Y
                   + 2 [g(Y,Z) eta(X) - g(X,Z) eta(Y)] xi
         Ric_K   = S + 2(n+1) g - 2 eta (x) eta
         scal_K  = r + 2n(2n+3)
 
-    and ``cross`` holds the max-abs disagreements plus the symmetry defect
-    of the direct Ricci tensor.  A bundle without a structure serves
-    Levi-Civita data only.
+    and ``cross`` holds, per point, the max-abs disagreements plus the
+    symmetry defect of the direct Ricci tensor.  A bundle without a
+    structure serves Levi-Civita data only.
     """
 
     def __init__(
         self,
         manifold: ChartManifold,
         structure: AlmostContactStructure | None,
-        point: np.ndarray,
+        points: np.ndarray,
         cfg: DifferentiationConfig,
     ):
         self.manifold = manifold
         self.structure = structure
-        self.connection = NonMetricConnection(manifold, structure)
         self.cfg = cfg
-        self.p = _frozen(manifold.require_inside(point))
-        self.point = tuple(self.p)
-
-    def _partials(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        self.manifold.require_inside(self.p, margin=self.cfg.step)
-        return _frozen(array_field_partials(f, self.p, self.cfg))
+        p = manifold.require_inside(points).reshape(-1, manifold.dim)
+        self.p = _frozen(p)
+        self.points = [tuple(q) for q in self.p]
 
     @cached_property
     def metric(self) -> MetricPair:
         return self.manifold.metric_pair_at(self.p)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return _frozen(self.structure.phi_at(self.manifold.dim, self.p))
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -145,14 +171,27 @@ class CurvatureBundle:
         return _frozen(self.structure.xi_at(self.manifold.dim, self.p))
 
     @cached_property
+    def _stencil(self) -> np.ndarray:
+        """Every point's stencil, (N, S, dim)."""
+        return stencil(self.manifold.require_inside(self.p, margin=self.cfg.step), self.cfg)
+
+    @cached_property
+    def _eta_on_stencil(self) -> np.ndarray:
+        return self.structure.eta_at(self.manifold.dim, self._stencil)
+
+    @cached_property
+    def _xi_on_stencil(self) -> np.ndarray:
+        return self.structure.xi_at(self.manifold.dim, self._stencil)
+
+    @cached_property
     def deta(self) -> np.ndarray:
-        """deta[a, j] = d_a eta_j."""
-        return self._partials(lambda q: self.structure.eta_at(self.manifold.dim, q))
+        """deta[n, a, j] = d_a eta_j."""
+        return _frozen(stencil_partials(self._eta_on_stencil, self.cfg, axis=1))
 
     @cached_property
     def dxi(self) -> np.ndarray:
-        """dxi[a, k] = d_a xi^k."""
-        return self._partials(lambda q: self.structure.xi_at(self.manifold.dim, q))
+        """dxi[n, a, k] = d_a xi^k."""
+        return _frozen(stencil_partials(self._xi_on_stencil, self.cfg, axis=1))
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
@@ -160,80 +199,119 @@ class CurvatureBundle:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Coefficients of the modified connection at the point."""
-        return self.connection.coefficients_at(self.p, self.cfg).gamma
+        """Coefficients of the modified connection at the points."""
+        return _frozen(
+            _modified_coefficients(self.lc_gamma, self.metric.matrix, self.eta, self.xi)
+        )
 
     @cached_property
-    def lc_riemann(self) -> MultiTensor:
+    def _curvature(self) -> dict[str, np.ndarray]:
+        m = self.manifold
+        m.require_inside(self.p, margin=2.0 * self.cfg.step)
+        # one coefficient array on the 1 + 4 dim stencil of a point
+        per_point = 8 * (4 * m.dim + 1) * m.dim**3
+        ranges = _chunk_ranges(len(self.p), per_point)
+        chunks = [self._curvature_chunk(lo, hi) for lo, hi in ranges]
+        return {k: _frozen(np.concatenate([c[k] for c in chunks])) for k in chunks[0]}
+
+    def _curvature_chunk(self, lo: int, hi: int) -> dict[str, np.ndarray]:
+        """Both curvature passes and the metric partials for points lo..hi.
+
+        The metric, its partials and the Christoffel symbols are evaluated
+        once on the chunk's stencils and serve both connections; the fields
+        handed to ``riemann_of_connection`` return them, since that is
+        where it asks (on ``stencil`` of the same points).
+        """
         m, cfg = self.manifold, self.cfg
-        return riemann_of_connection(m, levi_civita_field(m, cfg), self.p, cfg)
+        points, q = self.p[lo:hi], self._stencil[lo:hi]
+        pair = m.metric_pair_at(q)
+        lc = ConnectionCoefficients(
+            m.dim, _christoffel(pair.inverse, m.metric_partials_at(q, cfg)), symmetric=True
+        )
+        out = {
+            "lc_riemann": riemann_of_connection(m, lambda _: lc, points, cfg),
+            "dg_fd": stencil_partials(pair.matrix, cfg, axis=1),
+        }
+        if self.structure is not None:
+            modified = ConnectionCoefficients(
+                m.dim,
+                _modified_coefficients(
+                    lc.gamma, pair.matrix, self._eta_on_stencil[lo:hi], self._xi_on_stencil[lo:hi]
+                ),
+            )
+            out["riemann"] = riemann_of_connection(m, lambda _: modified, points, cfg)
+        return out
+
+    @property
+    def lc_riemann(self) -> np.ndarray:
+        return self._curvature["lc_riemann"]
+
+    @property
+    def riemann(self) -> np.ndarray:
+        return self._curvature["riemann"]
+
+    @property
+    def dg_fd(self) -> np.ndarray:
+        """dg_fd[n, a, i, j] = d_a g_ij by central differences of the metric values."""
+        return self._curvature["dg_fd"]
 
     @cached_property
-    def riemann(self) -> MultiTensor:
-        field = self.connection.coefficient_field(self.cfg)
-        return riemann_of_connection(self.manifold, field, self.p, self.cfg)
+    def lc_ricci(self) -> np.ndarray:
+        return _frozen(_ricci_components(self.lc_riemann))
 
     @cached_property
-    def lc_ricci(self) -> MultiTensor:
-        return ricci_from_riemann(self.lc_riemann)
+    def ricci(self) -> np.ndarray:
+        return _frozen(_ricci_components(self.riemann))
 
     @cached_property
-    def ricci(self) -> MultiTensor:
-        return ricci_from_riemann(self.riemann)
+    def lc_scalar(self) -> np.ndarray:
+        return _frozen(np.einsum("...jk,...jk->...", self.metric.inverse, self.lc_ricci))
 
     @cached_property
-    def lc_scalar(self) -> float:
-        return scalar_curvature_of(self.lc_ricci, self.metric)
+    def scalar(self) -> np.ndarray:
+        return _frozen(np.einsum("...jk,...jk->...", self.metric.inverse, self.ricci))
 
     @cached_property
-    def scalar(self) -> float:
-        return scalar_curvature_of(self.ricci, self.metric)
+    def ricci_operator(self) -> np.ndarray:
+        """Q^a_b = g^ac Ric_cb."""
+        return _frozen(_swap_slot_components(self.metric.inverse, self.ricci, 0))
 
     @cached_property
-    def ricci_operator(self) -> MultiTensor:
-        return raise_slot(self.ricci, 0, self.metric)
-
-    @cached_property
-    def riemann_closed_form(self) -> MultiTensor:
-        dim, g, eta, xi = self.manifold.dim, self.metric.matrix, self.eta, self.xi
-        eye = np.eye(dim)
+    def riemann_closed_form(self) -> np.ndarray:
+        g, eta, xi = self.metric.matrix, self.eta, self.xi
+        eye = np.eye(self.manifold.dim)
         correction = (
-            np.einsum("jk,li->lijk", g, eye)
-            - np.einsum("ik,lj->lijk", g, eye)
-            + 2.0 * np.einsum("jk,i,l->lijk", g, eta, xi)
-            - 2.0 * np.einsum("ik,j,l->lijk", g, eta, xi)
+            np.einsum("...jk,li->...lijk", g, eye)
+            - np.einsum("...ik,lj->...lijk", g, eye)
+            + 2.0 * np.einsum("...jk,...i,...l->...lijk", g, eta, xi)
+            - 2.0 * np.einsum("...ik,...j,...l->...lijk", g, eta, xi)
         )
-        return MultiTensor(dim, slots("uddd"), self.lc_riemann.components + correction)
+        return _frozen(self.lc_riemann + correction)
 
     @cached_property
-    def ricci_closed_form(self) -> MultiTensor:
+    def ricci_closed_form(self) -> np.ndarray:
         n, g, eta = self.manifold.n, self.metric.matrix, self.eta
-        return MultiTensor(
-            self.manifold.dim,
-            slots("dd"),
-            self.lc_ricci.components + 2.0 * (n + 1) * g - 2.0 * np.outer(eta, eta),
-        )
+        outer = np.einsum("...i,...j->...ij", eta, eta)
+        return _frozen(self.lc_ricci + 2.0 * (n + 1) * g - 2.0 * outer)
 
     @cached_property
-    def scalar_closed_form(self) -> float:
+    def scalar_closed_form(self) -> np.ndarray:
         n = self.manifold.n
-        return self.lc_scalar + 2.0 * n * (2 * n + 3)
+        return _frozen(self.lc_scalar + 2.0 * n * (2 * n + 3))
 
     @cached_property
-    def cross(self) -> dict[str, float]:
-        ric = self.ricci.components
+    def cross(self) -> dict[str, np.ndarray]:
+        ric = self.ricci
         return {
-            "riemann": float(
-                np.max(np.abs(self.riemann.components - self.riemann_closed_form.components))
-            ),
-            "ricci": float(np.max(np.abs(ric - self.ricci_closed_form.components))),
-            "scalar": float(abs(self.scalar - self.scalar_closed_form)),
-            "ricci-symmetry": float(np.max(np.abs(ric - ric.T))),
+            "riemann": per_point(self.riemann - self.riemann_closed_form),
+            "ricci": per_point(ric - self.ricci_closed_form),
+            "scalar": np.abs(self.scalar - self.scalar_closed_form),
+            "ricci-symmetry": per_point(ric - np.swapaxes(ric, -1, -2)),
         }
 
     @cached_property
-    def weyl(self) -> MultiTensor:
-        """Conformal curvature tensor of the metric as a (1,3) tensor.
+    def weyl(self) -> np.ndarray:
+        """Conformal curvature tensor of the metric, (1,3) components [n, l, i, j, k].
 
         C(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY]/(m-2)
                   + r [g(Y,Z)X - g(X,Z)Y] / ((m-1)(m-2))
@@ -241,21 +319,22 @@ class CurvatureBundle:
         m = self.manifold.dim
         g = self.metric.matrix
         eye = np.eye(m)
-        s = self.lc_ricci.components
+        s = self.lc_ricci
         q = self.metric.inverse @ s
         term_s = (
-            np.einsum("jk,li->lijk", s, eye)
-            - np.einsum("ik,lj->lijk", s, eye)
-            + np.einsum("jk,li->lijk", g, q)
-            - np.einsum("ik,lj->lijk", g, q)
+            np.einsum("...jk,li->...lijk", s, eye)
+            - np.einsum("...ik,lj->...lijk", s, eye)
+            + np.einsum("...jk,...li->...lijk", g, q)
+            - np.einsum("...ik,...lj->...lijk", g, q)
         )
-        term_g = np.einsum("jk,li->lijk", g, eye) - np.einsum("ik,lj->lijk", g, eye)
-        comps = (
-            self.lc_riemann.components
-            - term_s / (m - 2)
-            + self.lc_scalar * term_g / ((m - 1) * (m - 2))
-        )
-        return MultiTensor(m, slots("uddd"), comps)
+        term_g = np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye)
+        scale = self.lc_scalar[:, None, None, None, None]
+        return _frozen(self.lc_riemann - term_s / (m - 2) + scale * term_g / ((m - 1) * (m - 2)))
+
+
+def _ricci_components(riem: np.ndarray) -> np.ndarray:
+    """S[..., j, k] = riem[..., a, a, j, k]: the upper slot traced against slot 1."""
+    return np.trace(riem, axis1=-4, axis2=-3)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -266,23 +345,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def curvature_bundle(
-    conn: NonMetricConnection, point: np.ndarray, cfg: DifferentiationConfig
+    conn: NonMetricConnection, points: np.ndarray, cfg: DifferentiationConfig
 ) -> CurvatureBundle:
-    """The geometry record of ``conn`` at one point; parts come on first use."""
-    return CurvatureBundle(conn.manifold, conn.structure, point, cfg)
+    """The geometry record of ``conn`` at a batch of points (or one point, as a batch of one)."""
+    return CurvatureBundle(conn.manifold, conn.structure, points, cfg)
 
 
-def _bundles(
+def _bundle(
     manifold: ChartManifold,
     structure: AlmostContactStructure | None,
-    points: list,
+    points,
     cfg: DifferentiationConfig,
-) -> list[CurvatureBundle]:
-    """One record per point; a point that is already a record is used as is."""
-    return [
-        p if isinstance(p, CurvatureBundle) else CurvatureBundle(manifold, structure, p, cfg)
-        for p in points
-    ]
+) -> CurvatureBundle:
+    """The record of a list of points; a record is used as is."""
+    if isinstance(points, CurvatureBundle):
+        return points
+    return CurvatureBundle(manifold, structure, np.asarray(points, dtype=float), cfg)
 
 
 def check_torsion(
@@ -292,14 +370,12 @@ def check_torsion(
     tol: float | None = None,
 ) -> IdentityResidualReport:
     """Torsion T(X,Y) = eta(X) Y - eta(Y) X, from the coefficient skew part."""
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
     eye = np.eye(conn.manifold.dim)
+    torsion = b.gamma - np.swapaxes(b.gamma, -1, -2)
+    want = np.einsum("...i,kj->...kij", b.eta, eye) - np.einsum("...j,ki->...kij", b.eta, eye)
     report = new_report("torsion-form", tol)
-    for b in _bundles(conn.manifold, conn.structure, points, cfg):
-        torsion = b.gamma - b.gamma.transpose(0, 2, 1)
-        want = np.einsum("i,kj->kij", b.eta, eye) - np.einsum("j,ki->kij", b.eta, eye)
-        report.points.append(
-            PointResidual(b.point, float(np.max(np.abs(torsion - want))))
-        )
+    report.add_points(b.points, per_point(torsion - want))
     return report
 
 
@@ -310,18 +386,15 @@ def check_nonmetricity(
     tol: float | None = None,
 ) -> IdentityResidualReport:
     """(D_X g)(Y,Z) = 2 eta(Y) g(X,Z) + 2 eta(Z) g(X,Y)."""
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    g, eta = b.metric.matrix, b.eta
+    grad = _add_connection_terms(b.dg_fd, g, slots("dd"), b.gamma)
+    want = 2.0 * np.einsum("...i,...aj->...aij", eta, g) + 2.0 * np.einsum(
+        "...j,...ai->...aij", eta, g
+    )
     report = new_report("nonmetricity", tol)
-    flipped = 0.0
-    for b in _bundles(conn.manifold, conn.structure, points, cfg):
-        g, eta = b.metric.matrix, b.eta
-        dg = b._partials(b.manifold.metric)
-        grad = _add_connection_terms(dg, g, slots("dd"), b.gamma)
-        want = 2.0 * np.einsum("i,aj->aij", eta, g) + 2.0 * np.einsum("j,ai->aij", eta, g)
-        report.points.append(
-            PointResidual(b.point, float(np.max(np.abs(grad - want))))
-        )
-        flipped = max(flipped, float(np.max(np.abs(grad + want))))
-    report.extras["opposite-sign-residual"] = flipped
+    report.add_points(b.points, per_point(grad - want))
+    report.extras["opposite-sign-residual"] = float(np.max(per_point(grad + want)))
     return report
 
 
@@ -332,13 +405,11 @@ def check_reeb_transport(
     tol: float | None = None,
 ) -> IdentityResidualReport:
     """D_X xi = -2 eta(X) xi."""
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    grad = _add_connection_terms(b.dxi, b.xi, slots("u"), b.gamma)
+    want = -2.0 * np.einsum("...i,...j->...ij", b.eta, b.xi)
     report = new_report("reeb-transport", tol)
-    for b in _bundles(conn.manifold, conn.structure, points, cfg):
-        grad = _add_connection_terms(b.dxi, b.xi, slots("u"), b.gamma)
-        want = -2.0 * np.outer(b.eta, b.xi)
-        report.points.append(
-            PointResidual(b.point, float(np.max(np.abs(grad - want))))
-        )
+    report.add_points(b.points, per_point(grad - want))
     return report
 
 
@@ -354,14 +425,12 @@ def check_deformation_form(
     defining deformation, and it collapsing to 2g is equivalent to the
     Kenmotsu condition.
     """
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    g = b.metric.matrix
+    grad_eta = _add_connection_terms(b.deta, b.eta, slots("d"), b.lc_gamma)
+    beta = grad_eta + np.einsum("...i,...j->...ij", b.eta, b.eta) + g
     report = new_report("deformation-form", tol)
-    for b in _bundles(conn.manifold, conn.structure, points, cfg):
-        g = b.metric.matrix
-        grad_eta = _add_connection_terms(b.deta, b.eta, slots("d"), b.lc_gamma)
-        beta = grad_eta + np.outer(b.eta, b.eta) + g
-        report.points.append(
-            PointResidual(b.point, float(np.max(np.abs(beta - 2.0 * g))))
-        )
+    report.add_points(b.points, per_point(beta - 2.0 * g))
     return report
 
 
@@ -388,33 +457,26 @@ def check_curvature_relation(
     Returns one report per comparison.  Extras on the scalar report record
     the mean of both scalars and the dimension-only shift between them.
     """
-    tols = {
-        "riemann": riemann_tol,
-        "ricci": contraction_tol,
-        "scalar": contraction_tol,
-        "ricci-symmetry": contraction_tol,
-    }
-    reports = {
-        key: new_report(name, tols[key]) for key, name in _CROSS_TO_IDENTITY.items()
-    }
-    bundles = _bundles(conn.manifold, conn.structure, points, cfg)
-    scal_sum = 0.0
-    lc_scal_sum = 0.0
-    for bundle in bundles:
-        for key in _CROSS_TO_IDENTITY:
-            reports[key].points.append(PointResidual(bundle.point, bundle.cross[key]))
-        scal_sum += bundle.scalar
-        lc_scal_sum += bundle.lc_scalar
-    if bundles:
-        n = conn.manifold.n
-        reports["scalar"].extras.update(
-            {
-                "mean-scalar": scal_sum / len(bundles),
-                "mean-lc-scalar": lc_scal_sum / len(bundles),
-                "expected-shift": float(2 * n * (2 * n + 3)),
-            }
-        )
-    return [reports[k] for k in _CROSS_TO_IDENTITY]
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    reports = []
+    for key, name in _CROSS_TO_IDENTITY.items():
+        report = new_report(name, riemann_tol if key == "riemann" else contraction_tol)
+        report.add_points(b.points, b.cross[key])
+        reports.append(report)
+    n = conn.manifold.n
+    reports[2].extras.update(
+        {
+            "mean-scalar": _mean(b.scalar),
+            "mean-lc-scalar": _mean(b.lc_scalar),
+            "expected-shift": float(2 * n * (2 * n + 3)),
+        }
+    )
+    return reports
+
+
+def _mean(values: np.ndarray) -> float:
+    """The mean with the sum taken in point order (``cumsum`` adds sequentially)."""
+    return float(np.cumsum(values)[-1] / len(values))
 
 
 def check_reeb_curvature_degeneracy(
@@ -430,14 +492,10 @@ def check_reeb_curvature_degeneracy(
     the degeneracy of the modified connection informative rather than a
     symptom of everything being flat.
     """
+    b = _bundle(conn.manifold, conn.structure, points, cfg)
+    degen = np.einsum("...lijk,...k->...lij", b.riemann, b.xi)
+    lc = np.einsum("...lijk,...k->...lij", b.lc_riemann, b.xi)
     report = new_report("irregularity", tol)
-    contrast = 0.0
-    for bundle in _bundles(conn.manifold, conn.structure, points, cfg):
-        degen = np.einsum("lijk,k->lij", bundle.riemann.components, bundle.xi)
-        lc = np.einsum("lijk,k->lij", bundle.lc_riemann.components, bundle.xi)
-        report.points.append(
-            PointResidual(bundle.point, float(np.max(np.abs(degen))))
-        )
-        contrast = max(contrast, float(np.max(np.abs(lc))))
-    report.extras["levi-civita-contrast"] = contrast
+    report.add_points(b.points, per_point(degen))
+    report.extras["levi-civita-contrast"] = float(np.max(per_point(lc)))
     return report

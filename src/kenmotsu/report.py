@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PointResidual:
@@ -66,6 +68,10 @@ class IdentityResidualReport:
         if self.status != "ok":
             return True
         return self.max_residual <= self.tolerance
+
+    def add_points(self, points: list[tuple[float, ...]], residuals: np.ndarray) -> None:
+        """Append one residual per point, in point order."""
+        self.points.extend(PointResidual(p, float(r)) for p, r in zip(points, residuals))
 
     def to_dict(self) -> dict:
         return {
@@ -132,6 +138,11 @@ IDENTITIES: dict[str, Identity] = {
     "tachibana-metric": Identity("weyl", 1e-12),
     "weyl-tachibana": Identity("weyl", 1e-5),
 }
+
+
+def per_point(residual: np.ndarray) -> np.ndarray:
+    """Max-abs over every axis but the leading point axis: one residual per point."""
+    return np.max(np.abs(residual), axis=tuple(range(1, residual.ndim)))
 
 
 def new_report(identity: str, tol: float | None = None) -> IdentityResidualReport:

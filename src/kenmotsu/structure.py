@@ -27,11 +27,11 @@ import numpy as np
 from .charts import (
     ChartManifold,
     DifferentiationConfig,
-    covariant_derivative,
-    levi_civita_field,
+    _add_connection_terms,
+    _at_each,
 )
-from .report import IdentityResidualReport, PointResidual, new_report
-from .tensors import MultiTensor, slots
+from .report import IdentityResidualReport, new_report, per_point
+from .tensors import slots
 
 
 class StructureError(ValueError):
@@ -44,63 +44,57 @@ class AlmostContactStructure:
 
     ``phi(p)`` returns the matrix phi[k, j] (column j is phi applied to the
     j-th coordinate frame vector), ``xi(p)`` the vector components,
-    ``eta(p)`` the covector components.  Nothing is validated on
-    construction; run :func:`check_almost_contact`.
+    ``eta(p)`` the covector components.  The callables take one point; the
+    ``*_at`` methods take one point (dim,) or a batch (..., dim) and stack
+    the values.  Nothing is validated on construction; run
+    :func:`check_almost_contact`.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     xi: Callable[[np.ndarray], np.ndarray]
     eta: Callable[[np.ndarray], np.ndarray]
 
-    def phi_at(self, dim: int, point: np.ndarray) -> np.ndarray:
-        m = np.asarray(self.phi(point), dtype=float)
-        if m.shape != (dim, dim):
-            raise StructureError(f"phi returned shape {m.shape}")
-        return m
+    def phi_at(self, dim: int, points: np.ndarray) -> np.ndarray:
+        return _at_each(self.phi, np.asarray(points, float), (dim, dim), "phi", StructureError)
 
-    def xi_at(self, dim: int, point: np.ndarray) -> np.ndarray:
-        v = np.asarray(self.xi(point), dtype=float)
-        if v.shape != (dim,):
-            raise StructureError(f"xi returned shape {v.shape}")
-        return v
+    def xi_at(self, dim: int, points: np.ndarray) -> np.ndarray:
+        return _at_each(self.xi, np.asarray(points, float), (dim,), "xi", StructureError)
 
-    def eta_at(self, dim: int, point: np.ndarray) -> np.ndarray:
-        w = np.asarray(self.eta(point), dtype=float)
-        if w.shape != (dim,):
-            raise StructureError(f"eta returned shape {w.shape}")
-        return w
+    def eta_at(self, dim: int, points: np.ndarray) -> np.ndarray:
+        return _at_each(self.eta, np.asarray(points, float), (dim,), "eta", StructureError)
 
-    def xi_field(self, dim: int) -> Callable[[np.ndarray], MultiTensor]:
-        return lambda p: MultiTensor(dim, slots("u"), self.xi_at(dim, p))
 
-    def eta_field(self, dim: int) -> Callable[[np.ndarray], MultiTensor]:
-        return lambda p: MultiTensor(dim, slots("d"), self.eta_at(dim, p))
+def _geometry(manifold, structure, points, cfg):
+    from .connection import _bundle  # connection imports this module
+
+    return _bundle(manifold, structure, points, cfg or DifferentiationConfig())
+
+
+def _axiom_residuals(b) -> dict[str, np.ndarray]:
+    """Per-point residuals of the structure axioms and their consequences."""
+    g, phi, xi, eta = b.metric.matrix, b.phi, b.xi, b.eta
+    eye = np.eye(b.manifold.dim)
+    outer = np.einsum("...i,...j->...ij", xi, eta)
+    phi_square = phi @ phi + eye - outer
+    pairing = (eta[..., None, :] @ xi[..., :, None])[..., 0, 0] - 1.0
+    compat = np.swapaxes(phi, -1, -2) @ g @ phi - g + np.einsum("...i,...j->...ij", eta, eta)
+    return {
+        "phi-square": per_point(phi_square),
+        "reeb-pairing": np.abs(pairing),
+        "compatibility": per_point(compat),
+        # consequences, recorded for diagnosis
+        "reeb-flat": per_point((g @ xi[..., None])[..., 0] - eta),
+        "phi-kills-reeb": per_point((phi @ xi[..., None])[..., 0]),
+        "eta-kills-phi": per_point((eta[..., None, :] @ phi)[..., 0, :]),
+    }
 
 
 def axiom_residuals(
     manifold: ChartManifold, structure: AlmostContactStructure, point: np.ndarray
 ) -> dict[str, float]:
     """Pointwise residuals of the structure axioms and their consequences."""
-    p = manifold.require_inside(point)
-    g = manifold.metric_at(p)
-    dim = manifold.dim
-    phi = structure.phi_at(dim, p)
-    xi = structure.xi_at(dim, p)
-    eta = structure.eta_at(dim, p)
-    eye = np.eye(dim)
-
-    phi_square = phi @ phi + eye - np.outer(xi, eta)
-    pairing = eta @ xi - 1.0
-    compat = phi.T @ g @ phi - g + np.outer(eta, eta)
-    return {
-        "phi-square": float(np.max(np.abs(phi_square))),
-        "reeb-pairing": float(abs(pairing)),
-        "compatibility": float(np.max(np.abs(compat))),
-        # consequences, recorded for diagnosis
-        "reeb-flat": float(np.max(np.abs(g @ xi - eta))),
-        "phi-kills-reeb": float(np.max(np.abs(phi @ xi))),
-        "eta-kills-phi": float(np.max(np.abs(eta @ phi))),
-    }
+    res = _axiom_residuals(_geometry(manifold, structure, [point], None))
+    return {k: float(v[0]) for k, v in res.items()}
 
 
 _AXIOM_KEYS = ("phi-square", "reeb-pairing", "compatibility")
@@ -118,17 +112,28 @@ def check_almost_contact(
     ``cfg`` is accepted for signature uniformity with the other checks but
     unused: the axioms are algebraic.
     """
-    del cfg
+    b = _geometry(manifold, structure, points, cfg)
+    res = _axiom_residuals(b)
+    headline = np.max([res[k] for k in _AXIOM_KEYS], axis=0)
     report = new_report("structure-axioms", tol)
-    worst: dict[str, float] = {}
-    for point in points:
-        res = axiom_residuals(manifold, structure, point)
-        headline = max(res[k] for k in _AXIOM_KEYS)
-        report.points.append(PointResidual(tuple(np.asarray(point, float)), headline))
-        for k, v in res.items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    report.extras.update(worst)
+    report.add_points(b.points, headline)
+    report.extras.update({k: float(np.max(v)) for k, v in res.items()})
     return report
+
+
+def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
+    """Per-point residuals of the two equivalent forms of the defining condition."""
+    dim = b.manifold.dim
+    eta, xi = b.eta, b.xi
+    grad_xi = _add_connection_terms(b.dxi, xi, slots("u"), b.lc_gamma)
+    # (nabla_{d_a} xi)^k = delta^k_a - eta_a xi^k
+    want_xi = np.eye(dim) - np.einsum("...i,...j->...ij", eta, xi)
+    grad_eta = _add_connection_terms(b.deta, eta, slots("d"), b.lc_gamma)
+    want_eta = b.metric.matrix - np.einsum("...i,...j->...ij", eta, eta)
+    return {
+        "reeb-gradient": per_point(grad_xi - want_xi),
+        "eta-gradient": per_point(grad_eta - want_eta),
+    }
 
 
 def kenmotsu_residuals(
@@ -138,22 +143,8 @@ def kenmotsu_residuals(
     cfg: DifferentiationConfig,
 ) -> dict[str, float]:
     """Residuals of the two equivalent forms of the defining condition."""
-    p = manifold.require_inside(point, margin=cfg.step)
-    dim = manifold.dim
-    g = manifold.metric_at(p)
-    eta = structure.eta_at(dim, p)
-    xi = structure.xi_at(dim, p)
-    lc = levi_civita_field(manifold, cfg)
-
-    grad_xi = covariant_derivative(manifold, structure.xi_field(dim), lc, p, cfg)
-    # (nabla_{d_a} xi)^k = delta^k_a - eta_a xi^k
-    want_xi = np.eye(dim) - np.outer(eta, xi)
-    res_xi = float(np.max(np.abs(grad_xi.components - want_xi)))
-
-    grad_eta = covariant_derivative(manifold, structure.eta_field(dim), lc, p, cfg)
-    want_eta = g - np.outer(eta, eta)
-    res_eta = float(np.max(np.abs(grad_eta.components - want_eta)))
-    return {"reeb-gradient": res_xi, "eta-gradient": res_eta}
+    res = _kenmotsu_residuals(_geometry(manifold, structure, [point], cfg))
+    return {k: float(v[0]) for k, v in res.items()}
 
 
 def check_kenmotsu(
@@ -164,16 +155,11 @@ def check_kenmotsu(
     tol: float | None = None,
 ) -> IdentityResidualReport:
     """Check the defining covariant-derivative condition at each point."""
+    b = _geometry(manifold, structure, points, cfg)
+    res = _kenmotsu_residuals(b)
     report = new_report("kenmotsu-condition", tol)
-    worst = {"reeb-gradient": 0.0, "eta-gradient": 0.0}
-    for point in points:
-        res = kenmotsu_residuals(manifold, structure, point, cfg)
-        report.points.append(
-            PointResidual(tuple(np.asarray(point, float)), max(res.values()))
-        )
-        for k, v in res.items():
-            worst[k] = max(worst[k], v)
-    report.extras.update(worst)
+    report.add_points(b.points, np.maximum(res["reeb-gradient"], res["eta-gradient"]))
+    report.extras.update({k: float(np.max(v)) for k, v in res.items()})
     return report
 
 
@@ -196,43 +182,30 @@ def check_curvature_identities(
     a curvature sign-convention mismatch shows up as the primary residual
     exploding while the flipped one collapses.
     """
-    from .connection import _bundles  # connection imports this module
-
+    b = _geometry(manifold, structure, points, cfg)
     n = manifold.n
     eye = np.eye(manifold.dim)
-    names = ("curvature-eta-component", "curvature-on-reeb",
-             "curvature-from-reeb", "ricci-on-reeb")
-    reports = {name: new_report(name, tol) for name in names}
-    flipped = {name: 0.0 for name in names}
-
-    for b in _bundles(manifold, structure, points, cfg):
-        g, eta, xi = b.metric.matrix, b.eta, b.xi
-        riem = b.lc_riemann.components
-        ric = b.lc_ricci.components
-
-        lhs = np.einsum("l,lijk->ijk", eta, riem)
-        rhs = np.einsum("j,ik->ijk", eta, g) - np.einsum("i,jk->ijk", eta, g)
-        _record(reports, flipped, "curvature-eta-component", b.point, lhs, rhs)
-
-        lhs = np.einsum("lijk,k->lij", riem, xi)
-        rhs = np.einsum("i,lj->lij", eta, eye) - np.einsum("j,li->lij", eta, eye)
-        _record(reports, flipped, "curvature-on-reeb", b.point, lhs, rhs)
-
-        lhs = np.einsum("i,lijk->ljk", xi, riem)
-        rhs = np.einsum("k,lj->ljk", eta, eye) - np.einsum("jk,l->ljk", g, xi)
-        _record(reports, flipped, "curvature-from-reeb", b.point, lhs, rhs)
-
-        lhs = ric @ xi
-        rhs = -2.0 * n * eta
-        _record(reports, flipped, "ricci-on-reeb", b.point, lhs, rhs)
-
-    for name in names:
-        reports[name].extras["opposite-sign-residual"] = flipped[name]
-    return [reports[name] for name in names]
-
-
-def _record(reports, flipped, name, ptuple, lhs, rhs) -> None:
-    reports[name].points.append(
-        PointResidual(ptuple, float(np.max(np.abs(lhs - rhs))))
-    )
-    flipped[name] = max(flipped[name], float(np.max(np.abs(lhs + rhs))))
+    g, eta, xi = b.metric.matrix, b.eta, b.xi
+    riem, ric = b.lc_riemann, b.lc_ricci
+    sides = {
+        "curvature-eta-component": (
+            np.einsum("...l,...lijk->...ijk", eta, riem),
+            np.einsum("...j,...ik->...ijk", eta, g) - np.einsum("...i,...jk->...ijk", eta, g),
+        ),
+        "curvature-on-reeb": (
+            np.einsum("...lijk,...k->...lij", riem, xi),
+            np.einsum("...i,lj->...lij", eta, eye) - np.einsum("...j,li->...lij", eta, eye),
+        ),
+        "curvature-from-reeb": (
+            np.einsum("...i,...lijk->...ljk", xi, riem),
+            np.einsum("...k,lj->...ljk", eta, eye) - np.einsum("...jk,...l->...ljk", g, xi),
+        ),
+        "ricci-on-reeb": ((ric @ xi[..., None])[..., 0], -2.0 * n * eta),
+    }
+    reports = []
+    for name, (lhs, rhs) in sides.items():
+        report = new_report(name, tol)
+        report.add_points(b.points, per_point(lhs - rhs))
+        report.extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
+        reports.append(report)
+    return reports

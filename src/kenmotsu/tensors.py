@@ -120,64 +120,137 @@ def contract(t: MultiTensor, up_slot: int, down_slot: int) -> MultiTensor:
     return MultiTensor(t.dim, variance, comps)
 
 
+class MetricError(ValueError):
+    """A metric is unusable: non-finite, not symmetric, not positive definite or badly inverted."""
+
+
+# the one symmetry gate of the package: largest |g_ab - g_ba| a metric may have
+SYMMETRY_TOL = 1e-10
+# largest entry of |g g^-1 - I| an inverse may leave
+INVERSE_TOL = 1e-10
+
+
+def _defect(matrix: np.ndarray, inverse: np.ndarray | None) -> str | None:
+    """Why a stack of (dim, dim) matrices is no metric, judged over the whole stack."""
+    if not np.all(np.isfinite(matrix)):
+        return "has non-finite entries"
+    if np.max(np.abs(matrix - np.swapaxes(matrix, -1, -2))) > SYMMETRY_TOL:
+        return "is not symmetric"
+    try:
+        np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return "is not positive definite"
+    if inverse is None:
+        return None
+    if np.max(np.abs(matrix @ inverse - np.eye(matrix.shape[-1]))) > INVERSE_TOL:
+        return "inverse does not invert the metric"
+    return None
+
+
+def metric_defect(
+    matrix: np.ndarray, inverse: np.ndarray | None = None
+) -> tuple[int, str] | None:
+    """The first metric of a batch that fails validation, and why.
+
+    ``matrix`` is g_ab at one point, (dim, dim), or at a batch of points,
+    (..., dim, dim); ``inverse`` optionally carries g^ab in the same shape.
+    The checks run in order: finite entries, symmetry to
+    :data:`SYMMETRY_TOL`, positive-definiteness (Cholesky) and, with an
+    inverse, g g^-1 = I to :data:`INVERSE_TOL`.  Returns ``None`` when every
+    point passes, else the flat index of the first failing point and the
+    reason.
+    """
+    dim = matrix.shape[-1]
+    flat = matrix.reshape(-1, dim, dim)
+    flat_inv = None if inverse is None else inverse.reshape(-1, dim, dim)
+    if _defect(flat, flat_inv) is None:
+        return None
+    for i in range(len(flat)):
+        why = _defect(flat[i : i + 1], None if flat_inv is None else flat_inv[i : i + 1])
+        if why is not None:
+            return i, why
+    return None
+
+
 @dataclass(frozen=True)
 class MetricPair:
     """A positive-definite metric and its inverse, validated together.
 
-    ``lower`` is g_ab, ``upper`` is g^ab.  Construction checks symmetry,
-    positive-definiteness (Cholesky) and that the product is the identity
-    to 1e-10 per component.
+    ``matrix`` is g_ab and ``inverse`` is g^ab, at one point (dim, dim) or
+    at a batch of points with leading axes (..., dim, dim).  Construction
+    checks every point with :func:`metric_defect` and keeps frozen copies.
     """
 
-    lower: MultiTensor
-    upper: MultiTensor
+    matrix: np.ndarray
+    inverse: np.ndarray
 
     def __post_init__(self) -> None:
-        g = self.lower
-        ginv = self.upper
-        if g.variance != (DOWN, DOWN) or ginv.variance != (UP, UP):
-            raise ValueError("MetricPair needs a (0,2) lower and (2,0) upper tensor")
-        if g.dim != ginv.dim:
-            raise ValueError("metric and inverse dimension mismatch")
-        a, b = g.components, ginv.components
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise ValueError("metric is not symmetric")
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric is not positive definite") from exc
-        if np.max(np.abs(a @ b - np.eye(g.dim))) > 1e-10:
-            raise ValueError("metric inverse does not invert the metric")
+        a = np.asarray(self.matrix, dtype=float)
+        b = np.asarray(self.inverse, dtype=float)
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape:
+            raise MetricError("metric and inverse need matching (..., dim, dim) shapes")
+        defect = metric_defect(a, b)
+        if defect is not None:
+            raise MetricError(f"metric {defect[1]}")
+        for name, arr in (("matrix", a), ("inverse", b)):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "MetricPair":
         m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("metric matrix must be square")
-        dim = m.shape[0]
-        inv = np.linalg.inv(m)
-        inv = (inv + inv.T) / 2.0  # inversion of a symmetric matrix, keep it exact
-        return cls(
-            lower=MultiTensor(dim, slots("dd"), m),
-            upper=MultiTensor(dim, slots("uu"), inv),
-        )
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+            raise MetricError("metric matrix must be square")
+        try:
+            inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError as exc:
+            raise MetricError("metric is not positive definite") from exc
+        # inversion of a symmetric matrix, keep it exact
+        inv = (inv + np.swapaxes(inv, -1, -2)) / 2.0
+        return cls(m, inv)
 
     @property
     def dim(self) -> int:
-        return self.lower.dim
+        return self.matrix.shape[-1]
 
     @property
-    def matrix(self) -> np.ndarray:
-        return self.lower.components
+    def lower(self) -> MultiTensor:
+        """g_ab as a (0,2) tensor; a pair at one point only."""
+        return MultiTensor(self.dim, slots("dd"), self.matrix)
 
     @property
-    def inverse(self) -> np.ndarray:
-        return self.upper.components
+    def upper(self) -> MultiTensor:
+        """g^ab as a (2,0) tensor; a pair at one point only."""
+        return MultiTensor(self.dim, slots("uu"), self.inverse)
+
+
+def _tensordot_each(
+    a: np.ndarray, b: np.ndarray, axes_a: tuple[int, ...], axes_b: tuple[int, ...]
+) -> np.ndarray:
+    """``np.tensordot(a[n], b[n], (axes_a, axes_b))`` for every n of the leading axis.
+
+    Axes are numbered within one point's array.  The operands are laid out
+    as ``np.tensordot`` lays them out and multiplied with one batched
+    ``matmul``, so every point's result equals the per-point call exactly.
+    """
+    n = a.shape[0]
+    free_a = [i for i in range(1, a.ndim) if i - 1 not in axes_a]
+    free_b = [i for i in range(1, b.ndim) if i - 1 not in axes_b]
+    k = int(np.prod([a.shape[i + 1] for i in axes_a]))
+    at = a.transpose([0, *free_a, *(i + 1 for i in axes_a)]).reshape(n, -1, k)
+    bt = b.transpose([0, *(i + 1 for i in axes_b), *free_b]).reshape(n, k, -1)
+    shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
+    return np.matmul(at, bt).reshape(n, *shape)
+
+
+def _swap_slot_components(matrix: np.ndarray, comps: np.ndarray, slot: int) -> np.ndarray:
+    """Contract ``matrix[n, a, b]`` with slot ``slot`` of ``comps[n, ...]`` at every point n."""
+    return np.moveaxis(_tensordot_each(matrix, comps, (1,), (slot,)), 1, slot + 1)
 
 
 def _swap_slot(t: MultiTensor, slot: int, matrix: np.ndarray, new_variance: str) -> MultiTensor:
-    comps = np.tensordot(matrix, t.components, axes=(1, slot))
-    comps = np.moveaxis(comps, 0, slot)
+    comps = _swap_slot_components(matrix[None], t.components[None], slot)[0]
     variance = tuple(
         new_variance if i == slot else v for i, v in enumerate(t.variance)
     )

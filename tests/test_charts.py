@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kenmotsu import (
     DomainError,
     MetricError,
     by_name,
+    check_weyl,
     covariant_derivative,
     levi_civita,
     ricci,
@@ -190,6 +192,29 @@ def test_curvature_stencil_respects_domain():
     near_edge = np.array([0.0, 0.0, 0.99999])
     with pytest.raises(DomainError):
         riemann(m, near_edge, CFG)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.diag([1.0, -1.0, 1.0]), np.full((3, 3), np.nan)], ids=["indefinite", "non-finite"]
+)
+def test_metric_is_validated_at_stencil_points(bad):
+    # the metric is fine at the sample point and at every stencil point but
+    # one, the +h offset along the first axis
+    p = np.array([0.1, -0.2, 0.3])
+    h = CFG.step
+    offset = (p + np.array([h, 0.0, 0.0])).tolist()
+    chart = ChartManifold(
+        dim=3,
+        metric=lambda q: bad if q[0] > p[0] + 0.75 * h else np.eye(3),
+        metric_partials=lambda q: np.zeros((3, 3, 3)),
+        domain=((-1, 1),) * 3,
+    )
+    chart.metric_pair_at(p)
+    with pytest.raises(MetricError, match=re.escape(str(offset))):
+        riemann(chart, p, CFG)
+    # in a batch, the error names the offset of the point it belongs to
+    with pytest.raises(MetricError, match=re.escape(str(offset))):
+        check_weyl(chart, [np.array([-0.5, 0.0, 0.0]), p], CFG)
 
 
 def test_metric_compatibility_of_levi_civita():

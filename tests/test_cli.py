@@ -192,6 +192,40 @@ def test_axiom_failure_skips_downstream_suites(monkeypatch):
         assert suite.matched  # skipped suites do not add extra failures
 
 
+def test_slightly_asymmetric_chart_runs_every_suite(monkeypatch):
+    # an asymmetry the chart accepts is accepted everywhere downstream: the
+    # run ends in a report, not in an exception from the metric pair
+    base = by_name("h3")
+
+    def skewed(p):
+        g = base.manifold.metric(p)
+        g[0, 1] += 1e-11
+        return g
+
+    example = NamedExample(
+        name="skewed",
+        manifold=k.ChartManifold(
+            dim=3,
+            metric=skewed,
+            metric_partials=base.manifold.metric_partials,
+            domain=base.manifold.domain,
+        ),
+        structure=base.structure,
+        expected_kenmotsu=True,
+        expected_einstein=True,
+        expected_weyl_flat=True,
+        sample_box=base.sample_box,
+        notes="h3 with a metric asymmetry below the symmetry gate",
+    )
+    real_by_name = cli.by_name
+    monkeypatch.setattr(
+        cli, "by_name", lambda name: example if name == "skewed" else real_by_name(name)
+    )
+    report = run(RunConfig(manifolds=("skewed",), suites=("all",), num_points=2))
+    (outcome,) = report.manifolds
+    assert [s.status for s in outcome.suites] == ["ran"] * len(SUITE_ORDER)
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "kenmotsu", "--list"],

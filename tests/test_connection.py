@@ -96,18 +96,19 @@ def test_deformation_form(name, holds):
 def test_curvature_bundle_h3_values():
     ex, conn = connection_for("h3")
     p = ex.sample_points(1, seed=5)[0]
-    bundle = curvature_bundle(conn, p, CFG)
+    bundle = curvature_bundle(conn, p, CFG)  # one point is a batch of one
     for key in ("riemann", "ricci", "scalar", "ricci-symmetry"):
-        assert bundle.cross[key] < 1e-9, key
+        assert bundle.cross[key].shape == (1,)
+        assert bundle.cross[key][0] < 1e-9, key
     # closed-form targets on a constant-curvature chart
-    g = bundle.metric.matrix
+    g = bundle.metric.matrix[0]
     eta = ex.structure.eta(p)
     xi = ex.structure.xi(p)
-    assert np.max(np.abs(bundle.ricci.components - (2.0 * g - 2.0 * np.outer(eta, eta)))) < 1e-9
-    assert abs(bundle.scalar - 4.0) < 1e-9
-    assert abs(bundle.lc_scalar + 6.0) < 1e-9
+    assert np.max(np.abs(bundle.ricci[0] - (2.0 * g - 2.0 * np.outer(eta, eta)))) < 1e-9
+    assert abs(bundle.scalar[0] - 4.0) < 1e-9
+    assert abs(bundle.lc_scalar[0] + 6.0) < 1e-9
     operator_target = 2.0 * np.eye(3) - 2.0 * np.outer(xi, eta)
-    assert np.max(np.abs(bundle.ricci_operator.components - operator_target)) < 1e-9
+    assert np.max(np.abs(bundle.ricci_operator[0] - operator_target)) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])

@@ -3,6 +3,8 @@ import pytest
 
 from kenmotsu import (
     DOWN,
+    ChartManifold,
+    MetricError,
     MetricPair,
     MultiTensor,
     UP,
@@ -165,6 +167,24 @@ def test_metric_pair_rejects_asymmetric():
 def test_metric_pair_rejects_indefinite():
     with pytest.raises(ValueError):
         MetricPair.from_matrix(np.diag([1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("skew, accepted", [(1e-11, True), (1e-9, False)])
+def test_metric_symmetry_has_one_threshold(skew, accepted):
+    # the chart and the metric pair judge asymmetry by the same gate, so a
+    # metric the chart accepts cannot fail later when its pair is built
+    m = np.diag([2.0, 1.0, 3.0])
+    m[0, 1] += skew
+    chart = ChartManifold(dim=3, metric=lambda p: m, domain=((-1, 1),) * 3)
+    if accepted:
+        assert np.array_equal(chart.metric_at(np.zeros(3)), m)
+        assert np.array_equal(chart.metric_pair_at(np.zeros(3)).matrix, m)
+        assert np.array_equal(MetricPair.from_matrix(m).matrix, m)
+    else:
+        with pytest.raises(MetricError, match="not symmetric"):
+            chart.metric_at(np.zeros(3))
+        with pytest.raises(MetricError, match="not symmetric"):
+            MetricPair.from_matrix(m)
 
 
 def test_metric_pair_inverse_identity():
