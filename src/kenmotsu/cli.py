@@ -13,7 +13,6 @@ or a numerical abort, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -25,7 +24,6 @@ from .conditions import (
     check_semisymmetry_condition,
     check_weyl,
     check_weyl_commutation,
-    _point_fits,
 )
 from .connection import (
     NonMetricConnection,
@@ -37,7 +35,7 @@ from .connection import (
     check_torsion,
     curvature_bundle,
 )
-from .report import IDENTITIES, IdentityResidualReport
+from .report import IDENTITIES, IdentityResidualReport, to_json
 from .structure import (
     StructureError,
     check_almost_contact,
@@ -49,6 +47,10 @@ SUITE_ORDER = tuple(dict.fromkeys(identity.suite for identity in IDENTITIES.valu
 
 # threshold on the joint Einstein fit residual, in (1,1) components
 EINSTEIN_FIT_THRESHOLD = 1e-4
+
+# a chart or structure that cannot be evaluated at a sample point: an error
+# row in the report, never a traceback
+_NUMERICAL_ERRORS = (DomainError, MetricError, StructureError)
 
 
 class UsageError(ValueError):
@@ -185,7 +187,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return to_json(self.to_dict())
 
 
 class _ManifoldRunner:
@@ -202,17 +204,23 @@ class _ManifoldRunner:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         self.conn = NonMetricConnection(example.manifold, example.structure)
-        # the geometry of every sample point, computed on first use for all
-        # of them at once and read by every suite
-        self.geometry = curvature_bundle(self.conn, self.points, self.cfg)
-        self.axioms = self._stamped(
-            check_almost_contact(example.manifold, example.structure, self.geometry)
-        )
-        self.kenmotsu = self._stamped(
-            check_kenmotsu(example.manifold, example.structure, self.geometry, self.cfg)
-        )
+        # a chart or structure that fails at a sample point makes every
+        # suite an error row with this message
+        self.error: str | None = None
+        try:
+            # the geometry of every sample point, computed on first use for
+            # all of them at once and read by every suite
+            self.geometry = curvature_bundle(self.conn, self.points, self.cfg)
+            self.axioms = self._stamped(
+                check_almost_contact(example.manifold, example.structure, self.geometry)
+            )
+            self.kenmotsu = self._stamped(
+                check_kenmotsu(example.manifold, example.structure, self.geometry, self.cfg)
+            )
+        except _NUMERICAL_ERRORS as exc:
+            self.error = str(exc)
         self.verdicts: dict = {
-            "kenmotsu": self.kenmotsu.passed,
+            "kenmotsu": None if self.error else self.kenmotsu.passed,
             "einstein": None,
             "einstein_fit": None,
             "eta_einstein_fit": None,
@@ -247,6 +255,8 @@ class _ManifoldRunner:
         return IdentityEntry(self._stamped(report), expected=expected)
 
     def run_suite(self, suite: str) -> SuiteOutcome:
+        if self.error is not None:
+            return SuiteOutcome(name=suite, status="error", note=self.error)
         if not self.axioms.passed and suite != "axioms":
             return SuiteOutcome(
                 name=suite,
@@ -255,7 +265,7 @@ class _ManifoldRunner:
             )
         try:
             reports = getattr(self, f"_suite_{suite}")()
-        except (DomainError, MetricError, StructureError) as exc:
+        except _NUMERICAL_ERRORS as exc:
             return SuiteOutcome(name=suite, status="error", note=str(exc))
         return SuiteOutcome(name=suite, entries=[self._entry(r) for r in reports])
 
@@ -311,8 +321,7 @@ class _ManifoldRunner:
     def _suite_weyl(self) -> list[IdentityResidualReport]:
         manifold = self.example.manifold
         # the relation is gated where the Levi-Civita Ricci fits a*g at every point
-        g = self.geometry
-        fits = _point_fits(g.metric.inverse @ g.lc_ricci, g.xi, g.eta, fit_eta=False)
+        fits = self.geometry.lc_einstein_fits
         einstein = max(fit.residual for fit in fits) < EINSTEIN_FIT_THRESHOLD
         return [
             *check_weyl(manifold, self.geometry, self.cfg),
@@ -376,7 +385,10 @@ def render_text(report: RunReport) -> str:
                 )
         v = m.verdicts
         lines.append("  verdicts")
-        lines.append(f"    kenmotsu: {'yes' if v['kenmotsu'] else 'no'}")
+        if v["kenmotsu"] is None:
+            lines.append("    kenmotsu: not evaluated")
+        else:
+            lines.append(f"    kenmotsu: {'yes' if v['kenmotsu'] else 'no'}")
         if v["einstein"] is None:
             lines.append("    einstein: not evaluated")
         else:

@@ -29,7 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import ChartManifold, DifferentiationConfig
-from .connection import CurvatureBundle, NonMetricConnection, _bundle, _chunk_ranges, _mean
+from .connection import (
+    CurvatureBundle,
+    EinsteinFit,
+    NonMetricConnection,
+    _bundle,
+    _chunk_ranges,
+    _fit_operator_samples,
+    _mean,
+    _point_fits,
+)
 from .report import IdentityResidualReport, new_report, per_point
 from .tensors import DOWN, MetricPair, MultiTensor, slots, _swap_slot_components, _tensordot_each
 
@@ -37,16 +46,37 @@ _SUPPORTED_TARGET_RANKS = (2, 4)
 
 
 def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
-    """Apply a (1,3) endomorphism family to every slot of a (0,k) array, point by point.
+    """Apply a family of endomorphisms to every slot of a (0,k) array, point by point.
 
-    Both arrays carry a leading point axis.
+    ``curv[n, l, p, z]`` holds the endomorphism A(X,Y) of each (X,Y) pair p,
+    the pairs flattened into one axis; ``target`` is (n, dim, ..., dim).  The
+    result is indexed out[n, Z_1, ..., Z_k, p].
     """
     out = None
     for s in range(k):
         term = _tensordot_each(curv, target, (0,), (s,))
-        term = np.moveaxis(term, (1, 2, 3), (k + 1, k + 2, s + 1))
+        term = np.moveaxis(term, (1, 2), (k + 1, s + 1))
         out = term if out is None else out + term
     return -out
+
+
+def _action_on_all_pairs(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """(curv(X,Y) . target) for every (X,Y): curv[n, l, X, Y, z] -> out[n, Z_1..Z_k, X, Y]."""
+    n, m = curv.shape[:2]
+    out = _endomorphism_action(curv.reshape(n, m, m * m, m), target, k)
+    return out.reshape(out.shape[:-1] + (m, m))
+
+
+def _on_pairs(curv: np.ndarray) -> np.ndarray:
+    """An antisymmetric family curv[n, l, X, Y, z] at the pairs X < Y only: [n, l, p, z].
+
+    A(Y,X) = -A(X,Y) and A(X,X) = 0 (exactly for the wedge, to roundoff for
+    the curvatures), and every action is linear in A, so the largest
+    absolute value of an action over these m(m-1)/2 pairs is its largest
+    over all m^2.
+    """
+    x, y = np.triu_indices(curv.shape[1], k=1)
+    return curv[:, :, x, y, :]
 
 
 def _check_action_args(curv: MultiTensor, target: MultiTensor) -> int:
@@ -65,7 +95,7 @@ def _check_action_args(curv: MultiTensor, target: MultiTensor) -> int:
 def derivation_action(curv: MultiTensor, target: MultiTensor) -> MultiTensor:
     """(curv(X,Y) . target) as a (0,k+2) tensor, (X,Y) slots trailing."""
     k = _check_action_args(curv, target)
-    comps = _endomorphism_action(curv.components[None], target.components[None], k)[0]
+    comps = _action_on_all_pairs(curv.components[None], target.components[None], k)[0]
     return MultiTensor(curv.dim, slots("d" * (k + 2)), comps)
 
 
@@ -108,55 +138,13 @@ def check_derivation_identity(
     not, so it is an end-to-end test of the whole pipeline.
     """
     b = _bundle(conn.manifold, conn.structure, points, cfg)
-    lhs = _endomorphism_action(b.riemann, b.ricci, 2)
-    rhs = _endomorphism_action(b.lc_riemann, b.lc_ricci, 2) + _semisymmetry_defect(
+    lhs = _action_on_all_pairs(b.riemann, b.ricci, 2)
+    rhs = _action_on_all_pairs(b.lc_riemann, b.lc_ricci, 2) + _semisymmetry_defect(
         b.metric.matrix, b.lc_ricci
     )
     report = new_report("derivation-identity", tol)
     report.add_points(b.points, per_point(lhs - rhs))
     return report
-
-
-@dataclass(frozen=True)
-class EinsteinFit:
-    """Least-squares fit of a Ricci operator to a*I + b*(xi (x) eta).
-
-    Everything is in (1,1) "normalized" components, so ``residual`` is
-    comparable across metrics of very different scales.  ``b`` is zero by
-    construction for the plain Einstein fit.
-    """
-
-    a: float
-    b: float
-    residual: float
-
-    def __post_init__(self) -> None:
-        if self.residual < 0:
-            raise ValueError("residual must be nonnegative")
-
-
-def _fit_operator_samples(
-    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]], fit_eta: bool
-) -> EinsteinFit:
-    """Joint fit over (operator, xi, eta) samples, one block per point."""
-    basis_one = []
-    basis_eta = []
-    values = []
-    for op, xi, eta in samples:
-        dim = op.shape[0]
-        basis_one.append(np.eye(dim).ravel())
-        basis_eta.append(np.outer(xi, eta).ravel())
-        values.append(op.ravel())
-    y = np.concatenate(values)
-    if fit_eta:
-        design = np.stack([np.concatenate(basis_one), np.concatenate(basis_eta)], axis=1)
-    else:
-        design = np.concatenate(basis_one)[:, None]
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    a = float(coef[0])
-    b = float(coef[1]) if fit_eta else 0.0
-    residual = float(np.max(np.abs(y - design @ coef)))
-    return EinsteinFit(a=a, b=b, residual=residual)
 
 
 def einstein_fit(
@@ -196,13 +184,6 @@ class SemisymmetryVerdict:
     companions: list[IdentityResidualReport]
 
 
-def _point_fits(
-    ops: np.ndarray, xi: np.ndarray, eta: np.ndarray, fit_eta: bool
-) -> list[EinsteinFit]:
-    """One fit per point of a batch of (1,1) operators, see :class:`EinsteinFit`."""
-    return [_fit_operator_samples([sample], fit_eta) for sample in zip(ops, xi, eta)]
-
-
 def check_semisymmetry_condition(
     conn: NonMetricConnection,
     points: list[np.ndarray],
@@ -232,14 +213,14 @@ def check_semisymmetry_condition(
     einstein_row = new_report("einstein-ricci-fit", fit_tol)
     einstein_row.add_points(
         b.points,
-        [max(abs(f.a + 2.0 * n), f.residual) for f in _point_fits(plain_ops, xi, eta, False)],
+        [max(abs(f.a + 2.0 * n), f.residual) for f in b.lc_einstein_fits],
     )
     eta_row = new_report("eta-einstein-fit", fit_tol)
     eta_row.add_points(
         b.points,
         [
             max(abs(f.a - 2.0), abs(f.b + 2.0), f.residual)
-            for f in _point_fits(modified_ops, xi, eta, True)
+            for f in _point_fits(modified_ops, xi, eta)
         ],
     )
     scalar_row = new_report("scalar-curvature-constant", scalar_tol)
@@ -326,8 +307,10 @@ def check_weyl_commutation(
     it records the three magnitudes and the residual of the scaled relation
     C . R - R . C = -[r / (m(m-1))] Q(g,R) under both the total-dimension
     normalization and the contact-n one, since the literature is ambiguous
-    about which dimension enters the scale.  The rank-6 actions are taken
-    over chunks of points so that their memory stays bounded.
+    about which dimension enters the scale.  R, C and the wedge are
+    antisymmetric in (X,Y), so the rank-6 actions are taken on the pairs
+    X < Y only (:func:`_on_pairs`), over chunks of points so that their
+    memory stays bounded.
     """
     report = new_report("weyl-tachibana", tol)
     if manifold.dim < 5:
@@ -343,17 +326,20 @@ def check_weyl_commutation(
     keys = ("commutator", "tachibana-riemann", "tachibana-weyl",
             "relation-total-dim", "relation-contact-n")
     mags = {k: [] for k in keys}
-    for lo, hi in _chunk_ranges(len(b.points), 8 * m**6):
+    pairs = m * (m - 1) // 2
+    for lo, hi in _chunk_ranges(len(b.points), 8 * m**4 * pairs):
         g = b.metric.matrix[lo:hi]
         riem, weyl = b.lc_riemann[lo:hi], b.weyl[lo:hi]
         riem4 = _swap_slot_components(g, riem, 0)
         weyl4 = _swap_slot_components(g, weyl, 0)
-        commutator = _endomorphism_action(weyl, riem4, 4) - _endomorphism_action(riem, weyl4, 4)
-        wedge = _wedge(g)
+        commutator = _endomorphism_action(_on_pairs(weyl), riem4, 4) - _endomorphism_action(
+            _on_pairs(riem), weyl4, 4
+        )
+        wedge = _on_pairs(_wedge(g))
         q_riem = _endomorphism_action(wedge, riem4, 4)
         # dim >= 5 here, so the contact half-dimension n is at least 2 and
         # both normalizations of the scale factor are finite
-        r = b.lc_scalar[lo:hi].reshape((-1,) + (1,) * 6)
+        r = b.lc_scalar[lo:hi].reshape((-1,) + (1,) * 5)
         scale_total = r / (m * (m - 1))
         scale_contact = r / (n * (n - 1))
         mags["commutator"].append(per_point(commutator))
@@ -383,5 +369,5 @@ def check_weyl(
     vanishing = new_report("weyl-vanishing", vanish_tol)
     vanishing.add_points(b.points, per_point(b.weyl))
     metric_q = new_report("tachibana-metric")
-    metric_q.add_points(b.points, per_point(_endomorphism_action(_wedge(g), g, 2)))
+    metric_q.add_points(b.points, per_point(_action_on_all_pairs(_wedge(g), g, 2)))
     return traceless, vanishing, metric_q

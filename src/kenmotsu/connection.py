@@ -107,6 +107,60 @@ def build_connection(
     return NonMetricConnection(manifold, structure)
 
 
+@dataclass(frozen=True)
+class EinsteinFit:
+    """Least-squares fit of a Ricci operator to a*I + b*(xi (x) eta).
+
+    Everything is in (1,1) "normalized" components, so ``residual`` is
+    comparable across metrics of very different scales.  ``b`` is zero by
+    construction for the plain Einstein fit.
+    """
+
+    a: float
+    b: float
+    residual: float
+
+    def __post_init__(self) -> None:
+        if self.residual < 0:
+            raise ValueError("residual must be nonnegative")
+
+
+def _fit_operator_samples(
+    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]], fit_eta: bool
+) -> EinsteinFit:
+    """Joint fit over (operator, xi, eta) samples, one block per point."""
+    basis_one = []
+    basis_eta = []
+    values = []
+    for op, xi, eta in samples:
+        basis_one.append(np.eye(op.shape[0]).ravel())
+        if fit_eta:
+            basis_eta.append(np.outer(xi, eta).ravel())
+        values.append(op.ravel())
+    y = np.concatenate(values)
+    if fit_eta:
+        design = np.stack([np.concatenate(basis_one), np.concatenate(basis_eta)], axis=1)
+    else:
+        design = np.concatenate(basis_one)[:, None]
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    a = float(coef[0])
+    b = float(coef[1]) if fit_eta else 0.0
+    residual = float(np.max(np.abs(y - design @ coef)))
+    return EinsteinFit(a=a, b=b, residual=residual)
+
+
+def _point_fits(
+    ops: np.ndarray, xi: np.ndarray | None = None, eta: np.ndarray | None = None
+) -> list[EinsteinFit]:
+    """One fit per point of a batch of (1,1) operators, see :class:`EinsteinFit`.
+
+    The fit is to a*I, or to a*I + b*(xi (x) eta) when ``xi`` and ``eta`` are given.
+    """
+    if xi is None:
+        return [_fit_operator_samples([(op, None, None)], fit_eta=False) for op in ops]
+    return [_fit_operator_samples([sample], fit_eta=True) for sample in zip(ops, xi, eta)]
+
+
 class CurvatureBundle:
     """The geometry of a chart and its structure at a batch of N points.
 
@@ -119,8 +173,9 @@ class CurvatureBundle:
     ``lc_gamma``/``gamma`` [n, k, i, j], one Levi-Civita and one modified
     curvature pass ``lc_riemann``/``riemann`` [n, l, i, j, k], the
     finite-difference metric partials ``dg_fd`` [n, a, i, j], both Ricci
-    tensors and scalars, the closed-form modified curvature with its
-    cross-check residuals and the Weyl tensor.
+    tensors and scalars, the per-point Einstein fits ``lc_einstein_fits`` of
+    the Levi-Civita Ricci operator, the closed-form modified curvature with
+    its cross-check residuals and the Weyl tensor.
 
     The chart and structure callables are called once at every point of
     every stencil; everything after them is whole-array arithmetic.  The
@@ -275,6 +330,11 @@ class CurvatureBundle:
     def ricci_operator(self) -> np.ndarray:
         """Q^a_b = g^ac Ric_cb."""
         return _frozen(_swap_slot_components(self.metric.inverse, self.ricci, 0))
+
+    @cached_property
+    def lc_einstein_fits(self) -> list[EinsteinFit]:
+        """Per point, the fit of the Levi-Civita Ricci operator to a*I."""
+        return _point_fits(self.metric.inverse @ self.lc_ricci)
 
     @cached_property
     def riemann_closed_form(self) -> np.ndarray:

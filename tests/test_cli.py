@@ -192,14 +192,13 @@ def test_axiom_failure_skips_downstream_suites(monkeypatch):
         assert suite.matched  # skipped suites do not add extra failures
 
 
-def test_slightly_asymmetric_chart_runs_every_suite(monkeypatch):
-    # an asymmetry the chart accepts is accepted everywhere downstream: the
-    # run ends in a report, not in an exception from the metric pair
+def _skewed_h3(monkeypatch, skew: float) -> None:
+    """Register ``skewed``: h3 with g_01 raised by ``skew`` (g_10 unchanged)."""
     base = by_name("h3")
 
     def skewed(p):
         g = base.manifold.metric(p)
-        g[0, 1] += 1e-11
+        g[0, 1] += skew
         return g
 
     example = NamedExample(
@@ -215,15 +214,40 @@ def test_slightly_asymmetric_chart_runs_every_suite(monkeypatch):
         expected_einstein=True,
         expected_weyl_flat=True,
         sample_box=base.sample_box,
-        notes="h3 with a metric asymmetry below the symmetry gate",
+        notes=f"h3 with a metric asymmetry of {skew}",
     )
     real_by_name = cli.by_name
     monkeypatch.setattr(
         cli, "by_name", lambda name: example if name == "skewed" else real_by_name(name)
     )
+
+
+def test_slightly_asymmetric_chart_runs_every_suite(monkeypatch):
+    # an asymmetry the chart accepts is accepted everywhere downstream: the
+    # run ends in a report, not in an exception from the metric pair
+    _skewed_h3(monkeypatch, 1e-11)
     report = run(RunConfig(manifolds=("skewed",), suites=("all",), num_points=2))
     (outcome,) = report.manifolds
     assert [s.status for s in outcome.suites] == ["ran"] * len(SUITE_ORDER)
+
+
+def test_chart_rejected_at_sample_points_gives_error_rows(monkeypatch, capsys):
+    # an asymmetry above the gate is rejected while the runner computes the
+    # axioms: every suite becomes an error row and the run exits 1 with a
+    # report, not with a traceback
+    _skewed_h3(monkeypatch, 1e-9)
+    report = run(RunConfig(manifolds=("skewed", "h3"), suites=("all",), num_points=2))
+    skewed, h3 = report.manifolds
+    assert [s.status for s in skewed.suites] == ["error"] * len(SUITE_ORDER)
+    assert all("not symmetric" in s.note for s in skewed.suites)
+    assert skewed.verdicts["kenmotsu"] is None
+    assert [s.status for s in h3.suites] == ["ran"] * len(SUITE_ORDER)
+    assert report.exit_status == 1
+    assert main(["--manifold", "skewed", "--json", "--points", "2"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["manifolds"][0]["suites"][0]["status"] == "error"
+    assert main(["--manifold", "skewed", "--points", "2"]) == 1
+    assert "kenmotsu: not evaluated" in capsys.readouterr().out
 
 
 def test_module_entrypoint_smoke():

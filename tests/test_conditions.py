@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kenmotsu import (
+    ChartManifold,
     DifferentiationConfig,
     NonMetricConnection,
     by_name,
@@ -15,6 +16,7 @@ from kenmotsu import (
     metric_wedge,
     ricci,
     riemann,
+    scalar_curvature,
     tachibana,
     weyl_tensor,
     weyl_trace_residual,
@@ -241,3 +243,56 @@ def test_weyl_commutation_informational_off_einstein():
     assert "relation-total-dim" in report.extras
     assert "relation-contact-n" in report.extras
     assert report.extras["tachibana-riemann"] > 0.01
+
+
+def _generic_chart() -> ChartManifold:
+    """A dim-5 metric with no symmetry: g = I + 0.1 (T + T^t)/2, T_ij = sin(w_ij . p + c_ij)."""
+    rng = np.random.default_rng(7)
+    w, c = rng.normal(size=(5, 5, 5)), rng.normal(size=(5, 5))
+
+    def metric(p):
+        t = np.sin(w @ p + c)
+        return np.eye(5) + 0.05 * (t + t.T)
+
+    return ChartManifold(dim=5, metric=metric, domain=((-1.0, 1.0),) * 5)
+
+
+@pytest.mark.parametrize("name", ["h5", "ne5", "generic"])
+def test_weyl_commutation_on_pairs_equals_full_actions(name):
+    # the check takes the rank-6 actions on the pairs X < Y only; the
+    # public per-point actions take them on every (X,Y).  The catalog's
+    # curvatures vanish on many pairs; the generic chart's on none.
+    if name == "generic":
+        manifold = _generic_chart()
+        points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(4, 5)))
+    else:
+        manifold = by_name(name).manifold
+        points = by_name(name).sample_points(4, seed=19)
+    m, n = manifold.dim, manifold.n
+    report = check_weyl_commutation(manifold, points, CFG)
+    full = {key: [] for key in report.extras}
+    for p in points:
+        pair = manifold.metric_pair_at(p)
+        riem = riemann(manifold, p, CFG)
+        weyl = weyl_tensor(manifold, p, CFG)
+        r = scalar_curvature(manifold, p, CFG)
+        riem4, weyl4 = lower_slot(riem, 0, pair), lower_slot(weyl, 0, pair)
+        commutator = (
+            derivation_action(weyl, riem4).components - derivation_action(riem, weyl4).components
+        )
+        q_riem = tachibana(pair, riem4).components
+        values = {
+            "commutator": commutator,
+            "tachibana-riemann": q_riem,
+            "tachibana-weyl": tachibana(pair, weyl4).components,
+            "relation-total-dim": commutator + r / (m * (m - 1)) * q_riem,
+            "relation-contact-n": commutator + r / (n * (n - 1)) * q_riem,
+        }
+        for key, value in values.items():
+            assert value.shape == (m,) * 6
+            full[key].append(np.max(np.abs(value)))
+    for key, maxima in full.items():
+        np.testing.assert_allclose(report.extras[key], max(maxima), rtol=1e-12, err_msg=key)
+    magnitudes = ("commutator", "tachibana-riemann", "tachibana-weyl")
+    headline = np.max([full[key] for key in magnitudes], axis=0)
+    np.testing.assert_allclose([q.residual for q in report.points], headline, rtol=1e-12)
