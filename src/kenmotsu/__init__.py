@@ -16,6 +16,7 @@ from .charts import (
     DifferentiationConfig,
     DomainError,
     MetricError,
+    batched,
     covariant_derivative,
     levi_civita,
     ricci,
@@ -92,6 +93,7 @@ __all__ = [
     "StructureError",
     "UP",
     "axiom_residuals",
+    "batched",
     "build_connection",
     "by_name",
     "catalog",

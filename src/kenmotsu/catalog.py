@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartManifold
+from .charts import ChartManifold, batched
 from .structure import AlmostContactStructure
 
 
@@ -85,31 +85,35 @@ def _planar_phi(dim: int) -> np.ndarray:
     return phi
 
 
+def _constant(value: np.ndarray):
+    """A batch-form field equal to ``value`` at every point (a read-only view)."""
+    return batched(lambda p: np.broadcast_to(value, p.shape[:-1] + value.shape))
+
+
+def _diagonal(entries: list) -> np.ndarray:
+    """Diagonal matrices, shape (..., k, k), from k entries broadcast over a batch."""
+    values = np.broadcast_arrays(*entries)
+    out = np.zeros(values[0].shape + (len(values),) * 2)
+    for k, value in enumerate(values):
+        out[..., k, k] = value
+    return out
+
+
 def _standard_structure(dim: int) -> AlmostContactStructure:
-    phi = _planar_phi(dim)
     xi = np.zeros(dim)
     xi[-1] = 1.0
-    eta = xi.copy()
     return AlmostContactStructure(
-        phi=lambda p, _m=phi: _m.copy(),
-        xi=lambda p, _v=xi: _v.copy(),
-        eta=lambda p, _w=eta: _w.copy(),
+        phi=_constant(_planar_phi(dim)), xi=_constant(xi), eta=_constant(xi)
     )
 
 
 def _euclidean3() -> NamedExample:
     dim = 3
 
-    def metric(p: np.ndarray) -> np.ndarray:
-        return np.eye(dim)
-
-    def partials(p: np.ndarray) -> np.ndarray:
-        return np.zeros((dim, dim, dim))
-
     manifold = ChartManifold(
         dim=dim,
-        metric=metric,
-        metric_partials=partials,
+        metric=_constant(np.eye(dim)),
+        metric_partials=_constant(np.zeros((dim, dim, dim))),
         domain=((-2.0, 2.0),) * 3,
     )
     return NamedExample(
@@ -127,15 +131,15 @@ def _euclidean3() -> NamedExample:
 def _warped_space_form(name: str, dim: int) -> NamedExample:
     fiber = dim - 1
 
+    @batched
     def metric(p: np.ndarray) -> np.ndarray:
-        w = np.exp(2.0 * p[-1])
-        return np.diag([w] * fiber + [1.0])
+        w = np.exp(2.0 * p[..., -1])
+        return _diagonal([w] * fiber + [1.0])
 
+    @batched
     def partials(p: np.ndarray) -> np.ndarray:
-        dg = np.zeros((dim, dim, dim))
-        w = np.exp(2.0 * p[-1])
-        for k in range(fiber):
-            dg[-1, k, k] = 2.0 * w
+        dg = np.zeros(p.shape[:-1] + (dim, dim, dim))
+        dg[..., -1, :fiber, :fiber] = _diagonal([2.0 * np.exp(2.0 * p[..., -1])] * fiber)
         return dg
 
     manifold = ChartManifold(
@@ -159,23 +163,21 @@ def _warped_space_form(name: str, dim: int) -> NamedExample:
 def _ne5() -> NamedExample:
     dim = 5
 
+    @batched
     def metric(p: np.ndarray) -> np.ndarray:
-        w = np.exp(2.0 * p[4])
-        y1 = p[1]
-        return np.diag([w / y1**2, w / y1**2, w, w, 1.0])
+        w = np.exp(2.0 * p[..., 4])
+        y1 = p[..., 1]
+        return _diagonal([w / y1**2, w / y1**2, w, w, 1.0])
 
+    @batched
     def partials(p: np.ndarray) -> np.ndarray:
-        dg = np.zeros((dim, dim, dim))
-        w = np.exp(2.0 * p[4])
-        y1 = p[1]
+        dg = np.zeros(p.shape[:-1] + (dim, dim, dim))
+        w = np.exp(2.0 * p[..., 4])
+        y1 = p[..., 1]
         # t-derivative doubles every warped entry
-        dg[4, 0, 0] = 2.0 * w / y1**2
-        dg[4, 1, 1] = 2.0 * w / y1**2
-        dg[4, 2, 2] = 2.0 * w
-        dg[4, 3, 3] = 2.0 * w
+        dg[..., 4, :4, :4] = _diagonal([2.0 * w / y1**2] * 2 + [2.0 * w] * 2)
         # y1-derivative acts on the hyperbolic block only
-        dg[1, 0, 0] = -2.0 * w / y1**3
-        dg[1, 1, 1] = -2.0 * w / y1**3
+        dg[..., 1, :2, :2] = _diagonal([-2.0 * w / y1**3] * 2)
         return dg
 
     manifold = ChartManifold(

@@ -56,6 +56,19 @@ class DifferentiationConfig:
             raise ValueError("step must be a positive finite number")
 
 
+def batched(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Mark a chart or structure callable as taking a batch of points.
+
+    A marked callable takes points of shape (..., dim) and returns values of
+    shape (..., *shape); it must also accept a single point (dim,).  It is
+    then called once per batch instead of once per point.  The mark is an
+    attribute of the callable itself, so one structure may mix marked and
+    per-point callables.  Returns ``f``.
+    """
+    f.takes_batch = True
+    return f
+
+
 def _at_each(
     f: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
@@ -63,14 +76,23 @@ def _at_each(
     what: str,
     error: type[Exception],
 ) -> np.ndarray:
-    """Call a per-point callable at every point of a (..., dim) batch and stack.
+    """Evaluate a chart or structure callable on a (..., dim) batch.
 
-    Every value must have ``shape`` (``None``: the first value's shape);
-    otherwise ``error`` names the callable and the point.  Each call gets a
-    read-only row of the batch.
+    A callable marked by :func:`batched` is called once, with the batch
+    flattened to (N, dim); any other is called at each point and the values
+    are stacked.  Every value must have ``shape`` (``None``: the first
+    value's shape); otherwise ``error`` names the callable and the point or
+    batch shape.  The callable gets read-only points, and the result is a
+    fresh array, so a broadcast or aliased return does not leak.
     """
     flat = np.asarray(points, dtype=float).reshape(-1, points.shape[-1]).view()
     flat.setflags(write=False)
+    if getattr(f, "takes_batch", False):
+        out = np.array(f(flat), dtype=float)
+        want = flat.shape[:1] + (out.shape[1:] if shape is None else shape)
+        if out.shape != want:
+            raise error(f"{what} returned shape {out.shape} for a batch of shape {flat.shape}")
+        return out.reshape(points.shape[:-1] + out.shape[1:])
     out = None
     for i, q in enumerate(flat):
         value = np.asarray(f(q), dtype=float)
@@ -92,9 +114,11 @@ class ChartManifold:
     otherwise partials are taken by finite differences.
     ``domain`` is a box: a (lo, hi) pair per coordinate.
 
-    Both callables take one point.  The ``*_at`` methods take one point,
-    shape (dim,), or a batch, shape (..., dim), call the callables at each
-    point and return arrays with the batch's leading axes.
+    Each callable takes one point, or, when marked by :func:`batched`, a
+    batch (..., dim).  The ``*_at`` methods take one point, shape (dim,), or
+    a batch, shape (..., dim), call a marked callable once for the whole
+    batch and any other at each point, and return arrays with the batch's
+    leading axes.
     """
 
     dim: int

@@ -321,8 +321,8 @@ class _ManifoldRunner:
     def _suite_weyl(self) -> list[IdentityResidualReport]:
         manifold = self.example.manifold
         # the relation is gated where the Levi-Civita Ricci fits a*g at every point
-        fits = self.geometry.lc_einstein_fits
-        einstein = max(fit.residual for fit in fits) < EINSTEIN_FIT_THRESHOLD
+        residuals = self.geometry.lc_einstein_fits.residual
+        einstein = bool(residuals.max() < EINSTEIN_FIT_THRESHOLD)
         return [
             *check_weyl(manifold, self.geometry, self.cfg),
             check_weyl_commutation(manifold, self.geometry, self.cfg, einstein=einstein),

@@ -35,9 +35,8 @@ from .connection import (
     NonMetricConnection,
     _bundle,
     _chunk_ranges,
-    _fit_operator_samples,
+    _fit_operators,
     _mean,
-    _point_fits,
 )
 from .report import IdentityResidualReport, new_report, per_point
 from .tensors import DOWN, MetricPair, MultiTensor, slots, _swap_slot_components, _tensordot_each
@@ -158,7 +157,8 @@ def einstein_fit(
     if ric.variance != slots("dd"):
         raise ValueError("expected a (0,2) tensor to fit")
     op = gpair.inverse @ ric.components
-    return _fit_operator_samples([(op, xi, eta)], fit_eta)
+    fields = (np.asarray(xi)[None], np.asarray(eta)[None]) if fit_eta else ()
+    return _fit_operators(op[None], *fields, joint=True)
 
 
 @dataclass
@@ -211,24 +211,20 @@ def check_semisymmetry_condition(
     plain_ops = ginv @ b.lc_ricci
     modified_ops = ginv @ b.ricci
     einstein_row = new_report("einstein-ricci-fit", fit_tol)
-    einstein_row.add_points(
-        b.points,
-        [max(abs(f.a + 2.0 * n), f.residual) for f in b.lc_einstein_fits],
-    )
+    plain = b.lc_einstein_fits
+    einstein_row.add_points(b.points, np.maximum(np.abs(plain.a + 2.0 * n), plain.residual))
     eta_row = new_report("eta-einstein-fit", fit_tol)
+    modified = _fit_operators(modified_ops, xi, eta)
     eta_row.add_points(
         b.points,
-        [
-            max(abs(f.a - 2.0), abs(f.b + 2.0), f.residual)
-            for f in _point_fits(modified_ops, xi, eta)
-        ],
+        np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
     )
     scalar_row = new_report("scalar-curvature-constant", scalar_tol)
     scalar_row.add_points(b.points, np.abs(b.lc_scalar + 2.0 * n * (2 * n + 1)))
     mod_scalar_row = new_report("modified-scalar-constant", scalar_tol)
     mod_scalar_row.add_points(b.points, np.abs(b.scalar - 4.0 * n))
-    ricci_fit = _fit_operator_samples(list(zip(plain_ops, xi, eta)), fit_eta=False)
-    modified_fit = _fit_operator_samples(list(zip(modified_ops, xi, eta)), fit_eta=True)
+    ricci_fit = _fit_operators(plain_ops, joint=True)
+    modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
     scalar_mean, modified_scalar_mean = _mean(b.lc_scalar), _mean(b.scalar)
     report.extras.update(
         {

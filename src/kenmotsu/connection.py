@@ -113,52 +113,54 @@ class EinsteinFit:
 
     Everything is in (1,1) "normalized" components, so ``residual`` is
     comparable across metrics of very different scales.  ``b`` is zero by
-    construction for the plain Einstein fit.
+    construction for the plain Einstein fit.  The fields are floats for one
+    fit and (N,) arrays for the per-point fits of a batch.
     """
 
-    a: float
-    b: float
-    residual: float
+    a: float | np.ndarray
+    b: float | np.ndarray
+    residual: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.residual < 0:
+        if np.any(np.asarray(self.residual) < 0):
             raise ValueError("residual must be nonnegative")
 
 
-def _fit_operator_samples(
-    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]], fit_eta: bool
+def _fit_operators(
+    ops: np.ndarray,
+    xi: np.ndarray | None = None,
+    eta: np.ndarray | None = None,
+    joint: bool = False,
 ) -> EinsteinFit:
-    """Joint fit over (operator, xi, eta) samples, one block per point."""
-    basis_one = []
-    basis_eta = []
-    values = []
-    for op, xi, eta in samples:
-        basis_one.append(np.eye(op.shape[0]).ravel())
-        if fit_eta:
-            basis_eta.append(np.outer(xi, eta).ravel())
-        values.append(op.ravel())
-    y = np.concatenate(values)
-    if fit_eta:
-        design = np.stack([np.concatenate(basis_one), np.concatenate(basis_eta)], axis=1)
-    else:
-        design = np.concatenate(basis_one)[:, None]
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    a = float(coef[0])
-    b = float(coef[1]) if fit_eta else 0.0
-    residual = float(np.max(np.abs(y - design @ coef)))
-    return EinsteinFit(a=a, b=b, residual=residual)
+    """Fit each (1,1) operator ``ops[n]`` to a*I, or to a*I + b*(xi (x) eta).
 
-
-def _point_fits(
-    ops: np.ndarray, xi: np.ndarray | None = None, eta: np.ndarray | None = None
-) -> list[EinsteinFit]:
-    """One fit per point of a batch of (1,1) operators, see :class:`EinsteinFit`.
-
-    The fit is to a*I, or to a*I + b*(xi (x) eta) when ``xi`` and ``eta`` are given.
+    The least-squares fit is the orthogonal projection of the operator onto
+    span{I, xi (x) eta}: a = tr/m for the plain fit (``xi`` None), the 2x2
+    normal equations otherwise.  Their determinant is at least
+    (1 - 1/m) m |xi (x) eta|^2, so only a zero outer product leaves them
+    singular; b is then 0, the minimum-norm fit.  Per point the fields are
+    (N,) arrays; ``joint`` fits one (a, b) to all points and gives floats.
+    ``residual`` is the largest absolute entry of the operator minus its fit.
     """
-    if xi is None:
-        return [_fit_operator_samples([(op, None, None)], fit_eta=False) for op in ops]
-    return [_fit_operator_samples([sample], fit_eta=True) for sample in zip(ops, xi, eta)]
+    m = ops.shape[-1]
+    total = (lambda x: np.sum(x, keepdims=True)) if joint else (lambda x: x)
+    uu = total(np.full(len(ops), float(m)))
+    uy = total(np.trace(ops, axis1=-2, axis2=-1))
+    a, b, outer = uy / uu, np.zeros_like(uy), 0.0
+    if xi is not None:
+        outer = np.einsum("...i,...j->...ij", xi, eta)
+        uv = total(np.trace(outer, axis1=-2, axis2=-1))
+        vv = total(np.sum(outer * outer, axis=(-2, -1)))
+        vy = total(np.sum(outer * ops, axis=(-2, -1)))
+        solvable = vv > 0.0
+        det = np.where(solvable, uu * vv - uv * uv, 1.0)
+        a = np.where(solvable, (vv * uy - uv * vy) / det, a)
+        b = np.where(solvable, (uu * vy - uv * uy) / det, 0.0)
+    fitted = a[:, None, None] * np.eye(m) + b[:, None, None] * outer
+    residual = np.max(np.abs(ops - fitted), axis=(-2, -1))
+    if joint:
+        return EinsteinFit(a=float(a[0]), b=float(b[0]), residual=float(np.max(residual)))
+    return EinsteinFit(a=a, b=b, residual=residual)
 
 
 class CurvatureBundle:
@@ -177,8 +179,10 @@ class CurvatureBundle:
     the Levi-Civita Ricci operator, the closed-form modified curvature with
     its cross-check residuals and the Weyl tensor.
 
-    The chart and structure callables are called once at every point of
-    every stencil; everything after them is whole-array arithmetic.  The
+    The chart and structure callables are evaluated on the sample points and
+    on all their stencils: a callable marked by
+    :func:`~kenmotsu.charts.batched` once per batch, any other once per
+    point.  Everything after them is whole-array arithmetic.  The
     curvature pass runs over chunks of points (:func:`_chunk_ranges`), so its
     memory stays bounded.  ``riemann``/``ricci``/``scalar`` come from
     differentiating the modified coefficient field (the direct route,
@@ -332,9 +336,9 @@ class CurvatureBundle:
         return _frozen(_swap_slot_components(self.metric.inverse, self.ricci, 0))
 
     @cached_property
-    def lc_einstein_fits(self) -> list[EinsteinFit]:
-        """Per point, the fit of the Levi-Civita Ricci operator to a*I."""
-        return _point_fits(self.metric.inverse @ self.lc_ricci)
+    def lc_einstein_fits(self) -> EinsteinFit:
+        """Per point, the fit of the Levi-Civita Ricci operator to a*I, as (N,) arrays."""
+        return _fit_operators(self.metric.inverse @ self.lc_ricci)
 
     @cached_property
     def riemann_closed_form(self) -> np.ndarray:

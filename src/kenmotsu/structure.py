@@ -44,10 +44,12 @@ class AlmostContactStructure:
 
     ``phi(p)`` returns the matrix phi[k, j] (column j is phi applied to the
     j-th coordinate frame vector), ``xi(p)`` the vector components,
-    ``eta(p)`` the covector components.  The callables take one point; the
-    ``*_at`` methods take one point (dim,) or a batch (..., dim) and stack
-    the values.  Nothing is validated on construction; run
-    :func:`check_almost_contact`.
+    ``eta(p)`` the covector components.  Each callable takes one point, or,
+    when marked by :func:`~kenmotsu.charts.batched`, a batch (..., dim);
+    the mark is per callable, so marked and per-point callables mix.  The
+    ``*_at`` methods take one point (dim,) or a batch (..., dim) and return
+    the values stacked along the batch's axes.  Nothing is validated on
+    construction; run :func:`check_almost_contact`.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]

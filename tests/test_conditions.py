@@ -142,6 +142,41 @@ def test_einstein_fit_recovers_exact_combinations():
     assert fit2.residual < 1e-10
 
 
+def _lstsq_fit(ops, xi, eta):
+    """The reference: one least-squares solve over all the given points."""
+    columns = [np.concatenate([np.eye(op.shape[0]).ravel() for op in ops])]
+    if xi is not None:
+        columns.append(np.concatenate([np.outer(x, e).ravel() for x, e in zip(xi, eta)]))
+    design, y = np.stack(columns, axis=1), np.concatenate([op.ravel() for op in ops])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef, np.max(np.abs(y - design @ coef))
+
+
+@pytest.mark.parametrize("fit_eta", [False, True], ids=["plain", "eta"])
+def test_closed_form_fits_equal_least_squares(fit_eta):
+    from kenmotsu.connection import _fit_operators
+
+    rng = np.random.default_rng(4)
+    ops = rng.normal(size=(7, 5, 5))
+    xi, eta = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
+    xi[3] = 0.0  # a zero outer product leaves b at 0, as the minimum-norm solve does
+    args = (xi, eta) if fit_eta else (None, None)
+    per_point = _fit_operators(ops, *args)
+    joint = _fit_operators(ops, *args, joint=True)
+    fits = [(per_point.a[n], per_point.b[n], per_point.residual[n]) for n in range(7)]
+    samples = [((ops[n],), (xi[n],) if fit_eta else None, (eta[n],)) for n in range(7)]
+    fits.append((joint.a, joint.b, joint.residual))
+    samples.append((ops, xi if fit_eta else None, eta))
+    for (a, b, residual), sample in zip(fits, samples):
+        coef, want_residual = _lstsq_fit(*sample)
+        want_b = coef[1] if fit_eta else 0.0
+        assert a == pytest.approx(coef[0], rel=1e-12, abs=1e-12)
+        assert b == pytest.approx(want_b, rel=1e-12, abs=1e-12)
+        assert residual == pytest.approx(want_residual, rel=1e-12)
+    assert per_point.b[3] == 0.0
+    assert isinstance(joint.a, float)
+
+
 @pytest.mark.parametrize("name,n", [("h3", 1), ("h5", 2)])
 def test_semisymmetry_chain_on_space_forms(name, n):
     ex = by_name(name)
