@@ -122,10 +122,16 @@ class IdentityEntry:
         return self.report.passed == self.expected
 
     def to_dict(self) -> dict:
-        d = self.report.to_dict()
-        d["expected"] = self.expected
-        d["matched"] = self.matched
-        return d
+        return self._tree(self.report.to_dict())
+
+    def to_json_tree(self) -> dict:
+        """:meth:`to_dict` with the points left as arrays for :func:`~kenmotsu.report.to_json`."""
+        return self._tree(self.report.to_json_tree())
+
+    def _tree(self, row: dict) -> dict:
+        row["expected"] = self.expected
+        row["matched"] = self.matched
+        return row
 
 
 @dataclass
@@ -142,11 +148,15 @@ class SuiteOutcome:
         return all(e.matched for e in self.entries)
 
     def to_dict(self) -> dict:
+        return self._tree(IdentityEntry.to_dict)
+
+    def _tree(self, row) -> dict:
+        """The suite as a dict, each identity row rendered by ``row(entry)``."""
         return {
             "name": self.name,
             "status": self.status,
             "note": self.note,
-            "identities": [e.to_dict() for e in self.entries],
+            "identities": [row(e) for e in self.entries],
         }
 
 
@@ -162,10 +172,13 @@ class ManifoldOutcome:
         return all(s.matched for s in self.suites)
 
     def to_dict(self) -> dict:
+        return self._tree(IdentityEntry.to_dict)
+
+    def _tree(self, row) -> dict:
         return {
             "name": self.name,
             "dim": self.dim,
-            "suites": [s.to_dict() for s in self.suites],
+            "suites": [s._tree(row) for s in self.suites],
             "verdicts": self.verdicts,
         }
 
@@ -180,14 +193,18 @@ class RunReport:
         return 0 if all(m.matched for m in self.manifolds) else 1
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "manifolds": [m.to_dict() for m in self.manifolds],
-            "exit_status": self.exit_status,
-        }
+        return self._tree(IdentityEntry.to_dict)
 
     def to_json(self) -> str:
-        return to_json(self.to_dict())
+        """``json.dumps(self.to_dict(), indent=2)``, written from the rows' arrays."""
+        return to_json(self._tree(IdentityEntry.to_json_tree))
+
+    def _tree(self, row) -> dict:
+        return {
+            "config": self.config.to_dict(),
+            "manifolds": [m._tree(row) for m in self.manifolds],
+            "exit_status": self.exit_status,
+        }
 
 
 class _ManifoldRunner:

@@ -142,7 +142,7 @@ def check_derivation_identity(
         b.metric.matrix, b.lc_ricci
     )
     report = new_report("derivation-identity", tol)
-    report.add_points(b.points, per_point(lhs - rhs))
+    report.add_points(b.p, per_point(lhs - rhs))
     return report
 
 
@@ -207,22 +207,22 @@ def check_semisymmetry_condition(
     # scale-free, matching the (1,1) convention of the fits
     defect_norm = np.einsum("...az,...zuij->...auij", ginv, defect)
     report = new_report("semisymmetry-condition", tol)
-    report.add_points(b.points, per_point(defect_norm))
+    report.add_points(b.p, per_point(defect_norm))
     plain_ops = ginv @ b.lc_ricci
     modified_ops = ginv @ b.ricci
     einstein_row = new_report("einstein-ricci-fit", fit_tol)
     plain = b.lc_einstein_fits
-    einstein_row.add_points(b.points, np.maximum(np.abs(plain.a + 2.0 * n), plain.residual))
+    einstein_row.add_points(b.p, np.maximum(np.abs(plain.a + 2.0 * n), plain.residual))
     eta_row = new_report("eta-einstein-fit", fit_tol)
     modified = _fit_operators(modified_ops, xi, eta)
     eta_row.add_points(
-        b.points,
+        b.p,
         np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
     )
     scalar_row = new_report("scalar-curvature-constant", scalar_tol)
-    scalar_row.add_points(b.points, np.abs(b.lc_scalar + 2.0 * n * (2 * n + 1)))
+    scalar_row.add_points(b.p, np.abs(b.lc_scalar + 2.0 * n * (2 * n + 1)))
     mod_scalar_row = new_report("modified-scalar-constant", scalar_tol)
-    mod_scalar_row.add_points(b.points, np.abs(b.scalar - 4.0 * n))
+    mod_scalar_row.add_points(b.p, np.abs(b.scalar - 4.0 * n))
     ricci_fit = _fit_operators(plain_ops, joint=True)
     modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
     scalar_mean, modified_scalar_mean = _mean(b.lc_scalar), _mean(b.scalar)
@@ -323,7 +323,7 @@ def check_weyl_commutation(
             "relation-total-dim", "relation-contact-n")
     mags = {k: [] for k in keys}
     pairs = m * (m - 1) // 2
-    for lo, hi in _chunk_ranges(len(b.points), 8 * m**4 * pairs):
+    for lo, hi in _chunk_ranges(len(b.p), 8 * m**4 * pairs):
         g = b.metric.matrix[lo:hi]
         riem, weyl = b.lc_riemann[lo:hi], b.weyl[lo:hi]
         riem4 = _swap_slot_components(g, riem, 0)
@@ -345,7 +345,7 @@ def check_weyl_commutation(
         mags["relation-contact-n"].append(per_point(commutator + scale_contact * q_riem))
     mags = {k: np.concatenate(v) for k, v in mags.items()}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
-    report.add_points(b.points, headline)
+    report.add_points(b.p, headline)
     report.extras.update({k: float(np.max(v)) for k, v in mags.items()})
     return report
 
@@ -361,9 +361,9 @@ def check_weyl(
     b = _bundle(manifold, None, points, cfg)
     g = b.metric.matrix
     traceless = new_report("weyl-traceless", trace_tol)
-    traceless.add_points(b.points, _weyl_trace(b.weyl, g, b.metric.inverse))
+    traceless.add_points(b.p, _weyl_trace(b.weyl, g, b.metric.inverse))
     vanishing = new_report("weyl-vanishing", vanish_tol)
-    vanishing.add_points(b.points, per_point(b.weyl))
+    vanishing.add_points(b.p, per_point(b.weyl))
     metric_q = new_report("tachibana-metric")
-    metric_q.add_points(b.points, per_point(_action_on_all_pairs(_wedge(g), g, 2)))
+    metric_q.add_points(b.p, per_point(_action_on_all_pairs(_wedge(g), g, 2)))
     return traceless, vanishing, metric_q

@@ -166,9 +166,11 @@ def _fit_operators(
 class CurvatureBundle:
     """The geometry of a chart and its structure at a batch of N points.
 
-    Every array has a leading point axis of length N, followed by one axis
-    of length dim per tensor slot; scalars per point have shape (N,).  Each
-    part is computed on first use and then kept, for all points at once:
+    ``p`` is the read-only (N, dim) array of the points; every report row
+    built from the bundle holds this one array.  Every other array has a
+    leading point axis of length N, followed by one axis of length dim per
+    tensor slot; scalars per point have shape (N,).  Each part is computed
+    on first use and then kept, for all points at once:
     ``metric`` (a :class:`~kenmotsu.tensors.MetricPair` of (N, dim, dim)
     arrays), ``phi``, ``eta``, ``xi``, their partials ``dxi[n, a, k]`` and
     ``deta[n, a, j]``, the Levi-Civita and modified coefficients
@@ -179,8 +181,9 @@ class CurvatureBundle:
     the Levi-Civita Ricci operator, the closed-form modified curvature with
     its cross-check residuals and the Weyl tensor.
 
-    The chart and structure callables are evaluated on the sample points and
-    on all their stencils: a callable marked by
+    The chart and structure callables are evaluated once on the sample
+    points (``lc_gamma`` reads ``metric``) and once on all their stencils: a
+    callable marked by
     :func:`~kenmotsu.charts.batched` once per batch, any other once per
     point.  Everything after them is whole-array arithmetic.  The
     curvature pass runs over chunks of points (:func:`_chunk_ranges`), so its
@@ -211,7 +214,6 @@ class CurvatureBundle:
         self.cfg = cfg
         p = manifold.require_inside(points).reshape(-1, manifold.dim)
         self.p = _frozen(p)
-        self.points = [tuple(q) for q in self.p]
 
     @cached_property
     def metric(self) -> MetricPair:
@@ -254,7 +256,9 @@ class CurvatureBundle:
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        return levi_civita(self.manifold, self.p, self.cfg).gamma
+        m = self.manifold
+        gamma = _christoffel(self.metric.inverse, m.metric_partials_at(self.p, self.cfg))
+        return ConnectionCoefficients(m.dim, gamma, symmetric=True).gamma
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -439,7 +443,7 @@ def check_torsion(
     torsion = b.gamma - np.swapaxes(b.gamma, -1, -2)
     want = np.einsum("...i,kj->...kij", b.eta, eye) - np.einsum("...j,ki->...kij", b.eta, eye)
     report = new_report("torsion-form", tol)
-    report.add_points(b.points, per_point(torsion - want))
+    report.add_points(b.p, per_point(torsion - want))
     return report
 
 
@@ -457,7 +461,7 @@ def check_nonmetricity(
         "...j,...ai->...aij", eta, g
     )
     report = new_report("nonmetricity", tol)
-    report.add_points(b.points, per_point(grad - want))
+    report.add_points(b.p, per_point(grad - want))
     report.extras["opposite-sign-residual"] = float(np.max(per_point(grad + want)))
     return report
 
@@ -473,7 +477,7 @@ def check_reeb_transport(
     grad = _add_connection_terms(b.dxi, b.xi, slots("u"), b.gamma)
     want = -2.0 * np.einsum("...i,...j->...ij", b.eta, b.xi)
     report = new_report("reeb-transport", tol)
-    report.add_points(b.points, per_point(grad - want))
+    report.add_points(b.p, per_point(grad - want))
     return report
 
 
@@ -494,7 +498,7 @@ def check_deformation_form(
     grad_eta = _add_connection_terms(b.deta, b.eta, slots("d"), b.lc_gamma)
     beta = grad_eta + np.einsum("...i,...j->...ij", b.eta, b.eta) + g
     report = new_report("deformation-form", tol)
-    report.add_points(b.points, per_point(beta - 2.0 * g))
+    report.add_points(b.p, per_point(beta - 2.0 * g))
     return report
 
 
@@ -525,7 +529,7 @@ def check_curvature_relation(
     reports = []
     for key, name in _CROSS_TO_IDENTITY.items():
         report = new_report(name, riemann_tol if key == "riemann" else contraction_tol)
-        report.add_points(b.points, b.cross[key])
+        report.add_points(b.p, b.cross[key])
         reports.append(report)
     n = conn.manifold.n
     reports[2].extras.update(
@@ -560,6 +564,6 @@ def check_reeb_curvature_degeneracy(
     degen = np.einsum("...lijk,...k->...lij", b.riemann, b.xi)
     lc = np.einsum("...lijk,...k->...lij", b.lc_riemann, b.xi)
     report = new_report("irregularity", tol)
-    report.add_points(b.points, per_point(degen))
+    report.add_points(b.p, per_point(degen))
     report.extras["levi-civita-contrast"] = float(np.max(per_point(lc)))
     return report

@@ -13,7 +13,7 @@ does, in a fraction of its time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -37,31 +37,66 @@ class PointResidual:
 _STATUSES = ("ok", "info", "not-applicable")
 
 
-@dataclass
 class IdentityResidualReport:
     """Outcome of checking one identity over a set of sample points.
+
+    ``residuals`` is one float array with the max-abs residual at each
+    point, and ``coords`` the (N, dim) float array of the points, both
+    read-only.  The checks of this package pass a chart's shared sample
+    array (``CurvatureBundle.p``), so every row of a chart holds the same
+    object and :func:`to_json` renders its coordinates once per report.
+    ``points``, the list of :class:`PointResidual` the record can also be
+    built from, is an API view built on each access.  ``max_residual`` is
+    NaN when any residual is NaN, so such a row fails its gate.
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
     max-abs residual.
     """
 
-    identity: str
-    tolerance: float
-    points: list[PointResidual] = field(default_factory=list)
-    extras: dict[str, float] = field(default_factory=dict)
-    status: str = "ok"
-    note: str = ""
+    def __init__(
+        self,
+        identity: str,
+        tolerance: float,
+        points: list[PointResidual] | None = None,
+        extras: dict[str, float] | None = None,
+        status: str = "ok",
+        note: str = "",
+    ):
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        points = list(points or ())
+        self.identity = identity
+        self.tolerance = tolerance
+        self.coords = _read_only(
+            np.array([p.point for p in points], dtype=float) if points else np.empty((0, 0))
+        )
+        self.residuals = _read_only(np.array([float(p.residual) for p in points]))
+        self.extras = {} if extras is None else extras
+        self.status = status
+        self.note = note
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __repr__(self) -> str:
+        return (
+            f"IdentityResidualReport({self.identity!r}, {self.tolerance!r},"
+            f" max_residual={self.max_residual!r}, points={len(self.residuals)},"
+            f" status={self.status!r})"
+        )
+
+    @property
+    def points(self) -> list[PointResidual]:
+        """One :class:`PointResidual` per point, built on each access."""
+        return [
+            PointResidual(tuple(p), r)
+            for p, r in zip(self.coords.tolist(), self.residuals.tolist())
+        ]
 
     @property
     def max_residual(self) -> float:
-        if not self.points:
+        if not len(self.residuals):
             return 0.0
-        return max(p.residual for p in self.points)
+        # np.max propagates NaN, where Python's max skips one that is not first
+        return float(np.max(self.residuals))
 
     @property
     def passed(self) -> bool:
@@ -73,21 +108,70 @@ class IdentityResidualReport:
             return True
         return self.max_residual <= self.tolerance
 
-    def add_points(self, points: list[tuple[float, ...]], residuals: np.ndarray) -> None:
-        """Append one residual per point, in point order."""
-        self.points.extend(PointResidual(p, float(r)) for p, r in zip(points, residuals))
+    def add_points(self, points, residuals: np.ndarray) -> None:
+        """Append one residual per point, in point order.
+
+        ``points`` is an (N, dim) array or a list of N points.  A read-only
+        float array is kept as is, not copied, so the rows of one batch
+        share it.
+        """
+        residuals = np.array(residuals, dtype=float)
+        if not len(residuals):
+            return
+        coords = np.asarray(points, dtype=float)
+        if coords.ndim != 2 or residuals.shape != (len(coords),):
+            raise ValueError(
+                f"points of shape {coords.shape} but residuals of shape {residuals.shape}"
+            )
+        if len(self.residuals):
+            coords = np.concatenate([self.coords, coords])
+            residuals = np.concatenate([self.residuals, residuals])
+        elif coords.flags.writeable:
+            coords = coords.copy()
+        self.coords, self.residuals = _read_only(coords), _read_only(residuals)
 
     def to_dict(self) -> dict:
+        return self._tree(
+            [
+                {"point": p, "residual": r}
+                for p, r in zip(self.coords.tolist(), self.residuals.tolist())
+            ]
+        )
+
+    def to_json_tree(self) -> dict:
+        """:meth:`to_dict` with the points left as arrays for :func:`to_json`.
+
+        Only :func:`to_json` can write the result; it renders the same bytes
+        as for :meth:`to_dict` without a Python object per point.
+        """
+        return self._tree(_PointsBlock(self.coords, self.residuals))
+
+    def _tree(self, points) -> dict:
         return {
             "identity": self.identity,
             "tolerance": float(self.tolerance),
-            "max_residual": float(self.max_residual),
+            "max_residual": self.max_residual,
             "passed": self.passed,
             "status": self.status,
             "note": self.note,
             "extras": {k: float(v) for k, v in sorted(self.extras.items())},
-            "points": [p.to_dict() for p in self.points],
+            "points": points,
         }
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class _PointsBlock:
+    """A row's points and residuals, written by :func:`to_json` as one list."""
+
+    __slots__ = ("coords", "residuals")
+
+    def __init__(self, coords: np.ndarray, residuals: np.ndarray):
+        self.coords = coords
+        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -163,13 +247,16 @@ def to_json(obj) -> str:
     ints, floats, bools and None; anything else raises ``TypeError``.
     ``json.dumps`` with an indent runs Python's pure-Python encoder, one
     generator frame per value.  This writer renders each list of floats
-    with one ``str.join`` and each list of point residuals (the
-    ``{"point": [...], "residual": r}`` records of :class:`PointResidual`)
-    as one block, so a report's many points cost little more than their
-    ``float.__repr__``.
+    with one ``str.join``.  A row of
+    :meth:`IdentityResidualReport.to_json_tree` also holds its points as
+    arrays: their block (the ``{"point": [...], "residual": r}`` records)
+    is rendered once per points object and indent, as a template with one
+    ``%s`` per residual, and each row fills in only its residuals.  The
+    templates live for one call, so rows that share a chart's points share
+    one rendering of its coordinates.
     """
     out: list[str] = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, {})
     return "".join(out)
 
 
@@ -197,30 +284,43 @@ def _floats(values, nl: str) -> str:
     return "[" + inner + body + nl + "]"
 
 
-_POINT_KEYS = ("point", "residual")
+def _reprs(values: np.ndarray) -> tuple:
+    """The floats of ``values`` for ``%s``, which writes them as ``json.dumps`` does.
 
-
-def _point_rows(rows: list, nl: str) -> str:
-    """A non-empty list of point-residual records at the indent ``nl``.
-
-    ``TypeError`` if any row is not such a record.
+    ``%s`` writes a finite float as its repr; non-finite ones are replaced
+    by their JSON text.
     """
+    flat = values.ravel().tolist()
+    return tuple(flat) if np.isfinite(values).all() else tuple(map(_float, flat))
+
+
+def _points_template(coords: np.ndarray, nl: str) -> str:
+    """The points block of ``coords`` at the indent ``nl``, one ``%s`` per residual."""
+    count, dim = coords.shape
     inner = nl + "  "
     field_nl = inner + "  "
-    head = "{" + field_nl + '"point": '
-    mid = "," + field_nl + '"residual": '
-    parts = []
-    for row in rows:
-        if type(row) is not dict or tuple(row) != _POINT_KEYS:
-            raise TypeError("not a point record")
-        point, residual = row["point"], row["residual"]
-        if not isinstance(point, (list, tuple)) or not isinstance(residual, float):
-            raise TypeError("not a point record")
-        parts.append(head + _floats(point, field_nl) + mid + _float(residual) + inner + "}")
-    return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    coord_nl = field_nl + "  "
+    point = "[" + coord_nl + ("," + coord_nl).join(["%s"] * dim) + field_nl + "]" if dim else "[]"
+    record = "{" + field_nl + '"point": ' + point + "," + field_nl + '"residual": %%s' + inner + "}"
+    # one format over every coordinate; "%%s" comes out as the residual's "%s"
+    body = ("," + inner).join([record] * count) % _reprs(coords)
+    return "[" + inner + body + nl + "]"
 
 
-def _write(value, nl: str, out: list[str]) -> None:
+def _write_points(block: _PointsBlock, nl: str, out: list[str], templates: dict) -> None:
+    """Append a row's points block, its coordinates taken from ``templates``."""
+    residuals = block.residuals
+    if not len(residuals):
+        out.append("[]")
+        return
+    # the points object is alive for the whole render, so its id is stable
+    key = (id(block.coords), nl)
+    if key not in templates:
+        templates[key] = _points_template(block.coords, nl)
+    out.append(templates[key] % _reprs(residuals))
+
+
+def _write(value, nl: str, out: list[str], templates: dict) -> None:
     """Append ``value`` rendered at the indent ``nl`` (a newline and the current indent)."""
     if isinstance(value, str):
         out.append(_quote(value))
@@ -235,7 +335,7 @@ def _write(value, nl: str, out: list[str]) -> None:
     elif isinstance(value, float):
         out.append(_float(value))
     elif isinstance(value, (list, tuple)):
-        _write_list(value, nl, out)
+        _write_list(value, nl, out, templates)
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -247,19 +347,20 @@ def _write(value, nl: str, out: list[str]) -> None:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             out.append(sep + _quote(key) + ": ")
             sep = "," + inner
-            _write(item, inner, out)
+            _write(item, inner, out, templates)
         out.append(nl + "}")
+    elif type(value) is _PointsBlock:
+        _write_points(value, nl, out, templates)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_list(values, nl: str, out: list[str]) -> None:
+def _write_list(values, nl: str, out: list[str], templates: dict) -> None:
     if not values:
         out.append("[]")
         return
-    fast = _point_rows if type(values[0]) is dict else _floats
     try:
-        out.append(fast(values, nl))
+        out.append(_floats(values, nl))
         return
     except TypeError:
         pass
@@ -268,5 +369,5 @@ def _write_list(values, nl: str, out: list[str]) -> None:
     for item in values:
         out.append(sep)
         sep = "," + inner
-        _write(item, inner, out)
+        _write(item, inner, out, templates)
     out.append(nl + "]")

@@ -118,7 +118,7 @@ def check_almost_contact(
     res = _axiom_residuals(b)
     headline = np.max([res[k] for k in _AXIOM_KEYS], axis=0)
     report = new_report("structure-axioms", tol)
-    report.add_points(b.points, headline)
+    report.add_points(b.p, headline)
     report.extras.update({k: float(np.max(v)) for k, v in res.items()})
     return report
 
@@ -160,7 +160,7 @@ def check_kenmotsu(
     b = _geometry(manifold, structure, points, cfg)
     res = _kenmotsu_residuals(b)
     report = new_report("kenmotsu-condition", tol)
-    report.add_points(b.points, np.maximum(res["reeb-gradient"], res["eta-gradient"]))
+    report.add_points(b.p, np.maximum(res["reeb-gradient"], res["eta-gradient"]))
     report.extras.update({k: float(np.max(v)) for k, v in res.items()})
     return report
 
@@ -207,7 +207,7 @@ def check_curvature_identities(
     reports = []
     for name, (lhs, rhs) in sides.items():
         report = new_report(name, tol)
-        report.add_points(b.points, per_point(lhs - rhs))
+        report.add_points(b.p, per_point(lhs - rhs))
         report.extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
         reports.append(report)
     return reports

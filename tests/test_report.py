@@ -4,11 +4,12 @@ import json
 import math
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from kenmotsu import catalog
 from kenmotsu.cli import IdentityEntry, ManifoldOutcome, RunConfig, RunReport, SuiteOutcome, run
-from kenmotsu.report import IdentityResidualReport, PointResidual, to_json
+from kenmotsu.report import IdentityResidualReport, PointResidual, new_report, to_json
 
 
 def _same(obj) -> None:
@@ -66,6 +67,47 @@ def test_rows_with_odd_values():
     assert text == json.dumps(RunReport(config, [manifold]).to_dict(), indent=2)
     for piece in ("NaN", "-Infinity", '"extras": {}', '"points": []', "null", "\\u00e9"):
         assert piece in text
+
+
+def _shared_points_report() -> RunReport:
+    """One chart whose rows share its points, beside a row with its own points."""
+    shared = np.array(
+        [[0.5, -0.0, math.nan], [math.inf, 1e-300, 2.5e16], [-math.inf, 1.0, -2.0]]
+    )
+    shared.setflags(write=False)
+    first, second = new_report("torsion-form"), new_report("nonmetricity", 1e-3)
+    first.add_points(shared, [0.0, 1e-12, math.nan])
+    second.add_points(shared, [math.inf, 2.0, -0.0])
+    # as many points as the chart, of another dimension, in the same chart
+    library = IdentityResidualReport(
+        "library",
+        1e-5,
+        points=[PointResidual((0.25, -1.5), 3e-7), PointResidual((1.0, 2.0), 0.0),
+                PointResidual((-0.0, 7.0), 1e-3)],
+    )
+    empty = IdentityResidualReport("empty", 1e-5)
+    entries = [IdentityEntry(r, expected=True) for r in (first, second, library, empty)]
+    suites = [SuiteOutcome("a", entries=entries[:2]), SuiteOutcome("b", entries=entries[2:])]
+    config = RunConfig(manifolds=("odd",), suites=("all",))
+    return RunReport(config, [ManifoldOutcome("odd", 3, suites=suites, verdicts={})])
+
+
+def test_rows_share_points_and_keep_their_own():
+    report = _shared_points_report()
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2)
+    suites = json.loads(text)["manifolds"][0]["suites"]
+    rows = [row for suite in suites for row in suite["identities"]]
+    assert [len(row["points"]) for row in rows] == [3, 3, 3, 0]
+    assert rows[2]["points"][0]["point"] == [0.25, -1.5]
+    assert math.isnan(rows[0]["max_residual"]) and not rows[0]["passed"]
+
+
+def test_rows_of_one_points_object_at_two_indents():
+    row = _shared_points_report().manifolds[0].suites[0].entries[0].report
+    assert to_json([row.to_json_tree(), {"x": row.to_json_tree()}]) == json.dumps(
+        [row.to_dict(), {"x": row.to_dict()}], indent=2
+    )
 
 
 @pytest.mark.parametrize(

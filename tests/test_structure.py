@@ -111,3 +111,24 @@ def test_reports_carry_per_point_residuals():
     for pr, p in zip(report.points, points):
         assert pr.point == tuple(p)
         assert pr.residual >= 0.0
+
+
+def test_a_nan_residual_fails_its_row():
+    # xi is NaN at one of the six points only, not the first: the row's
+    # worst residual is NaN and the row fails
+    ex = by_name("h3")
+    xi = ex.structure.xi
+    broken = AlmostContactStructure(
+        ex.structure.phi,
+        lambda p: np.full(3, np.nan) if p[0] < -0.5 else xi(p),
+        ex.structure.eta,
+    )
+    points = ex.sample_points(6, 0)
+    assert [i for i, p in enumerate(points) if p[0] < -0.5] == [4]
+    for report in (
+        check_almost_contact(ex.manifold, broken, points),
+        check_kenmotsu(ex.manifold, broken, points, CFG),
+    ):
+        assert np.isnan(report.points[4].residual), report.identity
+        assert np.isnan(report.max_residual), report.identity
+        assert not report.passed, report.identity
