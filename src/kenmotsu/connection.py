@@ -181,9 +181,8 @@ class CurvatureBundle:
     the Levi-Civita Ricci operator, the closed-form modified curvature with
     its cross-check residuals and the Weyl tensor.
 
-    The chart and structure callables are evaluated once on the sample
-    points (``lc_gamma`` reads ``metric``) and once on all their stencils: a
-    callable marked by
+    The chart and structure callables are evaluated on the sample points and
+    on all their stencils: a callable marked by
     :func:`~kenmotsu.charts.batched` once per batch, any other once per
     point.  Everything after them is whole-array arithmetic.  The
     curvature pass runs over chunks of points (:func:`_chunk_ranges`), so its
@@ -256,9 +255,7 @@ class CurvatureBundle:
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        m = self.manifold
-        gamma = _christoffel(self.metric.inverse, m.metric_partials_at(self.p, self.cfg))
-        return ConnectionCoefficients(m.dim, gamma, symmetric=True).gamma
+        return levi_civita(self.manifold, self.p, self.cfg).gamma
 
     @cached_property
     def gamma(self) -> np.ndarray:

@@ -46,8 +46,11 @@ class IdentityResidualReport:
     array (``CurvatureBundle.p``), so every row of a chart holds the same
     object and :func:`to_json` renders its coordinates once per report.
     ``points``, the list of :class:`PointResidual` the record can also be
-    built from, is an API view built on each access.  ``max_residual`` is
-    NaN when any residual is NaN, so such a row fails its gate.
+    built from, is a read-only view built on each access: appending to it
+    changes nothing, and :meth:`add_points` is the way to add points.  The
+    record is a plain class, not a dataclass; two records are equal when
+    their fields and arrays are.  ``max_residual`` is NaN when any residual
+    is NaN, so such a row fails its gate.
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
@@ -81,6 +84,16 @@ class IdentityResidualReport:
             f"IdentityResidualReport({self.identity!r}, {self.tolerance!r},"
             f" max_residual={self.max_residual!r}, points={len(self.residuals)},"
             f" status={self.status!r})"
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IdentityResidualReport):
+            return NotImplemented
+        return (
+            (self.identity, self.tolerance, self.extras, self.status, self.note)
+            == (other.identity, other.tolerance, other.extras, other.status, other.note)
+            and np.array_equal(self.coords, other.coords)
+            and np.array_equal(self.residuals, other.residuals)
         )
 
     @property

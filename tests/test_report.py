@@ -110,6 +110,23 @@ def test_rows_of_one_points_object_at_two_indents():
     )
 
 
+def test_records_compare_by_value():
+    def row(residual):
+        r = IdentityResidualReport("x", 1e-5, extras={"a": 1.0})
+        r.add_points(np.array([[0.5, 1.0], [2.0, -1.0]]), [0.0, residual])
+        return r
+
+    built = IdentityResidualReport(
+        "x",
+        1e-5,
+        points=[PointResidual((0.5, 1.0), 0.0), PointResidual((2.0, -1.0), 1e-9)],
+        extras={"a": 1.0},
+    )
+    assert row(1e-9) == built and built.points == row(1e-9).points
+    assert row(2e-9) != built
+    assert IdentityResidualReport("x", 1e-5) != IdentityResidualReport("x", 1e-5, status="info")
+
+
 @pytest.mark.parametrize(
     "obj",
     [

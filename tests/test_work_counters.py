@@ -9,8 +9,7 @@ through every module binding of the functions, so a suite that goes back
 to recomputing curvature, or a record that goes back to one point at a
 time, fails here.  The catalog's chart and structure callables take a
 batch of points, so the number of calls to them does not grow with the
-number of points either; the metric is evaluated once at the sample points
-and once on their stencils.  Neither a run nor its JSON report builds a
+number of points either.  Neither a run nor its JSON report builds a
 record per point.
 """
 
@@ -64,8 +63,7 @@ def _count_method(monkeypatch, cls, name) -> list[int]:
 
 def test_calls_per_chart_do_not_grow_with_points(monkeypatch):
     counters = {
-        # what computes the Christoffel symbols, at the points and on the stencils
-        "christoffel": _count_calls(monkeypatch, charts._christoffel),
+        "levi_civita": _count_calls(monkeypatch, charts.levi_civita),
         "riemann_of_connection": _count_calls(monkeypatch, charts.riemann_of_connection),
         "metric_pair_at": _count_method(monkeypatch, charts.ChartManifold, "metric_pair_at"),
     }
@@ -93,8 +91,7 @@ def test_at_most_one_record_and_two_curvature_passes_per_point(monkeypatch):
     assert 0 < bundles[0] <= points
 
 
-def _count_catalog_callables(monkeypatch) -> Counter:
-    """Count calls of each catalog chart's callables, by (chart, callable name)."""
+def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
     calls = Counter()
 
     def counted(chart: str, name: str, f):
@@ -119,11 +116,6 @@ def _count_catalog_callables(monkeypatch) -> Counter:
         return dataclasses.replace(ex, manifold=manifold, structure=structure)
 
     monkeypatch.setattr(cli, "by_name", counted_example)
-    return calls
-
-
-def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
-    calls = _count_catalog_callables(monkeypatch)
 
     def counts(points: int) -> Counter:
         calls.clear()
@@ -134,22 +126,6 @@ def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
     two, five = counts(2), counts(5)
     assert len(two) == 5 * len(CHARTS), two
     assert five == two
-
-
-def test_metric_is_evaluated_once_at_the_points(monkeypatch):
-    # once at the sample points, read by every suite, plus once on their
-    # stencils when a suite needs curvature
-    calls = _count_catalog_callables(monkeypatch)
-    for suites, per_chart in (
-        (SUITE_ORDER, 2),
-        (("axioms", "kenmotsu"), 1),
-    ):
-        calls.clear()
-        report = run(RunConfig(manifolds=CHARTS, suites=suites, num_points=POINTS))
-        assert report.exit_status == 0
-        assert {chart: calls[chart, "metric"] for chart in CHARTS} == dict.fromkeys(
-            CHARTS, per_chart
-        ), suites
 
 
 def test_a_run_and_its_json_build_no_point_records(monkeypatch):
