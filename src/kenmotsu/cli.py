@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.num_points < 1:
             raise UsageError("--points must be at least 1")
+        if self.seed < 0:
+            raise UsageError("--seed must be a non-negative integer")
         if not (self.step > 0 and math.isfinite(self.step)):
             raise UsageError("--step must be a positive finite number")
         if self.output_format not in ("text", "json"):

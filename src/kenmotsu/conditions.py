@@ -66,16 +66,99 @@ def _action_on_all_pairs(curv: np.ndarray, target: np.ndarray, k: int) -> np.nda
     return out.reshape(out.shape[:-1] + (m, m))
 
 
-def _on_pairs(curv: np.ndarray) -> np.ndarray:
-    """An antisymmetric family curv[n, l, X, Y, z] at the pairs X < Y only: [n, l, p, z].
+def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of m indices, and the induced action of an endomorphism on 2-forms.
 
-    A(Y,X) = -A(X,Y) and A(X,X) = 0 (exactly for the wedge, to roundoff for
-    the curvatures), and every action is linear in A, so the largest
-    absolute value of an action over these m(m-1)/2 pairs is its largest
-    over all m^2.
+    A 2-form w stored at the pairs, w[q], has the components
+    w(a, b) = sum_q sign[a, b, q] w[q], with ``sign[a, b, q]`` +1 where
+    (a, b) is the q-th pair, -1 where (b, a) is and 0 elsewhere.  An
+    endomorphism A[c, z] acts on it by (A w)(Z_1, Z_2) = w(A Z_1, Z_2)
+    + w(Z_1, A Z_2): the matrix from pair r to pair q is
+    sum_{c,z} A[c, z] induced[(c, z), (q, r)].
     """
-    x, y = np.triu_indices(curv.shape[1], k=1)
-    return curv[:, :, x, y, :]
+    i, j = np.triu_indices(m, k=1)
+    q = np.arange(len(i))
+    sign = np.zeros((m, m, len(i)))
+    sign[i, j, q] = 1.0
+    sign[j, i, q] = -1.0
+    induced = np.zeros((m, m, len(i), len(i)))
+    induced[:, i, q] = sign[:, j]
+    induced[:, j, q] = sign[i].transpose(1, 0, 2)
+    return i, j, induced.reshape(m * m, -1)
+
+
+def _two_form_action(
+    family: np.ndarray, target: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Endomorphisms acting as derivations on a (0,4) array with a 2-form in slots 1, 2.
+
+    ``family[n, l, p, z]`` holds the endomorphism A_p (the pairs flattened
+    into one axis, as for :func:`_endomorphism_action`) and
+    ``target[n, a, q, b]`` the (0,4) tensor T(Z_0, Z_1, Z_2, Z_3) at the
+    pairs q = (Z_1, Z_2) of ``tables``.  The derivation keeps the
+    antisymmetry in (Z_1, Z_2), so the result is stored the same way,
+    out[n, p, a, q, b]: two matmuls over l act on the outer slots, and the
+    induced action of each A_p on 2-forms (:func:`_two_form_tables`), a
+    pairs x pairs matrix, acts on the middle one; the derivation's sign
+    negates the sum.
+    """
+    n, m, p = family.shape[:3]
+    pairs = len(tables[0])
+    out = np.matmul(
+        family.transpose(0, 2, 3, 1).reshape(n, p * m, m), target.reshape(n, m, pairs * m)
+    ).reshape(n, p, m, pairs, m)
+    out += np.matmul(target.reshape(n, 1, m * pairs, m), family.transpose(0, 2, 1, 3)).reshape(
+        n, p, m, pairs, m
+    )
+    on_two_forms = family.transpose(0, 2, 1, 3).reshape(n * p, m * m) @ tables[2]
+    middle = np.matmul(
+        on_two_forms.reshape(n, p * pairs, pairs),
+        target.transpose(0, 2, 1, 3).reshape(n, pairs, m * m),
+    )
+    out += middle.reshape(n, p, pairs, m, m).transpose(0, 1, 3, 2, 4)
+    return np.negative(out, out=out)
+
+
+def _commutation_maxima(
+    g: np.ndarray,
+    riem: np.ndarray,
+    weyl: np.ndarray,
+    scalar: np.ndarray,
+    n: int,
+    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, ...]:
+    """Per point of one chunk: |C.R - R.C|, |Q(g,R)|, |Q(g,C)| and both scaled relations.
+
+    [C, wedge] act on R and [R, wedge] on C, each family stacked into one
+    call; the arrays die with the call, before the next chunk allocates.
+    """
+    x, y, _ = tables
+    m, pairs = g.shape[-1], len(x)
+    wedge = _wedge(g)[:, :, x, y, :]
+    on_riem = _two_form_action(
+        np.concatenate([weyl[:, :, x, y, :], wedge], axis=2),
+        _swap_slot_components(g, riem, 0)[:, :, x, y, :],
+        tables,
+    )
+    on_weyl = _two_form_action(
+        np.concatenate([riem[:, :, x, y, :], wedge], axis=2),
+        _swap_slot_components(g, weyl, 0)[:, :, x, y, :],
+        tables,
+    )
+    commutator = on_riem[:, :pairs] - on_weyl[:, :pairs]
+    q_riem = on_riem[:, pairs:]
+    # dim >= 5 here, so the contact half-dimension n is at least 2 and
+    # both normalizations of the scale factor are finite
+    r = scalar.reshape((-1,) + (1,) * 4)
+    scale_total = r / (m * (m - 1))
+    scale_contact = r / (n * (n - 1))
+    return (
+        per_point(commutator),
+        per_point(q_riem),
+        per_point(on_weyl[:, pairs:]),
+        per_point(commutator + scale_total * q_riem),
+        per_point(commutator + scale_contact * q_riem),
+    )
 
 
 def _check_action_args(curv: MultiTensor, target: MultiTensor) -> int:
@@ -296,17 +379,29 @@ def check_weyl_commutation(
 ) -> IdentityResidualReport:
     """Commutator of the Weyl and curvature actions against Tachibana terms.
 
-    On an Einstein chart of dimension >= 5 the theory gives
-    C . R - R . C = Q(g,R) = Q(g,C); on the catalog's Einstein example all
-    three vanish individually, so the check is degenerate and asserts each
-    is below tolerance.  Off the Einstein case the report is informational:
-    it records the three magnitudes and the residual of the scaled relation
-    C . R - R . C = -[r / (m(m-1))] Q(g,R) under both the total-dimension
-    normalization and the contact-n one, since the literature is ambiguous
-    about which dimension enters the scale.  R, C and the wedge are
-    antisymmetric in (X,Y), so the rank-6 actions are taken on the pairs
-    X < Y only (:func:`_on_pairs`), over chunks of points so that their
-    memory stays bounded.
+    On an Einstein chart of dimension m >= 5 with scalar curvature r,
+    C = R - [r / (m(m-1))] g wedge g, and R . (g wedge g) = 0 and
+    Q(g, g wedge g) = 0 give C . R - R . C = -[r / (m(m-1))] Q(g,R) and
+    Q(g,C) = Q(g,R).  On the catalog's Einstein example C, C . R - R . C
+    and Q(g,R) all vanish individually, so the check is degenerate and
+    asserts each is below tolerance.  Off the Einstein case the report is
+    informational: it records the three magnitudes and the residual of the
+    scaled relation under the total-dimension scale r / (m(m-1)), the one
+    above, and under the contact-n scale r / (n(n-1)).
+
+    R, C and the wedge are antisymmetric in their (X,Y) slots, and so are
+    the (0,4) forms of R and C, so both are stored at the m(m-1)/2 pairs
+    X < Y: a family of endomorphisms at its pairs acts on a (0,4) array
+    with a 2-form in its middle slots (:func:`_two_form_action`), and each
+    rank-6 array holds m^2 (m(m-1)/2)^2 values per point instead of m^6.
+    Every action is linear in the endomorphism and keeps the antisymmetry
+    of its target, so the largest value over the stored pairs is the
+    largest over all of them.  That holds exactly for the wedge and to
+    roundoff for the computed curvatures, whose other half is taken as the
+    negative of the stored one; with the different order of summation the
+    magnitudes match those of the full per-point actions to roundoff, not
+    bit for bit.  The work runs over chunks of points so that memory stays
+    bounded.
     """
     report = new_report("weyl-tachibana", tol)
     if manifold.dim < 5:
@@ -322,27 +417,21 @@ def check_weyl_commutation(
     keys = ("commutator", "tachibana-riemann", "tachibana-weyl",
             "relation-total-dim", "relation-contact-n")
     mags = {k: [] for k in keys}
-    pairs = m * (m - 1) // 2
-    for lo, hi in _chunk_ranges(len(b.p), 8 * m**4 * pairs):
-        g = b.metric.matrix[lo:hi]
-        riem, weyl = b.lc_riemann[lo:hi], b.weyl[lo:hi]
-        riem4 = _swap_slot_components(g, riem, 0)
-        weyl4 = _swap_slot_components(g, weyl, 0)
-        commutator = _endomorphism_action(_on_pairs(weyl), riem4, 4) - _endomorphism_action(
-            _on_pairs(riem), weyl4, 4
+    tables = _two_form_tables(m)
+    pairs = len(tables[0])
+    # the largest array of a chunk is a stacked action: two families of
+    # pairs endomorphisms acting on a (0,4) array with a 2-form in its middle
+    for lo, hi in _chunk_ranges(len(b.p), 8 * 2 * pairs * m**2 * pairs):
+        maxima = _commutation_maxima(
+            b.metric.matrix[lo:hi],
+            b.lc_riemann[lo:hi],
+            b.weyl[lo:hi],
+            b.lc_scalar[lo:hi],
+            n,
+            tables,
         )
-        wedge = _on_pairs(_wedge(g))
-        q_riem = _endomorphism_action(wedge, riem4, 4)
-        # dim >= 5 here, so the contact half-dimension n is at least 2 and
-        # both normalizations of the scale factor are finite
-        r = b.lc_scalar[lo:hi].reshape((-1,) + (1,) * 5)
-        scale_total = r / (m * (m - 1))
-        scale_contact = r / (n * (n - 1))
-        mags["commutator"].append(per_point(commutator))
-        mags["tachibana-riemann"].append(per_point(q_riem))
-        mags["tachibana-weyl"].append(per_point(_endomorphism_action(wedge, weyl4, 4)))
-        mags["relation-total-dim"].append(per_point(commutator + scale_total * q_riem))
-        mags["relation-contact-n"].append(per_point(commutator + scale_contact * q_riem))
+        for key, value in zip(keys, maxima):
+            mags[key].append(value)
     mags = {k: np.concatenate(v) for k, v in mags.items()}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
     report.add_points(b.p, headline)

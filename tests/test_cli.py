@@ -53,6 +53,12 @@ def test_bad_step_is_usage_error(step, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("seed", ["-1", "-1000"])
+def test_negative_seed_is_usage_error(seed, capsys):
+    assert main(["--manifold", "h3", "--suite", "axioms", f"--seed={seed}"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be a non-negative integer\n"
+
+
 def test_nonpositive_points_rejected(capsys):
     assert main(["--manifold", "h3", "--points", "0"]) == 2
     capsys.readouterr()

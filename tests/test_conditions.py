@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from kenmotsu import (
     weyl_trace_residual,
 )
 from kenmotsu.charts import ricci_from_riemann
+from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, curvature_bundle
 from kenmotsu.tensors import MultiTensor, slots
 
 CFG = DifferentiationConfig()
@@ -292,18 +295,26 @@ def _generic_chart() -> ChartManifold:
     return ChartManifold(dim=5, metric=metric, domain=((-1.0, 1.0),) * 5)
 
 
-@pytest.mark.parametrize("name", ["h5", "ne5", "generic"])
+@pytest.mark.parametrize("name", ["h5", "ne5", "generic", "generic-chunks"])
 def test_weyl_commutation_on_pairs_equals_full_actions(name):
-    # the check takes the rank-6 actions on the pairs X < Y only; the
-    # public per-point actions take them on every (X,Y).  The catalog's
-    # curvatures vanish on many pairs; the generic chart's on none.
-    if name == "generic":
+    # the check takes the rank-6 actions on the pairs X < Y of the
+    # endomorphisms and of the target's middle slots; the public per-point
+    # actions take them on every (X,Y).  The catalog's curvatures vanish on
+    # many pairs; the generic chart's on none.  "generic-chunks" spans
+    # several chunks of points, so a chunk boundary that misaligns points
+    # and residuals fails it.
+    if name.startswith("generic"):
         manifold = _generic_chart()
-        points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(4, 5)))
+        count = 4 if name == "generic" else 15
+        points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(count, 5)))
     else:
         manifold = by_name(name).manifold
         points = by_name(name).sample_points(4, seed=19)
     m, n = manifold.dim, manifold.n
+    if name == "generic-chunks":
+        # each stacked action holds 2 * 10 endomorphisms times 5 * 10 * 5
+        # values per point in dim 5
+        assert len(_chunk_ranges(len(points), 8 * 2 * 10 * 5 * 10 * 5)) >= 3
     report = check_weyl_commutation(manifold, points, CFG)
     full = {key: [] for key in report.extras}
     for p in points:
@@ -331,3 +342,26 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
     magnitudes = ("commutator", "tachibana-riemann", "tachibana-weyl")
     headline = np.max([full[key] for key in magnitudes], axis=0)
     np.testing.assert_allclose([q.residual for q in report.points], headline, rtol=1e-12)
+
+
+def _weyl_commutation_peak(count: int) -> int:
+    ex = by_name("ne5")
+    conn = NonMetricConnection(ex.manifold, ex.structure)
+    record = curvature_bundle(conn, ex.sample_points(count, seed=5), CFG)
+    record.metric, record.weyl, record.lc_scalar  # build what the check reads
+    tracemalloc.start()
+    try:
+        check_weyl_commutation(ex.manifold, record, CFG)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weyl_commutation_memory_is_bounded_by_its_chunks():
+    # the rank-6 actions run over chunks sized from CHUNK_BYTES, so the
+    # peak of the check on a prebuilt record does not grow with the points.
+    # 6.5 CHUNK_BYTES is the peak of the actions on whole (0,4) targets;
+    # chunks sized from one family instead of the stacked pair exceed it.
+    small, large = _weyl_commutation_peak(20), _weyl_commutation_peak(200)
+    assert large <= 6.5 * CHUNK_BYTES
+    assert large < 1.1 * small
