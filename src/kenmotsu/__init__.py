@@ -17,11 +17,7 @@ from .charts import (
     DomainError,
     MetricError,
     batched,
-    covariant_derivative,
     levi_civita,
-    ricci,
-    riemann,
-    scalar_curvature,
 )
 from .conditions import (
     EinsteinFit,
@@ -30,12 +26,6 @@ from .conditions import (
     check_semisymmetry_condition,
     check_weyl,
     check_weyl_commutation,
-    derivation_action,
-    einstein_fit,
-    metric_wedge,
-    tachibana,
-    weyl_tensor,
-    weyl_trace_residual,
 )
 from .connection import (
     CurvatureBundle,
@@ -53,23 +43,11 @@ from .report import IdentityResidualReport, PointResidual
 from .structure import (
     AlmostContactStructure,
     StructureError,
-    axiom_residuals,
     check_almost_contact,
     check_curvature_identities,
     check_kenmotsu,
-    kenmotsu_residuals,
 )
-from .tensors import (
-    DOWN,
-    UP,
-    MetricPair,
-    MultiTensor,
-    contract,
-    lower_slot,
-    max_abs,
-    raise_slot,
-    slots,
-)
+from .tensors import MetricPair
 
 __version__ = "0.1.0"
 
@@ -80,19 +58,15 @@ __all__ = [
     "CurvatureBundle",
     "DifferentiationConfig",
     "DomainError",
-    "DOWN",
     "EinsteinFit",
     "IdentityResidualReport",
     "MetricError",
     "MetricPair",
-    "MultiTensor",
     "NamedExample",
     "NonMetricConnection",
     "PointResidual",
     "SemisymmetryVerdict",
     "StructureError",
-    "UP",
-    "axiom_residuals",
     "batched",
     "build_connection",
     "by_name",
@@ -110,22 +84,6 @@ __all__ = [
     "check_torsion",
     "check_weyl",
     "check_weyl_commutation",
-    "contract",
-    "covariant_derivative",
     "curvature_bundle",
-    "derivation_action",
-    "einstein_fit",
-    "kenmotsu_residuals",
     "levi_civita",
-    "lower_slot",
-    "max_abs",
-    "metric_wedge",
-    "raise_slot",
-    "ricci",
-    "riemann",
-    "scalar_curvature",
-    "slots",
-    "tachibana",
-    "weyl_tensor",
-    "weyl_trace_residual",
 ]

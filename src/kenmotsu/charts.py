@@ -24,14 +24,10 @@ from typing import Callable
 import numpy as np
 
 from .tensors import (
-    DOWN,
     UP,
     MetricError,
     MetricPair,
-    MultiTensor,
-    contract,
     metric_defect,
-    slots,
     _tensordot_each,
 )
 
@@ -291,36 +287,27 @@ def levi_civita(
     return ConnectionCoefficients(manifold.dim, gamma, symmetric=True)
 
 
-GammaField = Callable[[np.ndarray], ConnectionCoefficients]
-
-
-def levi_civita_field(manifold: ChartManifold, cfg: DifferentiationConfig) -> GammaField:
-    return lambda p: levi_civita(manifold, p, cfg)
-
-
 def riemann_of_connection(
     manifold: ChartManifold,
-    gamma_field: GammaField,
+    gamma_field: Callable[[np.ndarray], ConnectionCoefficients],
     points: np.ndarray,
     cfg: DifferentiationConfig,
-) -> MultiTensor | np.ndarray:
+) -> np.ndarray:
     """Curvature of an arbitrary connection.
 
     ``gamma_field`` is called once, with the :func:`stencil` of every
     point, shape (..., S, dim); its coefficients may also be one constant
     (dim, dim, dim) array.  Differentiating the coefficient field may nest a
     second stencil inside the first, so each point must sit at least 2h
-    inside the domain.  One point (dim,) gives a (1,3) tensor; a batch
-    (N, dim) gives the components, shape (N, dim, dim, dim, dim).
+    inside the domain.  Returns riem[..., l, i, j, k] with the leading
+    axes of ``points``: (dim,) * 4 for one point (dim,) and
+    (N, dim, dim, dim, dim) for a batch (N, dim).
     """
     p = manifold.require_inside(points, margin=2.0 * cfg.step)
     q = stencil(p, cfg)
     gamma = np.broadcast_to(gamma_field(q).gamma, q.shape[:-1] + (manifold.dim,) * 3)
     dgamma = stencil_partials(gamma, cfg, axis=p.ndim - 1)
-    riem = _curvature_components(gamma[..., 0, :, :, :], dgamma)
-    if p.ndim == 1:
-        return MultiTensor(manifold.dim, slots("uddd"), riem)
-    return riem
+    return _curvature_components(gamma[..., 0, :, :, :], dgamma)
 
 
 def _curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
@@ -330,62 +317,6 @@ def _curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     q1 = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
     q2 = np.swapaxes(q1, -3, -2)
     return t1 - t2 + q1 - q2
-
-
-def riemann(
-    manifold: ChartManifold, point: np.ndarray, cfg: DifferentiationConfig
-) -> MultiTensor:
-    """Levi-Civita curvature tensor at a point."""
-    return riemann_of_connection(manifold, levi_civita_field(manifold, cfg), point, cfg)
-
-
-def ricci_from_riemann(riem: MultiTensor) -> MultiTensor:
-    """S(Y,Z) = trace(X -> R(X,Y)Z); contracts the upper slot with slot 1."""
-    if riem.variance != slots("uddd"):
-        raise ValueError("expected a (1,3) curvature tensor")
-    return contract(riem, 0, 1)
-
-
-def ricci(
-    manifold: ChartManifold, point: np.ndarray, cfg: DifferentiationConfig
-) -> MultiTensor:
-    return ricci_from_riemann(riemann(manifold, point, cfg))
-
-
-def scalar_curvature_of(ric: MultiTensor, gpair: MetricPair) -> float:
-    if ric.variance != (DOWN, DOWN):
-        raise ValueError("expected a (0,2) Ricci tensor")
-    return float(np.einsum("jk,jk->", gpair.inverse, ric.components))
-
-
-def scalar_curvature(
-    manifold: ChartManifold, point: np.ndarray, cfg: DifferentiationConfig
-) -> float:
-    return scalar_curvature_of(
-        ricci(manifold, point, cfg), manifold.metric_pair_at(point)
-    )
-
-
-def covariant_derivative(
-    manifold: ChartManifold,
-    field: Callable[[np.ndarray], MultiTensor],
-    gamma_field: GammaField,
-    point: np.ndarray,
-    cfg: DifferentiationConfig,
-) -> MultiTensor:
-    """Covariant derivative of a tensor field at a point; the new slot comes first.
-
-    out[a, ...] = (nabla_{d_a} T)[...], with +Gamma corrections on
-    contravariant slots and -Gamma on covariant ones.
-    """
-    p = manifold.require_inside(point, margin=cfg.step)
-    base = field(p)
-    gamma = gamma_field(p).gamma
-    comps = array_field_partials(lambda q: field(q).components, p, cfg)
-    comps = _add_connection_terms(
-        comps[None], base.components[None], base.variance, gamma[None]
-    )[0]
-    return MultiTensor(manifold.dim, (DOWN,) + base.variance, comps)
 
 
 def _add_connection_terms(

@@ -525,7 +525,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if config.output_format == "json":
-        sys.stdout.write(report.to_json() + "\n")
+        # two writes: joining the newline on would copy the whole report once more
+        sys.stdout.write(report.to_json())
+        sys.stdout.write("\n")
     else:
         sys.stdout.write(render_text(report))
     return report.exit_status

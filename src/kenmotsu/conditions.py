@@ -30,7 +30,6 @@ import numpy as np
 
 from .charts import ChartManifold, DifferentiationConfig
 from .connection import (
-    CurvatureBundle,
     EinsteinFit,
     NonMetricConnection,
     _bundle,
@@ -39,9 +38,7 @@ from .connection import (
     _mean,
 )
 from .report import IdentityResidualReport, new_report, per_point
-from .tensors import DOWN, MetricPair, MultiTensor, slots, _swap_slot_components, _tensordot_each
-
-_SUPPORTED_TARGET_RANKS = (2, 4)
+from .tensors import _swap_slot_components, _tensordot_each
 
 
 def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
@@ -161,40 +158,10 @@ def _commutation_maxima(
     )
 
 
-def _check_action_args(curv: MultiTensor, target: MultiTensor) -> int:
-    if curv.variance != slots("uddd"):
-        raise ValueError("curvature argument must be a (1,3) tensor")
-    if any(v != DOWN for v in target.variance):
-        raise ValueError("target must be fully covariant")
-    k = target.rank
-    if k not in _SUPPORTED_TARGET_RANKS:
-        raise ValueError(f"unsupported target rank {k}; expected one of {_SUPPORTED_TARGET_RANKS}")
-    if curv.dim != target.dim:
-        raise ValueError("dimension mismatch between curvature and target")
-    return k
-
-
-def derivation_action(curv: MultiTensor, target: MultiTensor) -> MultiTensor:
-    """(curv(X,Y) . target) as a (0,k+2) tensor, (X,Y) slots trailing."""
-    k = _check_action_args(curv, target)
-    comps = _action_on_all_pairs(curv.components[None], target.components[None], k)[0]
-    return MultiTensor(curv.dim, slots("d" * (k + 2)), comps)
-
-
 def _wedge(g: np.ndarray) -> np.ndarray:
     """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components with leading point axes."""
     eye = np.eye(g.shape[-1])
     return np.einsum("...jz,mi->...mijz", g, eye) - np.einsum("...iz,mj->...mijz", g, eye)
-
-
-def metric_wedge(gpair: MetricPair) -> MultiTensor:
-    """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y as a (1,3) tensor."""
-    return MultiTensor(gpair.dim, slots("uddd"), _wedge(gpair.matrix))
-
-
-def tachibana(gpair: MetricPair, target: MultiTensor) -> MultiTensor:
-    """Tachibana tensor Q(g, target), a (0,k+2) tensor."""
-    return derivation_action(metric_wedge(gpair), target)
 
 
 def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
@@ -227,21 +194,6 @@ def check_derivation_identity(
     report = new_report("derivation-identity", tol)
     report.add_points(b.p, per_point(lhs - rhs))
     return report
-
-
-def einstein_fit(
-    ric: MultiTensor,
-    gpair: MetricPair,
-    xi: np.ndarray,
-    eta: np.ndarray,
-    fit_eta: bool = False,
-) -> EinsteinFit:
-    """Fit one (0,2) tensor at one point; see :class:`EinsteinFit`."""
-    if ric.variance != slots("dd"):
-        raise ValueError("expected a (0,2) tensor to fit")
-    op = gpair.inverse @ ric.components
-    fields = (np.asarray(xi)[None], np.asarray(eta)[None]) if fit_eta else ()
-    return _fit_operators(op[None], *fields, joint=True)
 
 
 @dataclass
@@ -343,17 +295,6 @@ def check_semisymmetry_condition(
     )
 
 
-def weyl_tensor(
-    manifold: ChartManifold, point: np.ndarray, cfg: DifferentiationConfig
-) -> MultiTensor:
-    """Conformal curvature tensor as a (1,3) tensor; see :attr:`CurvatureBundle.weyl`.
-
-    Fully traceless; identically zero in dimension 3 and on space forms.
-    """
-    weyl = CurvatureBundle(manifold, None, point, cfg).weyl[0]
-    return MultiTensor(manifold.dim, slots("uddd"), weyl)
-
-
 def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Per point, the max absolute value over all six single g-traces of the (0,4) form."""
     c4 = _swap_slot_components(g, weyl, 0)
@@ -363,11 +304,6 @@ def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray
             moved = np.moveaxis(c4, (a + 1, b + 1), (1, 2))
             worst = np.maximum(worst, per_point(_tensordot_each(ginv, moved, (0, 1), (0, 1))))
     return worst
-
-
-def weyl_trace_residual(weyl: MultiTensor, gpair: MetricPair) -> float:
-    """Max absolute value over all six single g-traces of the (0,4) form."""
-    return float(_weyl_trace(weyl.components[None], gpair.matrix[None], gpair.inverse[None])[0])
 
 
 def check_weyl_commutation(

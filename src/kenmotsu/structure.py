@@ -91,14 +91,6 @@ def _axiom_residuals(b) -> dict[str, np.ndarray]:
     }
 
 
-def axiom_residuals(
-    manifold: ChartManifold, structure: AlmostContactStructure, point: np.ndarray
-) -> dict[str, float]:
-    """Pointwise residuals of the structure axioms and their consequences."""
-    res = _axiom_residuals(_geometry(manifold, structure, [point], None))
-    return {k: float(v[0]) for k, v in res.items()}
-
-
 _AXIOM_KEYS = ("phi-square", "reeb-pairing", "compatibility")
 
 
@@ -136,17 +128,6 @@ def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
         "reeb-gradient": per_point(grad_xi - want_xi),
         "eta-gradient": per_point(grad_eta - want_eta),
     }
-
-
-def kenmotsu_residuals(
-    manifold: ChartManifold,
-    structure: AlmostContactStructure,
-    point: np.ndarray,
-    cfg: DifferentiationConfig,
-) -> dict[str, float]:
-    """Residuals of the two equivalent forms of the defining condition."""
-    res = _kenmotsu_residuals(_geometry(manifold, structure, [point], cfg))
-    return {k: float(v[0]) for k, v in res.items()}
 
 
 def check_kenmotsu(

@@ -1,10 +1,9 @@
-"""Dense variance-tracked tensors on a single coordinate chart.
+"""Dense tensor components on a single coordinate chart.
 
 Components live in row-major numpy arrays, one axis per slot, every axis
-of length ``dim``.  Variance is data: a tuple of ``"up"`` / ``"down"``
-markers parallel to the axes.  There is no index gymnastics DSL here;
-contraction and raising/lowering are explicit operations and everything
-else is plain numpy on ``.components``.
+of length ``dim``, after any leading point axes.  Variance is data: a
+tuple of ``"up"`` / ``"down"`` markers parallel to the slots.  There is no
+index gymnastics DSL here; everything is plain numpy on the arrays.
 """
 
 from __future__ import annotations
@@ -27,13 +26,15 @@ def slots(code: str) -> tuple[str, ...]:
         raise ValueError(f"variance code may only contain 'u'/'d': {code!r}") from exc
 
 
+# nothing in the package builds one; the benchmark's tracer
+# (``perfbench/tracing.py``) still counts calls to this constructor by name,
+# so the class goes together with that counter
 @dataclass(frozen=True)
 class MultiTensor:
     """A tensor of fixed variance at a point, stored densely.
 
     Invariants: ``components.shape == (dim,) * len(variance)``, entries are
     finite float64, and the array is frozen (callers get views, not owners).
-    A rank-0 tensor is a scalar; use :meth:`item` to read it.
     """
 
     dim: int
@@ -59,66 +60,6 @@ class MultiTensor:
         object.__setattr__(self, "components", arr)
         object.__setattr__(self, "variance", tuple(self.variance))
 
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-    def item(self) -> float:
-        if self.rank != 0:
-            raise ValueError("item() is only defined for rank-0 tensors")
-        return float(self.components)
-
-    def __add__(self, other: "MultiTensor") -> "MultiTensor":
-        self._check_compatible(other)
-        return MultiTensor(self.dim, self.variance, self.components + other.components)
-
-    def __sub__(self, other: "MultiTensor") -> "MultiTensor":
-        self._check_compatible(other)
-        return MultiTensor(self.dim, self.variance, self.components - other.components)
-
-    def __mul__(self, scalar: float) -> "MultiTensor":
-        return MultiTensor(self.dim, self.variance, self.components * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "MultiTensor":
-        return MultiTensor(self.dim, self.variance, -self.components)
-
-    def _check_compatible(self, other: "MultiTensor") -> None:
-        if not isinstance(other, MultiTensor):
-            raise TypeError("expected a MultiTensor")
-        if self.dim != other.dim or self.variance != other.variance:
-            raise ValueError(
-                f"incompatible tensors: dim/variance ({self.dim}, {self.variance}) "
-                f"vs ({other.dim}, {other.variance})"
-            )
-
-
-def max_abs(t: MultiTensor) -> float:
-    """Largest absolute component; 0.0 for an empty view never occurs here."""
-    if t.rank == 0:
-        return abs(t.item())
-    return float(np.max(np.abs(t.components)))
-
-
-def contract(t: MultiTensor, up_slot: int, down_slot: int) -> MultiTensor:
-    """Trace one contravariant slot against one covariant slot.
-
-    Remaining slots keep their relative order.
-    """
-    if up_slot == down_slot:
-        raise ValueError("cannot contract a slot with itself")
-    if not (0 <= up_slot < t.rank and 0 <= down_slot < t.rank):
-        raise ValueError("slot index out of range")
-    if t.variance[up_slot] != UP or t.variance[down_slot] != DOWN:
-        raise ValueError(
-            f"contract needs (up, down) slots, got "
-            f"({t.variance[up_slot]}, {t.variance[down_slot]})"
-        )
-    comps = np.trace(t.components, axis1=up_slot, axis2=down_slot)
-    variance = tuple(v for i, v in enumerate(t.variance) if i not in (up_slot, down_slot))
-    return MultiTensor(t.dim, variance, comps)
-
 
 class MetricError(ValueError):
     """A metric is unusable: non-finite, not symmetric, not positive definite or badly inverted."""
@@ -142,7 +83,9 @@ def _defect(matrix: np.ndarray, inverse: np.ndarray | None) -> str | None:
         return "is not positive definite"
     if inverse is None:
         return None
-    if np.max(np.abs(matrix @ inverse - np.eye(matrix.shape[-1]))) > INVERSE_TOL:
+    defect = np.max(np.abs(matrix @ inverse - np.eye(matrix.shape[-1])))
+    # a non-finite inverse leaves a NaN defect, which no comparison passes
+    if not defect <= INVERSE_TOL:
         return "inverse does not invert the metric"
     return None
 
@@ -214,16 +157,6 @@ class MetricPair:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-    @property
-    def lower(self) -> MultiTensor:
-        """g_ab as a (0,2) tensor; a pair at one point only."""
-        return MultiTensor(self.dim, slots("dd"), self.matrix)
-
-    @property
-    def upper(self) -> MultiTensor:
-        """g^ab as a (2,0) tensor; a pair at one point only."""
-        return MultiTensor(self.dim, slots("uu"), self.inverse)
-
 
 def _tensordot_each(
     a: np.ndarray, b: np.ndarray, axes_a: tuple[int, ...], axes_b: tuple[int, ...]
@@ -247,33 +180,3 @@ def _tensordot_each(
 def _swap_slot_components(matrix: np.ndarray, comps: np.ndarray, slot: int) -> np.ndarray:
     """Contract ``matrix[n, a, b]`` with slot ``slot`` of ``comps[n, ...]`` at every point n."""
     return np.moveaxis(_tensordot_each(matrix, comps, (1,), (slot,)), 1, slot + 1)
-
-
-def _swap_slot(t: MultiTensor, slot: int, matrix: np.ndarray, new_variance: str) -> MultiTensor:
-    comps = _swap_slot_components(matrix[None], t.components[None], slot)[0]
-    variance = tuple(
-        new_variance if i == slot else v for i, v in enumerate(t.variance)
-    )
-    return MultiTensor(t.dim, variance, comps)
-
-
-def raise_slot(t: MultiTensor, slot: int, metric: MetricPair) -> MultiTensor:
-    """Convert a covariant slot to contravariant with g^ab."""
-    if not 0 <= slot < t.rank:
-        raise ValueError("slot index out of range")
-    if t.variance[slot] != DOWN:
-        raise ValueError("raise_slot expects a covariant slot")
-    if t.dim != metric.dim:
-        raise ValueError("tensor/metric dimension mismatch")
-    return _swap_slot(t, slot, metric.inverse, UP)
-
-
-def lower_slot(t: MultiTensor, slot: int, metric: MetricPair) -> MultiTensor:
-    """Convert a contravariant slot to covariant with g_ab."""
-    if not 0 <= slot < t.rank:
-        raise ValueError("slot index out of range")
-    if t.variance[slot] != UP:
-        raise ValueError("lower_slot expects a contravariant slot")
-    if t.dim != metric.dim:
-        raise ValueError("tensor/metric dimension mismatch")
-    return _swap_slot(t, slot, metric.matrix, DOWN)

@@ -7,25 +7,16 @@ import pytest
 from kenmotsu import (
     ChartManifold,
     ConnectionCoefficients,
+    CurvatureBundle,
     DifferentiationConfig,
     DomainError,
     MetricError,
     by_name,
     check_weyl,
-    covariant_derivative,
     levi_civita,
-    ricci,
-    riemann,
-    scalar_curvature,
 )
-from kenmotsu.charts import (
-    array_field_partials,
-    levi_civita_field,
-    ricci_from_riemann,
-    riemann_of_connection,
-    scalar_curvature_of,
-)
-from kenmotsu.tensors import MultiTensor, slots
+from kenmotsu.charts import _add_connection_terms, array_field_partials, riemann_of_connection
+from kenmotsu.tensors import slots
 
 CFG = DifferentiationConfig()
 
@@ -138,39 +129,40 @@ def test_levi_civita_is_symmetric_flag():
 @pytest.mark.parametrize("name", ["h3", "h5"])
 def test_riemann_matches_constant_curvature_oracle(name):
     ex = by_name(name)
-    for p in ex.sample_points(4, seed=2):
-        riem = riemann(ex.manifold, p, CFG)
+    points = ex.sample_points(4, seed=2)
+    riem = CurvatureBundle(ex.manifold, None, points, CFG).lc_riemann
+    for n, p in enumerate(points):
         oracle = constant_curvature_riemann(ex.manifold.metric_at(p))
-        assert np.max(np.abs(riem.components - oracle)) < 1e-10
+        assert np.max(np.abs(riem[n] - oracle)) < 1e-10
 
 
 def test_ricci_and_scalar_on_space_forms():
     for name, n in (("h3", 1), ("h5", 2)):
         ex = by_name(name)
         p = ex.sample_points(1, seed=3)[0]
-        ric = ricci(ex.manifold, p, CFG)
+        b = CurvatureBundle(ex.manifold, None, p, CFG)
         g = ex.manifold.metric_at(p)
-        assert np.max(np.abs(ric.components + 2.0 * n * g)) < 1e-10
-        r = scalar_curvature(ex.manifold, p, CFG)
-        assert abs(r + 2 * n * (2 * n + 1)) < 1e-9
+        assert np.max(np.abs(b.lc_ricci[0] + 2.0 * n * g)) < 1e-10
+        assert abs(b.lc_scalar[0] + 2 * n * (2 * n + 1)) < 1e-9
 
 
 def test_ne5_ricci_against_warped_product_oracle():
     ex = by_name("ne5")
-    for p in ex.sample_points(5, seed=9):
-        ric = ricci(ex.manifold, p, CFG)
-        assert np.max(np.abs(ric.components - ne5_ricci_oracle(p))) < 1e-9
+    points = ex.sample_points(5, seed=9)
+    ric = CurvatureBundle(ex.manifold, None, points, CFG).lc_ricci
+    for n, p in enumerate(points):
+        assert np.max(np.abs(ric[n] - ne5_ricci_oracle(p))) < 1e-9
 
 
 def test_ne5_frozen_point_values():
     ex = by_name("ne5")
     p = np.array([0.1, 1.5, 0.2, 0.3, 0.0])
-    ric = ricci(ex.manifold, p, CFG).components
+    b = CurvatureBundle(ex.manifold, None, p, CFG)
+    ric = b.lc_ricci[0]
     assert abs(ric[0, 0] - (-2.2222222222222223)) < 1e-10
     assert abs(ric[2, 2] - (-4.0)) < 1e-10
     assert abs(ric[4, 4] - (-4.0)) < 1e-10
-    r = scalar_curvature(ex.manifold, p, CFG)
-    assert abs(r - (-22.0)) < 1e-9  # -20 - 2 e^{-2t} at t = 0
+    assert abs(b.lc_scalar[0] - (-22.0)) < 1e-9  # -20 - 2 e^{-2t} at t = 0
 
 
 def test_richardson_improves_truncation_error():
@@ -191,7 +183,7 @@ def test_curvature_stencil_respects_domain():
     m = by_name("h3").manifold
     near_edge = np.array([0.0, 0.0, 0.99999])
     with pytest.raises(DomainError):
-        riemann(m, near_edge, CFG)
+        CurvatureBundle(m, None, near_edge, CFG).lc_riemann
 
 
 @pytest.mark.parametrize(
@@ -211,28 +203,30 @@ def test_metric_is_validated_at_stencil_points(bad):
     )
     chart.metric_pair_at(p)
     with pytest.raises(MetricError, match=re.escape(str(offset))):
-        riemann(chart, p, CFG)
+        CurvatureBundle(chart, None, p, CFG).lc_riemann
     # in a batch, the error names the offset of the point it belongs to
     with pytest.raises(MetricError, match=re.escape(str(offset))):
         check_weyl(chart, [np.array([-0.5, 0.0, 0.0]), p], CFG)
 
 
 def test_metric_compatibility_of_levi_civita():
+    # the finite-difference partials of g made covariant with the record's
+    # Levi-Civita symbols
     ex = by_name("h5")
-    m = ex.manifold
-    metric_field = lambda q: MultiTensor(5, slots("dd"), m.metric(q))
-    for p in ex.sample_points(3, seed=4):
-        grad = covariant_derivative(m, metric_field, levi_civita_field(m, CFG), p, CFG)
-        assert grad.variance == slots("ddd")
-        assert np.max(np.abs(grad.components)) < 1e-10
+    b = CurvatureBundle(ex.manifold, None, ex.sample_points(3, seed=4), CFG)
+    grad = _add_connection_terms(b.dg_fd, b.metric.matrix, slots("dd"), b.lc_gamma)
+    assert grad.shape == (3, 5, 5, 5)
+    assert np.max(np.abs(grad)) < 1e-10
 
 
 def test_covariant_derivative_of_constant_field_flat():
     m = by_name("euclidean3").manifold
-    vec = lambda q: MultiTensor(3, slots("u"), np.array([1.0, 2.0, -1.0]))
-    grad = covariant_derivative(m, vec, levi_civita_field(m, CFG), np.zeros(3), CFG)
-    assert grad.variance == slots("du")
-    assert np.max(np.abs(grad.components)) < 1e-12
+    vec = np.array([1.0, 2.0, -1.0])
+    partials = array_field_partials(lambda q: vec, np.zeros(3), CFG)
+    gamma = levi_civita(m, np.zeros(3), CFG).gamma
+    grad = _add_connection_terms(partials[None], vec[None], slots("u"), gamma[None])
+    assert grad.shape == (1, 3, 3)
+    assert np.max(np.abs(grad)) < 1e-12
 
 
 def test_riemann_of_connection_arbitrary_coefficients():
@@ -245,13 +239,5 @@ def test_riemann_of_connection_arbitrary_coefficients():
     riem = riemann_of_connection(m, field, np.zeros(3), CFG)
     q1 = np.einsum("lim,mjk->lijk", const, const)
     expected = q1 - q1.transpose(0, 2, 1, 3)
-    assert np.max(np.abs(riem.components - expected)) < 1e-9
-
-
-def test_contraction_helpers_validate_variance():
-    bad = MultiTensor(3, slots("dddd"), np.zeros((3,) * 4))
-    with pytest.raises(ValueError):
-        ricci_from_riemann(bad)
-    pair = by_name("h3").manifold.metric_pair_at(np.zeros(3))
-    with pytest.raises(ValueError):
-        scalar_curvature_of(MultiTensor(3, slots("ud"), np.eye(3)), pair)
+    assert riem.shape == (3, 3, 3, 3)
+    assert np.max(np.abs(riem - expected)) < 1e-9

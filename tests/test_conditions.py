@@ -5,6 +5,7 @@ import pytest
 
 from kenmotsu import (
     ChartManifold,
+    CurvatureBundle,
     DifferentiationConfig,
     NonMetricConnection,
     by_name,
@@ -12,77 +13,53 @@ from kenmotsu import (
     check_semisymmetry_condition,
     check_weyl,
     check_weyl_commutation,
-    derivation_action,
-    einstein_fit,
-    lower_slot,
-    metric_wedge,
-    ricci,
-    riemann,
-    scalar_curvature,
-    tachibana,
-    weyl_tensor,
-    weyl_trace_residual,
 )
-from kenmotsu.charts import ricci_from_riemann
-from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, curvature_bundle
-from kenmotsu.tensors import MultiTensor, slots
+from kenmotsu.conditions import _action_on_all_pairs, _wedge, _weyl_trace
+from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, _fit_operators, curvature_bundle
+from kenmotsu.report import per_point
+from kenmotsu.tensors import _swap_slot_components
 
 CFG = DifferentiationConfig()
 
 
+def lc_record(name, count, seed):
+    """The Levi-Civita geometry of a catalog chart at its sample points."""
+    ex = by_name(name)
+    return CurvatureBundle(ex.manifold, None, ex.sample_points(count, seed=seed), CFG)
+
+
 def test_metric_wedge_spot_values():
     pair = by_name("euclidean3").manifold.metric_pair_at(np.zeros(3))
-    wedge = metric_wedge(pair).components
+    wedge = _wedge(pair.matrix)
     # (e_i wedge e_j) e_z = d_jz e_i - d_iz e_j on the flat chart
     assert wedge[0, 0, 1, 1] == 1.0
     assert wedge[1, 0, 1, 0] == -1.0
     assert wedge[2, 0, 1, 2] == 0.0
 
 
-def test_derivation_action_rank_and_variance_guards():
-    pair = by_name("h3").manifold.metric_pair_at(np.zeros(3))
-    wedge = metric_wedge(pair)
-    with pytest.raises(ValueError):
-        derivation_action(wedge, MultiTensor(3, slots("ddd"), np.zeros((3, 3, 3))))
-    with pytest.raises(ValueError):
-        derivation_action(wedge, MultiTensor(3, slots("ud"), np.eye(3)))
-    with pytest.raises(ValueError):
-        derivation_action(pair.lower, pair.lower)
-
-
 def test_curvature_acts_trivially_on_its_metric():
     # Levi-Civita curvature endomorphisms are g-skew, so R . g = 0
-    ex = by_name("h3")
-    p = ex.sample_points(1, seed=1)[0]
-    riem = riemann(ex.manifold, p, CFG)
-    pair = ex.manifold.metric_pair_at(p)
-    acted = derivation_action(riem, pair.lower)
-    assert acted.variance == slots("dddd")
-    assert np.max(np.abs(acted.components)) < 1e-6
+    b = lc_record("h3", 1, seed=1)
+    acted = _action_on_all_pairs(b.lc_riemann, b.metric.matrix, 2)
+    assert acted.shape == (1, 3, 3, 3, 3)
+    assert np.max(np.abs(acted)) < 1e-6
 
 
 def test_curvature_annihilates_proportional_ricci_on_h3():
-    ex = by_name("h3")
-    p = ex.sample_points(1, seed=2)[0]
-    riem = riemann(ex.manifold, p, CFG)
-    ric = ricci_from_riemann(riem)
-    acted = derivation_action(riem, ric)
-    assert np.max(np.abs(acted.components)) < 1e-5
+    b = lc_record("h3", 1, seed=2)
+    acted = _action_on_all_pairs(b.lc_riemann, b.lc_ricci, 2)
+    assert np.max(np.abs(acted)) < 1e-5
 
 
 def test_curvature_action_on_ricci_nonzero_on_ne5():
-    ex = by_name("ne5")
-    p = ex.sample_points(1, seed=3)[0]
-    riem = riemann(ex.manifold, p, CFG)
-    acted = derivation_action(riem, ricci_from_riemann(riem))
-    assert np.max(np.abs(acted.components)) > 0.01
+    b = lc_record("ne5", 1, seed=3)
+    acted = _action_on_all_pairs(b.lc_riemann, b.lc_ricci, 2)
+    assert np.max(np.abs(acted)) > 0.01
 
 
 def test_action_antisymmetric_in_trailing_pair():
-    ex = by_name("ne5")
-    p = ex.sample_points(1, seed=4)[0]
-    riem = riemann(ex.manifold, p, CFG)
-    acted = derivation_action(riem, ricci_from_riemann(riem)).components
+    b = lc_record("ne5", 1, seed=4)
+    acted = _action_on_all_pairs(b.lc_riemann, b.lc_ricci, 2)[0]
     assert np.max(np.abs(acted + acted.swapaxes(-1, -2))) < 1e-12
     # equal trailing arguments give exact zero by that antisymmetry
     for i in range(5):
@@ -93,27 +70,23 @@ def test_tachibana_of_metric_vanishes():
     for name in ("euclidean3", "h3", "h5", "ne5"):
         ex = by_name(name)
         p = ex.sample_points(1, seed=5)[0]
-        pair = ex.manifold.metric_pair_at(p)
-        q = tachibana(pair, pair.lower)
-        assert np.max(np.abs(q.components)) < 1e-12, name
+        g = ex.manifold.metric_pair_at(p).matrix[None]
+        q = _action_on_all_pairs(_wedge(g), g, 2)
+        assert np.max(np.abs(q)) < 1e-12, name
 
 
 def test_tachibana_annihilates_space_form_curvature():
-    ex = by_name("h3")
-    p = ex.sample_points(1, seed=6)[0]
-    pair = ex.manifold.metric_pair_at(p)
-    riem4 = lower_slot(riemann(ex.manifold, p, CFG), 0, pair)
-    q = tachibana(pair, riem4)
-    assert np.max(np.abs(q.components)) < 1e-5
+    b = lc_record("h3", 1, seed=6)
+    g = b.metric.matrix
+    riem4 = _swap_slot_components(g, b.lc_riemann, 0)
+    q = _action_on_all_pairs(_wedge(g), riem4, 4)
+    assert np.max(np.abs(q)) < 1e-5
 
 
 def test_tachibana_nonzero_on_anisotropic_ricci():
-    ex = by_name("ne5")
-    p = ex.sample_points(1, seed=7)[0]
-    pair = ex.manifold.metric_pair_at(p)
-    ric = ricci(ex.manifold, p, CFG)
-    q = tachibana(pair, ric)
-    assert np.max(np.abs(q.components)) > 0.01
+    b = lc_record("ne5", 1, seed=7)
+    q = _action_on_all_pairs(_wedge(b.metric.matrix), b.lc_ricci, 2)
+    assert np.max(np.abs(q)) > 0.01
 
 
 @pytest.mark.parametrize("name,tol", [("h3", 1e-5), ("h5", 1e-5), ("ne5", 1e-4)])
@@ -131,15 +104,13 @@ def test_einstein_fit_recovers_exact_combinations():
     pair = ex.manifold.metric_pair_at(p)
     xi = ex.structure.xi(p)
     eta = ex.structure.eta(p)
-    fit = einstein_fit(pair.lower, pair, xi, eta, fit_eta=False)
+    fit = _fit_operators((pair.inverse @ pair.matrix)[None], joint=True)
     assert fit.a == pytest.approx(1.0, abs=1e-12)
     assert fit.b == 0.0
     assert fit.residual < 1e-12
     # a made-up eta-einstein tensor is recovered exactly
-    target = MultiTensor(
-        3, slots("dd"), 1.5 * pair.matrix - 0.25 * np.outer(eta, eta)
-    )
-    fit2 = einstein_fit(target, pair, xi, eta, fit_eta=True)
+    target = 1.5 * pair.matrix - 0.25 * np.outer(eta, eta)
+    fit2 = _fit_operators((pair.inverse @ target)[None], xi[None], eta[None], joint=True)
     assert fit2.a == pytest.approx(1.5, abs=1e-10)
     assert fit2.b == pytest.approx(-0.25, abs=1e-10)
     assert fit2.residual < 1e-10
@@ -157,8 +128,6 @@ def _lstsq_fit(ops, xi, eta):
 
 @pytest.mark.parametrize("fit_eta", [False, True], ids=["plain", "eta"])
 def test_closed_form_fits_equal_least_squares(fit_eta):
-    from kenmotsu.connection import _fit_operators
-
     rng = np.random.default_rng(4)
     ops = rng.normal(size=(7, 5, 5))
     xi, eta = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
@@ -219,26 +188,20 @@ def test_semisymmetry_condition_fails_on_ne5():
 
 def test_weyl_vanishes_in_dimension_three():
     for name in ("euclidean3", "h3"):
-        ex = by_name(name)
-        p = ex.sample_points(1, seed=12)[0]
-        c = weyl_tensor(ex.manifold, p, CFG)
-        assert np.max(np.abs(c.components)) < 1e-9, name
+        c = lc_record(name, 1, seed=12).weyl
+        assert np.max(np.abs(c)) < 1e-9, name
 
 
 def test_weyl_vanishes_on_space_form_h5():
-    ex = by_name("h5")
-    for p in ex.sample_points(3, seed=13):
-        c = weyl_tensor(ex.manifold, p, CFG)
-        assert np.max(np.abs(c.components)) < 1e-9
+    c = lc_record("h5", 3, seed=13).weyl
+    assert np.max(np.abs(c)) < 1e-9
 
 
 def test_weyl_traceless_but_nonzero_on_ne5():
-    ex = by_name("ne5")
-    for p in ex.sample_points(3, seed=14):
-        pair = ex.manifold.metric_pair_at(p)
-        c = weyl_tensor(ex.manifold, p, CFG)
-        assert weyl_trace_residual(c, pair) < 1e-9
-        assert np.max(np.abs(c.components)) > 0.01
+    b = lc_record("ne5", 3, seed=14)
+    trace = _weyl_trace(b.weyl, b.metric.matrix, b.metric.inverse)
+    assert np.all(trace < 1e-9)
+    assert np.all(per_point(b.weyl) > 0.01)
 
 
 def test_check_weyl_report_names():
@@ -298,8 +261,8 @@ def _generic_chart() -> ChartManifold:
 @pytest.mark.parametrize("name", ["h5", "ne5", "generic", "generic-chunks"])
 def test_weyl_commutation_on_pairs_equals_full_actions(name):
     # the check takes the rank-6 actions on the pairs X < Y of the
-    # endomorphisms and of the target's middle slots; the public per-point
-    # actions take them on every (X,Y).  The catalog's curvatures vanish on
+    # endomorphisms and of the target's middle slots; the reference here
+    # takes them on every (X,Y).  The catalog's curvatures vanish on
     # many pairs; the generic chart's on none.  "generic-chunks" spans
     # several chunks of points, so a chunk boundary that misaligns points
     # and residuals fails it.
@@ -316,29 +279,25 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
         # values per point in dim 5
         assert len(_chunk_ranges(len(points), 8 * 2 * 10 * 5 * 10 * 5)) >= 3
     report = check_weyl_commutation(manifold, points, CFG)
-    full = {key: [] for key in report.extras}
-    for p in points:
-        pair = manifold.metric_pair_at(p)
-        riem = riemann(manifold, p, CFG)
-        weyl = weyl_tensor(manifold, p, CFG)
-        r = scalar_curvature(manifold, p, CFG)
-        riem4, weyl4 = lower_slot(riem, 0, pair), lower_slot(weyl, 0, pair)
-        commutator = (
-            derivation_action(weyl, riem4).components - derivation_action(riem, weyl4).components
-        )
-        q_riem = tachibana(pair, riem4).components
-        values = {
-            "commutator": commutator,
-            "tachibana-riemann": q_riem,
-            "tachibana-weyl": tachibana(pair, weyl4).components,
-            "relation-total-dim": commutator + r / (m * (m - 1)) * q_riem,
-            "relation-contact-n": commutator + r / (n * (n - 1)) * q_riem,
-        }
-        for key, value in values.items():
-            assert value.shape == (m,) * 6
-            full[key].append(np.max(np.abs(value)))
-    for key, maxima in full.items():
-        np.testing.assert_allclose(report.extras[key], max(maxima), rtol=1e-12, err_msg=key)
+    b = CurvatureBundle(manifold, None, points, CFG)
+    g, riem, weyl = b.metric.matrix, b.lc_riemann, b.weyl
+    r = b.lc_scalar.reshape((-1,) + (1,) * 6)
+    riem4, weyl4 = _swap_slot_components(g, riem, 0), _swap_slot_components(g, weyl, 0)
+    commutator = _action_on_all_pairs(weyl, riem4, 4) - _action_on_all_pairs(riem, weyl4, 4)
+    q_riem = _action_on_all_pairs(_wedge(g), riem4, 4)
+    values = {
+        "commutator": commutator,
+        "tachibana-riemann": q_riem,
+        "tachibana-weyl": _action_on_all_pairs(_wedge(g), weyl4, 4),
+        "relation-total-dim": commutator + r / (m * (m - 1)) * q_riem,
+        "relation-contact-n": commutator + r / (n * (n - 1)) * q_riem,
+    }
+    assert values.keys() == report.extras.keys()
+    full = {}
+    for key, value in values.items():
+        assert value.shape == (len(points),) + (m,) * 6
+        full[key] = per_point(value)
+        np.testing.assert_allclose(report.extras[key], max(full[key]), rtol=1e-12, err_msg=key)
     magnitudes = ("commutator", "tachibana-riemann", "tachibana-weyl")
     headline = np.max([full[key] for key in magnitudes], axis=0)
     np.testing.assert_allclose([q.residual for q in report.points], headline, rtol=1e-12)
