@@ -30,7 +30,6 @@ from .conditions import (
 from .connection import (
     CurvatureBundle,
     NonMetricConnection,
-    build_connection,
     check_curvature_relation,
     check_deformation_form,
     check_nonmetricity,
@@ -39,7 +38,7 @@ from .connection import (
     check_torsion,
     curvature_bundle,
 )
-from .report import IdentityResidualReport, PointResidual
+from .report import IdentityResidualReport
 from .structure import (
     AlmostContactStructure,
     StructureError,
@@ -64,11 +63,9 @@ __all__ = [
     "MetricPair",
     "NamedExample",
     "NonMetricConnection",
-    "PointResidual",
     "SemisymmetryVerdict",
     "StructureError",
     "batched",
-    "build_connection",
     "by_name",
     "catalog",
     "check_almost_contact",

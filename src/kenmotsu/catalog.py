@@ -57,8 +57,8 @@ class NamedExample:
     def n(self) -> int:
         return self.manifold.n
 
-    def sample_points(self, count: int, seed: int, step: float = 1e-4) -> list[np.ndarray]:
-        """Deterministic uniform draws from the sample box, shrunk by 10*step.
+    def sample_points(self, count: int, seed: int, step: float = 1e-4) -> np.ndarray:
+        """(count, dim) deterministic uniform draws from the sample box, shrunk by 10*step.
 
         The per-example stream is keyed by (seed, crc32(name)) so reports
         are reproducible across runs and machines regardless of catalog
@@ -72,8 +72,7 @@ class NamedExample:
         highs = np.array([hi - margin for _, hi in self.sample_box])
         if np.any(lows >= highs):
             raise ValueError("step too large for the sample box")
-        draws = rng.uniform(lows, highs, size=(count, self.manifold.dim))
-        return [draws[i].copy() for i in range(count)]
+        return rng.uniform(lows, highs, size=(count, self.manifold.dim))
 
 
 def _planar_phi(dim: int) -> np.ndarray:

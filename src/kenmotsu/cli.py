@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .catalog import NamedExample, by_name, catalog
 from .charts import DifferentiationConfig, DomainError, MetricError
 from .conditions import (
+    EINSTEIN_FIT_THRESHOLD,
     check_derivation_identity,
     check_semisymmetry_condition,
     check_weyl,
@@ -44,9 +45,6 @@ from .structure import (
 )
 
 SUITE_ORDER = tuple(dict.fromkeys(identity.suite for identity in IDENTITIES.values()))
-
-# threshold on the joint Einstein fit residual, in (1,1) components
-EINSTEIN_FIT_THRESHOLD = 1e-4
 
 # a chart or structure that cannot be evaluated at a sample point: an error
 # row in the report, never a traceback
@@ -210,32 +208,29 @@ class RunReport:
 
 
 class _ManifoldRunner:
-    """Runs suites for one example, sharing sample points, geometry and verdicts."""
+    """Runs suites for one example, sharing its geometry record and verdicts."""
 
     def __init__(self, example: NamedExample, config: RunConfig):
         self.example = example
         self.config = config
-        self.cfg = DifferentiationConfig(step=config.step, richardson=config.richardson)
         try:
-            self.points = example.sample_points(
+            points = example.sample_points(
                 config.num_points, config.seed, config.step
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        self.conn = NonMetricConnection(example.manifold, example.structure)
+        cfg = DifferentiationConfig(step=config.step, richardson=config.richardson)
         # a chart or structure that fails at a sample point makes every
         # suite an error row with this message
         self.error: str | None = None
         try:
             # the geometry of every sample point, computed on first use for
             # all of them at once and read by every suite
-            self.geometry = curvature_bundle(self.conn, self.points, self.cfg)
-            self.axioms = self._stamped(
-                check_almost_contact(example.manifold, example.structure, self.geometry)
+            self.geometry = curvature_bundle(
+                NonMetricConnection(example.manifold, example.structure), points, cfg
             )
-            self.kenmotsu = self._stamped(
-                check_kenmotsu(example.manifold, example.structure, self.geometry, self.cfg)
-            )
+            self.axioms = self._stamped(check_almost_contact(self.geometry))
+            self.kenmotsu = self._stamped(check_kenmotsu(self.geometry))
         except _NUMERICAL_ERRORS as exc:
             self.error = str(exc)
         self.verdicts: dict = {
@@ -271,7 +266,31 @@ class _ManifoldRunner:
         expected = None
         if report.status == "ok":
             expected = all(getattr(ex, f"expected_{flag}") for flag in identity.expect)
+        self._read_verdicts(report)
         return IdentityEntry(self._stamped(report), expected=expected)
+
+    def _read_verdicts(self, report: IdentityResidualReport) -> None:
+        """Take the verdicts a row carries: the joint fits and scalar means, the scalar shift."""
+        extras = report.extras
+        if report.identity == "semisymmetry-condition":
+            self.verdicts.update(
+                {
+                    "einstein": extras["einstein-residual"] < EINSTEIN_FIT_THRESHOLD,
+                    "einstein_fit": {
+                        "a": extras["einstein-a"],
+                        "residual": extras["einstein-residual"],
+                    },
+                    "eta_einstein_fit": {
+                        "a": extras["eta-einstein-a"],
+                        "b": extras["eta-einstein-b"],
+                        "residual": extras["eta-einstein-residual"],
+                    },
+                    "mean_scalar": extras["mean-scalar"],
+                    "mean_modified_scalar": extras["mean-modified-scalar"],
+                }
+            )
+        elif report.identity == "scalar-cross-check" and self.example.expected_kenmotsu:
+            self.verdicts["scalar_shift_deviation"] = report.max_residual
 
     def run_suite(self, suite: str) -> SuiteOutcome:
         if self.error is not None:
@@ -297,55 +316,28 @@ class _ManifoldRunner:
         return [self.kenmotsu]
 
     def _suite_curvature(self) -> list[IdentityResidualReport]:
-        ex = self.example
-        return check_curvature_identities(ex.manifold, ex.structure, self.geometry, self.cfg)
+        return check_curvature_identities(self.geometry)
 
     def _suite_connection(self) -> list[IdentityResidualReport]:
-        args = (self.conn, self.geometry, self.cfg)
-        reports = [
-            check_torsion(*args),
-            check_nonmetricity(*args),
-            check_reeb_transport(*args),
-            check_deformation_form(*args),
+        geometry = self.geometry
+        return [
+            check_torsion(geometry),
+            check_nonmetricity(geometry),
+            check_reeb_transport(geometry),
+            check_deformation_form(geometry),
+            *check_curvature_relation(geometry),
         ]
-        riemann, ricci, scalar, symmetry = check_curvature_relation(*args)
-        if self.example.expected_kenmotsu:
-            self.verdicts["scalar_shift_deviation"] = scalar.max_residual
-        return reports + [riemann, ricci, scalar, symmetry]
 
     def _suite_irregularity(self) -> list[IdentityResidualReport]:
-        return [check_reeb_curvature_degeneracy(self.conn, self.geometry, self.cfg)]
+        return [check_reeb_curvature_degeneracy(self.geometry)]
 
     def _suite_semisymmetry(self) -> list[IdentityResidualReport]:
-        derivation = check_derivation_identity(self.conn, self.geometry, self.cfg)
-        verdict = check_semisymmetry_condition(self.conn, self.geometry, self.cfg)
-        self.verdicts.update(
-            {
-                "einstein": verdict.ricci_fit.residual < EINSTEIN_FIT_THRESHOLD,
-                "einstein_fit": {
-                    "a": verdict.ricci_fit.a,
-                    "residual": verdict.ricci_fit.residual,
-                },
-                "eta_einstein_fit": {
-                    "a": verdict.modified_ricci_fit.a,
-                    "b": verdict.modified_ricci_fit.b,
-                    "residual": verdict.modified_ricci_fit.residual,
-                },
-                "mean_scalar": verdict.scalar_mean,
-                "mean_modified_scalar": verdict.modified_scalar_mean,
-            }
-        )
+        derivation = check_derivation_identity(self.geometry)
+        verdict = check_semisymmetry_condition(self.geometry)
         return [derivation, verdict.condition, *verdict.companions]
 
     def _suite_weyl(self) -> list[IdentityResidualReport]:
-        manifold = self.example.manifold
-        # the relation is gated where the Levi-Civita Ricci fits a*g at every point
-        residuals = self.geometry.lc_einstein_fits.residual
-        einstein = bool(residuals.max() < EINSTEIN_FIT_THRESHOLD)
-        return [
-            *check_weyl(manifold, self.geometry, self.cfg),
-            check_weyl_commutation(manifold, self.geometry, self.cfg, einstein=einstein),
-        ]
+        return [*check_weyl(self.geometry), check_weyl_commutation(self.geometry)]
 
     def outcome(self, requested: tuple[str, ...]) -> ManifoldOutcome:
         out = ManifoldOutcome(name=self.example.name, dim=self.example.manifold.dim)

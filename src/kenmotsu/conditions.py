@@ -28,17 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import ChartManifold, DifferentiationConfig
 from .connection import (
+    CurvatureBundle,
     EinsteinFit,
-    NonMetricConnection,
-    _bundle,
     _chunk_ranges,
     _fit_operators,
     _mean,
 )
 from .report import IdentityResidualReport, new_report, per_point
 from .tensors import _swap_slot_components, _tensordot_each
+
+# threshold on an Einstein fit residual, in (1,1) components: the CLI's
+# einstein verdict reads the joint fit, the Weyl commutation the largest
+# per-point fit
+EINSTEIN_FIT_THRESHOLD = 1e-4
 
 
 def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
@@ -174,25 +177,20 @@ def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
     )
 
 
-def check_derivation_identity(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the derivation-action identity relating both connections.
 
     Left side from the direct modified curvature and its contraction, right
     side from Levi-Civita data; holds on every Kenmotsu chart, Einstein or
     not, so it is an end-to-end test of the whole pipeline.
     """
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    lhs = _action_on_all_pairs(b.riemann, b.ricci, 2)
-    rhs = _action_on_all_pairs(b.lc_riemann, b.lc_ricci, 2) + _semisymmetry_defect(
-        b.metric.matrix, b.lc_ricci
+    lc_ricci = geometry.lc_ricci
+    lhs = _action_on_all_pairs(geometry.riemann, geometry.ricci, 2)
+    rhs = _action_on_all_pairs(geometry.lc_riemann, lc_ricci, 2) + _semisymmetry_defect(
+        geometry.metric.matrix, lc_ricci
     )
-    report = new_report("derivation-identity", tol)
-    report.add_points(b.p, per_point(lhs - rhs))
+    report = new_report("derivation-identity")
+    report.add_points(geometry.p, per_point(lhs - rhs))
     return report
 
 
@@ -200,67 +198,57 @@ def check_derivation_identity(
 class SemisymmetryVerdict:
     """Outcome of the semi-symmetry comparison over a set of points.
 
-    ``condition`` is the four-term bracket residual report; ``holds`` is its
-    pass flag.  The fits are joint across all points; ``companions`` carries
-    per-point reports for the four numeric consequences of the condition
-    (Einstein fit a = -2n, operator fit (a,b) = (2,-2) for the modified
-    Ricci, and the two constant-scalar targets), so a runner can print them
-    as rows next to the condition itself.
+    ``condition`` is the four-term bracket residual report.  The fits are
+    joint across all points; ``companions`` carries per-point reports for
+    the four numeric consequences of the condition (Einstein fit a = -2n,
+    operator fit (a,b) = (2,-2) for the modified Ricci, and the two
+    constant-scalar targets), so a runner can print them as rows next to
+    the condition itself.
     """
 
     condition: IdentityResidualReport
-    holds: bool
     ricci_fit: EinsteinFit
     modified_ricci_fit: EinsteinFit
     scalar_mean: float
     modified_scalar_mean: float
-    scalar_deviation: float
-    modified_scalar_deviation: float
     companions: list[IdentityResidualReport]
 
 
-def check_semisymmetry_condition(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-    fit_tol: float | None = None,
-    scalar_tol: float | None = None,
-) -> SemisymmetryVerdict:
+def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdict:
     """Evaluate the four-term bracket and the consequences of it vanishing.
 
     When the bracket vanishes the chain forces S = -2n g,
     r = -2n(2n+1), ric_K = 2g - 2 eta (x) eta and scal_K = 4n; the verdict
     carries joint Einstein fits of S (b forced to 0) and of ric_K (free
-    a, b) plus the scalar means and worst deviations from those targets.
+    a, b) plus the scalar means; the companion rows hold the per-point
+    deviations from those targets.
     """
-    n = conn.manifold.n
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    g, ginv, xi, eta = b.metric.matrix, b.metric.inverse, b.xi, b.eta
-    defect = _semisymmetry_defect(g, b.lc_ricci)
+    n, p = geometry.manifold.n, geometry.p
+    g, ginv, xi, eta = geometry.metric.matrix, geometry.metric.inverse, geometry.xi, geometry.eta
+    defect = _semisymmetry_defect(g, geometry.lc_ricci)
     # normalize with the inverse metric on the Z slot so the residual is
     # scale-free, matching the (1,1) convention of the fits
     defect_norm = np.einsum("...az,...zuij->...auij", ginv, defect)
-    report = new_report("semisymmetry-condition", tol)
-    report.add_points(b.p, per_point(defect_norm))
-    plain_ops = ginv @ b.lc_ricci
-    modified_ops = ginv @ b.ricci
-    einstein_row = new_report("einstein-ricci-fit", fit_tol)
-    plain = b.lc_einstein_fits
-    einstein_row.add_points(b.p, np.maximum(np.abs(plain.a + 2.0 * n), plain.residual))
-    eta_row = new_report("eta-einstein-fit", fit_tol)
+    report = new_report("semisymmetry-condition")
+    report.add_points(p, per_point(defect_norm))
+    plain_ops = ginv @ geometry.lc_ricci
+    modified_ops = ginv @ geometry.ricci
+    einstein_row = new_report("einstein-ricci-fit")
+    plain = geometry.lc_einstein_fits
+    einstein_row.add_points(p, np.maximum(np.abs(plain.a + 2.0 * n), plain.residual))
+    eta_row = new_report("eta-einstein-fit")
     modified = _fit_operators(modified_ops, xi, eta)
     eta_row.add_points(
-        b.p,
+        p,
         np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
     )
-    scalar_row = new_report("scalar-curvature-constant", scalar_tol)
-    scalar_row.add_points(b.p, np.abs(b.lc_scalar + 2.0 * n * (2 * n + 1)))
-    mod_scalar_row = new_report("modified-scalar-constant", scalar_tol)
-    mod_scalar_row.add_points(b.p, np.abs(b.scalar - 4.0 * n))
+    scalar_row = new_report("scalar-curvature-constant")
+    scalar_row.add_points(p, np.abs(geometry.lc_scalar + 2.0 * n * (2 * n + 1)))
+    mod_scalar_row = new_report("modified-scalar-constant")
+    mod_scalar_row.add_points(p, np.abs(geometry.scalar - 4.0 * n))
     ricci_fit = _fit_operators(plain_ops, joint=True)
     modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
-    scalar_mean, modified_scalar_mean = _mean(b.lc_scalar), _mean(b.scalar)
+    scalar_mean, modified_scalar_mean = _mean(geometry.lc_scalar), _mean(geometry.scalar)
     report.extras.update(
         {
             "einstein-a": ricci_fit.a,
@@ -284,13 +272,10 @@ def check_semisymmetry_condition(
     mod_scalar_row.extras["target"] = 4.0 * n
     return SemisymmetryVerdict(
         condition=report,
-        holds=report.passed,
         ricci_fit=ricci_fit,
         modified_ricci_fit=modified_fit,
         scalar_mean=scalar_mean,
         modified_scalar_mean=modified_scalar_mean,
-        scalar_deviation=scalar_row.max_residual,
-        modified_scalar_deviation=mod_scalar_row.max_residual,
         companions=[einstein_row, eta_row, scalar_row, mod_scalar_row],
     )
 
@@ -306,13 +291,7 @@ def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray
     return worst
 
 
-def check_weyl_commutation(
-    manifold: ChartManifold,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-    einstein: bool = False,
-) -> IdentityResidualReport:
+def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Commutator of the Weyl and curvature actions against Tachibana terms.
 
     On an Einstein chart of dimension m >= 5 with scalar curvature r,
@@ -320,8 +299,10 @@ def check_weyl_commutation(
     Q(g, g wedge g) = 0 give C . R - R . C = -[r / (m(m-1))] Q(g,R) and
     Q(g,C) = Q(g,R).  On the catalog's Einstein example C, C . R - R . C
     and Q(g,R) all vanish individually, so the check is degenerate and
-    asserts each is below tolerance.  Off the Einstein case the report is
-    informational: it records the three magnitudes and the residual of the
+    asserts each is below tolerance.  The chart counts as Einstein where
+    the Levi-Civita Ricci operator fits a*I at every point, each fit
+    residual below :data:`EINSTEIN_FIT_THRESHOLD`.  Off the Einstein case
+    the report is informational: it records the three magnitudes and the residual of the
     scaled relation under the total-dimension scale r / (m(m-1)), the one
     above, and under the contact-n scale r / (n(n-1)).
 
@@ -339,17 +320,15 @@ def check_weyl_commutation(
     bit for bit.  The work runs over chunks of points so that memory stays
     bounded.
     """
-    report = new_report("weyl-tachibana", tol)
-    if manifold.dim < 5:
+    report = new_report("weyl-tachibana")
+    m, n = geometry.manifold.dim, geometry.manifold.n
+    if m < 5:
         report.status = "not-applicable"
         report.note = "conformal tensor is identically zero in dimension 3"
         return report
-    if not einstein:
+    if not geometry.lc_einstein_fits.residual.max() < EINSTEIN_FIT_THRESHOLD:
         report.status = "info"
         report.note = "Einstein hypothesis fails here; magnitudes recorded only"
-    m = manifold.dim
-    n = manifold.n
-    b = _bundle(manifold, None, points, cfg)
     keys = ("commutator", "tachibana-riemann", "tachibana-weyl",
             "relation-total-dim", "relation-contact-n")
     mags = {k: [] for k in keys}
@@ -357,12 +336,12 @@ def check_weyl_commutation(
     pairs = len(tables[0])
     # the largest array of a chunk is a stacked action: two families of
     # pairs endomorphisms acting on a (0,4) array with a 2-form in its middle
-    for lo, hi in _chunk_ranges(len(b.p), 8 * 2 * pairs * m**2 * pairs):
+    for lo, hi in _chunk_ranges(len(geometry.p), 8 * 2 * pairs * m**2 * pairs):
         maxima = _commutation_maxima(
-            b.metric.matrix[lo:hi],
-            b.lc_riemann[lo:hi],
-            b.weyl[lo:hi],
-            b.lc_scalar[lo:hi],
+            geometry.metric.matrix[lo:hi],
+            geometry.lc_riemann[lo:hi],
+            geometry.weyl[lo:hi],
+            geometry.lc_scalar[lo:hi],
             n,
             tables,
         )
@@ -370,25 +349,20 @@ def check_weyl_commutation(
             mags[key].append(value)
     mags = {k: np.concatenate(v) for k, v in mags.items()}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
-    report.add_points(b.p, headline)
+    report.add_points(geometry.p, headline)
     report.extras.update({k: float(np.max(v)) for k, v in mags.items()})
     return report
 
 
 def check_weyl(
-    manifold: ChartManifold,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    trace_tol: float | None = None,
-    vanish_tol: float | None = None,
+    geometry: CurvatureBundle,
 ) -> tuple[IdentityResidualReport, IdentityResidualReport, IdentityResidualReport]:
     """Tracelessness, vanishing, and metric-Tachibana sanity in one sweep."""
-    b = _bundle(manifold, None, points, cfg)
-    g = b.metric.matrix
-    traceless = new_report("weyl-traceless", trace_tol)
-    traceless.add_points(b.p, _weyl_trace(b.weyl, g, b.metric.inverse))
-    vanishing = new_report("weyl-vanishing", vanish_tol)
-    vanishing.add_points(b.p, per_point(b.weyl))
+    p, g, weyl = geometry.p, geometry.metric.matrix, geometry.weyl
+    traceless = new_report("weyl-traceless")
+    traceless.add_points(p, _weyl_trace(weyl, g, geometry.metric.inverse))
+    vanishing = new_report("weyl-vanishing")
+    vanishing.add_points(p, per_point(weyl))
     metric_q = new_report("tachibana-metric")
-    metric_q.add_points(b.p, per_point(_action_on_all_pairs(_wedge(g), g, 2)))
+    metric_q.add_points(p, per_point(_action_on_all_pairs(_wedge(g), g, 2)))
     return traceless, vanishing, metric_q

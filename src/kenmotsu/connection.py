@@ -19,8 +19,8 @@ consumes the direct computation; the closed form only feeds cross-checks.
 
 :class:`CurvatureBundle` is the geometry every check reads, computed for a
 whole batch of points at once: each ``check_*`` function of the package
-accepts a bundle in place of its list of points, so one bundle per chart
-serves every identity.
+takes one bundle and nothing else, so one bundle per chart serves every
+identity.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .charts import (
     stencil_partials,
 )
 from .report import IdentityResidualReport, new_report, per_point
-from .structure import AlmostContactStructure, StructureError, check_almost_contact
+from .structure import AlmostContactStructure
 from .tensors import MetricPair, slots, _swap_slot_components
 
 # bytes that one array of a chunk of points may take: the curvature pass
@@ -89,22 +89,6 @@ class NonMetricConnection:
             self.structure.xi_at(m.dim, p),
         )
         return ConnectionCoefficients(m.dim, gamma, symmetric=False)
-
-
-def build_connection(
-    manifold: ChartManifold,
-    structure: AlmostContactStructure,
-    validate_points: list[np.ndarray] | None = None,
-    axiom_tol: float | None = None,
-) -> NonMetricConnection:
-    """Attach the connection, optionally gating on the structure axioms."""
-    if validate_points:
-        report = check_almost_contact(manifold, structure, validate_points, tol=axiom_tol)
-        if not report.passed:
-            raise StructureError(
-                f"structure axioms fail (max residual {report.max_residual:.3e})"
-            )
-    return NonMetricConnection(manifold, structure)
 
 
 @dataclass(frozen=True)
@@ -416,86 +400,52 @@ def curvature_bundle(
     return CurvatureBundle(conn.manifold, conn.structure, points, cfg)
 
 
-def _bundle(
-    manifold: ChartManifold,
-    structure: AlmostContactStructure | None,
-    points,
-    cfg: DifferentiationConfig,
-) -> CurvatureBundle:
-    """The record of a list of points; a record is used as is."""
-    if isinstance(points, CurvatureBundle):
-        return points
-    return CurvatureBundle(manifold, structure, np.asarray(points, dtype=float), cfg)
-
-
-def check_torsion(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Torsion T(X,Y) = eta(X) Y - eta(Y) X, from the coefficient skew part."""
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    eye = np.eye(conn.manifold.dim)
-    torsion = b.gamma - np.swapaxes(b.gamma, -1, -2)
-    want = np.einsum("...i,kj->...kij", b.eta, eye) - np.einsum("...j,ki->...kij", b.eta, eye)
-    report = new_report("torsion-form", tol)
-    report.add_points(b.p, per_point(torsion - want))
+    gamma, eta = geometry.gamma, geometry.eta
+    eye = np.eye(geometry.manifold.dim)
+    torsion = gamma - np.swapaxes(gamma, -1, -2)
+    want = np.einsum("...i,kj->...kij", eta, eye) - np.einsum("...j,ki->...kij", eta, eye)
+    report = new_report("torsion-form")
+    report.add_points(geometry.p, per_point(torsion - want))
     return report
 
 
-def check_nonmetricity(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
     """(D_X g)(Y,Z) = 2 eta(Y) g(X,Z) + 2 eta(Z) g(X,Y)."""
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    g, eta = b.metric.matrix, b.eta
-    grad = _add_connection_terms(b.dg_fd, g, slots("dd"), b.gamma)
+    g, eta = geometry.metric.matrix, geometry.eta
+    grad = _add_connection_terms(geometry.dg_fd, g, slots("dd"), geometry.gamma)
     want = 2.0 * np.einsum("...i,...aj->...aij", eta, g) + 2.0 * np.einsum(
         "...j,...ai->...aij", eta, g
     )
-    report = new_report("nonmetricity", tol)
-    report.add_points(b.p, per_point(grad - want))
+    report = new_report("nonmetricity")
+    report.add_points(geometry.p, per_point(grad - want))
     report.extras["opposite-sign-residual"] = float(np.max(per_point(grad + want)))
     return report
 
 
-def check_reeb_transport(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_reeb_transport(geometry: CurvatureBundle) -> IdentityResidualReport:
     """D_X xi = -2 eta(X) xi."""
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    grad = _add_connection_terms(b.dxi, b.xi, slots("u"), b.gamma)
-    want = -2.0 * np.einsum("...i,...j->...ij", b.eta, b.xi)
-    report = new_report("reeb-transport", tol)
-    report.add_points(b.p, per_point(grad - want))
+    xi = geometry.xi
+    grad = _add_connection_terms(geometry.dxi, xi, slots("u"), geometry.gamma)
+    want = -2.0 * np.einsum("...i,...j->...ij", geometry.eta, xi)
+    report = new_report("reeb-transport")
+    report.add_points(geometry.p, per_point(grad - want))
     return report
 
 
-def check_deformation_form(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_deformation_form(geometry: CurvatureBundle) -> IdentityResidualReport:
     """The form beta(X,Y) = (nabla_X eta)(Y) + eta(X) eta(Y) + g(X,Y) equals 2g.
 
     nabla is Levi-Civita here; this is the shape of the connection's
     defining deformation, and it collapsing to 2g is equivalent to the
     Kenmotsu condition.
     """
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    g = b.metric.matrix
-    grad_eta = _add_connection_terms(b.deta, b.eta, slots("d"), b.lc_gamma)
-    beta = grad_eta + np.einsum("...i,...j->...ij", b.eta, b.eta) + g
-    report = new_report("deformation-form", tol)
-    report.add_points(b.p, per_point(beta - 2.0 * g))
+    g, eta = geometry.metric.matrix, geometry.eta
+    grad_eta = _add_connection_terms(geometry.deta, eta, slots("d"), geometry.lc_gamma)
+    beta = grad_eta + np.einsum("...i,...j->...ij", eta, eta) + g
+    report = new_report("deformation-form")
+    report.add_points(geometry.p, per_point(beta - 2.0 * g))
     return report
 
 
@@ -507,32 +457,26 @@ _CROSS_TO_IDENTITY = {
 }
 
 
-def check_curvature_relation(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    riemann_tol: float | None = None,
-    contraction_tol: float | None = None,
-) -> list[IdentityResidualReport]:
+def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
     """Cross-check direct vs closed-form curvature at each point.
 
     The Riemann comparison stacks two finite-difference curvature passes,
-    so it gets its own tolerance; the Ricci/scalar comparisons and the
-    symmetry defect of the direct Ricci use ``contraction_tol``.
+    so its gate is scaled per chart (``fd_scaled`` in the identity table);
+    the Ricci/scalar comparisons and the symmetry defect of the direct
+    Ricci are not.
     Returns one report per comparison.  Extras on the scalar report record
     the mean of both scalars and the dimension-only shift between them.
     """
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
     reports = []
     for key, name in _CROSS_TO_IDENTITY.items():
-        report = new_report(name, riemann_tol if key == "riemann" else contraction_tol)
-        report.add_points(b.p, b.cross[key])
+        report = new_report(name)
+        report.add_points(geometry.p, geometry.cross[key])
         reports.append(report)
-    n = conn.manifold.n
+    n = geometry.manifold.n
     reports[2].extras.update(
         {
-            "mean-scalar": _mean(b.scalar),
-            "mean-lc-scalar": _mean(b.lc_scalar),
+            "mean-scalar": _mean(geometry.scalar),
+            "mean-lc-scalar": _mean(geometry.lc_scalar),
             "expected-shift": float(2 * n * (2 * n + 3)),
         }
     )
@@ -544,12 +488,7 @@ def _mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1] / len(values))
 
 
-def check_reeb_curvature_degeneracy(
-    conn: NonMetricConnection,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidualReport:
     """K(X,Y) xi = 0 for the modified curvature, with a Levi-Civita contrast.
 
     The extras record max |R(X,Y) xi| for the Levi-Civita curvature at the
@@ -557,10 +496,10 @@ def check_reeb_curvature_degeneracy(
     the degeneracy of the modified connection informative rather than a
     symptom of everything being flat.
     """
-    b = _bundle(conn.manifold, conn.structure, points, cfg)
-    degen = np.einsum("...lijk,...k->...lij", b.riemann, b.xi)
-    lc = np.einsum("...lijk,...k->...lij", b.lc_riemann, b.xi)
-    report = new_report("irregularity", tol)
-    report.add_points(b.p, per_point(degen))
+    xi = geometry.xi
+    degen = np.einsum("...lijk,...k->...lij", geometry.riemann, xi)
+    lc = np.einsum("...lijk,...k->...lij", geometry.lc_riemann, xi)
+    report = new_report("irregularity")
+    report.add_points(geometry.p, per_point(degen))
     report.extras["levi-civita-contrast"] = float(np.max(per_point(lc)))
     return report

@@ -19,17 +19,6 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PointResidual:
-    """Max-abs residual of one identity at one sample point."""
-
-    point: tuple[float, ...]
-    residual: float
-
-    def to_dict(self) -> dict:
-        return {"point": list(self.point), "residual": float(self.residual)}
-
-
 # status values:
 #   "ok"             residual is compared against the tolerance
 #   "info"           recorded for inspection only, never counts as a failure
@@ -42,15 +31,13 @@ class IdentityResidualReport:
 
     ``residuals`` is one float array with the max-abs residual at each
     point, and ``coords`` the (N, dim) float array of the points, both
-    read-only.  The checks of this package pass a chart's shared sample
-    array (``CurvatureBundle.p``), so every row of a chart holds the same
-    object and :func:`to_json` renders its coordinates once per report.
-    ``points``, the list of :class:`PointResidual` the record can also be
-    built from, is a read-only view built on each access: appending to it
-    changes nothing, and :meth:`add_points` is the way to add points.  The
-    record is a plain class, not a dataclass; two records are equal when
-    their fields and arrays are.  ``max_residual`` is NaN when any residual
-    is NaN, so such a row fails its gate.
+    read-only; :meth:`add_points` is the way to add points.  The checks of
+    this package pass a chart's shared sample array (``CurvatureBundle.p``),
+    so every row of a chart holds the same object and :func:`to_json`
+    renders its coordinates once per report.  The record is a plain class,
+    not a dataclass; two records are equal when their fields and arrays
+    are.  ``max_residual`` is NaN when any residual is NaN, so such a row
+    fails its gate.
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
@@ -61,20 +48,16 @@ class IdentityResidualReport:
         self,
         identity: str,
         tolerance: float,
-        points: list[PointResidual] | None = None,
         extras: dict[str, float] | None = None,
         status: str = "ok",
         note: str = "",
     ):
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
-        points = list(points or ())
         self.identity = identity
         self.tolerance = tolerance
-        self.coords = _read_only(
-            np.array([p.point for p in points], dtype=float) if points else np.empty((0, 0))
-        )
-        self.residuals = _read_only(np.array([float(p.residual) for p in points]))
+        self.coords = _read_only(np.empty((0, 0)))
+        self.residuals = _read_only(np.empty(0))
         self.extras = {} if extras is None else extras
         self.status = status
         self.note = note
@@ -95,14 +78,6 @@ class IdentityResidualReport:
             and np.array_equal(self.coords, other.coords)
             and np.array_equal(self.residuals, other.residuals)
         )
-
-    @property
-    def points(self) -> list[PointResidual]:
-        """One :class:`PointResidual` per point, built on each access."""
-        return [
-            PointResidual(tuple(p), r)
-            for p, r in zip(self.coords.tolist(), self.residuals.tolist())
-        ]
 
     @property
     def max_residual(self) -> float:
@@ -191,8 +166,8 @@ class _PointsBlock:
 class Identity:
     """How one identity is gated.
 
-    ``tolerance`` is the base gate, the default of every ``check_*``
-    function.  ``fd_scaled`` identities stack two finite-difference
+    ``tolerance`` is the base gate, the one every ``check_*`` function
+    sets; to gate a row otherwise, set its ``tolerance``.  ``fd_scaled`` identities stack two finite-difference
     curvature passes, so the CLI multiplies their gate by the chart's
     ``fd_tolerance_scale``.  ``expect`` names the catalog flags
     (``kenmotsu``, ``einstein``, ``weyl_flat``) whose conjunction the row is
@@ -246,11 +221,9 @@ def per_point(residual: np.ndarray) -> np.ndarray:
     return np.max(np.abs(residual), axis=tuple(range(1, residual.ndim)))
 
 
-def new_report(identity: str, tol: float | None = None) -> IdentityResidualReport:
-    """An empty report gated at ``tol``, or at the table's base tolerance."""
-    return IdentityResidualReport(
-        identity, IDENTITIES[identity].tolerance if tol is None else tol
-    )
+def new_report(identity: str) -> IdentityResidualReport:
+    """An empty report gated at the table's base tolerance."""
+    return IdentityResidualReport(identity, IDENTITIES[identity].tolerance)
 
 
 def to_json(obj) -> str:

@@ -13,25 +13,27 @@ and the defining condition for the Kenmotsu class:
     (nabla_X eta)(Y) = g(X, Y) - eta(X) eta(Y)
 
 plus the curvature identities these force, all evaluated numerically at
-sample points.  Axiom checks are pure pointwise algebra; the Kenmotsu and
-curvature checks differentiate.
+sample points.  Each check reads the chart's geometry record
+(:class:`~kenmotsu.connection.CurvatureBundle`).  Axiom checks are pure
+pointwise algebra; the Kenmotsu and curvature checks differentiate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .charts import (
-    ChartManifold,
-    DifferentiationConfig,
     _add_connection_terms,
     _at_each,
 )
 from .report import IdentityResidualReport, new_report, per_point
 from .tensors import slots
+
+if TYPE_CHECKING:
+    from .connection import CurvatureBundle
 
 
 class StructureError(ValueError):
@@ -66,12 +68,6 @@ class AlmostContactStructure:
         return _at_each(self.eta, np.asarray(points, float), (dim,), "eta", StructureError)
 
 
-def _geometry(manifold, structure, points, cfg):
-    from .connection import _bundle  # connection imports this module
-
-    return _bundle(manifold, structure, points, cfg or DifferentiationConfig())
-
-
 def _axiom_residuals(b) -> dict[str, np.ndarray]:
     """Per-point residuals of the structure axioms and their consequences."""
     g, phi, xi, eta = b.metric.matrix, b.phi, b.xi, b.eta
@@ -94,23 +90,12 @@ def _axiom_residuals(b) -> dict[str, np.ndarray]:
 _AXIOM_KEYS = ("phi-square", "reeb-pairing", "compatibility")
 
 
-def check_almost_contact(
-    manifold: ChartManifold,
-    structure: AlmostContactStructure,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig | None = None,
-    tol: float | None = None,
-) -> IdentityResidualReport:
-    """Check the three structure axioms at each point.
-
-    ``cfg`` is accepted for signature uniformity with the other checks but
-    unused: the axioms are algebraic.
-    """
-    b = _geometry(manifold, structure, points, cfg)
-    res = _axiom_residuals(b)
+def check_almost_contact(geometry: CurvatureBundle) -> IdentityResidualReport:
+    """Check the three structure axioms at each point."""
+    res = _axiom_residuals(geometry)
     headline = np.max([res[k] for k in _AXIOM_KEYS], axis=0)
-    report = new_report("structure-axioms", tol)
-    report.add_points(b.p, headline)
+    report = new_report("structure-axioms")
+    report.add_points(geometry.p, headline)
     report.extras.update({k: float(np.max(v)) for k, v in res.items()})
     return report
 
@@ -130,29 +115,16 @@ def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
     }
 
 
-def check_kenmotsu(
-    manifold: ChartManifold,
-    structure: AlmostContactStructure,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> IdentityResidualReport:
+def check_kenmotsu(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the defining covariant-derivative condition at each point."""
-    b = _geometry(manifold, structure, points, cfg)
-    res = _kenmotsu_residuals(b)
-    report = new_report("kenmotsu-condition", tol)
-    report.add_points(b.p, np.maximum(res["reeb-gradient"], res["eta-gradient"]))
+    res = _kenmotsu_residuals(geometry)
+    report = new_report("kenmotsu-condition")
+    report.add_points(geometry.p, np.maximum(res["reeb-gradient"], res["eta-gradient"]))
     report.extras.update({k: float(np.max(v)) for k, v in res.items()})
     return report
 
 
-def check_curvature_identities(
-    manifold: ChartManifold,
-    structure: AlmostContactStructure,
-    points: list[np.ndarray],
-    cfg: DifferentiationConfig,
-    tol: float | None = None,
-) -> list[IdentityResidualReport]:
+def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
     """Check the four curvature identities of the Kenmotsu class.
 
         eta(R(X,Y)Z) = eta(Y) g(X,Z) - eta(X) g(Y,Z)
@@ -165,11 +137,10 @@ def check_curvature_identities(
     a curvature sign-convention mismatch shows up as the primary residual
     exploding while the flipped one collapses.
     """
-    b = _geometry(manifold, structure, points, cfg)
-    n = manifold.n
-    eye = np.eye(manifold.dim)
-    g, eta, xi = b.metric.matrix, b.eta, b.xi
-    riem, ric = b.lc_riemann, b.lc_ricci
+    n = geometry.manifold.n
+    eye = np.eye(geometry.manifold.dim)
+    g, eta, xi = geometry.metric.matrix, geometry.eta, geometry.xi
+    riem, ric = geometry.lc_riemann, geometry.lc_ricci
     sides = {
         "curvature-eta-component": (
             np.einsum("...l,...lijk->...ijk", eta, riem),
@@ -187,8 +158,8 @@ def check_curvature_identities(
     }
     reports = []
     for name, (lhs, rhs) in sides.items():
-        report = new_report(name, tol)
-        report.add_points(b.p, per_point(lhs - rhs))
+        report = new_report(name)
+        report.add_points(geometry.p, per_point(lhs - rhs))
         report.extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
         reports.append(report)
     return reports

@@ -206,7 +206,7 @@ def test_metric_is_validated_at_stencil_points(bad):
         CurvatureBundle(chart, None, p, CFG).lc_riemann
     # in a batch, the error names the offset of the point it belongs to
     with pytest.raises(MetricError, match=re.escape(str(offset))):
-        check_weyl(chart, [np.array([-0.5, 0.0, 0.0]), p], CFG)
+        check_weyl(CurvatureBundle(chart, None, [np.array([-0.5, 0.0, 0.0]), p], CFG))
 
 
 def test_metric_compatibility_of_levi_civita():

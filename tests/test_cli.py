@@ -280,34 +280,37 @@ def test_console_script_smoke():
 
 
 def test_library_defaults_equal_cli_gates():
-    # h3 has fd_tolerance_scale 1, so every CLI gate is the base tolerance
+    # h3 has fd_tolerance_scale 1, so every CLI gate is the base tolerance,
+    # and as a Kenmotsu chart no row is turned into INFO: the library's
+    # rows at the CLI's sample points are the CLI's rows
     ex = by_name("h3")
-    conn = k.NonMetricConnection(ex.manifold, ex.structure)
-    points = ex.sample_points(2, seed=0)
-    cfg = k.DifferentiationConfig()
-    verdict = k.check_semisymmetry_condition(conn, points, cfg)
+    geometry = k.curvature_bundle(
+        k.NonMetricConnection(ex.manifold, ex.structure),
+        ex.sample_points(2, seed=0),
+        k.DifferentiationConfig(),
+    )
+    verdict = k.check_semisymmetry_condition(geometry)
     library = [
-        k.check_almost_contact(ex.manifold, ex.structure, points),
-        k.check_kenmotsu(ex.manifold, ex.structure, points, cfg),
-        *k.check_curvature_identities(ex.manifold, ex.structure, points, cfg),
-        *(f(conn, points, cfg) for f in (
+        k.check_almost_contact(geometry),
+        k.check_kenmotsu(geometry),
+        *k.check_curvature_identities(geometry),
+        *(f(geometry) for f in (
             k.check_torsion, k.check_nonmetricity, k.check_reeb_transport,
-            k.check_deformation_form, k.check_reeb_curvature_degeneracy,
-            k.check_derivation_identity,
+            k.check_deformation_form,
         )),
-        *k.check_curvature_relation(conn, points, cfg),
+        *k.check_curvature_relation(geometry),
+        k.check_reeb_curvature_degeneracy(geometry),
+        k.check_derivation_identity(geometry),
         verdict.condition,
         *verdict.companions,
-        *k.check_weyl(ex.manifold, points, cfg),
-        k.check_weyl_commutation(ex.manifold, points, cfg),
+        *k.check_weyl(geometry),
+        k.check_weyl_commutation(geometry),
     ]
     report = run(RunConfig(manifolds=("h3",), suites=("all",), num_points=2))
-    cli_gates = {
-        e.report.identity: e.report.tolerance
-        for suite in report.manifolds[0].suites
-        for e in suite.entries
-    }
-    assert {r.identity: r.tolerance for r in library} == cli_gates
+    cli_rows = [e.report for suite in report.manifolds[0].suites for e in suite.entries]
+    assert [r.identity for r in library] == [r.identity for r in cli_rows]
+    for row, cli_row in zip(library, cli_rows):
+        assert row == cli_row, row.identity
 
 
 def test_rows_come_in_identity_table_order():

@@ -28,6 +28,12 @@ def lc_record(name, count, seed):
     return CurvatureBundle(ex.manifold, None, ex.sample_points(count, seed=seed), CFG)
 
 
+def record(name, count, seed):
+    """The geometry record of a catalog chart and its structure at its sample points."""
+    ex = by_name(name)
+    return CurvatureBundle(ex.manifold, ex.structure, ex.sample_points(count, seed=seed), CFG)
+
+
 def test_metric_wedge_spot_values():
     pair = by_name("euclidean3").manifold.metric_pair_at(np.zeros(3))
     wedge = _wedge(pair.matrix)
@@ -91,9 +97,8 @@ def test_tachibana_nonzero_on_anisotropic_ricci():
 
 @pytest.mark.parametrize("name,tol", [("h3", 1e-5), ("h5", 1e-5), ("ne5", 1e-4)])
 def test_derivation_identity(name, tol):
-    ex = by_name(name)
-    conn = NonMetricConnection(ex.manifold, ex.structure)
-    report = check_derivation_identity(conn, ex.sample_points(5, seed=8), CFG, tol=tol)
+    report = check_derivation_identity(record(name, 5, seed=8))
+    report.tolerance = tol
     assert report.passed
     assert report.max_residual < tol
 
@@ -151,10 +156,8 @@ def test_closed_form_fits_equal_least_squares(fit_eta):
 
 @pytest.mark.parametrize("name,n", [("h3", 1), ("h5", 2)])
 def test_semisymmetry_chain_on_space_forms(name, n):
-    ex = by_name(name)
-    conn = NonMetricConnection(ex.manifold, ex.structure)
-    verdict = check_semisymmetry_condition(conn, ex.sample_points(6, seed=10), CFG)
-    assert verdict.holds
+    verdict = check_semisymmetry_condition(record(name, 6, seed=10))
+    assert verdict.condition.passed
     assert verdict.condition.max_residual < 1e-9
     assert verdict.ricci_fit.a == pytest.approx(-2.0 * n, abs=1e-9)
     assert verdict.ricci_fit.residual < 1e-9
@@ -162,8 +165,8 @@ def test_semisymmetry_chain_on_space_forms(name, n):
     assert verdict.modified_ricci_fit.b == pytest.approx(-2.0, abs=1e-9)
     assert verdict.scalar_mean == pytest.approx(-2 * n * (2 * n + 1), abs=1e-9)
     assert verdict.modified_scalar_mean == pytest.approx(4.0 * n, abs=1e-9)
-    assert verdict.scalar_deviation < 1e-9
-    assert verdict.modified_scalar_deviation < 1e-9
+    assert verdict.companions[2].max_residual < 1e-9
+    assert verdict.companions[3].max_residual < 1e-9
     names = [r.identity for r in verdict.companions]
     assert names == [
         "einstein-ricci-fit",
@@ -176,10 +179,8 @@ def test_semisymmetry_chain_on_space_forms(name, n):
 
 
 def test_semisymmetry_condition_fails_on_ne5():
-    ex = by_name("ne5")
-    conn = NonMetricConnection(ex.manifold, ex.structure)
-    verdict = check_semisymmetry_condition(conn, ex.sample_points(6, seed=11), CFG)
-    assert not verdict.holds
+    verdict = check_semisymmetry_condition(record("ne5", 6, seed=11))
+    assert not verdict.condition.passed
     assert verdict.condition.max_residual > 0.1
     assert verdict.ricci_fit.residual > 1e-2
     for row in verdict.companions:
@@ -205,8 +206,7 @@ def test_weyl_traceless_but_nonzero_on_ne5():
 
 
 def test_check_weyl_report_names():
-    ex = by_name("h5")
-    traceless, vanishing, metric_q = check_weyl(ex.manifold, ex.sample_points(3, seed=15), CFG)
+    traceless, vanishing, metric_q = check_weyl(lc_record("h5", 3, seed=15))
     assert traceless.identity == "weyl-traceless"
     assert vanishing.identity == "weyl-vanishing"
     assert metric_q.identity == "tachibana-metric"
@@ -214,29 +214,29 @@ def test_check_weyl_report_names():
 
 
 def test_weyl_commutation_not_applicable_in_dim3():
-    ex = by_name("h3")
-    report = check_weyl_commutation(ex.manifold, ex.sample_points(2, seed=16), CFG)
+    report = check_weyl_commutation(lc_record("h3", 2, seed=16))
     assert report.status == "not-applicable"
     assert report.passed
-    assert report.points == []
+    assert len(report.residuals) == 0
 
 
 def test_weyl_commutation_degenerate_on_h5():
-    ex = by_name("h5")
-    report = check_weyl_commutation(
-        ex.manifold, ex.sample_points(4, seed=17), CFG, einstein=True
-    )
+    report = check_weyl_commutation(lc_record("h5", 4, seed=17))
     assert report.status == "ok"
     assert report.passed
     for key in ("commutator", "tachibana-riemann", "tachibana-weyl"):
         assert report.extras[key] < 1e-5, key
 
 
+@pytest.mark.parametrize("name,status", [("h5", "ok"), ("ne5", "info"), ("h3", "not-applicable")])
+def test_weyl_commutation_takes_the_einstein_hypothesis_from_the_record(name, status):
+    # gated where every per-point Einstein fit of the record holds, informational
+    # where one fails, vacuous in dimension 3
+    assert check_weyl_commutation(record(name, 3, seed=20)).status == status
+
+
 def test_weyl_commutation_informational_off_einstein():
-    ex = by_name("ne5")
-    report = check_weyl_commutation(
-        ex.manifold, ex.sample_points(3, seed=18), CFG, einstein=False
-    )
+    report = check_weyl_commutation(lc_record("ne5", 3, seed=18))
     assert report.status == "info"
     assert report.passed  # informational rows never gate
     assert report.max_residual > 0.01
@@ -278,8 +278,8 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
         # each stacked action holds 2 * 10 endomorphisms times 5 * 10 * 5
         # values per point in dim 5
         assert len(_chunk_ranges(len(points), 8 * 2 * 10 * 5 * 10 * 5)) >= 3
-    report = check_weyl_commutation(manifold, points, CFG)
     b = CurvatureBundle(manifold, None, points, CFG)
+    report = check_weyl_commutation(b)
     g, riem, weyl = b.metric.matrix, b.lc_riemann, b.weyl
     r = b.lc_scalar.reshape((-1,) + (1,) * 6)
     riem4, weyl4 = _swap_slot_components(g, riem, 0), _swap_slot_components(g, weyl, 0)
@@ -300,17 +300,18 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
         np.testing.assert_allclose(report.extras[key], max(full[key]), rtol=1e-12, err_msg=key)
     magnitudes = ("commutator", "tachibana-riemann", "tachibana-weyl")
     headline = np.max([full[key] for key in magnitudes], axis=0)
-    np.testing.assert_allclose([q.residual for q in report.points], headline, rtol=1e-12)
+    np.testing.assert_allclose(report.residuals, headline, rtol=1e-12)
 
 
 def _weyl_commutation_peak(count: int) -> int:
     ex = by_name("ne5")
     conn = NonMetricConnection(ex.manifold, ex.structure)
-    record = curvature_bundle(conn, ex.sample_points(count, seed=5), CFG)
-    record.metric, record.weyl, record.lc_scalar  # build what the check reads
+    geometry = curvature_bundle(conn, ex.sample_points(count, seed=5), CFG)
+    # build what the check reads
+    geometry.metric, geometry.weyl, geometry.lc_scalar, geometry.lc_einstein_fits
     tracemalloc.start()
     try:
-        check_weyl_commutation(ex.manifold, record, CFG)
+        check_weyl_commutation(geometry)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

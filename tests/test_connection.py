@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from kenmotsu import (
-    AlmostContactStructure,
     DifferentiationConfig,
     NonMetricConnection,
-    StructureError,
-    build_connection,
     by_name,
     check_curvature_relation,
     check_deformation_form,
@@ -25,6 +22,12 @@ CFG = DifferentiationConfig()
 def connection_for(name):
     ex = by_name(name)
     return ex, NonMetricConnection(ex.manifold, ex.structure)
+
+
+def record(name, count, seed):
+    """The geometry record of a catalog chart at its sample points."""
+    ex, conn = connection_for(name)
+    return curvature_bundle(conn, ex.sample_points(count, seed=seed), CFG)
 
 
 def test_coefficients_oracle_h3():
@@ -58,8 +61,7 @@ def test_coefficients_oracle_h3():
 @pytest.mark.parametrize("name", ["euclidean3", "h3", "h5", "ne5"])
 def test_torsion_form_everywhere(name):
     # torsion is pure coefficient algebra; it holds on the control too
-    ex, conn = connection_for(name)
-    report = check_torsion(conn, ex.sample_points(6, seed=1), CFG)
+    report = check_torsion(record(name, 6, seed=1))
     assert report.passed
     assert report.max_residual < 1e-12
 
@@ -68,8 +70,7 @@ def test_torsion_form_everywhere(name):
 def test_nonmetricity_form_everywhere(name):
     # the metric gradient formula only uses metric compatibility of the
     # Levi-Civita part and g(xi, .) = eta, so the control passes as well
-    ex, conn = connection_for(name)
-    report = check_nonmetricity(conn, ex.sample_points(6, seed=2), CFG)
+    report = check_nonmetricity(record(name, 6, seed=2))
     assert report.passed
     assert report.max_residual < 1e-9
     assert report.extras["opposite-sign-residual"] > 1.0
@@ -77,8 +78,7 @@ def test_nonmetricity_form_everywhere(name):
 
 @pytest.mark.parametrize("name,holds", [("h3", True), ("h5", True), ("ne5", True), ("euclidean3", False)])
 def test_reeb_transport(name, holds):
-    ex, conn = connection_for(name)
-    report = check_reeb_transport(conn, ex.sample_points(6, seed=3), CFG)
+    report = check_reeb_transport(record(name, 6, seed=3))
     assert report.passed == holds
     if not holds:
         assert report.max_residual >= 1.0
@@ -86,8 +86,7 @@ def test_reeb_transport(name, holds):
 
 @pytest.mark.parametrize("name,holds", [("h3", True), ("h5", True), ("ne5", True), ("euclidean3", False)])
 def test_deformation_form(name, holds):
-    ex, conn = connection_for(name)
-    report = check_deformation_form(conn, ex.sample_points(6, seed=4), CFG)
+    report = check_deformation_form(record(name, 6, seed=4))
     assert report.passed == holds
     if not holds:
         assert report.max_residual >= 1.0
@@ -113,8 +112,7 @@ def test_curvature_bundle_h3_values():
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
 def test_curvature_relation_reports(name):
-    ex, conn = connection_for(name)
-    reports = check_curvature_relation(conn, ex.sample_points(6, seed=6), CFG)
+    reports = check_curvature_relation(record(name, 6, seed=6))
     by_id = {r.identity: r for r in reports}
     assert set(by_id) == {
         "riemann-cross-check",
@@ -125,7 +123,7 @@ def test_curvature_relation_reports(name):
     for r in reports:
         assert r.passed, r.identity
         assert r.max_residual < 1e-9
-    n = ex.manifold.n
+    n = by_name(name).n
     scalar = by_id["scalar-cross-check"]
     assert scalar.extras["expected-shift"] == 2 * n * (2 * n + 3)
     assert scalar.extras["mean-scalar"] - scalar.extras["mean-lc-scalar"] == pytest.approx(
@@ -134,8 +132,7 @@ def test_curvature_relation_reports(name):
 
 
 def test_curvature_relation_fails_on_control():
-    ex, conn = connection_for("euclidean3")
-    reports = check_curvature_relation(conn, ex.sample_points(4, seed=6), CFG)
+    reports = check_curvature_relation(record("euclidean3", 4, seed=6))
     by_id = {r.identity: r for r in reports}
     assert not by_id["riemann-cross-check"].passed
     assert by_id["riemann-cross-check"].max_residual >= 1.0
@@ -150,8 +147,7 @@ def test_curvature_relation_fails_on_control():
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
 def test_reeb_curvature_degeneracy(name):
-    ex, conn = connection_for(name)
-    report = check_reeb_curvature_degeneracy(conn, ex.sample_points(6, seed=7), CFG)
+    report = check_reeb_curvature_degeneracy(record(name, 6, seed=7))
     assert report.passed
     assert report.max_residual < 1e-9
     # the analogous Levi-Civita contraction stays order one
@@ -159,21 +155,6 @@ def test_reeb_curvature_degeneracy(name):
 
 
 def test_reeb_curvature_degeneracy_fails_on_control():
-    ex, conn = connection_for("euclidean3")
-    report = check_reeb_curvature_degeneracy(conn, ex.sample_points(4, seed=7), CFG)
+    report = check_reeb_curvature_degeneracy(record("euclidean3", 4, seed=7))
     assert not report.passed
     assert report.max_residual >= 1.9
-
-
-def test_build_connection_gates_on_axioms():
-    ex = by_name("h3")
-    points = ex.sample_points(4, seed=8)
-    conn = build_connection(ex.manifold, ex.structure, validate_points=points)
-    assert isinstance(conn, NonMetricConnection)
-    broken = AlmostContactStructure(
-        phi=lambda p: np.zeros((3, 3)), xi=ex.structure.xi, eta=ex.structure.eta
-    )
-    with pytest.raises(StructureError):
-        build_connection(ex.manifold, broken, validate_points=points)
-    # without validation points construction is unchecked by design
-    build_connection(ex.manifold, broken)

@@ -9,7 +9,7 @@ import pytest
 
 from kenmotsu import catalog
 from kenmotsu.cli import IdentityEntry, ManifoldOutcome, RunConfig, RunReport, SuiteOutcome, run
-from kenmotsu.report import IdentityResidualReport, PointResidual, new_report, to_json
+from kenmotsu.report import IdentityResidualReport, new_report, to_json
 
 
 def _same(obj) -> None:
@@ -27,24 +27,20 @@ def test_rows_with_odd_values():
     rows = [
         IdentityResidualReport("empty", 1e-5),
         IdentityResidualReport(
-            "non-finite",
-            1e-5,
-            points=[
-                PointResidual((0.5, -0.0), math.nan),
-                PointResidual((math.inf, 1.0), math.inf),
-                PointResidual((-math.inf, math.nan), -math.inf),
-                PointResidual((1e-300, 2.5e16), 0.0),
-            ],
-            extras={"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+            "non-finite", 1e-5, extras={"nan": math.nan, "inf": math.inf, "ninf": -math.inf}
         ),
         IdentityResidualReport(
             "noted",
             1e-5,
-            points=[PointResidual((1.0,), 1e-12)],
             status="info",
             note='a "quoted" back\\slash, été ∇ξ and a\ttab',
         ),
     ]
+    rows[1].add_points(
+        [[0.5, -0.0], [math.inf, 1.0], [-math.inf, math.nan], [1e-300, 2.5e16]],
+        [math.nan, math.inf, -math.inf, 0.0],
+    )
+    rows[2].add_points([[1.0]], [1e-12])
     suites = [
         SuiteOutcome("ran", entries=[IdentityEntry(rows[0], expected=None)]),
         SuiteOutcome(
@@ -75,16 +71,13 @@ def _shared_points_report() -> RunReport:
         [[0.5, -0.0, math.nan], [math.inf, 1e-300, 2.5e16], [-math.inf, 1.0, -2.0]]
     )
     shared.setflags(write=False)
-    first, second = new_report("torsion-form"), new_report("nonmetricity", 1e-3)
+    first, second = new_report("torsion-form"), new_report("nonmetricity")
+    second.tolerance = 1e-3
     first.add_points(shared, [0.0, 1e-12, math.nan])
     second.add_points(shared, [math.inf, 2.0, -0.0])
     # as many points as the chart, of another dimension, in the same chart
-    library = IdentityResidualReport(
-        "library",
-        1e-5,
-        points=[PointResidual((0.25, -1.5), 3e-7), PointResidual((1.0, 2.0), 0.0),
-                PointResidual((-0.0, 7.0), 1e-3)],
-    )
+    library = IdentityResidualReport("library", 1e-5)
+    library.add_points([[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]], [3e-7, 0.0, 1e-3])
     empty = IdentityResidualReport("empty", 1e-5)
     entries = [IdentityEntry(r, expected=True) for r in (first, second, library, empty)]
     suites = [SuiteOutcome("a", entries=entries[:2]), SuiteOutcome("b", entries=entries[2:])]
@@ -116,13 +109,10 @@ def test_records_compare_by_value():
         r.add_points(np.array([[0.5, 1.0], [2.0, -1.0]]), [0.0, residual])
         return r
 
-    built = IdentityResidualReport(
-        "x",
-        1e-5,
-        points=[PointResidual((0.5, 1.0), 0.0), PointResidual((2.0, -1.0), 1e-9)],
-        extras={"a": 1.0},
-    )
-    assert row(1e-9) == built and built.points == row(1e-9).points
+    built = IdentityResidualReport("x", 1e-5, extras={"a": 1.0})
+    built.add_points([[0.5, 1.0]], [0.0])
+    built.add_points([[2.0, -1.0]], [1e-9])
+    assert row(1e-9) == built
     assert row(2e-9) != built
     assert IdentityResidualReport("x", 1e-5) != IdentityResidualReport("x", 1e-5, status="info")
 

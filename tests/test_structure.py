@@ -3,6 +3,7 @@ import pytest
 
 from kenmotsu import (
     AlmostContactStructure,
+    CurvatureBundle,
     DifferentiationConfig,
     StructureError,
     by_name,
@@ -14,11 +15,16 @@ from kenmotsu import (
 CFG = DifferentiationConfig()
 
 
+def record(ex, points, structure=None):
+    """The geometry record of a catalog chart, with its own structure or ``structure``."""
+    return CurvatureBundle(ex.manifold, structure or ex.structure, points, CFG)
+
+
 @pytest.mark.parametrize("name", ["euclidean3", "h3", "h5", "ne5"])
 def test_axioms_hold_on_catalog(name):
     ex = by_name(name)
     points = ex.sample_points(10, seed=1)
-    report = check_almost_contact(ex.manifold, ex.structure, points)
+    report = check_almost_contact(record(ex, points))
     assert report.passed
     assert report.max_residual < 1e-12
     # consequences come along for free
@@ -32,9 +38,9 @@ def test_axioms_fail_for_broken_phi():
     broken = AlmostContactStructure(
         phi=lambda p: np.zeros((3, 3)), xi=ex.structure.xi, eta=ex.structure.eta
     )
-    report = check_almost_contact(ex.manifold, broken, ex.sample_points(3, seed=2))
+    report = check_almost_contact(record(ex, ex.sample_points(3, seed=2), broken))
     assert not report.passed
-    res = check_almost_contact(ex.manifold, broken, [np.array([0.1, 0.2, 0.0])]).extras
+    res = check_almost_contact(record(ex, np.array([0.1, 0.2, 0.0]), broken)).extras
     assert res["phi-square"] >= 1.0  # phi^2 + I - xi eta = I - xi eta off the reeb axis
     assert res["reeb-pairing"] < 1e-15  # xi and eta untouched
 
@@ -53,7 +59,7 @@ def test_structure_field_shape_errors():
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
 def test_kenmotsu_condition_holds(name):
     ex = by_name(name)
-    report = check_kenmotsu(ex.manifold, ex.structure, ex.sample_points(8, seed=3), CFG)
+    report = check_kenmotsu(record(ex, ex.sample_points(8, seed=3)))
     assert report.passed
     assert report.max_residual < 1e-9
     assert report.extras["reeb-gradient"] < 1e-9
@@ -62,21 +68,19 @@ def test_kenmotsu_condition_holds(name):
 
 def test_kenmotsu_condition_fails_on_flat_control():
     ex = by_name("euclidean3")
-    report = check_kenmotsu(ex.manifold, ex.structure, ex.sample_points(8, seed=3), CFG)
+    report = check_kenmotsu(record(ex, ex.sample_points(8, seed=3)))
     assert not report.passed
     # gradient of the reeb field is zero on flat space, the target is
     # I - eta (x) xi whose largest entry is 1
     assert report.max_residual >= 0.5
-    res = check_kenmotsu(ex.manifold, ex.structure, [np.zeros(3)], CFG).extras
+    res = check_kenmotsu(record(ex, np.zeros(3))).extras
     assert abs(res["reeb-gradient"] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
 def test_curvature_identities_hold(name):
     ex = by_name(name)
-    reports = check_curvature_identities(
-        ex.manifold, ex.structure, ex.sample_points(6, seed=4), CFG
-    )
+    reports = check_curvature_identities(record(ex, ex.sample_points(6, seed=4)))
     names = [r.identity for r in reports]
     assert names == [
         "curvature-eta-component",
@@ -93,9 +97,7 @@ def test_curvature_identities_hold(name):
 
 def test_curvature_identities_fail_on_flat_control():
     ex = by_name("euclidean3")
-    reports = check_curvature_identities(
-        ex.manifold, ex.structure, ex.sample_points(4, seed=4), CFG
-    )
+    reports = check_curvature_identities(record(ex, ex.sample_points(4, seed=4)))
     for report in reports:
         assert not report.passed, report.identity
         assert report.max_residual >= 1.0
@@ -104,11 +106,10 @@ def test_curvature_identities_fail_on_flat_control():
 def test_reports_carry_per_point_residuals():
     ex = by_name("h3")
     points = ex.sample_points(5, seed=6)
-    report = check_kenmotsu(ex.manifold, ex.structure, points, CFG)
-    assert len(report.points) == 5
-    for pr, p in zip(report.points, points):
-        assert pr.point == tuple(p)
-        assert pr.residual >= 0.0
+    report = check_kenmotsu(record(ex, points))
+    assert np.array_equal(report.coords, points)
+    assert report.residuals.shape == (5,)
+    assert np.all(report.residuals >= 0.0)
 
 
 def test_a_nan_residual_fails_its_row():
@@ -124,9 +125,9 @@ def test_a_nan_residual_fails_its_row():
     points = ex.sample_points(6, 0)
     assert [i for i, p in enumerate(points) if p[0] < -0.5] == [4]
     for report in (
-        check_almost_contact(ex.manifold, broken, points),
-        check_kenmotsu(ex.manifold, broken, points, CFG),
+        check_almost_contact(record(ex, points, broken)),
+        check_kenmotsu(record(ex, points, broken)),
     ):
-        assert np.isnan(report.points[4].residual), report.identity
+        assert np.isnan(report.residuals[4]), report.identity
         assert np.isnan(report.max_residual), report.identity
         assert not report.passed, report.identity

@@ -9,8 +9,7 @@ through every module binding of the functions, so a suite that goes back
 to recomputing curvature, or a record that goes back to one point at a
 time, fails here.  The catalog's chart and structure callables take a
 batch of points, so the number of calls to them does not grow with the
-number of points either.  Neither a run nor its JSON report builds a
-record per point.
+number of points either.
 """
 
 import dataclasses
@@ -18,15 +17,7 @@ import functools
 import sys
 from collections import Counter
 
-from kenmotsu import (
-    AlmostContactStructure,
-    PointResidual,
-    by_name,
-    catalog,
-    charts,
-    cli,
-    connection,
-)
+from kenmotsu import AlmostContactStructure, by_name, charts, cli, connection
 from kenmotsu.cli import SUITE_ORDER, RunConfig, run
 
 CHARTS = ("euclidean3", "h3", "h5", "ne5")
@@ -126,12 +117,3 @@ def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
     two, five = counts(2), counts(5)
     assert len(two) == 5 * len(CHARTS), two
     assert five == two
-
-
-def test_a_run_and_its_json_build_no_point_records(monkeypatch):
-    built = _count_method(monkeypatch, PointResidual, "__init__")
-    names = tuple(ex.name for ex in catalog())
-    for points in (2, 50):
-        text = run(RunConfig(manifolds=names, suites=SUITE_ORDER, num_points=points)).to_json()
-        assert text.count('"residual": ') > len(names) * points
-    assert built[0] == 0
