@@ -33,7 +33,6 @@ from .connection import (
     EinsteinFit,
     _chunk_ranges,
     _fit_operators,
-    _mean,
 )
 from .report import IdentityResidualReport, new_report, per_point
 from .tensors import _swap_slot_components, _tensordot_each
@@ -248,7 +247,8 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdi
     mod_scalar_row.add_points(p, np.abs(geometry.scalar - 4.0 * n))
     ricci_fit = _fit_operators(plain_ops, joint=True)
     modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
-    scalar_mean, modified_scalar_mean = _mean(geometry.lc_scalar), _mean(geometry.scalar)
+    scalar_mean = float(np.mean(geometry.lc_scalar))
+    modified_scalar_mean = float(np.mean(geometry.scalar))
     report.extras.update(
         {
             "einstein-a": ricci_fit.a,

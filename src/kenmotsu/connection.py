@@ -475,17 +475,12 @@ def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidual
     n = geometry.manifold.n
     reports[2].extras.update(
         {
-            "mean-scalar": _mean(geometry.scalar),
-            "mean-lc-scalar": _mean(geometry.lc_scalar),
+            "mean-scalar": float(np.mean(geometry.scalar)),
+            "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
             "expected-shift": float(2 * n * (2 * n + 3)),
         }
     )
     return reports
-
-
-def _mean(values: np.ndarray) -> float:
-    """The mean with the sum taken in point order (``cumsum`` adds sequentially)."""
-    return float(np.cumsum(values)[-1] / len(values))
 
 
 def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidualReport:
