@@ -302,9 +302,9 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     asserts each is below tolerance.  The chart counts as Einstein where
     the Levi-Civita Ricci operator fits a*I at every point, each fit
     residual below :data:`EINSTEIN_FIT_THRESHOLD`.  Off the Einstein case
-    the report is informational: it records the three magnitudes and the residual of the
-    scaled relation under the total-dimension scale r / (m(m-1)), the one
-    above, and under the contact-n scale r / (n(n-1)).
+    the report is informational: it records the three magnitudes and the
+    residual of the scaled relation under the total-dimension scale
+    r / (m(m-1)), the one above, and under the contact-n scale r / (n(n-1)).
 
     R, C and the wedge are antisymmetric in their (X,Y) slots, and so are
     the (0,4) forms of R and C, so both are stored at the m(m-1)/2 pairs

@@ -167,9 +167,9 @@ class Identity:
     """How one identity is gated.
 
     ``tolerance`` is the base gate, the one every ``check_*`` function
-    sets; to gate a row otherwise, set its ``tolerance``.  ``fd_scaled`` identities stack two finite-difference
-    curvature passes, so the CLI multiplies their gate by the chart's
-    ``fd_tolerance_scale``.  ``expect`` names the catalog flags
+    sets; to gate a row otherwise, set its ``tolerance``.  ``fd_scaled``
+    identities stack two finite-difference curvature passes, so the CLI
+    multiplies their gate by the chart's ``fd_tolerance_scale``.  ``expect`` names the catalog flags
     (``kenmotsu``, ``einstein``, ``weyl_flat``) whose conjunction the row is
     expected to match; an empty tuple means the identity holds on every
     chart.  A ``kenmotsu_only`` row compares closed forms that assume the
