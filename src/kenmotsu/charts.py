@@ -167,14 +167,23 @@ class ChartManifold:
         """g_ij at each point, validated by :func:`~kenmotsu.tensors.metric_defect`."""
         p = self.require_inside(points)
         m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
-        defect = metric_defect(m)
-        if defect is not None:
-            index, why = defect
-            raise MetricError(f"metric {why} at {p.reshape(-1, self.dim)[index].tolist()}")
+        _require_metric(p, m)
         return m
 
     def metric_pair_at(self, points: np.ndarray) -> MetricPair:
-        return MetricPair.from_matrix(self.metric_at(points))
+        """g_ij and g^ij at each point: one evaluation, one inverse, one validation.
+
+        The pair's own check is the only validation of a good batch; a bad
+        one is searched again for its first failing point, which the error
+        names.
+        """
+        p = self.require_inside(points)
+        m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
+        try:
+            return MetricPair.from_matrix(m)
+        except MetricError:
+            _require_metric(p, m)
+            raise
 
     def metric_partials_at(
         self, points: np.ndarray, cfg: DifferentiationConfig
@@ -187,6 +196,15 @@ class ChartManifold:
             )
         p = self.require_inside(points, margin=cfg.step)
         return array_field_partials(self.metric, p, cfg)
+
+
+def _require_metric(points: np.ndarray, matrix: np.ndarray) -> None:
+    """Raise a :class:`MetricError` naming the first point whose metric fails validation."""
+    defect = metric_defect(matrix)
+    if defect is not None:
+        index, why = defect
+        where = points.reshape(-1, points.shape[-1])[index].tolist()
+        raise MetricError(f"metric {why} at {where}") from None
 
 
 def stencil(points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
@@ -269,22 +287,19 @@ class ConnectionCoefficients:
         object.__setattr__(self, "gamma", arr)
 
 
-def _christoffel(metric_inverse: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij), with leading point axes."""
-    term = (
-        np.einsum("...ilj->...lij", dg) + np.einsum("...jli->...lij", dg) - dg
-    )
-    return 0.5 * np.einsum("...kl,...lij->...kij", metric_inverse, term)
+def levi_civita(pair: MetricPair, dg: np.ndarray) -> ConnectionCoefficients:
+    """Christoffel symbols of a metric at one point or a batch of points.
 
-
-def levi_civita(
-    manifold: ChartManifold, points: np.ndarray, cfg: DifferentiationConfig
-) -> ConnectionCoefficients:
-    """Christoffel symbols of the metric at one point (dim,) or a batch (..., dim)."""
-    p = manifold.require_inside(points)
-    gpair = manifold.metric_pair_at(p)
-    gamma = _christoffel(gpair.inverse, manifold.metric_partials_at(p, cfg))
-    return ConnectionCoefficients(manifold.dim, gamma, symmetric=True)
+    ``pair`` holds g and its inverse, (..., dim, dim), and
+    ``dg[..., a, i, j] = d_a g_ij`` the metric partials at the same points.
+    Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij), contracted as
+    one batched matmul.
+    """
+    m = pair.dim
+    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
+    flat = term.reshape(term.shape[:-3] + (m, m * m))
+    gamma = 0.5 * (pair.inverse @ flat).reshape(term.shape)
+    return ConnectionCoefficients(m, gamma, symmetric=True)
 
 
 def riemann_of_connection(
@@ -314,7 +329,8 @@ def _curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """riem[..., l, i, j, k] from Gamma^l_jk and dgamma[..., i, l, j, k] = d_i Gamma^l_jk."""
     t1 = np.swapaxes(dgamma, -4, -3)  # t1[l,i,j,k] = d_i Gamma^l_jk
     t2 = np.swapaxes(t1, -3, -2)
-    q1 = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    lead, m = gamma.shape[:-3], gamma.shape[-1]
+    q1 = (gamma.reshape(lead + (m * m, m)) @ gamma.reshape(lead + (m, m * m))).reshape(t1.shape)
     q2 = np.swapaxes(q1, -3, -2)
     return t1 - t2 + q1 - q2
 

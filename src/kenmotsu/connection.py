@@ -35,7 +35,6 @@ from .charts import (
     ConnectionCoefficients,
     DifferentiationConfig,
     _add_connection_terms,
-    _christoffel,
     levi_civita,
     riemann_of_connection,
     stencil,
@@ -61,12 +60,8 @@ def _modified_coefficients(
     lc_gamma: np.ndarray, g: np.ndarray, eta: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
     """G^k_ij = Gamma^k_ij - eta_j delta^k_i - g_ij xi^k, with leading point axes."""
-    eye = np.eye(g.shape[-1])
-    return (
-        lc_gamma
-        - np.einsum("...j,ki->...kij", eta, eye)
-        - np.einsum("...ij,...k->...kij", g, xi)
-    )
+    eye = np.eye(g.shape[-1])[:, :, None]
+    return lc_gamma - eye * eta[..., None, None, :] - g[..., None, :, :] * xi[..., :, None, None]
 
 
 @dataclass(frozen=True)
@@ -82,9 +77,10 @@ class NonMetricConnection:
         """Coefficients at one point (dim,) or a batch (..., dim)."""
         m = self.manifold
         p = m.require_inside(points)
+        pair = m.metric_pair_at(p)
         gamma = _modified_coefficients(
-            levi_civita(m, p, cfg).gamma,
-            m.metric_at(p),
+            levi_civita(pair, m.metric_partials_at(p, cfg)).gamma,
+            pair.matrix,
             self.structure.eta_at(m.dim, p),
             self.structure.xi_at(m.dim, p),
         )
@@ -239,7 +235,7 @@ class CurvatureBundle:
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        return levi_civita(self.manifold, self.p, self.cfg).gamma
+        return levi_civita(self.metric, self.manifold.metric_partials_at(self.p, self.cfg)).gamma
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -269,9 +265,7 @@ class CurvatureBundle:
         m, cfg = self.manifold, self.cfg
         points, q = self.p[lo:hi], self._stencil[lo:hi]
         pair = m.metric_pair_at(q)
-        lc = ConnectionCoefficients(
-            m.dim, _christoffel(pair.inverse, m.metric_partials_at(q, cfg)), symmetric=True
-        )
+        lc = levi_civita(pair, m.metric_partials_at(q, cfg))
         out = {
             "lc_riemann": riemann_of_connection(m, lambda _: lc, points, cfg),
             "dg_fd": stencil_partials(pair.matrix, cfg, axis=1),

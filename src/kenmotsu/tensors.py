@@ -145,6 +145,9 @@ class MetricPair:
         m = np.asarray(matrix, dtype=float)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise MetricError("metric matrix must be square")
+        # a NaN would reach the inverse and fail there as a singular matrix
+        if not np.all(np.isfinite(m)):
+            raise MetricError("metric has non-finite entries")
         try:
             inv = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:

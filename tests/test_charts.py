@@ -21,6 +21,11 @@ from kenmotsu.tensors import slots
 CFG = DifferentiationConfig()
 
 
+def christoffel(manifold, p, cfg=CFG):
+    """The Levi-Civita coefficients of a chart at p, from its metric pair and partials."""
+    return levi_civita(manifold.metric_pair_at(p), manifold.metric_partials_at(p, cfg))
+
+
 def constant_curvature_riemann(g):
     """Independent oracle: space of curvature -1 has R = -(g wedge g)."""
     dim = g.shape[0]
@@ -108,7 +113,7 @@ def test_finite_difference_matches_analytic_partials_on_ne5():
 def test_christoffel_oracle_h3():
     m = by_name("h3").manifold
     p = np.array([0.1, 0.2, 0.3])
-    gamma = levi_civita(m, p, CFG).gamma
+    gamma = christoffel(m, p).gamma
     w = math.exp(0.6)  # e^{2t} at t = 0.3
     expected = np.zeros((3, 3, 3))
     expected[0, 0, 2] = expected[0, 2, 0] = 1.0  # fiber-t mixing
@@ -120,7 +125,7 @@ def test_christoffel_oracle_h3():
 
 def test_levi_civita_is_symmetric_flag():
     m = by_name("h5").manifold
-    coeffs = levi_civita(m, np.array([0.1, -0.2, 0.3, 0.0, -0.1]), CFG)
+    coeffs = christoffel(m, np.array([0.1, -0.2, 0.3, 0.0, -0.1]))
     assert coeffs.symmetric
     with pytest.raises(ValueError):
         ConnectionCoefficients(3, np.arange(27.0).reshape(3, 3, 3), symmetric=True)
@@ -170,9 +175,9 @@ def test_richardson_improves_truncation_error():
     fiber = lambda p: np.diag([math.exp(2.0 * p[2])] * 2 + [1.0])
     chart = ChartManifold(dim=3, metric=fiber, domain=((-2, 2), (-2, 2), (-1, 1)))
     p = np.array([0.3, -0.2, 0.25])
-    truth = levi_civita(by_name("h3").manifold, p, CFG).gamma
-    plain = levi_civita(chart, p, DifferentiationConfig(step=1e-3, richardson=False)).gamma
-    extrap = levi_civita(chart, p, DifferentiationConfig(step=1e-3, richardson=True)).gamma
+    truth = christoffel(by_name("h3").manifold, p).gamma
+    plain = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=False)).gamma
+    extrap = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=True)).gamma
     err_plain = np.max(np.abs(plain - truth))
     err_extrap = np.max(np.abs(extrap - truth))
     assert err_plain > 1e-8
@@ -223,7 +228,7 @@ def test_covariant_derivative_of_constant_field_flat():
     m = by_name("euclidean3").manifold
     vec = np.array([1.0, 2.0, -1.0])
     partials = array_field_partials(lambda q: vec, np.zeros(3), CFG)
-    gamma = levi_civita(m, np.zeros(3), CFG).gamma
+    gamma = christoffel(m, np.zeros(3)).gamma
     grad = _add_connection_terms(partials[None], vec[None], slots("u"), gamma[None])
     assert grad.shape == (1, 3, 3)
     assert np.max(np.abs(grad)) < 1e-12
