@@ -41,7 +41,7 @@ from .charts import (
     stencil_partials,
 )
 from .report import IdentityResidualReport, new_report, per_point
-from .structure import AlmostContactStructure
+from .structure import AlmostContactStructure, StructureError
 from .tensors import MetricPair, slots, _swap_slot_components
 
 # bytes that one array of a chunk of points may take: the curvature pass
@@ -178,7 +178,8 @@ class CurvatureBundle:
 
     and ``cross`` holds, per point, the max-abs disagreements plus the
     symmetry defect of the direct Ricci tensor.  A bundle without a
-    structure serves Levi-Civita data only.
+    structure serves Levi-Civita data only; its structure parts raise
+    :class:`~kenmotsu.structure.StructureError`.
     """
 
     def __init__(
@@ -198,17 +199,23 @@ class CurvatureBundle:
     def metric(self) -> MetricPair:
         return self.manifold.metric_pair_at(self.p)
 
+    def _structure(self, part: str) -> AlmostContactStructure:
+        """The structure that ``part`` is computed from."""
+        if self.structure is None:
+            raise StructureError(f"no {part}: the geometry record has no structure")
+        return self.structure
+
     @cached_property
     def phi(self) -> np.ndarray:
-        return _frozen(self.structure.phi_at(self.manifold.dim, self.p))
+        return _frozen(self._structure("phi").phi_at(self.manifold.dim, self.p))
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return _frozen(self.structure.eta_at(self.manifold.dim, self.p))
+        return _frozen(self._structure("eta").eta_at(self.manifold.dim, self.p))
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return _frozen(self.structure.xi_at(self.manifold.dim, self.p))
+        return _frozen(self._structure("xi").xi_at(self.manifold.dim, self.p))
 
     @cached_property
     def _stencil(self) -> np.ndarray:
@@ -217,11 +224,11 @@ class CurvatureBundle:
 
     @cached_property
     def _eta_on_stencil(self) -> np.ndarray:
-        return self.structure.eta_at(self.manifold.dim, self._stencil)
+        return self._structure("eta on the stencils").eta_at(self.manifold.dim, self._stencil)
 
     @cached_property
     def _xi_on_stencil(self) -> np.ndarray:
-        return self.structure.xi_at(self.manifold.dim, self._stencil)
+        return self._structure("xi on the stencils").xi_at(self.manifold.dim, self._stencil)
 
     @cached_property
     def deta(self) -> np.ndarray:
@@ -286,6 +293,7 @@ class CurvatureBundle:
 
     @property
     def riemann(self) -> np.ndarray:
+        self._structure("modified curvature")
         return self._curvature["riemann"]
 
     @property

@@ -10,6 +10,8 @@ from kenmotsu import (
     check_almost_contact,
     check_curvature_identities,
     check_kenmotsu,
+    check_torsion,
+    check_weyl,
 )
 
 CFG = DifferentiationConfig()
@@ -131,3 +133,23 @@ def test_a_nan_residual_fails_its_row():
         assert np.isnan(report.residuals[4]), report.identity
         assert np.isnan(report.max_residual), report.identity
         assert not report.passed, report.identity
+
+
+@pytest.mark.parametrize(
+    "check", [check_torsion, check_kenmotsu, check_almost_contact, check_curvature_identities]
+)
+def test_record_without_structure_names_what_it_lacks(check):
+    ex = by_name("h3")
+    bare = CurvatureBundle(ex.manifold, None, ex.sample_points(2, seed=1), CFG)
+    with pytest.raises(StructureError, match=r"no (phi|eta|xi)\b.*record has no structure"):
+        check(bare)
+    # the Levi-Civita parts need no structure
+    assert all(r.passed for r in check_weyl(bare))
+
+
+@pytest.mark.parametrize("part", ["phi", "eta", "xi", "dxi", "deta", "riemann"])
+def test_every_structure_part_of_a_bare_record_raises(part):
+    ex = by_name("h3")
+    bare = CurvatureBundle(ex.manifold, None, ex.sample_points(2, seed=1), CFG)
+    with pytest.raises(StructureError, match="record has no structure"):
+        getattr(bare, part)
