@@ -285,7 +285,7 @@ class _ManifoldRunner:
                         "b": extras["eta-einstein-b"],
                         "residual": extras["eta-einstein-residual"],
                     },
-                    "mean_scalar": extras["mean-scalar"],
+                    "mean_scalar": extras["mean-lc-scalar"],
                     "mean_modified_scalar": extras["mean-modified-scalar"],
                 }
             )

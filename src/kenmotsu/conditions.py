@@ -256,7 +256,7 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdi
             "eta-einstein-a": modified_fit.a,
             "eta-einstein-b": modified_fit.b,
             "eta-einstein-residual": modified_fit.residual,
-            "mean-scalar": scalar_mean,
+            "mean-lc-scalar": scalar_mean,
             "mean-modified-scalar": modified_scalar_mean,
         }
     )

@@ -467,7 +467,9 @@ def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidual
     the Ricci/scalar comparisons and the symmetry defect of the direct
     Ricci are not.
     Returns one report per comparison.  Extras on the scalar report record
-    the mean of both scalars and the dimension-only shift between them.
+    the mean of both scalars, under the keys ``semisymmetry-condition`` uses
+    (``mean-lc-scalar``, ``mean-modified-scalar``), and the dimension-only
+    shift between them.
     """
     reports = []
     for key, name in _CROSS_TO_IDENTITY.items():
@@ -477,7 +479,7 @@ def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidual
     n = geometry.manifold.n
     reports[2].extras.update(
         {
-            "mean-scalar": float(np.mean(geometry.scalar)),
+            "mean-modified-scalar": float(np.mean(geometry.scalar)),
             "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
             "expected-shift": float(2 * n * (2 * n + 3)),
         }

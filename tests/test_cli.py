@@ -134,6 +134,20 @@ def test_json_schema_fields(capsys):
                 assert len(pt["point"]) == mdoc["dim"]
 
 
+def test_scalar_means_carry_the_same_key_on_every_row():
+    config = RunConfig(manifolds=("h5",), suites=("connection", "semisymmetry"), num_points=3)
+    (outcome,) = run(config).manifolds
+    rows = {e.report.identity: e.report for s in outcome.suites for e in s.entries}
+    cross, condition = rows["scalar-cross-check"], rows["semisymmetry-condition"]
+    for key in ("mean-lc-scalar", "mean-modified-scalar"):
+        assert cross.extras[key] == condition.extras[key], key
+    assert "mean-scalar" not in cross.extras and "mean-scalar" not in condition.extras
+    assert cross.extras["mean-lc-scalar"] == pytest.approx(-20.0)
+    assert cross.extras["mean-modified-scalar"] == pytest.approx(8.0)
+    assert outcome.verdicts["mean_scalar"] == condition.extras["mean-lc-scalar"]
+    assert outcome.verdicts["mean_modified_scalar"] == condition.extras["mean-modified-scalar"]
+
+
 def test_json_output_is_deterministic(capsys):
     argv = ["--manifold", "h3", "--points", "5", "--json"]
     assert main(argv) == 0

@@ -126,7 +126,7 @@ def test_curvature_relation_reports(name):
     n = by_name(name).n
     scalar = by_id["scalar-cross-check"]
     assert scalar.extras["expected-shift"] == 2 * n * (2 * n + 3)
-    assert scalar.extras["mean-scalar"] - scalar.extras["mean-lc-scalar"] == pytest.approx(
+    assert scalar.extras["mean-modified-scalar"] - scalar.extras["mean-lc-scalar"] == pytest.approx(
         2 * n * (2 * n + 3), abs=1e-9
     )
 
