@@ -16,7 +16,7 @@ from kenmotsu import (
     levi_civita,
 )
 from kenmotsu.charts import _add_connection_terms, array_field_partials, riemann_of_connection
-from kenmotsu.tensors import slots
+from kenmotsu.tensors import SYMMETRY_TOL, slots
 
 CFG = DifferentiationConfig()
 
@@ -90,6 +90,36 @@ def test_metric_validation_errors():
     )
     with pytest.raises(MetricError):
         indef.metric_at(np.zeros(3))
+
+
+def _skewed(skew):
+    m = np.diag([2.0, 1.0, 3.0])
+    m[0, 1] += skew
+    return m
+
+
+@pytest.mark.parametrize(
+    "bad, why",
+    [
+        (np.full((3, 3), np.nan), "has non-finite entries"),
+        (_skewed(10.0 * SYMMETRY_TOL), "is not symmetric"),
+        (np.diag([1.0, -1.0, 1.0]), "is not positive definite"),
+        (np.diag([1.0, 0.0, 1.0]), "is not positive definite"),
+    ],
+    ids=["non-finite", "asymmetric", "indefinite", "singular"],
+)
+def test_metric_pair_at_names_the_first_failing_point(bad, why):
+    # the first point is fine, the second and third are not: the error names
+    # the second, with the reason its own metric fails
+    points = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]])
+    chart = ChartManifold(
+        dim=3, metric=lambda q: bad if q[0] > 0.15 else np.eye(3), domain=((-1, 1),) * 3
+    )
+    message = f"metric {why} at {points[1].tolist()}"
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        chart.metric_pair_at(points)
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        chart.metric_at(points)
 
 
 def test_finite_difference_matches_analytic_partials_on_ne5():

@@ -9,13 +9,18 @@ through every module binding of the functions, so a suite that goes back
 to recomputing curvature, or a record that goes back to one point at a
 time, fails here.  The catalog's chart and structure callables take a
 batch of points, so the number of calls to them does not grow with the
-number of points either.
+number of points either, and each metric batch (the sample points, and
+with a curvature suite their stencils) is evaluated, validated and
+inverted exactly once.
 """
 
 import dataclasses
 import functools
 import sys
 from collections import Counter
+
+import numpy as np
+import pytest
 
 from kenmotsu import AlmostContactStructure, by_name, charts, cli, connection
 from kenmotsu.cli import SUITE_ORDER, RunConfig, run
@@ -82,7 +87,8 @@ def test_at_most_one_record_and_two_curvature_passes_per_point(monkeypatch):
     assert 0 < bundles[0] <= points
 
 
-def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
+def _count_catalog_callables(monkeypatch) -> Counter:
+    """Make the CLI run catalog examples whose callables count their calls."""
     calls = Counter()
 
     def counted(chart: str, name: str, f):
@@ -107,6 +113,11 @@ def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
         return dataclasses.replace(ex, manifold=manifold, structure=structure)
 
     monkeypatch.setattr(cli, "by_name", counted_example)
+    return calls
+
+
+def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
+    calls = _count_catalog_callables(monkeypatch)
 
     def counts(points: int) -> Counter:
         calls.clear()
@@ -117,3 +128,28 @@ def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
     two, five = counts(2), counts(5)
     assert len(two) == 5 * len(CHARTS), two
     assert five == two
+
+
+@pytest.mark.parametrize("chart", CHARTS)
+@pytest.mark.parametrize(
+    "suites, each", [(SUITE_ORDER, 2), (("axioms", "kenmotsu"), 1)], ids=["full", "first-order"]
+)
+def test_metric_is_evaluated_validated_and_inverted_once_per_batch(
+    monkeypatch, chart, suites, each
+):
+    # one batch for the sample points and, with a curvature suite, one for
+    # their stencils: each is evaluated, factored and inverted exactly once
+    calls = _count_catalog_callables(monkeypatch)
+    for name in ("cholesky", "inv"):
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls["linalg", _name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = run(RunConfig(manifolds=(chart,), suites=suites, num_points=POINTS))
+    assert report.exit_status == 0
+    for key in ((chart, "metric"), (chart, "metric_partials"), ("linalg", "cholesky"),
+                ("linalg", "inv")):
+        assert calls[key] == each, key
