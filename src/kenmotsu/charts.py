@@ -173,9 +173,7 @@ class ChartManifold:
     def metric_pair_at(self, points: np.ndarray) -> MetricPair:
         """g_ij and g^ij at each point: one evaluation, one inverse, one validation.
 
-        The pair's own check is the only validation of a good batch; a bad
-        one is searched again for its first failing point, which the error
-        names.
+        Only a failing batch is searched again, for the point the error names.
         """
         p = self.require_inside(points)
         m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
@@ -297,9 +295,9 @@ def levi_civita(pair: MetricPair, dg: np.ndarray) -> ConnectionCoefficients:
     """
     m = pair.dim
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
-    flat = term.reshape(term.shape[:-3] + (m, m * m))
-    gamma = 0.5 * (pair.inverse @ flat).reshape(term.shape)
-    return ConnectionCoefficients(m, gamma, symmetric=True)
+    gamma = 0.5 * (pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m)))
+    del term  # the coefficients' validation allocates two arrays of this size
+    return ConnectionCoefficients(m, gamma.reshape(dg.shape), symmetric=True)
 
 
 def riemann_of_connection(
