@@ -20,6 +20,7 @@ ever leaves it.
 
 from __future__ import annotations
 
+import random
 import zlib
 from dataclasses import dataclass
 
@@ -60,19 +61,26 @@ class NamedExample:
     def sample_points(self, count: int, seed: int, step: float = 1e-4) -> np.ndarray:
         """(count, dim) deterministic uniform draws from the sample box, shrunk by 10*step.
 
-        The per-example stream is keyed by (seed, crc32(name)) so reports
-        are reproducible across runs and machines regardless of catalog
-        order.
+        The per-example stream is ``random.Random`` keyed by (seed,
+        crc32(name)), so reports are reproducible across runs and machines
+        regardless of catalog order.  One ``getrandbits`` call gives 64 bits
+        per coordinate; the top 53 of each make a uniform in [0, 1).
         """
         if count < 1:
             raise ValueError("count must be positive")
-        rng = np.random.default_rng([seed, zlib.crc32(self.name.encode())])
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         margin = 10.0 * step
         lows = np.array([lo + margin for lo, _ in self.sample_box])
         highs = np.array([hi - margin for _, hi in self.sample_box])
         if np.any(lows >= highs):
             raise ValueError("step too large for the sample box")
-        return rng.uniform(lows, highs, size=(count, self.manifold.dim))
+        size = count * self.manifold.dim
+        # crc32 fits in 32 bits, so each (seed, name) pair is its own key
+        rng = random.Random(seed << 32 | zlib.crc32(self.name.encode()))
+        words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
+        unit = (np.frombuffer(words, dtype="<u8") >> 11) * 2.0**-53
+        return lows + (highs - lows) * unit.reshape(count, self.manifold.dim)
 
 
 def _planar_phi(dim: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from .connection import (
     check_torsion,
     curvature_bundle,
 )
-from .report import IDENTITIES, IdentityResidualReport, to_json
+from .report import IDENTITIES, IdentityResidualReport, to_json, write_json
 from .structure import (
     StructureError,
     check_almost_contact,
@@ -198,6 +198,10 @@ class RunReport:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2)``, written from the rows' arrays."""
         return to_json(self._tree(IdentityEntry.to_json_tree))
+
+    def write_json(self, stream) -> None:
+        """Write the text of :meth:`to_json` to ``stream`` as it is rendered, never whole."""
+        write_json(self._tree(IdentityEntry.to_json_tree), stream.write)
 
     def _tree(self, row) -> dict:
         return {
@@ -517,8 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if config.output_format == "json":
-        # two writes: joining the newline on would copy the whole report once more
-        sys.stdout.write(report.to_json())
+        report.write_json(sys.stdout)
         sys.stdout.write("\n")
     else:
         sys.stdout.write(render_text(report))

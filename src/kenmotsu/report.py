@@ -7,7 +7,8 @@ without recomputing anything.  :data:`IDENTITIES` is the one place that
 says, per identity, which suite runs it, how tight its gate is and what a
 chart is expected to make of it; the checks and the CLI both read it.
 :func:`to_json` renders a report exactly as ``json.dumps(report, indent=2)``
-does, in a fraction of its time.
+does, in a fraction of its time; :func:`write_json` hands the same text to
+a stream piece by piece.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ class IdentityResidualReport:
     so every row of a chart holds the same object and :func:`to_json`
     renders its coordinates once per report.  The record is a plain class,
     not a dataclass; two records are equal when their fields and arrays
-    are.  ``max_residual`` is NaN when any residual is NaN, so such a row
-    fails its gate.
+    are.  ``max_residual`` is taken once per :meth:`add_points`; it is NaN
+    when any residual is NaN, so such a row fails its gate.
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
@@ -58,6 +59,7 @@ class IdentityResidualReport:
         self.tolerance = tolerance
         self.coords = _read_only(np.empty((0, 0)))
         self.residuals = _read_only(np.empty(0))
+        self.max_residual = 0.0
         self.extras = {} if extras is None else extras
         self.status = status
         self.note = note
@@ -78,13 +80,6 @@ class IdentityResidualReport:
             and np.array_equal(self.coords, other.coords)
             and np.array_equal(self.residuals, other.residuals)
         )
-
-    @property
-    def max_residual(self) -> float:
-        if not len(self.residuals):
-            return 0.0
-        # np.max propagates NaN, where Python's max skips one that is not first
-        return float(np.max(self.residuals))
 
     @property
     def passed(self) -> bool:
@@ -117,6 +112,8 @@ class IdentityResidualReport:
         elif coords.flags.writeable:
             coords = coords.copy()
         self.coords, self.residuals = _read_only(coords), _read_only(residuals)
+        # np.max propagates NaN, where Python's max skips one that is not first
+        self.max_residual = float(np.max(residuals))
 
     def to_dict(self) -> dict:
         return self._tree(
@@ -242,8 +239,18 @@ def to_json(obj) -> str:
     one rendering of its coordinates.
     """
     out: list[str] = []
-    _write(obj, "\n", out, {})
+    write_json(obj, out.append)
     return "".join(out)
+
+
+def write_json(obj, write) -> None:
+    """Pass the text of :func:`to_json` to ``write`` piece by piece, as it is rendered.
+
+    ``write`` is a callable such as a stream's ``write``, which then receives
+    the report without it ever being held whole; the largest piece is one
+    row's points block.
+    """
+    _write(obj, "\n", write, {})
 
 
 def _float(value: float) -> str:
@@ -293,67 +300,67 @@ def _points_template(coords: np.ndarray, nl: str) -> str:
     return "[" + inner + body + nl + "]"
 
 
-def _write_points(block: _PointsBlock, nl: str, out: list[str], templates: dict) -> None:
-    """Append a row's points block, its coordinates taken from ``templates``."""
+def _write_points(block: _PointsBlock, nl: str, put, templates: dict) -> None:
+    """Put a row's points block, its coordinates taken from ``templates``."""
     residuals = block.residuals
     if not len(residuals):
-        out.append("[]")
+        put("[]")
         return
     # the points object is alive for the whole render, so its id is stable
     key = (id(block.coords), nl)
     if key not in templates:
         templates[key] = _points_template(block.coords, nl)
-    out.append(templates[key] % _reprs(residuals))
+    put(templates[key] % _reprs(residuals))
 
 
-def _write(value, nl: str, out: list[str], templates: dict) -> None:
-    """Append ``value`` rendered at the indent ``nl`` (a newline and the current indent)."""
+def _write(value, nl: str, put, templates: dict) -> None:
+    """Put ``value`` rendered at the indent ``nl`` (a newline and the current indent)."""
     if isinstance(value, str):
-        out.append(_quote(value))
+        put(_quote(value))
     elif value is None:
-        out.append("null")
+        put("null")
     elif value is True:
-        out.append("true")
+        put("true")
     elif value is False:
-        out.append("false")
+        put("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        put(int.__repr__(value))
     elif isinstance(value, float):
-        out.append(_float(value))
+        put(_float(value))
     elif isinstance(value, (list, tuple)):
-        _write_list(value, nl, out, templates)
+        _write_list(value, nl, put, templates)
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            put("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
+            put(sep + _quote(key) + ": ")
             sep = "," + inner
-            _write(item, inner, out, templates)
-        out.append(nl + "}")
+            _write(item, inner, put, templates)
+        put(nl + "}")
     elif type(value) is _PointsBlock:
-        _write_points(value, nl, out, templates)
+        _write_points(value, nl, put, templates)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_list(values, nl: str, out: list[str], templates: dict) -> None:
+def _write_list(values, nl: str, put, templates: dict) -> None:
     if not values:
-        out.append("[]")
+        put("[]")
         return
     try:
-        out.append(_floats(values, nl))
+        put(_floats(values, nl))
         return
     except TypeError:
         pass
     inner = nl + "  "
     sep = "[" + inner
     for item in values:
-        out.append(sep)
+        put(sep)
         sep = "," + inner
-        _write(item, inner, out, templates)
-    out.append(nl + "]")
+        _write(item, inner, put, templates)
+    put(nl + "]")

@@ -49,10 +49,16 @@ def test_sampling_is_deterministic():
 
 
 def test_sampling_streams_differ_between_examples():
-    # same seed on same-dimension examples must not reuse one stream
-    a = np.asarray(by_name("h5").sample_points(5, seed=0))
-    b = np.asarray(by_name("ne5").sample_points(5, seed=0))
-    assert not np.array_equal(a, b)
+    # same seed on same-dimension examples must not reuse one stream;
+    # euclidean3 and h3 also share their sample box, so only the stream can
+    # tell their points apart, at any seed
+    draws = [
+        ex.sample_points(4, seed=seed)
+        for ex in (by_name("euclidean3"), by_name("h3"))
+        for seed in (0, 1, 2, 2**40)
+    ]
+    coordinates = np.concatenate([p.ravel() for p in draws])
+    assert len(np.unique(coordinates)) == len(coordinates)
 
 
 def test_samples_keep_stencil_margin():
@@ -60,10 +66,31 @@ def test_samples_keep_stencil_margin():
     for ex in catalog():
         lo = np.array([b[0] for b in ex.sample_box])
         hi = np.array([b[1] for b in ex.sample_box])
-        for p in ex.sample_points(50, seed=9, step=step):
+        assert ex.sample_points(1, seed=9, step=step).shape == (1, ex.manifold.dim)
+        points = ex.sample_points(50, seed=9, step=step)
+        assert points.shape == (50, ex.manifold.dim) and points.dtype == float
+        for p in points:
             assert ex.manifold.contains(p)
-            assert np.all(p >= lo + 9 * step)
-            assert np.all(p <= hi - 9 * step)
+            assert np.all(p >= lo + 10 * step)
+            assert np.all(p < hi - 10 * step)
+
+
+def test_negative_seed_is_rejected():
+    # random.Random would silently draw the stream of abs(seed)
+    with pytest.raises(ValueError, match="seed"):
+        by_name("h3").sample_points(3, seed=-1)
+
+
+def test_seeded_draws_have_uniform_moments():
+    # 20,000 points per axis: the standard error of the mean of a unit
+    # uniform is 0.002 and that of its variance 0.0005
+    ex = by_name("h3")
+    lo = np.array([b[0] for b in ex.sample_box])
+    hi = np.array([b[1] for b in ex.sample_box])
+    for seed in (0, 7):
+        unit = (ex.sample_points(20_000, seed=seed, step=0.0) - lo) / (hi - lo)
+        assert np.all(np.abs(unit.mean(axis=0) - 0.5) < 0.01), seed
+        assert np.all(np.abs(unit.var(axis=0) - 1 / 12) < 0.003), seed
 
 
 def test_sample_box_must_sit_inside_domain():

@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,41 @@ def test_json_output_is_deterministic(capsys):
     second = capsys.readouterr().out
     assert first == second
     assert json.loads(first)["exit_status"] == 0
+
+
+@pytest.mark.parametrize("argv", [[], ["--points", "137", "--seed", "1"]])
+def test_json_cli_streams_the_report_text(argv, monkeypatch, capsys):
+    config = RunConfig(
+        manifolds=tuple(ex.name for ex in k.catalog()),
+        suites=("all",),
+        num_points=137 if argv else 20,
+        seed=1 if argv else 0,
+        output_format="json",
+    )
+    expected = run(config).to_json() + "\n"
+
+    def whole_text(self):
+        raise AssertionError("the CLI must not build the whole report text")
+
+    monkeypatch.setattr(cli.RunReport, "to_json", whole_text)
+    assert main(["--json", *argv]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_run_never_imports_numpy_random():
+    script = (
+        "import sys\n"
+        "from kenmotsu import cli\n"
+        "status = cli.main(['--json', '--points', '2'])\n"
+        "print(status, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+    )
+    assert proc.stderr.split() == ["0", "False"], proc.stderr
 
 
 def test_tolerance_override_lands_in_report(capsys):

@@ -103,6 +103,22 @@ def test_rows_of_one_points_object_at_two_indents():
     )
 
 
+def test_appended_points_update_the_worst_residual():
+    row = IdentityResidualReport("x", 1e-5)
+    assert row.max_residual == 0.0 and row.passed
+    row.add_points([[0.0, 1.0]], [2e-6])
+    assert row.max_residual == 2e-6 and row.passed
+    row.add_points([[1.0, 1.0], [2.0, 1.0]], [3e-5, 1e-7])
+    assert row.max_residual == 3e-5 and not row.passed
+    row.add_points([[3.0, 1.0]], [0.0])
+    assert row.max_residual == 3e-5
+    # a NaN that is not first still fails the row, whatever follows it
+    row.add_points([[4.0, 1.0], [5.0, 1.0]], [math.nan, 1.0])
+    assert math.isnan(row.max_residual) and not row.passed
+    row.add_points([[6.0, 1.0]], [0.0])
+    assert math.isnan(row.max_residual) and not row.passed
+
+
 def test_records_compare_by_value():
     def row(residual):
         r = IdentityResidualReport("x", 1e-5, extras={"a": 1.0})

@@ -121,16 +121,16 @@ def test_a_nan_residual_fails_its_row():
     xi = ex.structure.xi
     broken = AlmostContactStructure(
         ex.structure.phi,
-        lambda p: np.full(3, np.nan) if p[0] < -0.5 else xi(p),
+        lambda p: np.full(3, np.nan) if p[0] > 0.8 else xi(p),
         ex.structure.eta,
     )
     points = ex.sample_points(6, 0)
-    assert [i for i, p in enumerate(points) if p[0] < -0.5] == [4]
+    assert [i for i, p in enumerate(points) if p[0] > 0.8] == [1]
     for report in (
         check_almost_contact(record(ex, points, broken)),
         check_kenmotsu(record(ex, points, broken)),
     ):
-        assert np.isnan(report.residuals[4]), report.identity
+        assert np.isnan(report.residuals[1]), report.identity
         assert np.isnan(report.max_residual), report.identity
         assert not report.passed, report.identity
 
