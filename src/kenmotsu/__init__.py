@@ -20,7 +20,6 @@ from .charts import (
     levi_civita,
 )
 from .conditions import (
-    EinsteinFit,
     SemisymmetryVerdict,
     check_derivation_identity,
     check_semisymmetry_condition,
@@ -29,6 +28,7 @@ from .conditions import (
 )
 from .connection import (
     CurvatureBundle,
+    EinsteinFit,
     NonMetricConnection,
     check_curvature_relation,
     check_deformation_form,

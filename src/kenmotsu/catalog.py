@@ -1,15 +1,18 @@
 """Built-in example charts with almost contact structures.
 
+Every chart is a warped product R x_{e^{beta t}} N made by :func:`warped`,
+with the fibre N on the first coordinates and t the last.  Over a Kaehler
+fibre beta = 1 gives a Kenmotsu chart and beta = 0 a cosymplectic one.
 Four charts make up the corpus:
 
-- ``euclidean3``: flat R^3 with the obvious structure.  Almost contact
+- ``euclidean3``: the flat fibre R^2 at beta = 0, flat R^3.  Almost contact
   metric but not Kenmotsu; the control case.
-- ``h3``, ``h5``: warped charts g = e^{2t} (sum of fiber squares) + dt^2 in
-  dimensions 3 and 5.  Constant curvature -1, Kenmotsu, Einstein.
-- ``ne5``: the fiber is the Kaehler product of a hyperbolic plane (half
-  plane coordinates, metric (dx1^2 + dy1^2)/y1^2) with a flat plane, warped
-  the same way.  Kenmotsu but not Einstein, with a nonzero conformal
-  tensor; exists so the Einstein-only consequences have a falsifier.
+- ``h3``, ``h5``: the flat fibres R^2 and R^4 at beta = 1.  Constant
+  curvature -1, Kenmotsu, Einstein.
+- ``ne5``: at beta = 1, the fibre is the Kaehler product of a hyperbolic
+  plane (half plane coordinates, metric (dx1^2 + dy1^2)/y1^2) with a flat
+  plane.  Kenmotsu but not Einstein, with a nonzero conformal tensor;
+  exists so the Einstein-only consequences have a falsifier.
 
 Every chart carries analytic metric partials so the finite-difference path
 always has an exact competitor, and a sample box on which metric entries
@@ -23,6 +26,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -106,112 +110,101 @@ def _diagonal(entries: list) -> np.ndarray:
     return out
 
 
-def _standard_structure(dim: int) -> AlmostContactStructure:
-    xi = np.zeros(dim)
-    xi[-1] = 1.0
-    return AlmostContactStructure(
-        phi=_constant(_planar_phi(dim)), xi=_constant(xi), eta=_constant(xi)
-    )
+def warped(name: str, beta: float, fiber: Callable, fiber_partials: Callable,
+           domain: tuple, sample_box: tuple, **expectations) -> NamedExample:
+    """The chart R x_{e^{beta t}} N: metric e^{2 beta t} g_N + dt^2, t the last coordinate.
 
-
-def _euclidean3() -> NamedExample:
-    dim = 3
-
-    manifold = ChartManifold(
-        dim=dim,
-        metric=_constant(np.eye(dim)),
-        metric_partials=_constant(np.zeros((dim, dim, dim))),
-        domain=((-2.0, 2.0),) * 3,
-    )
-    return NamedExample(
-        name="euclidean3",
-        manifold=manifold,
-        structure=_standard_structure(dim),
-        expected_kenmotsu=False,
-        expected_einstein=True,
-        expected_weyl_flat=True,
-        sample_box=((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
-        notes="flat control: almost contact metric, fails the defining condition",
-    )
-
-
-def _warped_space_form(name: str, dim: int) -> NamedExample:
-    fiber = dim - 1
+    ``fiber(x)`` gives g_N and ``fiber_partials(x)`` its partials
+    dg_N[a, i, j] = d_a g_N,ij, both in batch form over the fibre
+    coordinates x = p[..., :-1].  The metric partials on the fibre block are
+    d_t g = 2 beta e^{2 beta t} g_N and d_a g = e^{2 beta t} d_a g_N.  The
+    structure is xi = d_t, eta = dt and phi rotating each fibre coordinate
+    pair.  ``expectations`` are the remaining :class:`NamedExample` fields.
+    """
+    dim = len(domain)
+    k = dim - 1
 
     @batched
     def metric(p: np.ndarray) -> np.ndarray:
-        w = np.exp(2.0 * p[..., -1])
-        return _diagonal([w] * fiber + [1.0])
+        g = np.zeros(p.shape[:-1] + (dim, dim))
+        g[..., :k, :k] = np.exp(2.0 * beta * p[..., -1])[..., None, None] * fiber(p[..., :k])
+        g[..., k, k] = 1.0
+        return g
 
     @batched
     def partials(p: np.ndarray) -> np.ndarray:
-        dg = np.zeros(p.shape[:-1] + (dim, dim, dim))
-        dg[..., -1, :fiber, :fiber] = _diagonal([2.0 * np.exp(2.0 * p[..., -1])] * fiber)
+        w = np.exp(2.0 * beta * p[..., -1])[..., None, None]
+        dg = np.zeros(p.shape[:-1] + (dim,) * 3)
+        dg[..., :k, :k, :k] = w[..., None] * fiber_partials(p[..., :k])
+        dg[..., k, :k, :k] = 2.0 * beta * w * fiber(p[..., :k])
         return dg
 
-    manifold = ChartManifold(
-        dim=dim,
-        metric=metric,
-        metric_partials=partials,
-        domain=((-2.0, 2.0),) * fiber + ((-1.0, 1.0),),
-    )
+    xi = np.eye(dim)[-1]
     return NamedExample(
         name=name,
-        manifold=manifold,
-        structure=_standard_structure(dim),
-        expected_kenmotsu=True,
-        expected_einstein=True,
-        expected_weyl_flat=True,
-        sample_box=((-1.0, 1.0),) * fiber + ((-0.5, 0.5),),
-        notes="constant curvature -1 warped chart; Einstein with S = -(dim-1) g",
+        manifold=ChartManifold(dim=dim, metric=metric, metric_partials=partials, domain=domain),
+        structure=AlmostContactStructure(
+            phi=_constant(_planar_phi(dim)), xi=_constant(xi), eta=_constant(xi)
+        ),
+        sample_box=sample_box,
+        **expectations,
     )
 
 
-def _ne5() -> NamedExample:
-    dim = 5
+def _flat(x: np.ndarray) -> np.ndarray:
+    """The flat fibre metric: the identity at every point."""
+    return np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
 
-    @batched
-    def metric(p: np.ndarray) -> np.ndarray:
-        w = np.exp(2.0 * p[..., 4])
-        y1 = p[..., 1]
-        return _diagonal([w / y1**2, w / y1**2, w, w, 1.0])
 
-    @batched
-    def partials(p: np.ndarray) -> np.ndarray:
-        dg = np.zeros(p.shape[:-1] + (dim, dim, dim))
-        w = np.exp(2.0 * p[..., 4])
-        y1 = p[..., 1]
-        # t-derivative doubles every warped entry
-        dg[..., 4, :4, :4] = _diagonal([2.0 * w / y1**2] * 2 + [2.0 * w] * 2)
-        # y1-derivative acts on the hyperbolic block only
-        dg[..., 1, :2, :2] = _diagonal([-2.0 * w / y1**3] * 2)
-        return dg
+def _flat_partials(x: np.ndarray) -> np.ndarray:
+    return np.zeros(x.shape + x.shape[-1:] * 2)
 
-    manifold = ChartManifold(
-        dim=dim,
-        metric=metric,
-        metric_partials=partials,
-        domain=((-2.0, 2.0), (0.5, 3.0), (-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0)),
-    )
-    return NamedExample(
-        name="ne5",
-        manifold=manifold,
-        structure=_standard_structure(dim),
-        expected_kenmotsu=True,
-        expected_einstein=False,
-        expected_weyl_flat=False,
-        sample_box=((-1.0, 1.0), (0.7, 2.5), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
-        notes="hyperbolic-times-flat Kaehler fiber; Kenmotsu but not Einstein",
-        fd_tolerance_scale=10.0,
-    )
+
+def _hyperbolic_times_flat(x: np.ndarray) -> np.ndarray:
+    """The hyperbolic plane times a flat factor: (dx1^2 + dy1^2) / y1^2 + the flat rest."""
+    return _diagonal([1.0 / x[..., 1] ** 2] * 2 + [1.0] * (x.shape[-1] - 2))
+
+
+def _hyperbolic_times_flat_partials(x: np.ndarray) -> np.ndarray:
+    dg = np.zeros(x.shape + x.shape[-1:] * 2)
+    # only y1 moves the fibre metric, and only its hyperbolic block
+    dg[..., 1, :2, :2] = _diagonal([-2.0 / x[..., 1] ** 3] * 2)
+    return dg
 
 
 def catalog() -> list[NamedExample]:
+    space_form = dict(
+        expected_kenmotsu=True, expected_einstein=True, expected_weyl_flat=True,
+        notes="constant curvature -1 warped chart; Einstein with S = -(dim-1) g",
+    )
     return [
-        _euclidean3(),
-        _warped_space_form("h3", 3),
-        _warped_space_form("h5", 5),
-        _ne5(),
+        warped(
+            "euclidean3", 0.0, _flat, _flat_partials,
+            domain=((-2.0, 2.0),) * 3,
+            sample_box=((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
+            expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
+            notes="flat control: almost contact metric, fails the defining condition",
+        ),
+        warped(
+            "h3", 1.0, _flat, _flat_partials,
+            domain=((-2.0, 2.0),) * 2 + ((-1.0, 1.0),),
+            sample_box=((-1.0, 1.0),) * 2 + ((-0.5, 0.5),),
+            **space_form,
+        ),
+        warped(
+            "h5", 1.0, _flat, _flat_partials,
+            domain=((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
+            sample_box=((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
+            **space_form,
+        ),
+        warped(
+            "ne5", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
+            domain=((-2.0, 2.0), (0.5, 3.0), (-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0)),
+            sample_box=((-1.0, 1.0), (0.7, 2.5), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
+            expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
+            notes="hyperbolic-times-flat Kaehler fiber; Kenmotsu but not Einstein",
+            fd_tolerance_scale=10.0,
+        ),
     ]
 
 

@@ -274,25 +274,23 @@ class _ManifoldRunner:
         return IdentityEntry(self._stamped(report), expected=expected)
 
     def _read_verdicts(self, report: IdentityResidualReport) -> None:
-        """Take the verdicts a row carries: the joint fits and scalar means, the scalar shift."""
+        """Take the verdicts a row carries: the joint fits, the scalar means, the scalar shift."""
         extras = report.extras
-        if report.identity == "semisymmetry-condition":
-            self.verdicts.update(
-                {
-                    "einstein": extras["einstein-residual"] < EINSTEIN_FIT_THRESHOLD,
-                    "einstein_fit": {
-                        "a": extras["einstein-a"],
-                        "residual": extras["einstein-residual"],
-                    },
-                    "eta_einstein_fit": {
-                        "a": extras["eta-einstein-a"],
-                        "b": extras["eta-einstein-b"],
-                        "residual": extras["eta-einstein-residual"],
-                    },
-                    "mean_scalar": extras["mean-lc-scalar"],
-                    "mean_modified_scalar": extras["mean-modified-scalar"],
-                }
-            )
+        if report.identity == "einstein-ricci-fit":
+            self.verdicts["einstein"] = extras["joint-residual"] < EINSTEIN_FIT_THRESHOLD
+            self.verdicts["einstein_fit"] = {
+                "a": extras["joint-a"],
+                "residual": extras["joint-residual"],
+            }
+        elif report.identity == "eta-einstein-fit":
+            self.verdicts["eta_einstein_fit"] = {
+                "a": extras["joint-a"],
+                "b": extras["joint-b"],
+                "residual": extras["joint-residual"],
+            }
+        elif report.identity == "semisymmetry-condition":
+            self.verdicts["mean_scalar"] = extras["mean-lc-scalar"]
+            self.verdicts["mean_modified_scalar"] = extras["mean-modified-scalar"]
         elif report.identity == "scalar-cross-check" and self.example.expected_kenmotsu:
             self.verdicts["scalar_shift_deviation"] = report.max_residual
 

@@ -30,7 +30,6 @@ import numpy as np
 
 from .connection import (
     CurvatureBundle,
-    EinsteinFit,
     _chunk_ranges,
     _fit_operators,
 )
@@ -197,19 +196,16 @@ def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualRepo
 class SemisymmetryVerdict:
     """Outcome of the semi-symmetry comparison over a set of points.
 
-    ``condition`` is the four-term bracket residual report.  The fits are
-    joint across all points; ``companions`` carries per-point reports for
-    the four numeric consequences of the condition (Einstein fit a = -2n,
-    operator fit (a,b) = (2,-2) for the modified Ricci, and the two
-    constant-scalar targets), so a runner can print them as rows next to
-    the condition itself.
+    ``condition`` is the four-term bracket residual report.  ``companions``
+    carries per-point reports for the four numeric consequences of the
+    condition (Einstein fit a = -2n, operator fit (a,b) = (2,-2) for the
+    modified Ricci, and the two constant-scalar targets), so a runner can
+    print them as rows next to the condition itself.  The joint fits over
+    all points are the ``joint-*`` extras of the two fit rows, and the
+    scalar means the ``mean-*`` extras of the condition.
     """
 
     condition: IdentityResidualReport
-    ricci_fit: EinsteinFit
-    modified_ricci_fit: EinsteinFit
-    scalar_mean: float
-    modified_scalar_mean: float
     companions: list[IdentityResidualReport]
 
 
@@ -217,10 +213,10 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdi
     """Evaluate the four-term bracket and the consequences of it vanishing.
 
     When the bracket vanishes the chain forces S = -2n g,
-    r = -2n(2n+1), ric_K = 2g - 2 eta (x) eta and scal_K = 4n; the verdict
-    carries joint Einstein fits of S (b forced to 0) and of ric_K (free
-    a, b) plus the scalar means; the companion rows hold the per-point
-    deviations from those targets.
+    r = -2n(2n+1), ric_K = 2g - 2 eta (x) eta and scal_K = 4n; the companion
+    rows hold the per-point deviations from those targets, and the fit rows
+    also the joint Einstein fits of S (b forced to 0) and of ric_K (free
+    a, b).
     """
     n, p = geometry.manifold.n, geometry.p
     g, ginv, xi, eta = geometry.metric.matrix, geometry.metric.inverse, geometry.xi, geometry.eta
@@ -247,17 +243,10 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdi
     mod_scalar_row.add_points(p, np.abs(geometry.scalar - 4.0 * n))
     ricci_fit = _fit_operators(plain_ops, joint=True)
     modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
-    scalar_mean = float(np.mean(geometry.lc_scalar))
-    modified_scalar_mean = float(np.mean(geometry.scalar))
     report.extras.update(
         {
-            "einstein-a": ricci_fit.a,
-            "einstein-residual": ricci_fit.residual,
-            "eta-einstein-a": modified_fit.a,
-            "eta-einstein-b": modified_fit.b,
-            "eta-einstein-residual": modified_fit.residual,
-            "mean-lc-scalar": scalar_mean,
-            "mean-modified-scalar": modified_scalar_mean,
+            "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
+            "mean-modified-scalar": float(np.mean(geometry.scalar)),
         }
     )
     einstein_row.extras.update({"joint-a": ricci_fit.a, "joint-residual": ricci_fit.residual})
@@ -271,12 +260,7 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdi
     scalar_row.extras["target"] = -2.0 * n * (2 * n + 1)
     mod_scalar_row.extras["target"] = 4.0 * n
     return SemisymmetryVerdict(
-        condition=report,
-        ricci_fit=ricci_fit,
-        modified_ricci_fit=modified_fit,
-        scalar_mean=scalar_mean,
-        modified_scalar_mean=modified_scalar_mean,
-        companions=[einstein_row, eta_row, scalar_row, mod_scalar_row],
+        condition=report, companions=[einstein_row, eta_row, scalar_row, mod_scalar_row]
     )
 
 

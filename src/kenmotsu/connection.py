@@ -42,7 +42,7 @@ from .charts import (
 )
 from .report import IdentityResidualReport, new_report, per_point
 from .structure import AlmostContactStructure, StructureError
-from .tensors import MetricPair, slots, _swap_slot_components
+from .tensors import MetricPair, slots
 
 # bytes that one array of a chunk of points may take: the curvature pass
 # and the rank-6 Weyl actions hold about ten such arrays at a time, so
@@ -316,11 +316,6 @@ class CurvatureBundle:
     @cached_property
     def scalar(self) -> np.ndarray:
         return _frozen(np.einsum("...jk,...jk->...", self.metric.inverse, self.ricci))
-
-    @cached_property
-    def ricci_operator(self) -> np.ndarray:
-        """Q^a_b = g^ac Ric_cb."""
-        return _frozen(_swap_slot_components(self.metric.inverse, self.ricci, 0))
 
     @cached_property
     def lc_einstein_fits(self) -> EinsteinFit:

@@ -178,19 +178,22 @@ def test_09_semisymmetry_forces_einstein(semisymmetry, records):
     for name in ("h3", "h5"):
         n = records[name].manifold.n
         v = semisymmetry[name]
+        fit, modified = (row.extras for row in v.companions[:2])
+        scalar = v.condition.extras["mean-lc-scalar"]
+        modified_scalar = v.condition.extras["mean-modified-scalar"]
         checks = (
             v.condition.max_residual < 1e-5,
-            abs(v.ricci_fit.a + 2 * n) < 1e-4 and v.ricci_fit.residual < 1e-4,
-            abs(v.modified_ricci_fit.a - 2) < 1e-4
-            and abs(v.modified_ricci_fit.b + 2) < 1e-4
-            and v.modified_ricci_fit.residual < 1e-4,
-            abs(v.scalar_mean + 2 * n * (2 * n + 1)) < 1e-4,
-            abs(v.modified_scalar_mean - 4 * n) < 1e-4,
+            abs(fit["joint-a"] + 2 * n) < 1e-4 and fit["joint-residual"] < 1e-4,
+            abs(modified["joint-a"] - 2) < 1e-4
+            and abs(modified["joint-b"] + 2) < 1e-4
+            and modified["joint-residual"] < 1e-4,
+            abs(scalar + 2 * n * (2 * n + 1)) < 1e-4,
+            abs(modified_scalar - 4 * n) < 1e-4,
         )
         ok = ok and all(checks)
         parts.append(
-            f"{name}: cond {v.condition.max_residual:.1e}, a {v.ricci_fit.a:.4f},"
-            f" r {v.scalar_mean:.4f}, r~ {v.modified_scalar_mean:.4f}"
+            f"{name}: cond {v.condition.max_residual:.1e}, a {fit['joint-a']:.4f},"
+            f" r {scalar:.4f}, r~ {modified_scalar:.4f}"
         )
     assert _verdict("semisymmetry chain", ok, "; ".join(parts))
 
@@ -198,12 +201,13 @@ def test_09_semisymmetry_forces_einstein(semisymmetry, records):
 def test_10_condition_fails_off_einstein(semisymmetry):
     v = semisymmetry["ne5"]
     hits = int(np.sum(v.condition.residuals > 0.1))
-    ok = hits >= 15 and v.ricci_fit.residual > 1e-2
+    residual = v.companions[0].extras["joint-residual"]
+    ok = hits >= 15 and residual > 1e-2
     assert _verdict(
         "ne5 non-einstein control",
         ok,
         f"condition > 0.1 at {hits}/{len(v.condition.residuals)} points,"
-        f" fit residual {v.ricci_fit.residual:.2f}",
+        f" fit residual {residual:.2f}",
     )
 
 

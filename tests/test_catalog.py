@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+import kenmotsu.cli as cli
 from kenmotsu import by_name, catalog
-from kenmotsu.catalog import NamedExample
+from kenmotsu.catalog import (
+    NamedExample,
+    _flat,
+    _flat_partials,
+    _hyperbolic_times_flat,
+    _hyperbolic_times_flat_partials,
+    warped,
+)
+from kenmotsu.cli import SUITE_ORDER, RunConfig, run
 
 
 def test_catalog_names_and_order():
@@ -115,3 +124,48 @@ def test_ne5_uses_relaxed_fd_scale():
 def test_notes_are_informative():
     for ex in catalog():
         assert ex.notes
+
+
+def _run_outside_catalog(monkeypatch, example):
+    """Every suite on one constructor chart that the catalog does not hold, at 3 points."""
+    monkeypatch.setattr(cli, "by_name", lambda name: example)
+    report = run(RunConfig(manifolds=(example.name,), suites=SUITE_ORDER, num_points=3))
+    (outcome,) = report.manifolds
+    assert [s.status for s in outcome.suites] == ["ran"] * len(SUITE_ORDER)
+    for entry in (e for s in outcome.suites for e in s.entries):
+        assert entry.matched, entry.report.identity
+    assert report.exit_status == 0
+    return outcome
+
+
+def test_dim7_chart_matches_every_row_and_the_scalar_shift(monkeypatch):
+    # ne5's fibre times a flat plane, n = 3: the shift 2n(2n+3) between the
+    # scalar curvatures is pinned here beyond the catalog's n = 1 and n = 2
+    ne7 = warped(
+        "ne7", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
+        domain=((-2.0, 2.0), (0.5, 3.0)) + ((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
+        sample_box=((-1.0, 1.0), (0.7, 2.5)) + ((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
+        expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
+        fd_tolerance_scale=10.0,
+    )
+    verdicts = _run_outside_catalog(monkeypatch, ne7).verdicts
+    assert verdicts["kenmotsu"] is True
+    assert verdicts["expected_scalar_shift"] == 54.0
+    assert verdicts["scalar_shift_deviation"] < 1e-9
+
+
+def test_beta_two_chart_is_not_kenmotsu(monkeypatch):
+    # R x_{e^{2t}} R^2 is beta-Kenmotsu at beta = 2, nabla xi = 2(X - eta(X) xi):
+    # the Kenmotsu condition fails, and the metric has constant curvature -4
+    beta2 = warped(
+        "beta2", 2.0, _flat, _flat_partials,
+        domain=((-2.0, 2.0),) * 2 + ((-1.0, 1.0),),
+        sample_box=((-1.0, 1.0),) * 2 + ((-0.5, 0.5),),
+        expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
+    )
+    outcome = _run_outside_catalog(monkeypatch, beta2)
+    condition = outcome.suites[SUITE_ORDER.index("kenmotsu")].entries[0]
+    assert condition.expected is False and condition.report.max_residual > 1.0
+    assert outcome.verdicts["kenmotsu"] is False
+    assert outcome.verdicts["einstein"] is True
+    assert outcome.verdicts["einstein_fit"]["a"] == pytest.approx(-8.0, abs=1e-9)

@@ -159,12 +159,14 @@ def test_semisymmetry_chain_on_space_forms(name, n):
     verdict = check_semisymmetry_condition(record(name, 6, seed=10))
     assert verdict.condition.passed
     assert verdict.condition.max_residual < 1e-9
-    assert verdict.ricci_fit.a == pytest.approx(-2.0 * n, abs=1e-9)
-    assert verdict.ricci_fit.residual < 1e-9
-    assert verdict.modified_ricci_fit.a == pytest.approx(2.0, abs=1e-9)
-    assert verdict.modified_ricci_fit.b == pytest.approx(-2.0, abs=1e-9)
-    assert verdict.scalar_mean == pytest.approx(-2 * n * (2 * n + 1), abs=1e-9)
-    assert verdict.modified_scalar_mean == pytest.approx(4.0 * n, abs=1e-9)
+    ricci_fit, modified_fit = (row.extras for row in verdict.companions[:2])
+    assert ricci_fit["joint-a"] == pytest.approx(-2.0 * n, abs=1e-9)
+    assert ricci_fit["joint-residual"] < 1e-9
+    assert modified_fit["joint-a"] == pytest.approx(2.0, abs=1e-9)
+    assert modified_fit["joint-b"] == pytest.approx(-2.0, abs=1e-9)
+    means = verdict.condition.extras
+    assert means["mean-lc-scalar"] == pytest.approx(-2 * n * (2 * n + 1), abs=1e-9)
+    assert means["mean-modified-scalar"] == pytest.approx(4.0 * n, abs=1e-9)
     assert verdict.companions[2].max_residual < 1e-9
     assert verdict.companions[3].max_residual < 1e-9
     names = [r.identity for r in verdict.companions]
@@ -182,7 +184,7 @@ def test_semisymmetry_condition_fails_on_ne5():
     verdict = check_semisymmetry_condition(record("ne5", 6, seed=11))
     assert not verdict.condition.passed
     assert verdict.condition.max_residual > 0.1
-    assert verdict.ricci_fit.residual > 1e-2
+    assert verdict.companions[0].extras["joint-residual"] > 1e-2
     for row in verdict.companions:
         assert not row.passed, row.identity
 
