@@ -20,7 +20,6 @@ from .charts import (
     levi_civita,
 )
 from .conditions import (
-    SemisymmetryVerdict,
     check_derivation_identity,
     check_semisymmetry_condition,
     check_weyl,
@@ -63,7 +62,6 @@ __all__ = [
     "MetricPair",
     "NamedExample",
     "NonMetricConnection",
-    "SemisymmetryVerdict",
     "StructureError",
     "batched",
     "by_name",

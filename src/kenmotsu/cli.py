@@ -334,9 +334,10 @@ class _ManifoldRunner:
         return [check_reeb_curvature_degeneracy(self.geometry)]
 
     def _suite_semisymmetry(self) -> list[IdentityResidualReport]:
-        derivation = check_derivation_identity(self.geometry)
-        verdict = check_semisymmetry_condition(self.geometry)
-        return [derivation, verdict.condition, *verdict.companions]
+        return [
+            check_derivation_identity(self.geometry),
+            *check_semisymmetry_condition(self.geometry),
+        ]
 
     def _suite_weyl(self) -> list[IdentityResidualReport]:
         return [*check_weyl(self.geometry), check_weyl_commutation(self.geometry)]

@@ -24,16 +24,15 @@ chain and report the Einstein fits and scalar targets that follow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .connection import (
     CurvatureBundle,
     _chunk_ranges,
     _fit_operators,
+    _wedge,
 )
-from .report import IdentityResidualReport, new_report, per_point
+from .report import IDENTITIES, IdentityResidualReport, per_point, row, sides_row
 from .tensors import _swap_slot_components, _tensordot_each
 
 # threshold on an Einstein fit residual, in (1,1) components: the CLI's
@@ -159,12 +158,6 @@ def _commutation_maxima(
     )
 
 
-def _wedge(g: np.ndarray) -> np.ndarray:
-    """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components with leading point axes."""
-    eye = np.eye(g.shape[-1])
-    return np.einsum("...jz,mi->...mijz", g, eye) - np.einsum("...iz,mj->...mijz", g, eye)
-
-
 def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
     """The four-term bracket, indexed out[..., z, u, i, j] for arguments (Z,U,X,Y)."""
     return (
@@ -187,36 +180,19 @@ def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualRepo
     rhs = _action_on_all_pairs(geometry.lc_riemann, lc_ricci, 2) + _semisymmetry_defect(
         geometry.metric.matrix, lc_ricci
     )
-    report = new_report("derivation-identity")
-    report.add_points(geometry.p, per_point(lhs - rhs))
-    return report
+    return sides_row("derivation-identity", geometry.p, lhs, rhs)
 
 
-@dataclass
-class SemisymmetryVerdict:
-    """Outcome of the semi-symmetry comparison over a set of points.
-
-    ``condition`` is the four-term bracket residual report.  ``companions``
-    carries per-point reports for the four numeric consequences of the
-    condition (Einstein fit a = -2n, operator fit (a,b) = (2,-2) for the
-    modified Ricci, and the two constant-scalar targets), so a runner can
-    print them as rows next to the condition itself.  The joint fits over
-    all points are the ``joint-*`` extras of the two fit rows, and the
-    scalar means the ``mean-*`` extras of the condition.
-    """
-
-    condition: IdentityResidualReport
-    companions: list[IdentityResidualReport]
-
-
-def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdict:
+def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
     """Evaluate the four-term bracket and the consequences of it vanishing.
 
     When the bracket vanishes the chain forces S = -2n g,
-    r = -2n(2n+1), ric_K = 2g - 2 eta (x) eta and scal_K = 4n; the companion
-    rows hold the per-point deviations from those targets, and the fit rows
-    also the joint Einstein fits of S (b forced to 0) and of ric_K (free
-    a, b).
+    r = -2n(2n+1), ric_K = 2g - 2 eta (x) eta and scal_K = 4n.  Returns the
+    ``semisymmetry-condition`` row, whose extras hold the means of both
+    scalar curvatures, then one row per consequence: the per-point
+    deviations from those targets, with the joint Einstein fits of S (b
+    forced to 0) and of ric_K (free a, b) as the ``joint-*`` extras of the
+    two fit rows.
     """
     n, p = geometry.manifold.n, geometry.p
     g, ginv, xi, eta = geometry.metric.matrix, geometry.metric.inverse, geometry.xi, geometry.eta
@@ -224,44 +200,48 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> SemisymmetryVerdi
     # normalize with the inverse metric on the Z slot so the residual is
     # scale-free, matching the (1,1) convention of the fits
     defect_norm = np.einsum("...az,...zuij->...auij", ginv, defect)
-    report = new_report("semisymmetry-condition")
-    report.add_points(p, per_point(defect_norm))
+    means = {
+        "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
+        "mean-modified-scalar": float(np.mean(geometry.scalar)),
+    }
     plain_ops = ginv @ geometry.lc_ricci
     modified_ops = ginv @ geometry.ricci
-    einstein_row = new_report("einstein-ricci-fit")
     plain = geometry.lc_einstein_fits
-    einstein_row.add_points(p, np.maximum(np.abs(plain.a + 2.0 * n), plain.residual))
-    eta_row = new_report("eta-einstein-fit")
-    modified = _fit_operators(modified_ops, xi, eta)
-    eta_row.add_points(
-        p,
-        np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
-    )
-    scalar_row = new_report("scalar-curvature-constant")
-    scalar_row.add_points(p, np.abs(geometry.lc_scalar + 2.0 * n * (2 * n + 1)))
-    mod_scalar_row = new_report("modified-scalar-constant")
-    mod_scalar_row.add_points(p, np.abs(geometry.scalar - 4.0 * n))
     ricci_fit = _fit_operators(plain_ops, joint=True)
+    modified = _fit_operators(modified_ops, xi, eta)
     modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
-    report.extras.update(
-        {
-            "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
-            "mean-modified-scalar": float(np.mean(geometry.scalar)),
-        }
-    )
-    einstein_row.extras.update({"joint-a": ricci_fit.a, "joint-residual": ricci_fit.residual})
-    eta_row.extras.update(
-        {
-            "joint-a": modified_fit.a,
-            "joint-b": modified_fit.b,
-            "joint-residual": modified_fit.residual,
-        }
-    )
-    scalar_row.extras["target"] = -2.0 * n * (2 * n + 1)
-    mod_scalar_row.extras["target"] = 4.0 * n
-    return SemisymmetryVerdict(
-        condition=report, companions=[einstein_row, eta_row, scalar_row, mod_scalar_row]
-    )
+    lc_target, modified_target = -2.0 * n * (2 * n + 1), 4.0 * n
+    return [
+        row("semisymmetry-condition", p, per_point(defect_norm), means),
+        row(
+            "einstein-ricci-fit",
+            p,
+            np.maximum(np.abs(plain.a + 2.0 * n), plain.residual),
+            {"joint-a": ricci_fit.a, "joint-residual": ricci_fit.residual},
+        ),
+        row(
+            "eta-einstein-fit",
+            p,
+            np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
+            {
+                "joint-a": modified_fit.a,
+                "joint-b": modified_fit.b,
+                "joint-residual": modified_fit.residual,
+            },
+        ),
+        row(
+            "scalar-curvature-constant",
+            p,
+            np.abs(geometry.lc_scalar - lc_target),
+            {"target": lc_target},
+        ),
+        row(
+            "modified-scalar-constant",
+            p,
+            np.abs(geometry.scalar - modified_target),
+            {"target": modified_target},
+        ),
+    ]
 
 
 def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -304,15 +284,20 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     bit for bit.  The work runs over chunks of points so that memory stays
     bounded.
     """
-    report = new_report("weyl-tachibana")
+    tolerance = IDENTITIES["weyl-tachibana"].tolerance
     m, n = geometry.manifold.dim, geometry.manifold.n
     if m < 5:
-        report.status = "not-applicable"
-        report.note = "conformal tensor is identically zero in dimension 3"
-        return report
+        return IdentityResidualReport(
+            "weyl-tachibana",
+            tolerance,
+            geometry.p[:0],
+            [],
+            status="not-applicable",
+            note="conformal tensor is identically zero in dimension 3",
+        )
+    status, note = "ok", ""
     if not geometry.lc_einstein_fits.residual.max() < EINSTEIN_FIT_THRESHOLD:
-        report.status = "info"
-        report.note = "Einstein hypothesis fails here; magnitudes recorded only"
+        status, note = "info", "Einstein hypothesis fails here; magnitudes recorded only"
     keys = ("commutator", "tachibana-riemann", "tachibana-weyl",
             "relation-total-dim", "relation-contact-n")
     mags = {k: [] for k in keys}
@@ -333,9 +318,10 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
             mags[key].append(value)
     mags = {k: np.concatenate(v) for k, v in mags.items()}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
-    report.add_points(geometry.p, headline)
-    report.extras.update({k: float(np.max(v)) for k, v in mags.items()})
-    return report
+    extras = {k: float(np.max(v)) for k, v in mags.items()}
+    return IdentityResidualReport(
+        "weyl-tachibana", tolerance, geometry.p, headline, extras, status, note
+    )
 
 
 def check_weyl(
@@ -343,10 +329,8 @@ def check_weyl(
 ) -> tuple[IdentityResidualReport, IdentityResidualReport, IdentityResidualReport]:
     """Tracelessness, vanishing, and metric-Tachibana sanity in one sweep."""
     p, g, weyl = geometry.p, geometry.metric.matrix, geometry.weyl
-    traceless = new_report("weyl-traceless")
-    traceless.add_points(p, _weyl_trace(weyl, g, geometry.metric.inverse))
-    vanishing = new_report("weyl-vanishing")
-    vanishing.add_points(p, per_point(weyl))
-    metric_q = new_report("tachibana-metric")
-    metric_q.add_points(p, per_point(_action_on_all_pairs(_wedge(g), g, 2)))
-    return traceless, vanishing, metric_q
+    return (
+        row("weyl-traceless", p, _weyl_trace(weyl, g, geometry.metric.inverse)),
+        row("weyl-vanishing", p, per_point(weyl)),
+        row("tachibana-metric", p, per_point(_action_on_all_pairs(_wedge(g), g, 2))),
+    )

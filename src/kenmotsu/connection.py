@@ -40,7 +40,7 @@ from .charts import (
     stencil,
     stencil_partials,
 )
-from .report import IdentityResidualReport, new_report, per_point
+from .report import IdentityResidualReport, per_point, row, sides_row
 from .structure import AlmostContactStructure, StructureError
 from .tensors import MetricPair, slots
 
@@ -154,7 +154,8 @@ class CurvatureBundle:
     ``metric`` (a :class:`~kenmotsu.tensors.MetricPair` of (N, dim, dim)
     arrays), ``phi``, ``eta``, ``xi``, their partials ``dxi[n, a, k]`` and
     ``deta[n, a, j]``, the Levi-Civita and modified coefficients
-    ``lc_gamma``/``gamma`` [n, k, i, j], one Levi-Civita and one modified
+    ``lc_gamma``/``gamma`` [n, k, i, j], the Levi-Civita derivative of eta
+    ``lc_nabla_eta[n, a, j]`` = (nabla_a eta)_j, one Levi-Civita and one modified
     curvature pass ``lc_riemann``/``riemann`` [n, l, i, j, k], the
     finite-difference metric partials ``dg_fd`` [n, a, i, j], both Ricci
     tensors and scalars, the per-point Einstein fits ``lc_einstein_fits`` of
@@ -245,6 +246,11 @@ class CurvatureBundle:
         return levi_civita(self.metric, self.manifold.metric_partials_at(self.p, self.cfg)).gamma
 
     @cached_property
+    def lc_nabla_eta(self) -> np.ndarray:
+        """lc_nabla_eta[n, a, j] = (nabla_a eta)_j, nabla the Levi-Civita connection."""
+        return _frozen(_add_connection_terms(self.deta, self.eta, slots("d"), self.lc_gamma))
+
+    @cached_property
     def gamma(self) -> np.ndarray:
         """Coefficients of the modified connection at the points."""
         return _frozen(
@@ -325,10 +331,8 @@ class CurvatureBundle:
     @cached_property
     def riemann_closed_form(self) -> np.ndarray:
         g, eta, xi = self.metric.matrix, self.eta, self.xi
-        eye = np.eye(self.manifold.dim)
         correction = (
-            np.einsum("...jk,li->...lijk", g, eye)
-            - np.einsum("...ik,lj->...lijk", g, eye)
+            _wedge(g)
             + 2.0 * np.einsum("...jk,...i,...l->...lijk", g, eta, xi)
             - 2.0 * np.einsum("...ik,...j,...l->...lijk", g, eta, xi)
         )
@@ -373,9 +377,15 @@ class CurvatureBundle:
             + np.einsum("...jk,...li->...lijk", g, q)
             - np.einsum("...ik,...lj->...lijk", g, q)
         )
-        term_g = np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye)
+        term_g = _wedge(g)
         scale = self.lc_scalar[:, None, None, None, None]
         return _frozen(self.lc_riemann - term_s / (m - 2) + scale * term_g / ((m - 1) * (m - 2)))
+
+
+def _wedge(g: np.ndarray) -> np.ndarray:
+    """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components [..., l, i, j, k]."""
+    eye = np.eye(g.shape[-1])
+    return np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye)
 
 
 def _ricci_components(riem: np.ndarray) -> np.ndarray:
@@ -403,9 +413,7 @@ def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
     eye = np.eye(geometry.manifold.dim)
     torsion = gamma - np.swapaxes(gamma, -1, -2)
     want = np.einsum("...i,kj->...kij", eta, eye) - np.einsum("...j,ki->...kij", eta, eye)
-    report = new_report("torsion-form")
-    report.add_points(geometry.p, per_point(torsion - want))
-    return report
+    return sides_row("torsion-form", geometry.p, torsion, want)
 
 
 def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -415,10 +423,7 @@ def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
     want = 2.0 * np.einsum("...i,...aj->...aij", eta, g) + 2.0 * np.einsum(
         "...j,...ai->...aij", eta, g
     )
-    report = new_report("nonmetricity")
-    report.add_points(geometry.p, per_point(grad - want))
-    report.extras["opposite-sign-residual"] = float(np.max(per_point(grad + want)))
-    return report
+    return sides_row("nonmetricity", geometry.p, grad, want)
 
 
 def check_reeb_transport(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -426,9 +431,7 @@ def check_reeb_transport(geometry: CurvatureBundle) -> IdentityResidualReport:
     xi = geometry.xi
     grad = _add_connection_terms(geometry.dxi, xi, slots("u"), geometry.gamma)
     want = -2.0 * np.einsum("...i,...j->...ij", geometry.eta, xi)
-    report = new_report("reeb-transport")
-    report.add_points(geometry.p, per_point(grad - want))
-    return report
+    return sides_row("reeb-transport", geometry.p, grad, want)
 
 
 def check_deformation_form(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -439,11 +442,8 @@ def check_deformation_form(geometry: CurvatureBundle) -> IdentityResidualReport:
     Kenmotsu condition.
     """
     g, eta = geometry.metric.matrix, geometry.eta
-    grad_eta = _add_connection_terms(geometry.deta, eta, slots("d"), geometry.lc_gamma)
-    beta = grad_eta + np.einsum("...i,...j->...ij", eta, eta) + g
-    report = new_report("deformation-form")
-    report.add_points(geometry.p, per_point(beta - 2.0 * g))
-    return report
+    beta = geometry.lc_nabla_eta + np.einsum("...i,...j->...ij", eta, eta) + g
+    return sides_row("deformation-form", geometry.p, beta, 2.0 * g)
 
 
 _CROSS_TO_IDENTITY = {
@@ -466,20 +466,16 @@ def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidual
     (``mean-lc-scalar``, ``mean-modified-scalar``), and the dimension-only
     shift between them.
     """
-    reports = []
-    for key, name in _CROSS_TO_IDENTITY.items():
-        report = new_report(name)
-        report.add_points(geometry.p, geometry.cross[key])
-        reports.append(report)
     n = geometry.manifold.n
-    reports[2].extras.update(
-        {
-            "mean-modified-scalar": float(np.mean(geometry.scalar)),
-            "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
-            "expected-shift": float(2 * n * (2 * n + 3)),
-        }
-    )
-    return reports
+    scalar_extras = {
+        "mean-modified-scalar": float(np.mean(geometry.scalar)),
+        "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
+        "expected-shift": float(2 * n * (2 * n + 3)),
+    }
+    return [
+        row(name, geometry.p, geometry.cross[key], scalar_extras if key == "scalar" else None)
+        for key, name in _CROSS_TO_IDENTITY.items()
+    ]
 
 
 def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -493,7 +489,5 @@ def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidu
     xi = geometry.xi
     degen = np.einsum("...lijk,...k->...lij", geometry.riemann, xi)
     lc = np.einsum("...lijk,...k->...lij", geometry.lc_riemann, xi)
-    report = new_report("irregularity")
-    report.add_points(geometry.p, per_point(degen))
-    report.extras["levi-civita-contrast"] = float(np.max(per_point(lc)))
-    return report
+    extras = {"levi-civita-contrast": float(np.max(per_point(lc)))}
+    return row("irregularity", geometry.p, per_point(degen), extras)

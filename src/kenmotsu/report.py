@@ -6,6 +6,8 @@ record keeps enough structure for the CLI to render text and JSON views
 without recomputing anything.  :data:`IDENTITIES` is the one place that
 says, per identity, which suite runs it, how tight its gate is and what a
 chart is expected to make of it; the checks and the CLI both read it.
+Every check builds each of its rows in one call, :func:`row` or, for an
+identity lhs = rhs, :func:`sides_row`.
 :func:`to_json` renders a report exactly as ``json.dumps(report, indent=2)``
 does, in a fraction of its time; :func:`write_json` hands the same text to
 a stream piece by piece.
@@ -30,15 +32,15 @@ _STATUSES = ("ok", "info", "not-applicable")
 class IdentityResidualReport:
     """Outcome of checking one identity over a set of sample points.
 
-    ``residuals`` is one float array with the max-abs residual at each
-    point, and ``coords`` the (N, dim) float array of the points, both
-    read-only; :meth:`add_points` is the way to add points.  The checks of
-    this package pass a chart's shared sample array (``CurvatureBundle.p``),
-    so every row of a chart holds the same object and :func:`to_json`
-    renders its coordinates once per report.  The record is a plain class,
-    not a dataclass; two records are equal when their fields and arrays
-    are.  ``max_residual`` is taken once per :meth:`add_points`; it is NaN
-    when any residual is NaN, so such a row fails its gate.
+    A row is built whole: ``coords`` is the (N, dim) array of the points and
+    ``residuals`` the N max-abs residuals, one per point in point order.
+    Both are kept read-only; a read-only float ``coords`` is kept as is, not
+    copied.  The checks of this package pass a chart's shared sample array
+    (``CurvatureBundle.p``), so every row of a chart holds the same object
+    and :func:`to_json` renders its coordinates once per report.  The record
+    is a plain class, not a dataclass; two records are equal when their
+    fields and arrays are.  ``max_residual`` is NaN when any residual is
+    NaN, so such a row fails its gate.
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
@@ -49,17 +51,27 @@ class IdentityResidualReport:
         self,
         identity: str,
         tolerance: float,
+        coords,
+        residuals,
         extras: dict[str, float] | None = None,
         status: str = "ok",
         note: str = "",
     ):
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
+        coords = np.asarray(coords, dtype=float)
+        residuals = np.array(residuals, dtype=float)
+        if coords.ndim != 2 or residuals.shape != (len(coords),):
+            raise ValueError(
+                f"points of shape {coords.shape} but residuals of shape {residuals.shape}"
+            )
+        if coords.flags.writeable:
+            coords = coords.copy()
         self.identity = identity
         self.tolerance = tolerance
-        self.coords = _read_only(np.empty((0, 0)))
-        self.residuals = _read_only(np.empty(0))
-        self.max_residual = 0.0
+        self.coords, self.residuals = _read_only(coords), _read_only(residuals)
+        # np.max propagates NaN, where Python's max skips one that is not first
+        self.max_residual = float(np.max(residuals)) if len(residuals) else 0.0
         self.extras = {} if extras is None else extras
         self.status = status
         self.note = note
@@ -90,30 +102,6 @@ class IdentityResidualReport:
         if self.status != "ok":
             return True
         return self.max_residual <= self.tolerance
-
-    def add_points(self, points, residuals: np.ndarray) -> None:
-        """Append one residual per point, in point order.
-
-        ``points`` is an (N, dim) array or a list of N points.  A read-only
-        float array is kept as is, not copied, so the rows of one batch
-        share it.
-        """
-        residuals = np.array(residuals, dtype=float)
-        if not len(residuals):
-            return
-        coords = np.asarray(points, dtype=float)
-        if coords.ndim != 2 or residuals.shape != (len(coords),):
-            raise ValueError(
-                f"points of shape {coords.shape} but residuals of shape {residuals.shape}"
-            )
-        if len(self.residuals):
-            coords = np.concatenate([self.coords, coords])
-            residuals = np.concatenate([self.residuals, residuals])
-        elif coords.flags.writeable:
-            coords = coords.copy()
-        self.coords, self.residuals = _read_only(coords), _read_only(residuals)
-        # np.max propagates NaN, where Python's max skips one that is not first
-        self.max_residual = float(np.max(residuals))
 
     def to_dict(self) -> dict:
         return self._tree(
@@ -171,6 +159,10 @@ class Identity:
     expected to match; an empty tuple means the identity holds on every
     chart.  A ``kenmotsu_only`` row compares closed forms that assume the
     defining condition, so off the Kenmotsu class it is recorded as INFO.
+    An ``opposite_sign`` row also records, as its ``opposite-sign-residual``
+    extra, the residual against the sign-flipped right-hand side: a sign
+    convention mismatch shows up as the row's residual exploding while the
+    flipped one collapses.
     """
 
     suite: str
@@ -178,21 +170,26 @@ class Identity:
     fd_scaled: bool = False
     expect: tuple[str, ...] = ()
     kenmotsu_only: bool = False
+    opposite_sign: bool = False
 
 
 _KENMOTSU = ("kenmotsu",)
 _EINSTEIN_KENMOTSU = ("einstein", "kenmotsu")
+# the four curvature identities of the Kenmotsu class share one gate
+_CURVATURE_ON_REEB = Identity(
+    "curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU, opposite_sign=True
+)
 
 # in suite order, and in row order within each suite
 IDENTITIES: dict[str, Identity] = {
     "structure-axioms": Identity("axioms", 1e-10),
     "kenmotsu-condition": Identity("kenmotsu", 1e-5, fd_scaled=True, expect=_KENMOTSU),
-    "curvature-eta-component": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
-    "curvature-on-reeb": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
-    "curvature-from-reeb": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
-    "ricci-on-reeb": Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "curvature-eta-component": _CURVATURE_ON_REEB,
+    "curvature-on-reeb": _CURVATURE_ON_REEB,
+    "curvature-from-reeb": _CURVATURE_ON_REEB,
+    "ricci-on-reeb": _CURVATURE_ON_REEB,
     "torsion-form": Identity("connection", 1e-10),
-    "nonmetricity": Identity("connection", 1e-5),
+    "nonmetricity": Identity("connection", 1e-5, opposite_sign=True),
     "reeb-transport": Identity("connection", 1e-5, expect=_KENMOTSU),
     "deformation-form": Identity("connection", 1e-5, expect=_KENMOTSU),
     "riemann-cross-check": Identity("connection", 1e-5, fd_scaled=True, expect=_KENMOTSU),
@@ -218,9 +215,25 @@ def per_point(residual: np.ndarray) -> np.ndarray:
     return np.max(np.abs(residual), axis=tuple(range(1, residual.ndim)))
 
 
-def new_report(identity: str) -> IdentityResidualReport:
-    """An empty report gated at the table's base tolerance."""
-    return IdentityResidualReport(identity, IDENTITIES[identity].tolerance)
+def row(
+    identity: str, points, residuals, extras: dict[str, float] | None = None
+) -> IdentityResidualReport:
+    """The row of ``identity`` over ``points``, gated at the table's base tolerance."""
+    return IdentityResidualReport(
+        identity, IDENTITIES[identity].tolerance, points, residuals, extras
+    )
+
+
+def sides_row(identity: str, points, lhs: np.ndarray, rhs: np.ndarray) -> IdentityResidualReport:
+    """The row of the identity lhs = rhs: per point, the largest entry of |lhs - rhs|.
+
+    Where the table sets ``opposite_sign``, the extras also hold the
+    largest entry of |lhs + rhs| over all points.
+    """
+    extras = {}
+    if IDENTITIES[identity].opposite_sign:
+        extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
+    return row(identity, points, per_point(lhs - rhs), extras)
 
 
 def to_json(obj) -> str:

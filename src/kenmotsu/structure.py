@@ -29,7 +29,7 @@ from .charts import (
     _add_connection_terms,
     _at_each,
 )
-from .report import IdentityResidualReport, new_report, per_point
+from .report import IdentityResidualReport, per_point, row, sides_row
 from .tensors import slots
 
 if TYPE_CHECKING:
@@ -94,10 +94,8 @@ def check_almost_contact(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the three structure axioms at each point."""
     res = _axiom_residuals(geometry)
     headline = np.max([res[k] for k in _AXIOM_KEYS], axis=0)
-    report = new_report("structure-axioms")
-    report.add_points(geometry.p, headline)
-    report.extras.update({k: float(np.max(v)) for k, v in res.items()})
-    return report
+    extras = {k: float(np.max(v)) for k, v in res.items()}
+    return row("structure-axioms", geometry.p, headline, extras)
 
 
 def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
@@ -107,21 +105,19 @@ def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
     grad_xi = _add_connection_terms(b.dxi, xi, slots("u"), b.lc_gamma)
     # (nabla_{d_a} xi)^k = delta^k_a - eta_a xi^k
     want_xi = np.eye(dim) - np.einsum("...i,...j->...ij", eta, xi)
-    grad_eta = _add_connection_terms(b.deta, eta, slots("d"), b.lc_gamma)
     want_eta = b.metric.matrix - np.einsum("...i,...j->...ij", eta, eta)
     return {
         "reeb-gradient": per_point(grad_xi - want_xi),
-        "eta-gradient": per_point(grad_eta - want_eta),
+        "eta-gradient": per_point(b.lc_nabla_eta - want_eta),
     }
 
 
 def check_kenmotsu(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the defining covariant-derivative condition at each point."""
     res = _kenmotsu_residuals(geometry)
-    report = new_report("kenmotsu-condition")
-    report.add_points(geometry.p, np.maximum(res["reeb-gradient"], res["eta-gradient"]))
-    report.extras.update({k: float(np.max(v)) for k, v in res.items()})
-    return report
+    headline = np.maximum(res["reeb-gradient"], res["eta-gradient"])
+    extras = {k: float(np.max(v)) for k, v in res.items()}
+    return row("kenmotsu-condition", geometry.p, headline, extras)
 
 
 def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
@@ -132,10 +128,9 @@ def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidu
         R(xi,X) Y    = eta(Y) X - g(X,Y) xi
         S(X, xi)     = -2n eta(X)
 
-    Each identity gets its own report.  For the orientation-sensitive ones
-    the extras record the residual against the sign-flipped right-hand side:
-    a curvature sign-convention mismatch shows up as the primary residual
-    exploding while the flipped one collapses.
+    Each identity gets its own report.  Each is orientation-sensitive, so
+    the table sets ``opposite_sign`` for it and the extras record the
+    residual against the sign-flipped right-hand side.
     """
     n = geometry.manifold.n
     eye = np.eye(geometry.manifold.dim)
@@ -156,10 +151,4 @@ def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidu
         ),
         "ricci-on-reeb": ((ric @ xi[..., None])[..., 0], -2.0 * n * eta),
     }
-    reports = []
-    for name, (lhs, rhs) in sides.items():
-        report = new_report(name)
-        report.add_points(geometry.p, per_point(lhs - rhs))
-        report.extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
-        reports.append(report)
-    return reports
+    return [sides_row(name, geometry.p, lhs, rhs) for name, (lhs, rhs) in sides.items()]

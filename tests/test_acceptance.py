@@ -67,7 +67,10 @@ def cross_reports(records):
 
 @pytest.fixture(scope="module")
 def semisymmetry(records):
-    return {name: check_semisymmetry_condition(records[name]) for name in KENMOTSU_NAMES}
+    return {
+        name: {row.identity: row for row in check_semisymmetry_condition(records[name])}
+        for name in KENMOTSU_NAMES
+    }
 
 
 def test_01_structure_axioms(records):
@@ -177,12 +180,13 @@ def test_09_semisymmetry_forces_einstein(semisymmetry, records):
     parts = []
     for name in ("h3", "h5"):
         n = records[name].manifold.n
-        v = semisymmetry[name]
-        fit, modified = (row.extras for row in v.companions[:2])
-        scalar = v.condition.extras["mean-lc-scalar"]
-        modified_scalar = v.condition.extras["mean-modified-scalar"]
+        rows = semisymmetry[name]
+        condition = rows["semisymmetry-condition"]
+        fit, modified = rows["einstein-ricci-fit"].extras, rows["eta-einstein-fit"].extras
+        scalar = condition.extras["mean-lc-scalar"]
+        modified_scalar = condition.extras["mean-modified-scalar"]
         checks = (
-            v.condition.max_residual < 1e-5,
+            condition.max_residual < 1e-5,
             abs(fit["joint-a"] + 2 * n) < 1e-4 and fit["joint-residual"] < 1e-4,
             abs(modified["joint-a"] - 2) < 1e-4
             and abs(modified["joint-b"] + 2) < 1e-4
@@ -192,21 +196,22 @@ def test_09_semisymmetry_forces_einstein(semisymmetry, records):
         )
         ok = ok and all(checks)
         parts.append(
-            f"{name}: cond {v.condition.max_residual:.1e}, a {fit['joint-a']:.4f},"
+            f"{name}: cond {condition.max_residual:.1e}, a {fit['joint-a']:.4f},"
             f" r {scalar:.4f}, r~ {modified_scalar:.4f}"
         )
     assert _verdict("semisymmetry chain", ok, "; ".join(parts))
 
 
 def test_10_condition_fails_off_einstein(semisymmetry):
-    v = semisymmetry["ne5"]
-    hits = int(np.sum(v.condition.residuals > 0.1))
-    residual = v.companions[0].extras["joint-residual"]
+    rows = semisymmetry["ne5"]
+    condition = rows["semisymmetry-condition"]
+    hits = int(np.sum(condition.residuals > 0.1))
+    residual = rows["einstein-ricci-fit"].extras["joint-residual"]
     ok = hits >= 15 and residual > 1e-2
     assert _verdict(
         "ne5 non-einstein control",
         ok,
-        f"condition > 0.1 at {hits}/{len(v.condition.residuals)} points,"
+        f"condition > 0.1 at {hits}/{len(condition.residuals)} points,"
         f" fit residual {residual:.2f}",
     )
 

@@ -340,7 +340,6 @@ def test_library_defaults_equal_cli_gates():
         ex.sample_points(2, seed=0),
         k.DifferentiationConfig(),
     )
-    verdict = k.check_semisymmetry_condition(geometry)
     library = [
         k.check_almost_contact(geometry),
         k.check_kenmotsu(geometry),
@@ -352,8 +351,7 @@ def test_library_defaults_equal_cli_gates():
         *k.check_curvature_relation(geometry),
         k.check_reeb_curvature_degeneracy(geometry),
         k.check_derivation_identity(geometry),
-        verdict.condition,
-        *verdict.companions,
+        *k.check_semisymmetry_condition(geometry),
         *k.check_weyl(geometry),
         k.check_weyl_commutation(geometry),
     ]
@@ -362,6 +360,16 @@ def test_library_defaults_equal_cli_gates():
     assert [r.identity for r in library] == [r.identity for r in cli_rows]
     for row, cli_row in zip(library, cli_rows):
         assert row == cli_row, row.identity
+
+
+def test_opposite_sign_extra_exactly_where_the_table_asks_for_it():
+    names = tuple(ex.name for ex in k.catalog())
+    report = run(RunConfig(manifolds=names, suites=("all",), num_points=3))
+    rows = [e.report for m in report.manifolds for s in m.suites for e in s.entries]
+    assert {r.identity for r in rows} == set(IDENTITIES)
+    for r in rows:
+        flagged = IDENTITIES[r.identity].opposite_sign
+        assert ("opposite-sign-residual" in r.extras) == flagged, r.identity
 
 
 def test_rows_come_in_identity_table_order():

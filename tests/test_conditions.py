@@ -156,36 +156,37 @@ def test_closed_form_fits_equal_least_squares(fit_eta):
 
 @pytest.mark.parametrize("name,n", [("h3", 1), ("h5", 2)])
 def test_semisymmetry_chain_on_space_forms(name, n):
-    verdict = check_semisymmetry_condition(record(name, 6, seed=10))
-    assert verdict.condition.passed
-    assert verdict.condition.max_residual < 1e-9
-    ricci_fit, modified_fit = (row.extras for row in verdict.companions[:2])
+    condition, *companions = check_semisymmetry_condition(record(name, 6, seed=10))
+    assert condition.identity == "semisymmetry-condition"
+    assert condition.passed
+    assert condition.max_residual < 1e-9
+    ricci_fit, modified_fit = (row.extras for row in companions[:2])
     assert ricci_fit["joint-a"] == pytest.approx(-2.0 * n, abs=1e-9)
     assert ricci_fit["joint-residual"] < 1e-9
     assert modified_fit["joint-a"] == pytest.approx(2.0, abs=1e-9)
     assert modified_fit["joint-b"] == pytest.approx(-2.0, abs=1e-9)
-    means = verdict.condition.extras
+    means = condition.extras
     assert means["mean-lc-scalar"] == pytest.approx(-2 * n * (2 * n + 1), abs=1e-9)
     assert means["mean-modified-scalar"] == pytest.approx(4.0 * n, abs=1e-9)
-    assert verdict.companions[2].max_residual < 1e-9
-    assert verdict.companions[3].max_residual < 1e-9
-    names = [r.identity for r in verdict.companions]
+    assert companions[2].max_residual < 1e-9
+    assert companions[3].max_residual < 1e-9
+    names = [r.identity for r in companions]
     assert names == [
         "einstein-ricci-fit",
         "eta-einstein-fit",
         "scalar-curvature-constant",
         "modified-scalar-constant",
     ]
-    for row in verdict.companions:
+    for row in companions:
         assert row.passed, row.identity
 
 
 def test_semisymmetry_condition_fails_on_ne5():
-    verdict = check_semisymmetry_condition(record("ne5", 6, seed=11))
-    assert not verdict.condition.passed
-    assert verdict.condition.max_residual > 0.1
-    assert verdict.companions[0].extras["joint-residual"] > 1e-2
-    for row in verdict.companions:
+    condition, *companions = check_semisymmetry_condition(record("ne5", 6, seed=11))
+    assert not condition.passed
+    assert condition.max_residual > 0.1
+    assert companions[0].extras["joint-residual"] > 1e-2
+    for row in companions:
         assert not row.passed, row.identity
 
 

@@ -7,6 +7,7 @@ from kenmotsu import (
     DifferentiationConfig,
     NonMetricConnection,
     by_name,
+    catalog,
     check_curvature_relation,
     check_deformation_form,
     check_nonmetricity,
@@ -15,6 +16,7 @@ from kenmotsu import (
     check_torsion,
     curvature_bundle,
 )
+from kenmotsu.structure import _kenmotsu_residuals
 
 CFG = DifferentiationConfig()
 
@@ -90,6 +92,16 @@ def test_deformation_form(name, holds):
     assert report.passed == holds
     if not holds:
         assert report.max_residual >= 1.0
+
+
+@pytest.mark.parametrize("name", [ex.name for ex in catalog()])
+def test_deformation_form_restates_the_eta_gradient(name):
+    # beta - 2g and nabla eta - (g - eta (x) eta) are one tensor, summed in
+    # another order
+    geometry = record(name, 6, seed=4)
+    eta_gradient = _kenmotsu_residuals(geometry)["eta-gradient"]
+    residuals = check_deformation_form(geometry).residuals
+    np.testing.assert_allclose(residuals, eta_gradient, rtol=0, atol=1e-15)
 
 
 def test_curvature_bundle_h3_values():

@@ -9,7 +9,7 @@ import pytest
 
 from kenmotsu import catalog
 from kenmotsu.cli import IdentityEntry, ManifoldOutcome, RunConfig, RunReport, SuiteOutcome, run
-from kenmotsu.report import IdentityResidualReport, new_report, to_json
+from kenmotsu.report import IdentityResidualReport, row, to_json
 
 
 def _same(obj) -> None:
@@ -25,22 +25,23 @@ def test_every_catalog_chart_with_all_suites():
 
 def test_rows_with_odd_values():
     rows = [
-        IdentityResidualReport("empty", 1e-5),
+        IdentityResidualReport("empty", 1e-5, np.empty((0, 2)), []),
         IdentityResidualReport(
-            "non-finite", 1e-5, extras={"nan": math.nan, "inf": math.inf, "ninf": -math.inf}
+            "non-finite",
+            1e-5,
+            [[0.5, -0.0], [math.inf, 1.0], [-math.inf, math.nan], [1e-300, 2.5e16]],
+            [math.nan, math.inf, -math.inf, 0.0],
+            extras={"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
         ),
         IdentityResidualReport(
             "noted",
             1e-5,
+            [[1.0]],
+            [1e-12],
             status="info",
             note='a "quoted" back\\slash, été ∇ξ and a\ttab',
         ),
     ]
-    rows[1].add_points(
-        [[0.5, -0.0], [math.inf, 1.0], [-math.inf, math.nan], [1e-300, 2.5e16]],
-        [math.nan, math.inf, -math.inf, 0.0],
-    )
-    rows[2].add_points([[1.0]], [1e-12])
     suites = [
         SuiteOutcome("ran", entries=[IdentityEntry(rows[0], expected=None)]),
         SuiteOutcome(
@@ -71,14 +72,14 @@ def _shared_points_report() -> RunReport:
         [[0.5, -0.0, math.nan], [math.inf, 1e-300, 2.5e16], [-math.inf, 1.0, -2.0]]
     )
     shared.setflags(write=False)
-    first, second = new_report("torsion-form"), new_report("nonmetricity")
+    first = row("torsion-form", shared, [0.0, 1e-12, math.nan])
+    second = row("nonmetricity", shared, [math.inf, 2.0, -0.0])
     second.tolerance = 1e-3
-    first.add_points(shared, [0.0, 1e-12, math.nan])
-    second.add_points(shared, [math.inf, 2.0, -0.0])
     # as many points as the chart, of another dimension, in the same chart
-    library = IdentityResidualReport("library", 1e-5)
-    library.add_points([[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]], [3e-7, 0.0, 1e-3])
-    empty = IdentityResidualReport("empty", 1e-5)
+    library = IdentityResidualReport(
+        "library", 1e-5, [[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]], [3e-7, 0.0, 1e-3]
+    )
+    empty = IdentityResidualReport("empty", 1e-5, np.empty((0, 3)), [])
     entries = [IdentityEntry(r, expected=True) for r in (first, second, library, empty)]
     suites = [SuiteOutcome("a", entries=entries[:2]), SuiteOutcome("b", entries=entries[2:])]
     config = RunConfig(manifolds=("odd",), suites=("all",))
@@ -103,34 +104,40 @@ def test_rows_of_one_points_object_at_two_indents():
     )
 
 
-def test_appended_points_update_the_worst_residual():
-    row = IdentityResidualReport("x", 1e-5)
-    assert row.max_residual == 0.0 and row.passed
-    row.add_points([[0.0, 1.0]], [2e-6])
-    assert row.max_residual == 2e-6 and row.passed
-    row.add_points([[1.0, 1.0], [2.0, 1.0]], [3e-5, 1e-7])
-    assert row.max_residual == 3e-5 and not row.passed
-    row.add_points([[3.0, 1.0]], [0.0])
-    assert row.max_residual == 3e-5
-    # a NaN that is not first still fails the row, whatever follows it
-    row.add_points([[4.0, 1.0], [5.0, 1.0]], [math.nan, 1.0])
-    assert math.isnan(row.max_residual) and not row.passed
-    row.add_points([[6.0, 1.0]], [0.0])
-    assert math.isnan(row.max_residual) and not row.passed
+def test_a_row_gates_its_worst_residual():
+    points = np.array([[float(i), 1.0] for i in range(4)])
+
+    def worst(residuals):
+        return IdentityResidualReport("x", 1e-5, points[: len(residuals)], residuals)
+
+    assert worst([]).max_residual == 0.0 and worst([]).passed
+    assert worst([2e-6, 0.0]).max_residual == 2e-6 and worst([2e-6, 0.0]).passed
+    assert worst([0.0, 3e-5, 1e-7]).max_residual == 3e-5 and not worst([0.0, 3e-5, 1e-7]).passed
+    # a NaN that is not first fails the row, whatever follows it
+    nan = worst([0.0, math.nan, 1.0, 0.0])
+    assert math.isnan(nan.max_residual) and not nan.passed
+
+
+@pytest.mark.parametrize(
+    "points, residuals",
+    [([[0.0, 1.0], [1.0, 1.0]], [0.0]), ([[0.0, 1.0]], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0])],
+    ids=["fewer-residuals", "more-residuals", "flat-points"],
+)
+def test_a_row_takes_one_residual_per_point(points, residuals):
+    with pytest.raises(ValueError, match="points of shape"):
+        IdentityResidualReport("x", 1e-5, points, residuals)
 
 
 def test_records_compare_by_value():
-    def row(residual):
-        r = IdentityResidualReport("x", 1e-5, extras={"a": 1.0})
-        r.add_points(np.array([[0.5, 1.0], [2.0, -1.0]]), [0.0, residual])
-        return r
+    def built(residual, status="ok"):
+        points = np.array([[0.5, 1.0], [2.0, -1.0]])
+        return IdentityResidualReport("x", 1e-5, points, [0.0, residual], {"a": 1.0}, status)
 
-    built = IdentityResidualReport("x", 1e-5, extras={"a": 1.0})
-    built.add_points([[0.5, 1.0]], [0.0])
-    built.add_points([[2.0, -1.0]], [1e-9])
-    assert row(1e-9) == built
-    assert row(2e-9) != built
-    assert IdentityResidualReport("x", 1e-5) != IdentityResidualReport("x", 1e-5, status="info")
+    assert built(1e-9) == IdentityResidualReport(
+        "x", 1e-5, [[0.5, 1.0], [2.0, -1.0]], [0.0, 1e-9], extras={"a": 1.0}
+    )
+    assert built(2e-9) != built(1e-9)
+    assert built(1e-9) != built(1e-9, status="info")
 
 
 @pytest.mark.parametrize(
