@@ -12,7 +12,6 @@ module or the ``kenmotsu`` console script for the runner.
 from .catalog import NamedExample, by_name, catalog
 from .charts import (
     ChartManifold,
-    ConnectionCoefficients,
     DifferentiationConfig,
     DomainError,
     MetricError,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlmostContactStructure",
     "ChartManifold",
-    "ConnectionCoefficients",
     "CurvatureBundle",
     "DifferentiationConfig",
     "DomainError",

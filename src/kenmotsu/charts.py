@@ -259,58 +259,31 @@ def array_field_partials(
     return stencil_partials(values, cfg, axis=p.ndim - 1)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Coefficients Gamma^k_ij of a linear connection at one point or a batch.
-
-    Storage: gamma[..., k, i, j] with nabla_{d_i} d_j = Gamma^k_ij d_k; the
-    leading axes, if any, index points.  ``symmetric=True`` asserts
-    torsion-freeness (Levi-Civita case) and is validated on construction.
-    """
-
-    dim: int
-    gamma: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.gamma, dtype=float)
-        if arr.ndim < 3 or arr.shape[-3:] != (self.dim,) * 3:
-            raise ValueError(f"gamma shape {arr.shape}, expected (..., {(self.dim,) * 3})")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("gamma has non-finite entries")
-        if self.symmetric and np.max(np.abs(arr - np.swapaxes(arr, -1, -2))) > 1e-8:
-            raise ValueError("coefficients marked symmetric are not")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "gamma", arr)
-
-
-def levi_civita(pair: MetricPair, dg: np.ndarray) -> ConnectionCoefficients:
+def levi_civita(pair: MetricPair, dg: np.ndarray) -> np.ndarray:
     """Christoffel symbols of a metric at one point or a batch of points.
 
     ``pair`` holds g and its inverse, (..., dim, dim), and
     ``dg[..., a, i, j] = d_a g_ij`` the metric partials at the same points.
-    Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li - d_l g_ij), contracted as
-    one batched matmul.
+    Returns gamma[..., k, i, j] = Gamma^k_ij with nabla_{d_i} d_j =
+    Gamma^k_ij d_k, where Gamma^k_ij = (1/2) g^kl (d_i g_lj + d_j g_li -
+    d_l g_ij), contracted as one batched matmul.
     """
     m = pair.dim
     term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
-    gamma = 0.5 * (pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m)))
-    del term  # the coefficients' validation allocates two arrays of this size
-    return ConnectionCoefficients(m, gamma.reshape(dg.shape), symmetric=True)
+    return 0.5 * (pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m))).reshape(dg.shape)
 
 
 def riemann_of_connection(
     manifold: ChartManifold,
-    gamma_field: Callable[[np.ndarray], ConnectionCoefficients],
+    gamma_field: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
     cfg: DifferentiationConfig,
 ) -> np.ndarray:
     """Curvature of an arbitrary connection.
 
     ``gamma_field`` is called once, with the :func:`stencil` of every
-    point, shape (..., S, dim); its coefficients may also be one constant
-    (dim, dim, dim) array.  Differentiating the coefficient field may nest a
+    point, shape (..., S, dim), and returns the coefficients gamma[..., k,
+    i, j] there, or one constant (dim, dim, dim) array.  Differentiating the coefficient field may nest a
     second stencil inside the first, so each point must sit at least 2h
     inside the domain.  Returns riem[..., l, i, j, k] with the leading
     axes of ``points``: (dim,) * 4 for one point (dim,) and
@@ -318,7 +291,7 @@ def riemann_of_connection(
     """
     p = manifold.require_inside(points, margin=2.0 * cfg.step)
     q = stencil(p, cfg)
-    gamma = np.broadcast_to(gamma_field(q).gamma, q.shape[:-1] + (manifold.dim,) * 3)
+    gamma = np.broadcast_to(gamma_field(q), q.shape[:-1] + (manifold.dim,) * 3)
     dgamma = stencil_partials(gamma, cfg, axis=p.ndim - 1)
     return _curvature_components(gamma[..., 0, :, :, :], dgamma)
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .charts import (
     ChartManifold,
-    ConnectionCoefficients,
     DifferentiationConfig,
     _add_connection_terms,
     levi_civita,
@@ -71,20 +70,17 @@ class NonMetricConnection:
     manifold: ChartManifold
     structure: AlmostContactStructure
 
-    def coefficients_at(
-        self, points: np.ndarray, cfg: DifferentiationConfig
-    ) -> ConnectionCoefficients:
-        """Coefficients at one point (dim,) or a batch (..., dim)."""
+    def coefficients_at(self, points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
+        """Coefficients gamma[..., k, i, j] at one point (dim,) or a batch (..., dim)."""
         m = self.manifold
         p = m.require_inside(points)
         pair = m.metric_pair_at(p)
-        gamma = _modified_coefficients(
-            levi_civita(pair, m.metric_partials_at(p, cfg)).gamma,
+        return _modified_coefficients(
+            levi_civita(pair, m.metric_partials_at(p, cfg)),
             pair.matrix,
             self.structure.eta_at(m.dim, p),
             self.structure.xi_at(m.dim, p),
         )
-        return ConnectionCoefficients(m.dim, gamma, symmetric=False)
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ class CurvatureBundle:
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        return levi_civita(self.metric, self.manifold.metric_partials_at(self.p, self.cfg)).gamma
+        return _frozen(levi_civita(self.metric, self.manifold.metric_partials_at(self.p, self.cfg)))
 
     @cached_property
     def lc_nabla_eta(self) -> np.ndarray:
@@ -284,11 +280,8 @@ class CurvatureBundle:
             "dg_fd": stencil_partials(pair.matrix, cfg, axis=1),
         }
         if self.structure is not None:
-            modified = ConnectionCoefficients(
-                m.dim,
-                _modified_coefficients(
-                    lc.gamma, pair.matrix, self._eta_on_stencil[lo:hi], self._xi_on_stencil[lo:hi]
-                ),
+            modified = _modified_coefficients(
+                lc, pair.matrix, self._eta_on_stencil[lo:hi], self._xi_on_stencil[lo:hi]
             )
             out["riemann"] = riemann_of_connection(m, lambda _: modified, points, cfg)
         return out

@@ -6,14 +6,15 @@ import kenmotsu
 
 # the per-point layer over the curvature record and the variance markers of
 # its MultiTensor returns, the connection constructor that gated on the axioms,
-# the per-point report record and the wrapper of the semisymmetry rows, which
+# the per-point report record, the wrapper of the semisymmetry rows and the
+# coefficient record that copied and re-checked every Christoffel array, which
 # the package no longer exports
 REMOVED = (
     "DOWN", "UP", "slots", "MultiTensor", "contract", "raise_slot", "lower_slot", "max_abs",
     "riemann", "ricci", "scalar_curvature", "covariant_derivative",
     "derivation_action", "metric_wedge", "tachibana", "einstein_fit", "weyl_tensor",
     "weyl_trace_residual", "axiom_residuals", "kenmotsu_residuals",
-    "build_connection", "PointResidual", "SemisymmetryVerdict",
+    "build_connection", "PointResidual", "SemisymmetryVerdict", "ConnectionCoefficients",
 )
 
 

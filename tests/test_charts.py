@@ -6,7 +6,6 @@ import pytest
 
 from kenmotsu import (
     ChartManifold,
-    ConnectionCoefficients,
     CurvatureBundle,
     DifferentiationConfig,
     DomainError,
@@ -136,7 +135,7 @@ def test_finite_difference_matches_analytic_partials(name):
 def test_christoffel_oracle_h3():
     m = by_name("h3").manifold
     p = np.array([0.1, 0.2, 0.3])
-    gamma = christoffel(m, p).gamma
+    gamma = christoffel(m, p)
     w = math.exp(0.6)  # e^{2t} at t = 0.3
     expected = np.zeros((3, 3, 3))
     expected[0, 0, 2] = expected[0, 2, 0] = 1.0  # fiber-t mixing
@@ -147,11 +146,11 @@ def test_christoffel_oracle_h3():
 
 
 def test_levi_civita_is_symmetric_flag():
+    # the Levi-Civita connection is torsion-free: Gamma^k_ij = Gamma^k_ji
     m = by_name("h5").manifold
-    coeffs = christoffel(m, np.array([0.1, -0.2, 0.3, 0.0, -0.1]))
-    assert coeffs.symmetric
-    with pytest.raises(ValueError):
-        ConnectionCoefficients(3, np.arange(27.0).reshape(3, 3, 3), symmetric=True)
+    gamma = christoffel(m, np.array([0.1, -0.2, 0.3, 0.0, -0.1]))
+    assert gamma.shape == (5, 5, 5)
+    assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
 
 @pytest.mark.parametrize("name", ["h3", "h5"])
@@ -198,9 +197,9 @@ def test_richardson_improves_truncation_error():
     fiber = lambda p: np.diag([math.exp(2.0 * p[2])] * 2 + [1.0])
     chart = ChartManifold(dim=3, metric=fiber, domain=((-2, 2), (-2, 2), (-1, 1)))
     p = np.array([0.3, -0.2, 0.25])
-    truth = christoffel(by_name("h3").manifold, p).gamma
-    plain = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=False)).gamma
-    extrap = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=True)).gamma
+    truth = christoffel(by_name("h3").manifold, p)
+    plain = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=False))
+    extrap = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=True))
     err_plain = np.max(np.abs(plain - truth))
     err_extrap = np.max(np.abs(extrap - truth))
     assert err_plain > 1e-8
@@ -251,7 +250,7 @@ def test_covariant_derivative_of_constant_field_flat():
     m = by_name("euclidean3").manifold
     vec = np.array([1.0, 2.0, -1.0])
     partials = array_field_partials(lambda q: vec, np.zeros(3), CFG)
-    gamma = christoffel(m, np.zeros(3)).gamma
+    gamma = christoffel(m, np.zeros(3))
     grad = _add_connection_terms(partials[None], vec[None], slots("u"), gamma[None])
     assert grad.shape == (1, 3, 3)
     assert np.max(np.abs(grad)) < 1e-12
@@ -263,7 +262,7 @@ def test_riemann_of_connection_arbitrary_coefficients():
     m = by_name("euclidean3").manifold
     rng = np.random.default_rng(12)
     const = rng.normal(size=(3, 3, 3)) * 0.5
-    field = lambda p: ConnectionCoefficients(3, const)
+    field = lambda p: const
     riem = riemann_of_connection(m, field, np.zeros(3), CFG)
     q1 = np.einsum("lim,mjk->lijk", const, const)
     expected = q1 - q1.transpose(0, 2, 1, 3)

@@ -279,6 +279,44 @@ def _skewed_h3(monkeypatch, skew: float) -> None:
     )
 
 
+def test_partials_not_symmetric_in_the_metric_slots_fail_the_torsion_row(monkeypatch):
+    # analytic partials d_a g_ij that are not symmetric in (i, j) make the
+    # Christoffel symbols asymmetric; the torsion-form row catches that and
+    # the run exits 1 with a report
+    base = by_name("h3")
+
+    @k.batched
+    def skewed_partials(p):
+        dg = base.manifold.metric_partials(p)
+        dg[..., 0, 0, 1] += 1e-3
+        return dg
+
+    example = NamedExample(
+        name="skewed-partials",
+        manifold=k.ChartManifold(
+            dim=3,
+            metric=base.manifold.metric,
+            metric_partials=skewed_partials,
+            domain=base.manifold.domain,
+        ),
+        structure=base.structure,
+        expected_kenmotsu=True,
+        expected_einstein=True,
+        expected_weyl_flat=True,
+        sample_box=base.sample_box,
+        notes="h3 with d_0 g_01 raised by 1e-3 (d_0 g_10 unchanged)",
+    )
+    monkeypatch.setattr(cli, "by_name", lambda name: example)
+    report = run(RunConfig(manifolds=("skewed-partials",), suites=("all",), num_points=3))
+    assert report.exit_status == 1
+    (outcome,) = report.manifolds
+    assert [s.status for s in outcome.suites] == ["ran"] * len(SUITE_ORDER)
+    rows = {e.report.identity: e for s in outcome.suites for e in s.entries}
+    torsion = rows["torsion-form"]
+    assert not torsion.matched
+    assert torsion.report.max_residual > 1e-4
+
+
 def test_slightly_asymmetric_chart_runs_every_suite(monkeypatch):
     # an asymmetry the chart accepts is accepted everywhere downstream: the
     # run ends in a report, not in an exception from the metric pair

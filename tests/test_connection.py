@@ -50,7 +50,7 @@ def test_coefficients_oracle_h3():
         - np.einsum("j,ki->kij", eta, np.eye(3))
         - np.einsum("ij,k->kij", g, xi)
     )
-    gamma = conn.coefficients_at(p, CFG).gamma
+    gamma = conn.coefficients_at(p, CFG)
     assert np.max(np.abs(gamma - expected)) < 1e-12
     # spot values: the t-derivative direction loses its fiber coefficient,
     # the fiber-fiber coefficient doubles, and the reeb-reeb entry is -2
