@@ -28,7 +28,6 @@ from .tensors import (
     MetricError,
     MetricPair,
     metric_defect,
-    _tensordot_each,
 )
 
 
@@ -315,14 +314,19 @@ def _add_connection_terms(
     ``base[n, ...]`` with one axis per entry of ``variance``, and
     ``gamma[n, k, i, j]``.
     """
+    n, m = gamma.shape[:2]
     comps = partials
     for s, var in enumerate(variance):
+        # slot s first, the other slots flattened behind it
+        moved = np.moveaxis(base, s + 1, 1)
+        flat = moved.reshape(n, m, -1)
+        shape = (n, m, m, *moved.shape[2:])
         if var == UP:
             # +Gamma^k_am T[.. m at s ..]; the product leaves axes (k, a, rest)
-            corr = _tensordot_each(gamma, base, (2,), (s,))
+            corr = (gamma.reshape(n, m * m, m) @ flat).reshape(shape)
             comps = comps + np.moveaxis(corr, (1, 2), (s + 2, 1))
         else:
             # -Gamma^m_ab T[.. m at s ..]; the product leaves axes (a, b, rest)
-            corr = _tensordot_each(gamma, base, (0,), (s,))
+            corr = (np.moveaxis(gamma, 1, -1).reshape(n, m * m, m) @ flat).reshape(shape)
             comps = comps - np.moveaxis(corr, (1, 2), (1, s + 2))
     return comps

@@ -33,7 +33,6 @@ from .connection import (
     _wedge,
 )
 from .report import IDENTITIES, IdentityResidualReport, per_point, row, sides_row
-from .tensors import _swap_slot_components, _tensordot_each
 
 # threshold on an Einstein fit residual, in (1,1) components: the CLI's
 # einstein verdict reads the joint fit, the Weyl commutation the largest
@@ -48,9 +47,15 @@ def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.nda
     the pairs flattened into one axis; ``target`` is (n, dim, ..., dim).  The
     result is indexed out[n, Z_1, ..., Z_k, p].
     """
+    n, m = curv.shape[:2]
+    # one row per (p, z), to be summed over l against one slot of the target
+    family = np.moveaxis(curv, 1, -1).reshape(n, -1, m)
     out = None
     for s in range(k):
-        term = _tensordot_each(curv, target, (0,), (s,))
+        # slot s first, the other slots flattened behind it
+        moved = np.moveaxis(target, s + 1, 1)
+        shape = (n, *curv.shape[2:], *moved.shape[2:])
+        term = (family @ moved.reshape(n, m, -1)).reshape(shape)
         term = np.moveaxis(term, (1, 2), (k + 1, s + 1))
         out = term if out is None else out + term
     return -out
@@ -132,15 +137,13 @@ def _commutation_maxima(
     x, y, _ = tables
     m, pairs = g.shape[-1], len(x)
     wedge = _wedge(g)[:, :, x, y, :]
+    # the (0,4) forms of R and C: g lowers the upper slot
+    riem4, weyl4 = ((g @ t.reshape(len(g), m, -1)).reshape(t.shape) for t in (riem, weyl))
     on_riem = _two_form_action(
-        np.concatenate([weyl[:, :, x, y, :], wedge], axis=2),
-        _swap_slot_components(g, riem, 0)[:, :, x, y, :],
-        tables,
+        np.concatenate([weyl[:, :, x, y, :], wedge], axis=2), riem4[:, :, x, y, :], tables
     )
     on_weyl = _two_form_action(
-        np.concatenate([riem[:, :, x, y, :], wedge], axis=2),
-        _swap_slot_components(g, weyl, 0)[:, :, x, y, :],
-        tables,
+        np.concatenate([riem[:, :, x, y, :], wedge], axis=2), weyl4[:, :, x, y, :], tables
     )
     commutator = on_riem[:, :pairs] - on_weyl[:, :pairs]
     q_riem = on_riem[:, pairs:]
@@ -246,12 +249,15 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
 
 def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Per point, the max absolute value over all six single g-traces of the (0,4) form."""
-    c4 = _swap_slot_components(g, weyl, 0)
-    worst = np.zeros(len(c4))
+    n, m = g.shape[:2]
+    # the (0,4) form: g lowers the upper slot
+    c4 = (g @ weyl.reshape(n, m, -1)).reshape(weyl.shape)
+    worst = np.zeros(n)
     for a in range(4):
         for b in range(a + 1, 4):
             moved = np.moveaxis(c4, (a + 1, b + 1), (1, 2))
-            worst = np.maximum(worst, per_point(_tensordot_each(ginv, moved, (0, 1), (0, 1))))
+            trace = ginv.reshape(n, 1, m * m) @ moved.reshape(n, m * m, -1)
+            worst = np.maximum(worst, per_point(trace))
     return worst
 
 

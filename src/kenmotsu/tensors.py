@@ -160,26 +160,3 @@ class MetricPair:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
-
-def _tensordot_each(
-    a: np.ndarray, b: np.ndarray, axes_a: tuple[int, ...], axes_b: tuple[int, ...]
-) -> np.ndarray:
-    """``np.tensordot(a[n], b[n], (axes_a, axes_b))`` for every n of the leading axis.
-
-    Axes are numbered within one point's array.  The operands are laid out
-    as ``np.tensordot`` lays them out and multiplied with one batched
-    ``matmul``, so every point's result equals the per-point call exactly.
-    """
-    n = a.shape[0]
-    free_a = [i for i in range(1, a.ndim) if i - 1 not in axes_a]
-    free_b = [i for i in range(1, b.ndim) if i - 1 not in axes_b]
-    k = int(np.prod([a.shape[i + 1] for i in axes_a]))
-    at = a.transpose([0, *free_a, *(i + 1 for i in axes_a)]).reshape(n, -1, k)
-    bt = b.transpose([0, *(i + 1 for i in axes_b), *free_b]).reshape(n, k, -1)
-    shape = [a.shape[i] for i in free_a] + [b.shape[i] for i in free_b]
-    return np.matmul(at, bt).reshape(n, *shape)
-
-
-def _swap_slot_components(matrix: np.ndarray, comps: np.ndarray, slot: int) -> np.ndarray:
-    """Contract ``matrix[n, a, b]`` with slot ``slot`` of ``comps[n, ...]`` at every point n."""
-    return np.moveaxis(_tensordot_each(matrix, comps, (1,), (slot,)), 1, slot + 1)

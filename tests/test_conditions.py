@@ -17,7 +17,6 @@ from kenmotsu import (
 from kenmotsu.conditions import _action_on_all_pairs, _wedge, _weyl_trace
 from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, _fit_operators, curvature_bundle
 from kenmotsu.report import per_point
-from kenmotsu.tensors import _swap_slot_components
 
 CFG = DifferentiationConfig()
 
@@ -84,7 +83,7 @@ def test_tachibana_of_metric_vanishes():
 def test_tachibana_annihilates_space_form_curvature():
     b = lc_record("h3", 1, seed=6)
     g = b.metric.matrix
-    riem4 = _swap_slot_components(g, b.lc_riemann, 0)
+    riem4 = np.einsum("...al,...lijk->...aijk", g, b.lc_riemann)
     q = _action_on_all_pairs(_wedge(g), riem4, 4)
     assert np.max(np.abs(q)) < 1e-5
 
@@ -285,7 +284,7 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
     report = check_weyl_commutation(b)
     g, riem, weyl = b.metric.matrix, b.lc_riemann, b.weyl
     r = b.lc_scalar.reshape((-1,) + (1,) * 6)
-    riem4, weyl4 = _swap_slot_components(g, riem, 0), _swap_slot_components(g, weyl, 0)
+    riem4, weyl4 = (np.einsum("...al,...lijk->...aijk", g, t) for t in (riem, weyl))
     commutator = _action_on_all_pairs(weyl, riem4, 4) - _action_on_all_pairs(riem, weyl4, 4)
     q_riem = _action_on_all_pairs(_wedge(g), riem4, 4)
     values = {

@@ -16,8 +16,6 @@ from kenmotsu.tensors import (
     UP,
     MultiTensor,
     slots,
-    _swap_slot_components,
-    _tensordot_each,
 )
 
 
@@ -50,18 +48,6 @@ def test_shape_and_variance_validation():
         MultiTensor(3, slots("d"), np.array([1.0, np.nan, 0.0]))
 
 
-def test_contract_trace_of_identity():
-    # contracting delta against delta on both slots is its trace
-    eye = np.eye(3)[None]
-    assert _tensordot_each(eye, eye, (0, 1), (0, 1))[0] == 3.0
-
-
-def test_contract_composition_of_identities():
-    # delta (x) delta, contracting the inner pair, collapses to delta
-    eye = np.eye(3)[None]
-    assert np.array_equal(_tensordot_each(eye, eye, (1,), (0,))[0], np.eye(3))
-
-
 def test_h3_curvature_contraction_oracle():
     # Constant-curvature oracle: riem = -(g wedge g), so the trace over the
     # first two slots must equal -2 g exactly, independent of the library's
@@ -77,7 +63,7 @@ def test_h3_curvature_contraction_oracle():
 def test_raise_ricci_gives_minus_two_identity_on_h3():
     point = np.array([0.25, 0.1, -0.3])
     b = CurvatureBundle(by_name("h3").manifold, None, point, DifferentiationConfig())
-    q = _swap_slot_components(b.metric.inverse, b.lc_ricci, 0)
+    q = b.metric.inverse @ b.lc_ricci
     assert q.shape == (1, 3, 3)
     assert np.max(np.abs(q[0] + 2.0 * np.eye(3))) < 1e-9
 
@@ -86,7 +72,7 @@ def test_lower_reeb_gives_eta_on_h3():
     ex = by_name("h3")
     point = np.array([-0.2, 0.5, 0.35])
     pair = ex.manifold.metric_pair_at(point)
-    eta = _swap_slot_components(pair.matrix[None], ex.structure.xi(point)[None], 0)[0]
+    eta = pair.matrix @ ex.structure.xi(point)
     assert np.max(np.abs(eta - ex.structure.eta(point))) < 1e-12
 
 
@@ -97,31 +83,8 @@ def test_raise_lower_roundtrip_random_dim5():
     t = rng.normal(size=(20, 5, 5))
     g = np.broadcast_to(pair.matrix, (20, 5, 5))
     ginv = np.broadcast_to(pair.inverse, (20, 5, 5))
-    back = _swap_slot_components(g, _swap_slot_components(ginv, t, 0), 0)
+    back = g @ (ginv @ t)
     assert np.max(np.abs(back - t)) < 1e-10
-
-
-def test_contract_linearity_random():
-    rng = np.random.default_rng(21)
-    delta = np.eye(3)[None]
-    for _ in range(25):
-        a, b = rng.normal(size=2)
-        t1 = rng.normal(size=(1, 3, 3, 3))
-        t2 = rng.normal(size=(1, 3, 3, 3))
-        trace = lambda c: _tensordot_each(delta, c, (0, 1), (0, 1))
-        lhs = trace(a * t1 + b * t2)
-        rhs = a * trace(t1) + b * trace(t2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_disjoint_contractions_commute():
-    rng = np.random.default_rng(3)
-    comps = rng.normal(size=(1,) + (3,) * 4)
-    delta = np.eye(3)[None]
-    # contract (0,1) then what was (2,3); order must not matter
-    first = _tensordot_each(delta, _tensordot_each(delta, comps, (0, 1), (0, 1)), (0, 1), (0, 1))
-    second = _tensordot_each(delta, _tensordot_each(delta, comps, (0, 1), (2, 3)), (0, 1), (0, 1))
-    assert np.max(np.abs(first - second)) < 1e-12
 
 
 def test_max_abs_values():
