@@ -454,21 +454,9 @@ def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidual
     so its gate is scaled per chart (``fd_scaled`` in the identity table);
     the Ricci/scalar comparisons and the symmetry defect of the direct
     Ricci are not.
-    Returns one report per comparison.  Extras on the scalar report record
-    the mean of both scalars, under the keys ``semisymmetry-condition`` uses
-    (``mean-lc-scalar``, ``mean-modified-scalar``), and the dimension-only
-    shift between them.
+    Returns one report per comparison.
     """
-    n = geometry.manifold.n
-    scalar_extras = {
-        "mean-modified-scalar": float(np.mean(geometry.scalar)),
-        "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
-        "expected-shift": float(2 * n * (2 * n + 3)),
-    }
-    return [
-        row(name, geometry.p, geometry.cross[key], scalar_extras if key == "scalar" else None)
-        for key, name in _CROSS_TO_IDENTITY.items()
-    ]
+    return [row(name, geometry.p, geometry.cross[key]) for key, name in _CROSS_TO_IDENTITY.items()]
 
 
 def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidualReport:

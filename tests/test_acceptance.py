@@ -139,7 +139,7 @@ def test_05_connection_invariants(records):
     )
 
 
-def test_06_contraction_consistency(cross_reports, records):
+def test_06_contraction_consistency(cross_reports, semisymmetry, records):
     ok = True
     parts = []
     for name in KENMOTSU_NAMES:
@@ -147,7 +147,8 @@ def test_06_contraction_consistency(cross_reports, records):
         symmetry = cross_reports[name]["ricci-symmetry"]
         worst = max(scalar.max_residual, symmetry.max_residual)
         ok = ok and worst < 1e-5
-        shift = scalar.extras["mean-modified-scalar"] - scalar.extras["mean-lc-scalar"]
+        means = semisymmetry[name]["semisymmetry-condition"].extras
+        shift = means["mean-modified-scalar"] - means["mean-lc-scalar"]
         want = records[name].manifold.n
         want = 2 * want * (2 * want + 3)
         parts.append(f"{name} shift {shift:.4f} (expect {want})")

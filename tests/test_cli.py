@@ -141,13 +141,15 @@ def test_scalar_means_carry_the_same_key_on_every_row():
     (outcome,) = run(config).manifolds
     rows = {e.report.identity: e.report for s in outcome.suites for e in s.entries}
     cross, condition = rows["scalar-cross-check"], rows["semisymmetry-condition"]
-    for key in ("mean-lc-scalar", "mean-modified-scalar"):
-        assert cross.extras[key] == condition.extras[key], key
-    assert "mean-scalar" not in cross.extras and "mean-scalar" not in condition.extras
-    assert cross.extras["mean-lc-scalar"] == pytest.approx(-20.0)
-    assert cross.extras["mean-modified-scalar"] == pytest.approx(8.0)
+    # the means and the expected shift are reported once, on the condition
+    # row and in the verdicts
+    assert cross.extras == {}
+    assert "mean-scalar" not in condition.extras
+    assert condition.extras["mean-lc-scalar"] == pytest.approx(-20.0)
+    assert condition.extras["mean-modified-scalar"] == pytest.approx(8.0)
     assert outcome.verdicts["mean_scalar"] == condition.extras["mean-lc-scalar"]
     assert outcome.verdicts["mean_modified_scalar"] == condition.extras["mean-modified-scalar"]
+    assert outcome.verdicts["expected_scalar_shift"] == 2 * 2 * (2 * 2 + 3)
 
 
 def test_json_output_is_deterministic(capsys):

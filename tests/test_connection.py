@@ -13,6 +13,7 @@ from kenmotsu import (
     check_nonmetricity,
     check_reeb_curvature_degeneracy,
     check_reeb_transport,
+    check_semisymmetry_condition,
     check_torsion,
     curvature_bundle,
 )
@@ -125,7 +126,8 @@ def test_curvature_bundle_h3_values():
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
 def test_curvature_relation_reports(name):
-    reports = check_curvature_relation(record(name, 6, seed=6))
+    geometry = record(name, 6, seed=6)
+    reports = check_curvature_relation(geometry)
     by_id = {r.identity: r for r in reports}
     assert set(by_id) == {
         "riemann-cross-check",
@@ -136,10 +138,11 @@ def test_curvature_relation_reports(name):
     for r in reports:
         assert r.passed, r.identity
         assert r.max_residual < 1e-9
+    assert all(not r.extras for r in reports)
+    # the scalar means are reported on the semisymmetry condition row
     n = by_name(name).n
-    scalar = by_id["scalar-cross-check"]
-    assert scalar.extras["expected-shift"] == 2 * n * (2 * n + 3)
-    assert scalar.extras["mean-modified-scalar"] - scalar.extras["mean-lc-scalar"] == pytest.approx(
+    means = check_semisymmetry_condition(geometry)[0].extras
+    assert means["mean-modified-scalar"] - means["mean-lc-scalar"] == pytest.approx(
         2 * n * (2 * n + 3), abs=1e-9
     )
 
