@@ -281,12 +281,13 @@ def riemann_of_connection(
     """Curvature of an arbitrary connection.
 
     ``gamma_field`` is called once, with the :func:`stencil` of every
-    point, shape (..., S, dim), and returns the coefficients gamma[..., k,
-    i, j] there, or one constant (dim, dim, dim) array.  Differentiating the coefficient field may nest a
-    second stencil inside the first, so each point must sit at least 2h
-    inside the domain.  Returns riem[..., l, i, j, k] with the leading
-    axes of ``points``: (dim,) * 4 for one point (dim,) and
-    (N, dim, dim, dim, dim) for a batch (N, dim).
+    point, shape (..., S, dim), and returns the coefficients
+    gamma[..., k, i, j] there, or one constant (dim, dim, dim) array.
+    Differentiating the coefficient field may nest a second stencil inside
+    the first, so each point must sit at least 2h inside the domain.
+    Returns riem[..., l, i, j, k] with the leading axes of ``points``:
+    (dim,) * 4 for one point (dim,) and (N, dim, dim, dim, dim) for a batch
+    (N, dim).
     """
     p = manifold.require_inside(points, margin=2.0 * cfg.step)
     q = stencil(p, cfg)

@@ -334,10 +334,8 @@ class _ManifoldRunner:
         return [check_reeb_curvature_degeneracy(self.geometry)]
 
     def _suite_semisymmetry(self) -> list[IdentityResidualReport]:
-        return [
-            check_derivation_identity(self.geometry),
-            *check_semisymmetry_condition(self.geometry),
-        ]
+        geometry = self.geometry
+        return [check_derivation_identity(geometry), *check_semisymmetry_condition(geometry)]
 
     def _suite_weyl(self) -> list[IdentityResidualReport]:
         return [*check_weyl(self.geometry), check_weyl_commutation(self.geometry)]

@@ -210,41 +210,25 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
     plain_ops = ginv @ geometry.lc_ricci
     modified_ops = ginv @ geometry.ricci
     plain = geometry.lc_einstein_fits
-    ricci_fit = _fit_operators(plain_ops, joint=True)
+    plain_joint = _fit_operators(plain_ops, joint=True)
     modified = _fit_operators(modified_ops, xi, eta)
-    modified_fit = _fit_operators(modified_ops, xi, eta, joint=True)
-    lc_target, modified_target = -2.0 * n * (2 * n + 1), 4.0 * n
-    return [
-        row("semisymmetry-condition", p, per_point(defect_norm), means),
-        row(
-            "einstein-ricci-fit",
-            p,
+    eta_joint = _fit_operators(modified_ops, xi, eta, joint=True)
+    # the scalar curvatures the chain forces: r of S and scal_K of ric_K
+    r, scal_k = -2.0 * n * (2 * n + 1), 4.0 * n
+    rows = {
+        "semisymmetry-condition": (per_point(defect_norm), means),
+        "einstein-ricci-fit": (
             np.maximum(np.abs(plain.a + 2.0 * n), plain.residual),
-            {"joint-a": ricci_fit.a, "joint-residual": ricci_fit.residual},
+            {"joint-a": plain_joint.a, "joint-residual": plain_joint.residual},
         ),
-        row(
-            "eta-einstein-fit",
-            p,
+        "eta-einstein-fit": (
             np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
-            {
-                "joint-a": modified_fit.a,
-                "joint-b": modified_fit.b,
-                "joint-residual": modified_fit.residual,
-            },
+            {"joint-a": eta_joint.a, "joint-b": eta_joint.b, "joint-residual": eta_joint.residual},
         ),
-        row(
-            "scalar-curvature-constant",
-            p,
-            np.abs(geometry.lc_scalar - lc_target),
-            {"target": lc_target},
-        ),
-        row(
-            "modified-scalar-constant",
-            p,
-            np.abs(geometry.scalar - modified_target),
-            {"target": modified_target},
-        ),
-    ]
+        "scalar-curvature-constant": (np.abs(geometry.lc_scalar - r), {"target": r}),
+        "modified-scalar-constant": (np.abs(geometry.scalar - scal_k), {"target": scal_k}),
+    }
+    return [row(name, p, residuals, extras) for name, (residuals, extras) in rows.items()]
 
 
 def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -293,13 +277,9 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     tolerance = IDENTITIES["weyl-tachibana"].tolerance
     m, n = geometry.manifold.dim, geometry.manifold.n
     if m < 5:
+        note = "conformal tensor is identically zero in dimension 3"
         return IdentityResidualReport(
-            "weyl-tachibana",
-            tolerance,
-            geometry.p[:0],
-            [],
-            status="not-applicable",
-            note="conformal tensor is identically zero in dimension 3",
+            "weyl-tachibana", tolerance, geometry.p[:0], [], status="not-applicable", note=note
         )
     status, note = "ok", ""
     if not geometry.lc_einstein_fits.residual.max() < EINSTEIN_FIT_THRESHOLD:

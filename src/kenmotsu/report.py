@@ -176,18 +176,16 @@ class Identity:
 _KENMOTSU = ("kenmotsu",)
 _EINSTEIN_KENMOTSU = ("einstein", "kenmotsu")
 # the four curvature identities of the Kenmotsu class share one gate
-_CURVATURE_ON_REEB = Identity(
-    "curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU, opposite_sign=True
-)
+_CURVATURE = Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU, opposite_sign=True)
 
 # in suite order, and in row order within each suite
 IDENTITIES: dict[str, Identity] = {
     "structure-axioms": Identity("axioms", 1e-10),
     "kenmotsu-condition": Identity("kenmotsu", 1e-5, fd_scaled=True, expect=_KENMOTSU),
-    "curvature-eta-component": _CURVATURE_ON_REEB,
-    "curvature-on-reeb": _CURVATURE_ON_REEB,
-    "curvature-from-reeb": _CURVATURE_ON_REEB,
-    "ricci-on-reeb": _CURVATURE_ON_REEB,
+    "curvature-eta-component": _CURVATURE,
+    "curvature-on-reeb": _CURVATURE,
+    "curvature-from-reeb": _CURVATURE,
+    "ricci-on-reeb": _CURVATURE,
     "torsion-form": Identity("connection", 1e-10),
     "nonmetricity": Identity("connection", 1e-5, opposite_sign=True),
     "reeb-transport": Identity("connection", 1e-5, expect=_KENMOTSU),
@@ -219,9 +217,8 @@ def row(
     identity: str, points, residuals, extras: dict[str, float] | None = None
 ) -> IdentityResidualReport:
     """The row of ``identity`` over ``points``, gated at the table's base tolerance."""
-    return IdentityResidualReport(
-        identity, IDENTITIES[identity].tolerance, points, residuals, extras
-    )
+    tolerance = IDENTITIES[identity].tolerance
+    return IdentityResidualReport(identity, tolerance, points, residuals, extras)
 
 
 def sides_row(identity: str, points, lhs: np.ndarray, rhs: np.ndarray) -> IdentityResidualReport:
