@@ -46,10 +46,6 @@ class NamedExample:
     expected_weyl_flat: bool
     sample_box: tuple[tuple[float, float], ...]
     notes: str = ""
-    # multiplier for tolerances of checks dominated by nested finite
-    # differencing; > 1 only where the metric has strong coordinate
-    # dependence (steeper higher derivatives than the space forms)
-    fd_tolerance_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if len(self.sample_box) != self.manifold.dim:
@@ -203,7 +199,6 @@ def catalog() -> list[NamedExample]:
             sample_box=((-1.0, 1.0), (0.7, 2.5), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
             expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
             notes="hyperbolic-times-flat Kaehler fiber; Kenmotsu but not Einstein",
-            fd_tolerance_scale=10.0,
         ),
     ]
 

@@ -272,28 +272,16 @@ def levi_civita(pair: MetricPair, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m))).reshape(dg.shape)
 
 
-def riemann_of_connection(
-    manifold: ChartManifold,
-    gamma_field: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    cfg: DifferentiationConfig,
-) -> np.ndarray:
-    """Curvature of an arbitrary connection.
+def riemann_of_connection(gamma: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
+    """Curvature of an arbitrary connection from its coefficients on the stencils.
 
-    ``gamma_field`` is called once, with the :func:`stencil` of every
-    point, shape (..., S, dim), and returns the coefficients
-    gamma[..., k, i, j] there, or one constant (dim, dim, dim) array.
-    Differentiating the coefficient field may nest a second stencil inside
-    the first, so each point must sit at least 2h inside the domain.
-    Returns riem[..., l, i, j, k] with the leading axes of ``points``:
-    (dim,) * 4 for one point (dim,) and (N, dim, dim, dim, dim) for a batch
-    (N, dim).
+    ``gamma[..., S, k, i, j]`` holds Gamma^k_ij at every point of the
+    :func:`stencil` of each point, built with the same ``cfg``; entry 0 is
+    the point itself.  Returns riem[..., l, i, j, k]: (dim,) * 4 from the
+    stencil of one point, and (N, dim, dim, dim, dim) from the stencils of
+    N points.
     """
-    p = manifold.require_inside(points, margin=2.0 * cfg.step)
-    q = stencil(p, cfg)
-    gamma = np.broadcast_to(gamma_field(q), q.shape[:-1] + (manifold.dim,) * 3)
-    dgamma = stencil_partials(gamma, cfg, axis=p.ndim - 1)
-    return _curvature_components(gamma[..., 0, :, :, :], dgamma)
+    return _curvature_components(gamma[..., 0, :, :, :], stencil_partials(gamma, cfg, axis=-4))
 
 
 def _curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:

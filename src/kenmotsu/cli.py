@@ -35,6 +35,7 @@ from .connection import (
     check_reeb_transport,
     check_torsion,
     curvature_bundle,
+    scalar_shift,
 )
 from .report import IDENTITIES, IdentityResidualReport, to_json, write_json
 from .structure import (
@@ -245,20 +246,13 @@ class _ManifoldRunner:
             "mean_scalar": None,
             "mean_modified_scalar": None,
             "scalar_shift_deviation": None,
-            "expected_scalar_shift": float(
-                2 * example.n * (2 * example.n + 3)
-            ),
+            "expected_scalar_shift": scalar_shift(example.n),
         }
 
     def _stamped(self, report: IdentityResidualReport) -> IdentityResidualReport:
-        """Set the gate: a --tol override, else the base tolerance, fd-scaled."""
-        identity = IDENTITIES[report.identity]
+        """Apply a --tol override; otherwise the row keeps the table's tolerance."""
         if report.identity in self.config.tolerances:
             report.tolerance = float(self.config.tolerances[report.identity])
-        elif identity.fd_scaled:
-            report.tolerance = identity.tolerance * self.example.fd_tolerance_scale
-        else:
-            report.tolerance = identity.tolerance
         return report
 
     def _entry(self, report: IdentityResidualReport) -> IdentityEntry:

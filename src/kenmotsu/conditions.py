@@ -32,7 +32,7 @@ from .connection import (
     _fit_operators,
     _wedge,
 )
-from .report import IDENTITIES, IdentityResidualReport, per_point, row, sides_row
+from .report import IdentityResidualReport, per_point, row, sides_row
 
 # threshold on an Einstein fit residual, in (1,1) components: the CLI's
 # einstein verdict reads the joint fit, the Weyl commutation the largest
@@ -274,13 +274,10 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     bit for bit.  The work runs over chunks of points so that memory stays
     bounded.
     """
-    tolerance = IDENTITIES["weyl-tachibana"].tolerance
     m, n = geometry.manifold.dim, geometry.manifold.n
     if m < 5:
         note = "conformal tensor is identically zero in dimension 3"
-        return IdentityResidualReport(
-            "weyl-tachibana", tolerance, geometry.p[:0], [], status="not-applicable", note=note
-        )
+        return row("weyl-tachibana", geometry.p[:0], [], status="not-applicable", note=note)
     status, note = "ok", ""
     if not geometry.lc_einstein_fits.residual.max() < EINSTEIN_FIT_THRESHOLD:
         status, note = "info", "Einstein hypothesis fails here; magnitudes recorded only"
@@ -305,9 +302,7 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     mags = {k: np.concatenate(v) for k, v in mags.items()}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
     extras = {k: float(np.max(v)) for k, v in mags.items()}
-    return IdentityResidualReport(
-        "weyl-tachibana", tolerance, geometry.p, headline, extras, status, note
-    )
+    return row("weyl-tachibana", geometry.p, headline, extras, status=status, note=note)
 
 
 def check_weyl(

@@ -256,6 +256,8 @@ class CurvatureBundle:
     @cached_property
     def _curvature(self) -> dict[str, np.ndarray]:
         m = self.manifold
+        # a chart without analytic partials differences its metric around
+        # each stencil point, a second step out from the sample point
         m.require_inside(self.p, margin=2.0 * self.cfg.step)
         # one coefficient array on the 1 + 4 dim stencil of a point
         per_point = 8 * (4 * m.dim + 1) * m.dim**3
@@ -267,23 +269,21 @@ class CurvatureBundle:
         """Both curvature passes and the metric partials for points lo..hi.
 
         The metric, its partials and the Christoffel symbols are evaluated
-        once on the chunk's stencils and serve both connections; the fields
-        handed to ``riemann_of_connection`` return them, since that is
-        where it asks (on ``stencil`` of the same points).
+        once on the chunk's stencils and serve both connections.
         """
         m, cfg = self.manifold, self.cfg
-        points, q = self.p[lo:hi], self._stencil[lo:hi]
+        q = self._stencil[lo:hi]
         pair = m.metric_pair_at(q)
         lc = levi_civita(pair, m.metric_partials_at(q, cfg))
         out = {
-            "lc_riemann": riemann_of_connection(m, lambda _: lc, points, cfg),
+            "lc_riemann": riemann_of_connection(lc, cfg),
             "dg_fd": stencil_partials(pair.matrix, cfg, axis=1),
         }
         if self.structure is not None:
             modified = _modified_coefficients(
                 lc, pair.matrix, self._eta_on_stencil[lo:hi], self._xi_on_stencil[lo:hi]
             )
-            out["riemann"] = riemann_of_connection(m, lambda _: modified, points, cfg)
+            out["riemann"] = riemann_of_connection(modified, cfg)
         return out
 
     @property
@@ -339,8 +339,7 @@ class CurvatureBundle:
 
     @cached_property
     def scalar_closed_form(self) -> np.ndarray:
-        n = self.manifold.n
-        return _frozen(self.lc_scalar + 2.0 * n * (2 * n + 3))
+        return _frozen(self.lc_scalar + scalar_shift(self.manifold.n))
 
     @cached_property
     def cross(self) -> dict[str, np.ndarray]:
@@ -373,6 +372,11 @@ class CurvatureBundle:
         term_g = _wedge(g)
         scale = self.lc_scalar[:, None, None, None, None]
         return _frozen(self.lc_riemann - term_s / (m - 2) + scale * term_g / ((m - 1) * (m - 2)))
+
+
+def scalar_shift(n: int) -> float:
+    """scal_K - r = 2n(2n+3), the shift between the scalar curvatures in dimension 2n + 1."""
+    return 2.0 * n * (2 * n + 3)
 
 
 def _wedge(g: np.ndarray) -> np.ndarray:
@@ -450,11 +454,8 @@ _CROSS_TO_IDENTITY = {
 def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
     """Cross-check direct vs closed-form curvature at each point.
 
-    The Riemann comparison stacks two finite-difference curvature passes,
-    so its gate is scaled per chart (``fd_scaled`` in the identity table);
-    the Ricci/scalar comparisons and the symmetry defect of the direct
-    Ricci are not.
-    Returns one report per comparison.
+    Returns one report per comparison: Riemann, Ricci, scalar, and the
+    symmetry defect of the direct Ricci tensor.
     """
     return [row(name, geometry.p, geometry.cross[key]) for key, name in _CROSS_TO_IDENTITY.items()]
 

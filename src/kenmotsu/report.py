@@ -151,10 +151,9 @@ class _PointsBlock:
 class Identity:
     """How one identity is gated.
 
-    ``tolerance`` is the base gate, the one every ``check_*`` function
-    sets; to gate a row otherwise, set its ``tolerance``.  ``fd_scaled``
-    identities stack two finite-difference curvature passes, so the CLI
-    multiplies their gate by the chart's ``fd_tolerance_scale``.  ``expect`` names the catalog flags
+    ``tolerance`` is the gate, the one every ``check_*`` function sets
+    and the CLI keeps unless ``--tol`` overrides it; to gate a row
+    otherwise, set its ``tolerance``.  ``expect`` names the catalog flags
     (``kenmotsu``, ``einstein``, ``weyl_flat``) whose conjunction the row is
     expected to match; an empty tuple means the identity holds on every
     chart.  A ``kenmotsu_only`` row compares closed forms that assume the
@@ -167,7 +166,6 @@ class Identity:
 
     suite: str
     tolerance: float
-    fd_scaled: bool = False
     expect: tuple[str, ...] = ()
     kenmotsu_only: bool = False
     opposite_sign: bool = False
@@ -176,12 +174,12 @@ class Identity:
 _KENMOTSU = ("kenmotsu",)
 _EINSTEIN_KENMOTSU = ("einstein", "kenmotsu")
 # the four curvature identities of the Kenmotsu class share one gate
-_CURVATURE = Identity("curvature", 1e-5, fd_scaled=True, expect=_KENMOTSU, opposite_sign=True)
+_CURVATURE = Identity("curvature", 1e-5, expect=_KENMOTSU, opposite_sign=True)
 
 # in suite order, and in row order within each suite
 IDENTITIES: dict[str, Identity] = {
     "structure-axioms": Identity("axioms", 1e-10),
-    "kenmotsu-condition": Identity("kenmotsu", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "kenmotsu-condition": Identity("kenmotsu", 1e-5, expect=_KENMOTSU),
     "curvature-eta-component": _CURVATURE,
     "curvature-on-reeb": _CURVATURE,
     "curvature-from-reeb": _CURVATURE,
@@ -190,11 +188,11 @@ IDENTITIES: dict[str, Identity] = {
     "nonmetricity": Identity("connection", 1e-5, opposite_sign=True),
     "reeb-transport": Identity("connection", 1e-5, expect=_KENMOTSU),
     "deformation-form": Identity("connection", 1e-5, expect=_KENMOTSU),
-    "riemann-cross-check": Identity("connection", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "riemann-cross-check": Identity("connection", 1e-5, expect=_KENMOTSU),
     "ricci-cross-check": Identity("connection", 1e-5, expect=_KENMOTSU),
     "scalar-cross-check": Identity("connection", 1e-5, kenmotsu_only=True),
     "ricci-symmetry": Identity("connection", 1e-5, kenmotsu_only=True),
-    "irregularity": Identity("irregularity", 1e-5, fd_scaled=True, expect=_KENMOTSU),
+    "irregularity": Identity("irregularity", 1e-5, expect=_KENMOTSU),
     "derivation-identity": Identity("semisymmetry", 1e-4, expect=_KENMOTSU),
     "semisymmetry-condition": Identity("semisymmetry", 1e-5, expect=("einstein",)),
     "einstein-ricci-fit": Identity("semisymmetry", 1e-4, expect=_EINSTEIN_KENMOTSU),
@@ -214,11 +212,17 @@ def per_point(residual: np.ndarray) -> np.ndarray:
 
 
 def row(
-    identity: str, points, residuals, extras: dict[str, float] | None = None
+    identity: str,
+    points,
+    residuals,
+    extras: dict[str, float] | None = None,
+    *,
+    status: str = "ok",
+    note: str = "",
 ) -> IdentityResidualReport:
-    """The row of ``identity`` over ``points``, gated at the table's base tolerance."""
+    """The row of ``identity`` over ``points``, gated at the table's tolerance."""
     tolerance = IDENTITIES[identity].tolerance
-    return IdentityResidualReport(identity, tolerance, points, residuals, extras)
+    return IdentityResidualReport(identity, tolerance, points, residuals, extras, status, note)
 
 
 def sides_row(identity: str, points, lhs: np.ndarray, rhs: np.ndarray) -> IdentityResidualReport:

@@ -116,11 +116,6 @@ def test_sample_box_must_sit_inside_domain():
         )
 
 
-def test_ne5_uses_relaxed_fd_scale():
-    assert by_name("ne5").fd_tolerance_scale == 10.0
-    assert by_name("h3").fd_tolerance_scale == 1.0
-
-
 def test_notes_are_informative():
     for ex in catalog():
         assert ex.notes
@@ -146,7 +141,6 @@ def test_dim7_chart_matches_every_row_and_the_scalar_shift(monkeypatch):
         domain=((-2.0, 2.0), (0.5, 3.0)) + ((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
         sample_box=((-1.0, 1.0), (0.7, 2.5)) + ((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
         expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
-        fd_tolerance_scale=10.0,
     )
     verdicts = _run_outside_catalog(monkeypatch, ne7).verdicts
     assert verdicts["kenmotsu"] is True

@@ -15,7 +15,12 @@ from kenmotsu import (
     check_weyl,
     levi_civita,
 )
-from kenmotsu.charts import _add_connection_terms, array_field_partials, riemann_of_connection
+from kenmotsu.charts import (
+    _add_connection_terms,
+    array_field_partials,
+    riemann_of_connection,
+    stencil,
+)
 from kenmotsu.tensors import SYMMETRY_TOL, slots
 
 CFG = DifferentiationConfig()
@@ -259,11 +264,10 @@ def test_covariant_derivative_of_constant_field_flat():
 def test_riemann_of_connection_arbitrary_coefficients():
     # a connection with constant coefficients on a flat chart: curvature is
     # the commutator quadratic, computable by hand
-    m = by_name("euclidean3").manifold
     rng = np.random.default_rng(12)
     const = rng.normal(size=(3, 3, 3)) * 0.5
-    field = lambda p: const
-    riem = riemann_of_connection(m, field, np.zeros(3), CFG)
+    on_stencil = np.broadcast_to(const, stencil(np.zeros(3), CFG).shape[:-1] + const.shape)
+    riem = riemann_of_connection(on_stencil, CFG)
     q1 = np.einsum("lim,mjk->lijk", const, const)
     expected = q1 - q1.transpose(0, 2, 1, 3)
     assert riem.shape == (3, 3, 3, 3)

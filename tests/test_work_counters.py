@@ -11,7 +11,7 @@ time, fails here.  The catalog's chart and structure callables take a
 batch of points, so the number of calls to them does not grow with the
 number of points either, and each metric batch (the sample points, and
 with a curvature suite their stencils) is evaluated, validated and
-inverted exactly once.
+inverted exactly once; the stencils of a chart's points are built once.
 """
 
 import dataclasses
@@ -85,6 +85,17 @@ def test_at_most_one_record_and_two_curvature_passes_per_point(monkeypatch):
     # nonzero: a call that escaped the patched bindings would read as no work
     assert 0 < passes[0] <= 2 * points
     assert 0 < bundles[0] <= points
+
+
+def test_one_stencil_per_chart(monkeypatch):
+    # the record builds every point's stencil once and hands the values on
+    # it to both curvature passes, whatever the number of chunks
+    calls = _count_calls(monkeypatch, charts.stencil)
+    for points in (2, 50):
+        calls[0] = 0
+        report = run(RunConfig(manifolds=CHARTS, suites=SUITE_ORDER, num_points=points))
+        assert report.exit_status == 0
+        assert calls[0] == len(CHARTS), points
 
 
 def _count_catalog_callables(monkeypatch) -> Counter:
