@@ -23,12 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensors import (
-    UP,
-    MetricError,
-    MetricPair,
-    metric_defect,
-)
+from .tensors import UP, MetricError, MetricPair, require_metric
 
 
 class DomainError(ValueError):
@@ -163,24 +158,23 @@ class ChartManifold:
         return p
 
     def metric_at(self, points: np.ndarray) -> np.ndarray:
-        """g_ij at each point, validated by :func:`~kenmotsu.tensors.metric_defect`."""
+        """g_ij at each point, validated by :func:`~kenmotsu.tensors.require_metric`."""
         p = self.require_inside(points)
         m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
-        _require_metric(p, m)
+        try:
+            require_metric(m)
+        except MetricError as exc:
+            raise _at_point(p, exc) from None
         return m
 
     def metric_pair_at(self, points: np.ndarray) -> MetricPair:
-        """g_ij and g^ij at each point: one evaluation, one inverse, one validation.
-
-        Only a failing batch is searched again, for the point the error names.
-        """
+        """g_ij and g^ij at each point: one evaluation, one inverse, one validation."""
         p = self.require_inside(points)
         m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
         try:
             return MetricPair.from_matrix(m)
-        except MetricError:
-            _require_metric(p, m)
-            raise
+        except MetricError as exc:
+            raise _at_point(p, exc) from None
 
     def metric_partials_at(
         self, points: np.ndarray, cfg: DifferentiationConfig
@@ -195,13 +189,12 @@ class ChartManifold:
         return array_field_partials(self.metric, p, cfg)
 
 
-def _require_metric(points: np.ndarray, matrix: np.ndarray) -> None:
-    """Raise a :class:`MetricError` naming the first point whose metric fails validation."""
-    defect = metric_defect(matrix)
-    if defect is not None:
-        index, why = defect
-        where = points.reshape(-1, points.shape[-1])[index].tolist()
-        raise MetricError(f"metric {why} at {where}") from None
+def _at_point(points: np.ndarray, error: MetricError) -> MetricError:
+    """``error`` naming the point at fault, when validation gave its index."""
+    if error.index is None:
+        return error
+    where = points.reshape(-1, points.shape[-1])[error.index].tolist()
+    return MetricError(f"{error} at {where}")
 
 
 def stencil(points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:

@@ -108,56 +108,24 @@ def resolve_suites(names: list[str] | tuple[str, ...]) -> tuple[str, ...]:
 
 
 @dataclass
-class IdentityEntry:
-    report: IdentityResidualReport
-    expected: bool | None  # None: informational row, never gates the exit code
-
-    @property
-    def gated(self) -> bool:
-        return self.expected is not None and self.report.status == "ok"
-
-    @property
-    def matched(self) -> bool:
-        if not self.gated:
-            return True
-        return self.report.passed == self.expected
-
-    def to_dict(self) -> dict:
-        return self._tree(self.report.to_dict())
-
-    def to_json_tree(self) -> dict:
-        """:meth:`to_dict` with the points left as arrays for :func:`~kenmotsu.report.to_json`."""
-        return self._tree(self.report.to_json_tree())
-
-    def _tree(self, row: dict) -> dict:
-        row["expected"] = self.expected
-        row["matched"] = self.matched
-        return row
-
-
-@dataclass
 class SuiteOutcome:
     name: str
     status: str = "ran"  # ran | skipped | error
     note: str = ""
-    entries: list[IdentityEntry] = field(default_factory=list)
+    rows: list[IdentityResidualReport] = field(default_factory=list)
 
     @property
     def matched(self) -> bool:
         if self.status == "error":
             return False
-        return all(e.matched for e in self.entries)
+        return all(r.matched for r in self.rows)
 
-    def to_dict(self) -> dict:
-        return self._tree(IdentityEntry.to_dict)
-
-    def _tree(self, row) -> dict:
-        """The suite as a dict, each identity row rendered by ``row(entry)``."""
+    def tree(self) -> dict:
         return {
             "name": self.name,
             "status": self.status,
             "note": self.note,
-            "identities": [row(e) for e in self.entries],
+            "identities": [r.tree() for r in self.rows],
         }
 
 
@@ -172,14 +140,11 @@ class ManifoldOutcome:
     def matched(self) -> bool:
         return all(s.matched for s in self.suites)
 
-    def to_dict(self) -> dict:
-        return self._tree(IdentityEntry.to_dict)
-
-    def _tree(self, row) -> dict:
+    def tree(self) -> dict:
         return {
             "name": self.name,
             "dim": self.dim,
-            "suites": [s._tree(row) for s in self.suites],
+            "suites": [s.tree() for s in self.suites],
             "verdicts": self.verdicts,
         }
 
@@ -193,21 +158,18 @@ class RunReport:
     def exit_status(self) -> int:
         return 0 if all(m.matched for m in self.manifolds) else 1
 
-    def to_dict(self) -> dict:
-        return self._tree(IdentityEntry.to_dict)
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, written from the rows' arrays."""
-        return to_json(self._tree(IdentityEntry.to_json_tree))
+        """``json.dumps(indent=2)`` of :meth:`tree`, each row's points written out as records."""
+        return to_json(self.tree())
 
     def write_json(self, stream) -> None:
         """Write the text of :meth:`to_json` to ``stream`` as it is rendered, never whole."""
-        write_json(self._tree(IdentityEntry.to_json_tree), stream.write)
+        write_json(self.tree(), stream.write)
 
-    def _tree(self, row) -> dict:
+    def tree(self) -> dict:
         return {
             "config": self.config.to_dict(),
-            "manifolds": [m._tree(row) for m in self.manifolds],
+            "manifolds": [m.tree() for m in self.manifolds],
             "exit_status": self.exit_status,
         }
 
@@ -255,17 +217,17 @@ class _ManifoldRunner:
             report.tolerance = float(self.config.tolerances[report.identity])
         return report
 
-    def _entry(self, report: IdentityResidualReport) -> IdentityEntry:
+    def _gated(self, report: IdentityResidualReport) -> IdentityResidualReport:
+        """Set the row's status, expectation and tolerance for this chart."""
         identity = IDENTITIES[report.identity]
         ex = self.example
         if identity.kenmotsu_only and not ex.expected_kenmotsu:
             report.status = "info"
             report.note = "closed form not applicable off the Kenmotsu class"
-        expected = None
         if report.status == "ok":
-            expected = all(getattr(ex, f"expected_{flag}") for flag in identity.expect)
+            report.expected = all(getattr(ex, f"expected_{flag}") for flag in identity.expect)
         self._read_verdicts(report)
-        return IdentityEntry(self._stamped(report), expected=expected)
+        return self._stamped(report)
 
     def _read_verdicts(self, report: IdentityResidualReport) -> None:
         """Take the verdicts a row carries: the joint fits, the scalar means, the scalar shift."""
@@ -301,7 +263,7 @@ class _ManifoldRunner:
             reports = getattr(self, f"_suite_{suite}")()
         except _NUMERICAL_ERRORS as exc:
             return SuiteOutcome(name=suite, status="error", note=str(exc))
-        return SuiteOutcome(name=suite, entries=[self._entry(r) for r in reports])
+        return SuiteOutcome(name=suite, rows=[self._gated(r) for r in reports])
 
     # -- individual suites: each returns its reports in table order --------
 
@@ -363,15 +325,14 @@ def run(config: RunConfig) -> RunReport:
 # -- rendering ------------------------------------------------------------
 
 
-def _tag(entry: IdentityEntry) -> str:
-    rep = entry.report
-    if rep.status == "not-applicable":
+def _tag(row: IdentityResidualReport) -> str:
+    if row.status == "not-applicable":
         return "N/A"
-    if rep.status == "info":
+    if row.status == "info":
         return "INFO"
-    if rep.passed:
-        return "PASS" if entry.matched else "PASS (unexpected)"
-    return "FAIL (expected)" if entry.matched else "FAIL"
+    if row.passed:
+        return "PASS" if row.matched else "PASS (unexpected)"
+    return "FAIL (expected)" if row.matched else "FAIL"
 
 
 def render_text(report: RunReport) -> str:
@@ -383,11 +344,10 @@ def render_text(report: RunReport) -> str:
                 lines.append(f"  suite {suite.name}: {suite.status.upper()} ({suite.note})")
                 continue
             lines.append(f"  suite {suite.name}")
-            for entry in suite.entries:
-                rep = entry.report
+            for row in suite.rows:
                 lines.append(
-                    f"    {rep.identity:<26} max {rep.max_residual:10.3e}"
-                    f"  tol {rep.tolerance:8.1e}  {_tag(entry)}"
+                    f"    {row.identity:<26} max {row.max_residual:10.3e}"
+                    f"  tol {row.tolerance:8.1e}  {_tag(row)}"
                 )
         v = m.verdicts
         lines.append("  verdicts")

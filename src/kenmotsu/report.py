@@ -7,10 +7,13 @@ without recomputing anything.  :data:`IDENTITIES` is the one place that
 says, per identity, which suite runs it, how tight its gate is and what a
 chart is expected to make of it; the checks and the CLI both read it.
 Every check builds each of its rows in one call, :func:`row` or, for an
-identity lhs = rhs, :func:`sides_row`.
-:func:`to_json` renders a report exactly as ``json.dumps(report, indent=2)``
-does, in a fraction of its time; :func:`write_json` hands the same text to
-a stream piece by piece.
+identity lhs = rhs, :func:`sides_row`; the CLI reports the same records,
+with each row's expectation set.
+:func:`to_json` renders a report's tree, in which every row
+(:meth:`IdentityResidualReport.tree`) keeps its points as arrays, with the
+bytes ``json.dumps(indent=2)`` writes once those points are written out as
+records, in a fraction of its time; :func:`write_json` hands the same text
+to a stream piece by piece.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class IdentityResidualReport:
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
-    max-abs residual.
+    max-abs residual.  ``expected`` says whether a chart is expected to pass
+    the row: ``None`` (the default) leaves the row out of the exit status.
     """
 
     def __init__(
@@ -56,6 +60,7 @@ class IdentityResidualReport:
         extras: dict[str, float] | None = None,
         status: str = "ok",
         note: str = "",
+        expected: bool | None = None,
     ):
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
@@ -75,6 +80,7 @@ class IdentityResidualReport:
         self.extras = {} if extras is None else extras
         self.status = status
         self.note = note
+        self.expected = expected
 
     def __repr__(self) -> str:
         return (
@@ -87,8 +93,9 @@ class IdentityResidualReport:
         if not isinstance(other, IdentityResidualReport):
             return NotImplemented
         return (
-            (self.identity, self.tolerance, self.extras, self.status, self.note)
-            == (other.identity, other.tolerance, other.extras, other.status, other.note)
+            (self.identity, self.tolerance, self.extras, self.status, self.note, self.expected)
+            == (other.identity, other.tolerance, other.extras, other.status, other.note,
+                other.expected)
             and np.array_equal(self.coords, other.coords)
             and np.array_equal(self.residuals, other.residuals)
         )
@@ -103,23 +110,18 @@ class IdentityResidualReport:
             return True
         return self.max_residual <= self.tolerance
 
-    def to_dict(self) -> dict:
-        return self._tree(
-            [
-                {"point": p, "residual": r}
-                for p, r in zip(self.coords.tolist(), self.residuals.tolist())
-            ]
-        )
+    @property
+    def gated(self) -> bool:
+        """True when the row counts toward the exit status."""
+        return self.expected is not None and self.status == "ok"
 
-    def to_json_tree(self) -> dict:
-        """:meth:`to_dict` with the points left as arrays for :func:`to_json`.
+    @property
+    def matched(self) -> bool:
+        """True unless the row is gated and passed where it should fail, or failed where not."""
+        return not self.gated or self.passed == self.expected
 
-        Only :func:`to_json` can write the result; it renders the same bytes
-        as for :meth:`to_dict` without a Python object per point.
-        """
-        return self._tree(_PointsBlock(self.coords, self.residuals))
-
-    def _tree(self, points) -> dict:
+    def tree(self) -> dict:
+        """The row as :func:`to_json` writes it, its points kept as one block of arrays."""
         return {
             "identity": self.identity,
             "tolerance": float(self.tolerance),
@@ -128,7 +130,9 @@ class IdentityResidualReport:
             "status": self.status,
             "note": self.note,
             "extras": {k: float(v) for k, v in sorted(self.extras.items())},
-            "points": points,
+            "points": _PointsBlock(self.coords, self.residuals),
+            "expected": self.expected,
+            "matched": self.matched,
         }
 
 
@@ -241,16 +245,15 @@ def to_json(obj) -> str:
     """``obj`` as the bytes of ``json.dumps(obj, indent=2)``.
 
     ``obj`` is built from dicts with string keys, lists, tuples, strings,
-    ints, floats, bools and None; anything else raises ``TypeError``.
-    ``json.dumps`` with an indent runs Python's pure-Python encoder, one
-    generator frame per value.  This writer renders each list of floats
-    with one ``str.join``.  A row of
-    :meth:`IdentityResidualReport.to_json_tree` also holds its points as
-    arrays: their block (the ``{"point": [...], "residual": r}`` records)
-    is rendered once per points object and indent, as a template with one
-    ``%s`` per residual, and each row fills in only its residuals.  The
-    templates live for one call, so rows that share a chart's points share
-    one rendering of its coordinates.
+    ints, floats, bools, None and the points blocks of
+    :meth:`IdentityResidualReport.tree`; anything else raises
+    ``TypeError``.  A points block is written as ``json.dumps`` writes its
+    list of ``{"point": [...], "residual": r}`` records.  ``json.dumps``
+    with an indent runs Python's pure-Python encoder, one generator frame
+    per value.  This writer renders a block once per points object and
+    indent, as a template with one ``%s`` per residual, and each row fills
+    in only its residuals.  The templates live for one call, so rows that
+    share a chart's points share one rendering of its coordinates.
     """
     out: list[str] = []
     write_json(obj, out.append)
@@ -276,19 +279,6 @@ def _float(value: float) -> str:
     if value == -math.inf:
         return "-Infinity"
     return float.__repr__(value)
-
-
-def _floats(values, nl: str) -> str:
-    """A list of floats at the indent ``nl``; ``TypeError`` if any item is no float."""
-    if not values:
-        return "[]"
-    inner = nl + "  "
-    sep = "," + inner
-    # the separators hold no "n"; among float reprs only nan and inf do
-    body = sep.join(map(float.__repr__, values))
-    if "n" in body:
-        body = sep.join(map(_float, values))
-    return "[" + inner + body + nl + "]"
 
 
 def _reprs(values: np.ndarray) -> tuple:
@@ -342,7 +332,16 @@ def _write(value, nl: str, put, templates: dict) -> None:
     elif isinstance(value, float):
         put(_float(value))
     elif isinstance(value, (list, tuple)):
-        _write_list(value, nl, put, templates)
+        if not value:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            sep = "," + inner
+            _write(item, inner, put, templates)
+        put(nl + "]")
     elif isinstance(value, dict):
         if not value:
             put("{}")
@@ -360,21 +359,3 @@ def _write(value, nl: str, put, templates: dict) -> None:
         _write_points(value, nl, put, templates)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _write_list(values, nl: str, put, templates: dict) -> None:
-    if not values:
-        put("[]")
-        return
-    try:
-        put(_floats(values, nl))
-        return
-    except TypeError:
-        pass
-    inner = nl + "  "
-    sep = "[" + inner
-    for item in values:
-        put(sep)
-        sep = "," + inner
-        _write(item, inner, put, templates)
-    put(nl + "]")

@@ -62,7 +62,15 @@ class MultiTensor:
 
 
 class MetricError(ValueError):
-    """A metric is unusable: non-finite, not symmetric, not positive definite or badly inverted."""
+    """A metric is unusable: non-finite, not symmetric, not positive definite or badly inverted.
+
+    ``index``, when validation raised the error, is the flat index of the
+    first failing point of the batch.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 # the one symmetry gate of the package: largest |g_ab - g_ba| a metric may have
@@ -90,29 +98,25 @@ def _defect(matrix: np.ndarray, inverse: np.ndarray | None) -> str | None:
     return None
 
 
-def metric_defect(
-    matrix: np.ndarray, inverse: np.ndarray | None = None
-) -> tuple[int, str] | None:
-    """The first metric of a batch that fails validation, and why.
+def require_metric(matrix: np.ndarray, inverse: np.ndarray | None = None) -> None:
+    """Raise a :class:`MetricError` for the first metric of a batch that fails validation.
 
     ``matrix`` is g_ab at one point, (dim, dim), or at a batch of points,
     (..., dim, dim); ``inverse`` optionally carries g^ab in the same shape.
     The checks run in order: finite entries, symmetry to
     :data:`SYMMETRY_TOL`, positive-definiteness (Cholesky) and, with an
-    inverse, g g^-1 = I to :data:`INVERSE_TOL`.  Returns ``None`` when every
-    point passes, else the flat index of the first failing point and the
-    reason.
+    inverse, g g^-1 = I to :data:`INVERSE_TOL`.  The error gives the reason
+    and, as its ``index``, the flat index of the first failing point.
     """
     dim = matrix.shape[-1]
     flat = matrix.reshape(-1, dim, dim)
     flat_inv = None if inverse is None else inverse.reshape(-1, dim, dim)
     if _defect(flat, flat_inv) is None:
-        return None
+        return
     for i in range(len(flat)):
         why = _defect(flat[i : i + 1], None if flat_inv is None else flat_inv[i : i + 1])
         if why is not None:
-            return i, why
-    return None
+            raise MetricError(f"metric {why}", i)
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class MetricPair:
 
     ``matrix`` is g_ab and ``inverse`` is g^ab, at one point (dim, dim) or
     at a batch of points with leading axes (..., dim, dim).  Construction
-    checks every point with :func:`metric_defect` and keeps frozen copies.
+    checks every point with :func:`require_metric` and keeps frozen copies.
     """
 
     matrix: np.ndarray
@@ -132,9 +136,7 @@ class MetricPair:
         b = np.asarray(self.inverse, dtype=float)
         if a.ndim < 2 or a.shape[-1] != a.shape[-2] or b.shape != a.shape:
             raise MetricError("metric and inverse need matching (..., dim, dim) shapes")
-        defect = metric_defect(a, b)
-        if defect is not None:
-            raise MetricError(f"metric {defect[1]}")
+        require_metric(a, b)
         for name, arr in (("matrix", a), ("inverse", b)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -145,13 +147,15 @@ class MetricPair:
         m = np.asarray(matrix, dtype=float)
         if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise MetricError("metric matrix must be square")
-        # a NaN would reach the inverse and fail there as a singular matrix
-        if not np.all(np.isfinite(m)):
-            raise MetricError("metric has non-finite entries")
         try:
-            inv = np.linalg.inv(m)
-        except np.linalg.LinAlgError as exc:
-            raise MetricError("metric is not positive definite") from exc
+            # a NaN would reach the inverse and fail there as a singular matrix
+            inv = np.linalg.inv(m) if np.all(np.isfinite(m)) else None
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is None:
+            # with no inverse to check, the metric alone names the point at fault
+            require_metric(m)
+            raise MetricError("metric is not positive definite")
         # inversion of a symmetric matrix, keep it exact
         inv = (inv + np.swapaxes(inv, -1, -2)) / 2.0
         return cls(m, inv)

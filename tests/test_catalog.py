@@ -127,8 +127,8 @@ def _run_outside_catalog(monkeypatch, example):
     report = run(RunConfig(manifolds=(example.name,), suites=SUITE_ORDER, num_points=3))
     (outcome,) = report.manifolds
     assert [s.status for s in outcome.suites] == ["ran"] * len(SUITE_ORDER)
-    for entry in (e for s in outcome.suites for e in s.entries):
-        assert entry.matched, entry.report.identity
+    for row in (r for s in outcome.suites for r in s.rows):
+        assert row.matched, row.identity
     assert report.exit_status == 0
     return outcome
 
@@ -158,8 +158,8 @@ def test_beta_two_chart_is_not_kenmotsu(monkeypatch):
         expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
     )
     outcome = _run_outside_catalog(monkeypatch, beta2)
-    condition = outcome.suites[SUITE_ORDER.index("kenmotsu")].entries[0]
-    assert condition.expected is False and condition.report.max_residual > 1.0
+    condition = outcome.suites[SUITE_ORDER.index("kenmotsu")].rows[0]
+    assert condition.expected is False and condition.max_residual > 1.0
     assert outcome.verdicts["kenmotsu"] is False
     assert outcome.verdicts["einstein"] is True
     assert outcome.verdicts["einstein_fit"]["a"] == pytest.approx(-8.0, abs=1e-9)

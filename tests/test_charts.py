@@ -127,6 +127,24 @@ def test_metric_pair_at_names_the_first_failing_point(bad, why):
         chart.metric_at(points)
 
 
+def test_metric_pair_at_names_the_point_whose_inverse_fails():
+    # a positive-definite metric whose smallest eigenvalue, 1e-14, is too
+    # small for its inverse to pass: only the inverse check rejects it
+    c, s = np.cos(0.7), np.sin(0.7)
+    q = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    q = q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    chart = ChartManifold(
+        dim=3,
+        metric=lambda p: q @ np.diag([1.0, 1.0, 1e-14 if p[0] > 0.5 else 1.0]) @ q.T,
+        domain=((-1, 1),) * 3,
+    )
+    points = np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]])
+    assert chart.metric_at(points).shape == (2, 3, 3)
+    message = "metric inverse does not invert the metric at [0.9, 0.0, 0.0]"
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        chart.metric_pair_at(points)
+
+
 @pytest.mark.parametrize("name", [ex.name for ex in catalog()])
 def test_finite_difference_matches_analytic_partials(name):
     # the warped constructor's beta term and fibre term, one point at a time

@@ -95,6 +95,35 @@ def test_control_failure_counts_as_match(capsys):
     assert "exit status: 0" in out
 
 
+# each text tag, as the (status, passed, matched) of its JSON row
+TAGS = {
+    "PASS": ("ok", True, True),
+    "PASS (unexpected)": ("ok", True, False),
+    "FAIL": ("ok", False, False),
+    "FAIL (expected)": ("ok", False, True),
+    "INFO": ("info", True, True),
+    "N/A": ("not-applicable", True, True),
+}
+
+
+def test_text_tags_agree_with_the_json_rows(capsys):
+    # a loose Kenmotsu gate lets the euclidean3 control pass it unexpectedly,
+    # and an unreachable irregularity gate fails ne5, which should pass it
+    argv = ["--manifold", "euclidean3", "--manifold", "h3", "--manifold", "ne5",
+            "--points", "3", "--tol", "kenmotsu-condition=10", "--tol", "irregularity=1e-30"]
+    assert main(argv) == 1
+    lines = [line.split(None, 5) for line in capsys.readouterr().out.splitlines()
+             if line.startswith("    ") and "  tol " in line]
+    assert main([*argv, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    rows = [r for m in doc["manifolds"] for s in m["suites"] for r in s["identities"]]
+    assert len(lines) == len(rows)
+    for (identity, *_, tag), r in zip(lines, rows):
+        assert identity == r["identity"]
+        assert TAGS[tag] == (r["status"], r["passed"], r["matched"]), (identity, tag)
+    assert {line[-1] for line in lines} == set(TAGS)
+
+
 def test_ne5_semisymmetry_identity_holds_condition_fails():
     report = run(
         RunConfig(manifolds=("ne5",), suites=("semisymmetry",), num_points=6)
@@ -102,11 +131,11 @@ def test_ne5_semisymmetry_identity_holds_condition_fails():
     assert report.exit_status == 0
     (outcome,) = report.manifolds
     (suite,) = outcome.suites
-    rows = {e.report.identity: e for e in suite.entries}
+    rows = {r.identity: r for r in suite.rows}
     derivation = rows["derivation-identity"]
-    assert derivation.report.passed and derivation.expected is True
+    assert derivation.passed and derivation.expected is True
     condition = rows["semisymmetry-condition"]
-    assert not condition.report.passed
+    assert not condition.passed
     assert condition.expected is False and condition.matched
     assert outcome.verdicts["einstein"] is False
     assert outcome.verdicts["einstein_fit"]["residual"] > 1e-2
@@ -147,7 +176,7 @@ def test_json_schema_fields(capsys):
 def test_scalar_means_carry_the_same_key_on_every_row():
     config = RunConfig(manifolds=("h5",), suites=("connection", "semisymmetry"), num_points=3)
     (outcome,) = run(config).manifolds
-    rows = {e.report.identity: e.report for s in outcome.suites for e in s.entries}
+    rows = {r.identity: r for s in outcome.suites for r in s.rows}
     cross, condition = rows["scalar-cross-check"], rows["semisymmetry-condition"]
     # the means and the expected shift are reported once, on the condition
     # row and in the verdicts
@@ -312,10 +341,10 @@ def test_partials_not_symmetric_in_the_metric_slots_fail_the_torsion_row(monkeyp
     assert report.exit_status == 1
     (outcome,) = report.manifolds
     assert [s.status for s in outcome.suites] == ["ran"] * len(SUITE_ORDER)
-    rows = {e.report.identity: e for s in outcome.suites for e in s.entries}
+    rows = {r.identity: r for s in outcome.suites for r in s.rows}
     torsion = rows["torsion-form"]
     assert not torsion.matched
-    assert torsion.report.max_residual > 1e-4
+    assert torsion.max_residual > 1e-4
 
 
 def test_slightly_asymmetric_chart_runs_every_suite(monkeypatch):
@@ -395,16 +424,22 @@ def test_library_defaults_equal_cli_gates(chart):
         k.check_weyl_commutation(geometry),
     ]
     report = run(RunConfig(manifolds=(chart,), suites=("all",), num_points=2))
-    cli_rows = [e.report for suite in report.manifolds[0].suites for e in suite.entries]
+    cli_rows = [r for suite in report.manifolds[0].suites for r in suite.rows]
     assert [r.identity for r in library] == [r.identity for r in cli_rows]
     for row, cli_row in zip(library, cli_rows):
+        # the library leaves a row's expectation unset; the CLI sets it from
+        # the table's flags on every row it gates
+        assert row.expected is None
+        if row.status == "ok":
+            flags = IDENTITIES[row.identity].expect
+            row.expected = all(getattr(ex, f"expected_{flag}") for flag in flags)
         assert row == cli_row, row.identity
 
 
 def test_opposite_sign_extra_exactly_where_the_table_asks_for_it():
     names = tuple(ex.name for ex in k.catalog())
     report = run(RunConfig(manifolds=names, suites=("all",), num_points=3))
-    rows = [e.report for m in report.manifolds for s in m.suites for e in s.entries]
+    rows = [r for m in report.manifolds for s in m.suites for r in s.rows]
     assert {r.identity for r in rows} == set(IDENTITIES)
     for r in rows:
         flagged = IDENTITIES[r.identity].opposite_sign
@@ -414,8 +449,8 @@ def test_opposite_sign_extra_exactly_where_the_table_asks_for_it():
 def test_rows_come_in_identity_table_order():
     report = run(RunConfig(manifolds=("h5",), suites=("all",), num_points=1))
     rows = [
-        (suite.name, e.report.identity)
+        (suite.name, r.identity)
         for suite in report.manifolds[0].suites
-        for e in suite.entries
+        for r in suite.rows
     ]
     assert rows == [(i.suite, name) for name, i in IDENTITIES.items()]

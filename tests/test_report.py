@@ -1,4 +1,9 @@
-"""The report writer against ``json.dumps(obj, indent=2)``, kept here as the reference."""
+"""The report writer against ``json.dumps(obj, indent=2)``, kept here as the reference.
+
+A report's tree holds each row's points as one block of arrays; the
+reference writes that block out as ``{"point", "residual"}`` records of
+Python floats, built here from the arrays, not by the package.
+"""
 
 import json
 import math
@@ -8,19 +13,32 @@ import numpy as np
 import pytest
 
 from kenmotsu import catalog
-from kenmotsu.cli import IdentityEntry, ManifoldOutcome, RunConfig, RunReport, SuiteOutcome, run
-from kenmotsu.report import IdentityResidualReport, row, to_json
+from kenmotsu.cli import ManifoldOutcome, RunConfig, RunReport, SuiteOutcome, run
+from kenmotsu.report import IdentityResidualReport, _PointsBlock, row, to_json
 
 
 def _same(obj) -> None:
     assert to_json(obj) == json.dumps(obj, indent=2)
 
 
+def _records(block):
+    """A points block as the list of records it stands for."""
+    if not isinstance(block, _PointsBlock):
+        raise TypeError(f"Object of type {type(block).__name__} is not JSON serializable")
+    return [
+        {"point": [float(x) for x in point], "residual": float(residual)}
+        for point, residual in zip(block.coords, block.residuals)
+    ]
+
+
+def _reference(tree) -> str:
+    return json.dumps(tree, indent=2, default=_records)
+
+
 def test_every_catalog_chart_with_all_suites():
     names = tuple(ex.name for ex in catalog())
     report = run(RunConfig(manifolds=names, suites=("all",), num_points=3, seed=4))
-    _same(report.to_dict())
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+    assert report.to_json() == _reference(report.tree())
 
 
 def test_rows_with_odd_values():
@@ -32,6 +50,7 @@ def test_rows_with_odd_values():
             [[0.5, -0.0], [math.inf, 1.0], [-math.inf, math.nan], [1e-300, 2.5e16]],
             [math.nan, math.inf, -math.inf, 0.0],
             extras={"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
+            expected=True,
         ),
         IdentityResidualReport(
             "noted",
@@ -40,17 +59,12 @@ def test_rows_with_odd_values():
             [1e-12],
             status="info",
             note='a "quoted" back\\slash, été ∇ξ and a\ttab',
+            expected=False,
         ),
     ]
     suites = [
-        SuiteOutcome("ran", entries=[IdentityEntry(rows[0], expected=None)]),
-        SuiteOutcome(
-            "mixed",
-            entries=[
-                IdentityEntry(rows[1], expected=True),
-                IdentityEntry(rows[2], expected=False),
-            ],
-        ),
+        SuiteOutcome("ran", rows=rows[:1]),
+        SuiteOutcome("mixed", rows=rows[1:]),
         SuiteOutcome("failed", status="error", note="metric is not symmetric at [0.1]"),
     ]
     manifold = ManifoldOutcome(
@@ -60,8 +74,9 @@ def test_rows_with_odd_values():
         verdicts={"kenmotsu": None, "einstein": False, "einstein_fit": {"a": -2.0}, "x": True},
     )
     config = RunConfig(manifolds=("odd",), suites=("all",))
-    text = RunReport(config, [manifold]).to_json()
-    assert text == json.dumps(RunReport(config, [manifold]).to_dict(), indent=2)
+    report = RunReport(config, [manifold])
+    text = report.to_json()
+    assert text == _reference(report.tree())
     for piece in ("NaN", "-Infinity", '"extras": {}', '"points": []', "null", "\\u00e9"):
         assert piece in text
 
@@ -75,13 +90,14 @@ def _shared_points_report() -> RunReport:
     first = row("torsion-form", shared, [0.0, 1e-12, math.nan])
     second = row("nonmetricity", shared, [math.inf, 2.0, -0.0])
     second.tolerance = 1e-3
+    first.expected = second.expected = True
     # as many points as the chart, of another dimension, in the same chart
     library = IdentityResidualReport(
-        "library", 1e-5, [[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]], [3e-7, 0.0, 1e-3]
+        "library", 1e-5, [[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]], [3e-7, 0.0, 1e-3],
+        expected=True,
     )
-    empty = IdentityResidualReport("empty", 1e-5, np.empty((0, 3)), [])
-    entries = [IdentityEntry(r, expected=True) for r in (first, second, library, empty)]
-    suites = [SuiteOutcome("a", entries=entries[:2]), SuiteOutcome("b", entries=entries[2:])]
+    empty = IdentityResidualReport("empty", 1e-5, np.empty((0, 3)), [], expected=True)
+    suites = [SuiteOutcome("a", rows=[first, second]), SuiteOutcome("b", rows=[library, empty])]
     config = RunConfig(manifolds=("odd",), suites=("all",))
     return RunReport(config, [ManifoldOutcome("odd", 3, suites=suites, verdicts={})])
 
@@ -89,7 +105,7 @@ def _shared_points_report() -> RunReport:
 def test_rows_share_points_and_keep_their_own():
     report = _shared_points_report()
     text = report.to_json()
-    assert text == json.dumps(report.to_dict(), indent=2)
+    assert text == _reference(report.tree())
     suites = json.loads(text)["manifolds"][0]["suites"]
     rows = [row for suite in suites for row in suite["identities"]]
     assert [len(row["points"]) for row in rows] == [3, 3, 3, 0]
@@ -98,10 +114,9 @@ def test_rows_share_points_and_keep_their_own():
 
 
 def test_rows_of_one_points_object_at_two_indents():
-    row = _shared_points_report().manifolds[0].suites[0].entries[0].report
-    assert to_json([row.to_json_tree(), {"x": row.to_json_tree()}]) == json.dumps(
-        [row.to_dict(), {"x": row.to_dict()}], indent=2
-    )
+    row = _shared_points_report().manifolds[0].suites[0].rows[0]
+    tree = [row.tree(), {"x": row.tree()}]
+    assert to_json(tree) == _reference(tree)
 
 
 def test_a_row_gates_its_worst_residual():
