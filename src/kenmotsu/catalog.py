@@ -14,11 +14,11 @@ Four charts make up the corpus:
   plane.  Kenmotsu but not Einstein, with a nonzero conformal tensor;
   exists so the Einstein-only consequences have a falsifier.
 
-Every chart carries analytic metric partials so the finite-difference path
-always has an exact competitor, and a sample box on which metric entries
-stay within a few orders of magnitude of 1 (absolute tolerances stay
-meaningful).  Sampling shrinks the box further by 10 * step so no stencil
-ever leaves it.
+Every chart carries analytic first and second metric partials, so its
+curvature is closed-form and the stencil's metric partials have an exact
+competitor, and a sample box on which metric entries stay within a few
+orders of magnitude of 1 (absolute tolerances stay meaningful).  Sampling
+shrinks the box by 10 * step so no stencil ever leaves it.
 """
 
 from __future__ import annotations
@@ -64,10 +64,13 @@ class NamedExample:
         The per-example stream is ``random.Random`` keyed by (seed,
         crc32(name)), so reports are reproducible across runs and machines
         regardless of catalog order.  One ``getrandbits`` call gives 64 bits
-        per coordinate; the top 53 of each make a uniform in [0, 1).
+        per coordinate; the top 53 of each make a uniform in [0, 1).  That
+        call takes a C int, so count * dim may be at most (2^31 - 1) // 64.
         """
-        if count < 1:
-            raise ValueError("count must be positive")
+        size, limit = count * self.manifold.dim, (2**31 - 1) // 64
+        if not 1 <= size <= limit:
+            raise ValueError(
+                f"count * dim must be in [1, {limit}], got {count} * {self.manifold.dim}")
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
         margin = 10.0 * step
@@ -75,7 +78,6 @@ class NamedExample:
         highs = np.array([hi - margin for _, hi in self.sample_box])
         if np.any(lows >= highs):
             raise ValueError("step too large for the sample box")
-        size = count * self.manifold.dim
         # crc32 fits in 32 bits, so each (seed, name) pair is its own key
         rng = random.Random(seed << 32 | zlib.crc32(self.name.encode()))
         words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
@@ -107,15 +109,17 @@ def _diagonal(entries: list) -> np.ndarray:
 
 
 def warped(name: str, beta: float, fiber: Callable, fiber_partials: Callable,
-           domain: tuple, sample_box: tuple, **expectations) -> NamedExample:
+           domain: tuple, sample_box: tuple, fiber_second_partials: Callable | None = None,
+           **expectations) -> NamedExample:
     """The chart R x_{e^{beta t}} N: metric e^{2 beta t} g_N + dt^2, t the last coordinate.
 
-    ``fiber(x)`` gives g_N and ``fiber_partials(x)`` its partials
-    dg_N[a, i, j] = d_a g_N,ij, both in batch form over the fibre
-    coordinates x = p[..., :-1].  The metric partials on the fibre block are
-    d_t g = 2 beta e^{2 beta t} g_N and d_a g = e^{2 beta t} d_a g_N.  The
-    structure is xi = d_t, eta = dt and phi rotating each fibre coordinate
-    pair.  ``expectations`` are the remaining :class:`NamedExample` fields.
+    ``fiber(x)`` gives g_N, ``fiber_partials(x)`` dg_N[a, i, j] = d_a g_N,ij
+    and the optional ``fiber_second_partials(x)`` ddg_N[a, b, i, j], in batch
+    form over the fibre coordinates x = p[..., :-1].  With w = e^{2 beta t},
+    the fibre block has d_t g = 2 beta w g_N, d_a g = w d_a g_N, d_t d_t g =
+    4 beta^2 w g_N, d_t d_a g = 2 beta w d_a g_N and d_a d_b g = w d_a d_b g_N.
+    The structure is xi = d_t, eta = dt and phi rotating each fibre
+    coordinate pair.  ``expectations`` are the other NamedExample fields.
     """
     dim = len(domain)
     k = dim - 1
@@ -135,10 +139,21 @@ def warped(name: str, beta: float, fiber: Callable, fiber_partials: Callable,
         dg[..., k, :k, :k] = 2.0 * beta * w * fiber(p[..., :k])
         return dg
 
+    @batched
+    def second_partials(p: np.ndarray) -> np.ndarray:
+        w, x = np.exp(2.0 * beta * p[..., -1])[..., None, None], p[..., :k]
+        ddg = np.zeros(p.shape[:-1] + (dim,) * 4)
+        ddg[..., :k, :k, :k, :k] = w[..., None, None] * fiber_second_partials(x)
+        ddg[..., k, :k, :k, :k] = 2.0 * beta * w[..., None] * fiber_partials(x)
+        ddg[..., :k, k, :k, :k] = ddg[..., k, :k, :k, :k]
+        ddg[..., k, k, :k, :k] = 4.0 * beta**2 * w * fiber(x)
+        return ddg
+
     xi = np.eye(dim)[-1]
     return NamedExample(
         name=name,
-        manifold=ChartManifold(dim=dim, metric=metric, metric_partials=partials, domain=domain),
+        manifold=ChartManifold(dim, metric, domain, partials,
+                               second_partials if fiber_second_partials else None),
         structure=AlmostContactStructure(
             phi=_constant(_planar_phi(dim)), xi=_constant(xi), eta=_constant(xi)
         ),
@@ -156,6 +171,10 @@ def _flat_partials(x: np.ndarray) -> np.ndarray:
     return np.zeros(x.shape + x.shape[-1:] * 2)
 
 
+def _flat_second_partials(x: np.ndarray) -> np.ndarray:
+    return np.zeros(x.shape + x.shape[-1:] * 3)
+
+
 def _hyperbolic_times_flat(x: np.ndarray) -> np.ndarray:
     """The hyperbolic plane times a flat factor: (dx1^2 + dy1^2) / y1^2 + the flat rest."""
     return _diagonal([1.0 / x[..., 1] ** 2] * 2 + [1.0] * (x.shape[-1] - 2))
@@ -168,6 +187,12 @@ def _hyperbolic_times_flat_partials(x: np.ndarray) -> np.ndarray:
     return dg
 
 
+def _hyperbolic_times_flat_second_partials(x: np.ndarray) -> np.ndarray:
+    ddg = np.zeros(x.shape + x.shape[-1:] * 3)
+    ddg[..., 1, 1, :2, :2] = _diagonal([6.0 / x[..., 1] ** 4] * 2)
+    return ddg
+
+
 def catalog() -> list[NamedExample]:
     space_form = dict(
         expected_kenmotsu=True, expected_einstein=True, expected_weyl_flat=True,
@@ -176,6 +201,7 @@ def catalog() -> list[NamedExample]:
     return [
         warped(
             "euclidean3", 0.0, _flat, _flat_partials,
+            fiber_second_partials=_flat_second_partials,
             domain=((-2.0, 2.0),) * 3,
             sample_box=((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
             expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
@@ -183,18 +209,21 @@ def catalog() -> list[NamedExample]:
         ),
         warped(
             "h3", 1.0, _flat, _flat_partials,
+            fiber_second_partials=_flat_second_partials,
             domain=((-2.0, 2.0),) * 2 + ((-1.0, 1.0),),
             sample_box=((-1.0, 1.0),) * 2 + ((-0.5, 0.5),),
             **space_form,
         ),
         warped(
             "h5", 1.0, _flat, _flat_partials,
+            fiber_second_partials=_flat_second_partials,
             domain=((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
             sample_box=((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
             **space_form,
         ),
         warped(
             "ne5", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
+            fiber_second_partials=_hyperbolic_times_flat_second_partials,
             domain=((-2.0, 2.0), (0.5, 3.0), (-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0)),
             sample_box=((-1.0, 1.0), (0.7, 2.5), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
             expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,

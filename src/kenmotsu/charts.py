@@ -1,9 +1,9 @@
 """Coordinate charts, finite differencing, and Levi-Civita curvature.
 
 A manifold here is a single chart: a box domain in R^dim with a smooth
-positive-definite metric given by a callable.  All differentiation is
-numerical (central differences, optionally one Richardson extrapolation
-level) unless the chart supplies analytic metric partials.
+positive-definite metric given by a callable.  Differentiation is numerical
+(central differences, optionally one Richardson level) where the chart gives
+no analytic metric partials, first or second.
 
 Sign conventions, used consistently everywhere downstream:
 
@@ -102,6 +102,8 @@ class ChartManifold:
     ``metric(p)`` returns the (dim, dim) matrix g_ij at p.
     ``metric_partials(p)``, when provided, returns dg[a, i, j] = d_a g_ij;
     otherwise partials are taken by finite differences.
+    ``metric_second_partials(p)``, optional and only with ``metric_partials``,
+    returns ddg[a, b, i, j] = d_a d_b g_ij.
     ``domain`` is a box: a (lo, hi) pair per coordinate.
 
     Each callable takes one point, or, when marked by :func:`batched`, a
@@ -115,8 +117,11 @@ class ChartManifold:
     metric: Callable[[np.ndarray], np.ndarray]
     domain: tuple[tuple[float, float], ...]
     metric_partials: Callable[[np.ndarray], np.ndarray] | None = None
+    metric_second_partials: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
+        if self.metric_second_partials is not None and self.metric_partials is None:
+            raise ValueError("metric_second_partials needs metric_partials")
         if self.dim < 3 or self.dim % 2 == 0:
             raise ValueError("dim must be odd and at least 3")
         if len(self.domain) != self.dim:
@@ -265,20 +270,26 @@ def levi_civita(pair: MetricPair, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m))).reshape(dg.shape)
 
 
-def riemann_of_connection(gamma: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
-    """Curvature of an arbitrary connection from its coefficients on the stencils.
+def _christoffel_partials(
+    inverse: np.ndarray, dg: np.ndarray, ddg: np.ndarray, gamma: np.ndarray
+) -> np.ndarray:
+    """d_a Gamma^k_ij = g^kl d_a Gamma_l,ij - (g^-1 d_a g)^k_m Gamma^m_ij, as [n, a, k, i, j].
 
-    ``gamma[..., S, k, i, j]`` holds Gamma^k_ij at every point of the
-    :func:`stencil` of each point, built with the same ``cfg``; entry 0 is
-    the point itself.  Returns riem[..., l, i, j, k]: (dim,) * 4 from the
-    stencil of one point, and (N, dim, dim, dim, dim) from the stencils of
-    N points.
+    From g^-1, ``dg[n, a]``, ``ddg[n, a, b]`` and Gamma at the points.
     """
-    return _curvature_components(gamma[..., 0, :, :, :], stencil_partials(gamma, cfg, axis=-4))
+    n, m = gamma.shape[:2]
+    lowered = 0.5 * (np.swapaxes(ddg, -3, -2) + np.moveaxis(ddg, -3, -1) - ddg)
+    lowered = lowered.reshape(n, m, m, m * m) - dg @ gamma.reshape(n, 1, m, m * m)
+    return (inverse[:, None] @ lowered).reshape(ddg.shape)
 
 
-def _curvature_components(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """riem[..., l, i, j, k] from Gamma^l_jk and dgamma[..., i, l, j, k] = d_i Gamma^l_jk."""
+def riemann_of_connection(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """Curvature of an arbitrary connection from its coefficients and their partials.
+
+    ``gamma[..., l, j, k]`` = Gamma^l_jk and ``dgamma[..., i, l, j, k]`` =
+    d_i Gamma^l_jk, exact or the :func:`stencil_partials` of the
+    coefficients on the stencils.  Returns riem[..., l, i, j, k].
+    """
     t1 = np.swapaxes(dgamma, -4, -3)  # t1[l,i,j,k] = d_i Gamma^l_jk
     t2 = np.swapaxes(t1, -3, -2)
     lead, m = gamma.shape[:-3], gamma.shape[-1]

@@ -34,6 +34,8 @@ from .charts import (
     ChartManifold,
     DifferentiationConfig,
     _add_connection_terms,
+    _at_each,
+    _christoffel_partials,
     levi_civita,
     riemann_of_connection,
     stencil,
@@ -41,7 +43,7 @@ from .charts import (
 )
 from .report import IdentityResidualReport, per_point, row, sides_row
 from .structure import AlmostContactStructure, StructureError
-from .tensors import MetricPair, slots
+from .tensors import MetricError, MetricPair, slots
 
 # bytes that one array of a chunk of points may take: the curvature pass
 # and the rank-6 Weyl actions hold about ten such arrays at a time, so
@@ -72,15 +74,9 @@ class NonMetricConnection:
 
     def coefficients_at(self, points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
         """Coefficients gamma[..., k, i, j] at one point (dim,) or a batch (..., dim)."""
-        m = self.manifold
-        p = m.require_inside(points)
-        pair = m.metric_pair_at(p)
-        return _modified_coefficients(
-            levi_civita(pair, m.metric_partials_at(p, cfg)),
-            pair.matrix,
-            self.structure.eta_at(m.dim, p),
-            self.structure.xi_at(m.dim, p),
-        )
+        p = self.manifold.require_inside(points)
+        gamma = CurvatureBundle(self.manifold, self.structure, p, cfg).gamma
+        return gamma.reshape(p.shape[:-1] + gamma.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -158,15 +154,15 @@ class CurvatureBundle:
     the Levi-Civita Ricci operator, the closed-form modified curvature with
     its cross-check residuals and the Weyl tensor.
 
-    The chart and structure callables are evaluated on the sample points and
-    on all their stencils: a callable marked by
-    :func:`~kenmotsu.charts.batched` once per batch, any other once per
-    point.  Everything after them is whole-array arithmetic.  The
-    curvature pass runs over chunks of points (:func:`_chunk_ranges`), so its
-    memory stays bounded.  ``riemann``/``ricci``/``scalar`` come from
-    differentiating the modified coefficient field (the direct route,
-    consumed downstream); ``*_closed_form`` come from the Levi-Civita
-    curvature through
+    The chart and structure callables are evaluated at the sample points, and
+    ``metric``, ``eta`` and ``xi`` on their stencils too: one marked by
+    :func:`~kenmotsu.charts.batched` once per batch, any other once per point.
+    The curvature pass runs over chunks of points (:func:`_chunk_ranges`).
+    With ``metric_second_partials`` it differentiates the Christoffel symbols
+    in closed form; without, it differences them on the stencils.
+    ``riemann``/``ricci``/``scalar`` come from the partials of the modified
+    coefficients (the direct route, consumed downstream); ``*_closed_form``
+    come from the Levi-Civita curvature through
 
         K(X,Y)Z = R(X,Y)Z + g(Y,Z) X - g(X,Z) Y
                   + 2 [g(Y,Z) eta(X) - g(X,Z) eta(Y)] xi
@@ -220,26 +216,24 @@ class CurvatureBundle:
         return stencil(self.manifold.require_inside(self.p, margin=self.cfg.step), self.cfg)
 
     @cached_property
-    def _eta_on_stencil(self) -> np.ndarray:
-        return self._structure("eta on the stencils").eta_at(self.manifold.dim, self._stencil)
-
-    @cached_property
-    def _xi_on_stencil(self) -> np.ndarray:
-        return self._structure("xi on the stencils").xi_at(self.manifold.dim, self._stencil)
-
-    @cached_property
     def deta(self) -> np.ndarray:
         """deta[n, a, j] = d_a eta_j."""
-        return _frozen(stencil_partials(self._eta_on_stencil, self.cfg, axis=1))
+        eta = self._structure("eta on the stencils").eta_at(self.manifold.dim, self._stencil)
+        return _frozen(stencil_partials(eta, self.cfg, axis=1))
 
     @cached_property
     def dxi(self) -> np.ndarray:
         """dxi[n, a, k] = d_a xi^k."""
-        return _frozen(stencil_partials(self._xi_on_stencil, self.cfg, axis=1))
+        xi = self._structure("xi on the stencils").xi_at(self.manifold.dim, self._stencil)
+        return _frozen(stencil_partials(xi, self.cfg, axis=1))
+
+    @cached_property
+    def _dg(self) -> np.ndarray:
+        return _frozen(self.manifold.metric_partials_at(self.p, self.cfg))
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        return _frozen(levi_civita(self.metric, self.manifold.metric_partials_at(self.p, self.cfg)))
+        return _frozen(levi_civita(self.metric, self._dg))
 
     @cached_property
     def lc_nabla_eta(self) -> np.ndarray:
@@ -259,31 +253,36 @@ class CurvatureBundle:
         # a chart without analytic partials differences its metric around
         # each stencil point, a second step out from the sample point
         m.require_inside(self.p, margin=2.0 * self.cfg.step)
-        # one coefficient array on the 1 + 4 dim stencil of a point
-        per_point = 8 * (4 * m.dim + 1) * m.dim**3
-        ranges = _chunk_ranges(len(self.p), per_point)
-        chunks = [self._curvature_chunk(lo, hi) for lo, hi in ranges]
+        exact = m.metric_second_partials is not None
+        # bytes per point: one rank-4 array, or one on the 1 + 4 dim stencil
+        ranges = _chunk_ranges(len(self.p), 8 * m.dim**3 * (m.dim if exact else 4 * m.dim + 1))
+        chunks = [self._curvature_chunk(lo, hi, exact) for lo, hi in ranges]
         return {k: _frozen(np.concatenate([c[k] for c in chunks])) for k in chunks[0]}
 
-    def _curvature_chunk(self, lo: int, hi: int) -> dict[str, np.ndarray]:
-        """Both curvature passes and the metric partials for points lo..hi.
+    def _curvature_chunk(self, lo: int, hi: int, exact: bool) -> dict[str, np.ndarray]:
+        """Both curvature passes and ``dg_fd`` for points lo..hi.
 
-        The metric, its partials and the Christoffel symbols are evaluated
-        once on the chunk's stencils and serve both connections.
+        d Gamma is ``exact`` from second partials at the points, or the
+        differences of the Christoffel symbols on the chunk's stencils.
         """
         m, cfg = self.manifold, self.cfg
-        q = self._stencil[lo:hi]
-        pair = m.metric_pair_at(q)
-        lc = levi_civita(pair, m.metric_partials_at(q, cfg))
-        out = {
-            "lc_riemann": riemann_of_connection(lc, cfg),
-            "dg_fd": stencil_partials(pair.matrix, cfg, axis=1),
-        }
+        q, dg, lc = self._stencil[lo:hi], self._dg[lo:hi], self.lc_gamma[lo:hi]
+        if exact:
+            dg_fd = stencil_partials(m.metric_at(q), cfg, axis=1)
+            ddg = _at_each(m.metric_second_partials, self.p[lo:hi], (m.dim,) * 4,
+                           "metric_second_partials", MetricError)
+            dlc = _christoffel_partials(self.metric.inverse[lo:hi], dg, ddg, lc)
+        else:
+            pair = m.metric_pair_at(q)
+            dg_fd = stencil_partials(pair.matrix, cfg, axis=1)
+            dlc = stencil_partials(levi_civita(pair, m.metric_partials_at(q, cfg)), cfg, axis=1)
+        out = {"lc_riemann": riemann_of_connection(lc, dlc), "dg_fd": dg_fd}
         if self.structure is not None:
-            modified = _modified_coefficients(
-                lc, pair.matrix, self._eta_on_stencil[lo:hi], self._xi_on_stencil[lo:hi]
-            )
-            out["riemann"] = riemann_of_connection(modified, cfg)
+            # d_a G^k_ij = d_a Gamma^k_ij - d_a eta_j delta^k_i - d_a g_ij xi^k - g_ij d_a xi^k
+            g, xi = self.metric.matrix[lo:hi], self.xi[lo:hi]
+            dmodified = _modified_coefficients(dlc, dg, self.deta[lo:hi], xi[:, None])
+            dmodified = dmodified - g[:, None, None] * self.dxi[lo:hi, :, :, None, None]
+            out["riemann"] = riemann_of_connection(self.gamma[lo:hi], dmodified)
         return out
 
     @property

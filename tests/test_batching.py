@@ -3,10 +3,11 @@
 The geometry record computes every part for all of its points at once,
 over chunks of points in the curvature pass.  Swapping or mixing axes
 across points would show up here as a disagreement between a record of N
-points and N records of one point.  Sixteen points span two chunks in
-dimension 5.  The catalog's chart and structure callables take a whole
-batch of points in one call; each must give what it gives point by point,
-and a batch-form callable whose value lacks the batch axis is rejected.
+points and N records of one point.  A small chunk budget makes sixteen
+points span several chunks on every chart.  The catalog's chart and
+structure callables take a whole batch of points in one call; each must
+give what it gives point by point, and a batch-form callable whose value
+lacks the batch axis is rejected.
 """
 
 import numpy as np
@@ -49,9 +50,10 @@ EXAMPLES = [*catalog(), _without_partials("ne5")]
 
 @pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "plain"])
 @pytest.mark.parametrize("ex", EXAMPLES, ids=[ex.name for ex in EXAMPLES])
-def test_batch_equals_one_point_batches(ex, richardson):
-    from kenmotsu import curvature_bundle
+def test_batch_equals_one_point_batches(ex, richardson, monkeypatch):
+    from kenmotsu import connection, curvature_bundle
 
+    monkeypatch.setattr(connection, "CHUNK_BYTES", 2**13)
     cfg = DifferentiationConfig(richardson=richardson)
     conn = NonMetricConnection(ex.manifold, ex.structure)
     points = ex.sample_points(16, seed=3)
@@ -69,6 +71,7 @@ def _callables(ex: NamedExample) -> dict:
     return {
         "metric": ex.manifold.metric,
         "metric_partials": ex.manifold.metric_partials,
+        "metric_second_partials": ex.manifold.metric_second_partials,
         "phi": s.phi,
         "xi": s.xi,
         "eta": s.eta,

@@ -9,6 +9,7 @@ from kenmotsu.catalog import (
     _flat_partials,
     _hyperbolic_times_flat,
     _hyperbolic_times_flat_partials,
+    _hyperbolic_times_flat_second_partials,
     warped,
 )
 from kenmotsu.cli import SUITE_ORDER, RunConfig, run
@@ -135,9 +136,11 @@ def _run_outside_catalog(monkeypatch, example):
 
 def test_dim7_chart_matches_every_row_and_the_scalar_shift(monkeypatch):
     # ne5's fibre times a flat plane, n = 3: the shift 2n(2n+3) between the
-    # scalar curvatures is pinned here beyond the catalog's n = 1 and n = 2
+    # scalar curvatures is pinned here beyond the catalog's n = 1 and n = 2,
+    # with the curvature from exact second partials
     ne7 = warped(
         "ne7", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
+        fiber_second_partials=_hyperbolic_times_flat_second_partials,
         domain=((-2.0, 2.0), (0.5, 3.0)) + ((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
         sample_box=((-1.0, 1.0), (0.7, 2.5)) + ((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
         expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
@@ -150,7 +153,8 @@ def test_dim7_chart_matches_every_row_and_the_scalar_shift(monkeypatch):
 
 def test_beta_two_chart_is_not_kenmotsu(monkeypatch):
     # R x_{e^{2t}} R^2 is beta-Kenmotsu at beta = 2, nabla xi = 2(X - eta(X) xi):
-    # the Kenmotsu condition fails, and the metric has constant curvature -4
+    # the Kenmotsu condition fails, and the metric has constant curvature -4;
+    # without fibre second partials, the curvature comes from the stencils
     beta2 = warped(
         "beta2", 2.0, _flat, _flat_partials,
         domain=((-2.0, 2.0),) * 2 + ((-1.0, 1.0),),

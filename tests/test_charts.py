@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -20,6 +21,7 @@ from kenmotsu.charts import (
     array_field_partials,
     riemann_of_connection,
     stencil,
+    stencil_partials,
 )
 from kenmotsu.tensors import SYMMETRY_TOL, slots
 
@@ -147,12 +149,43 @@ def test_metric_pair_at_names_the_point_whose_inverse_fails():
 
 @pytest.mark.parametrize("name", [ex.name for ex in catalog()])
 def test_finite_difference_matches_analytic_partials(name):
-    # the warped constructor's beta term and fibre term, one point at a time
+    # the warped constructor's beta term and fibre term, one point at a time;
+    # the second partials against differences of the analytic first partials
+    m = by_name(name).manifold
+    for p in by_name(name).sample_points(5, seed=5):
+        fd = array_field_partials(m.metric, p, CFG)
+        assert np.max(np.abs(fd - m.metric_partials(p))) < 1e-9
+        fd2 = array_field_partials(m.metric_partials, p, CFG)
+        assert np.max(np.abs(fd2 - m.metric_second_partials(p))) < 1e-9
+
+
+def test_second_partials_need_first_partials():
+    with pytest.raises(ValueError, match="metric_second_partials needs metric_partials"):
+        ChartManifold(dim=3, metric=lambda p: np.eye(3), domain=((-1, 1),) * 3,
+                      metric_second_partials=lambda p: np.zeros((3,) * 4))
+
+
+@pytest.mark.parametrize("name", [ex.name for ex in catalog()])
+def test_exact_curvature_agrees_with_the_stencil_fallback(name):
+    # the closed-form d Gamma against differences of Gamma on the stencils,
+    # for both connections
     ex = by_name(name)
-    for p in ex.sample_points(5, seed=5):
-        fd = array_field_partials(ex.manifold.metric, p, CFG)
-        analytic = ex.manifold.metric_partials(p)
-        assert np.max(np.abs(fd - analytic)) < 1e-9
+    points = ex.sample_points(20, seed=6)
+    stencil_chart = dataclasses.replace(ex.manifold, metric_second_partials=None)
+    exact = CurvatureBundle(ex.manifold, ex.structure, points, CFG)
+    fallback = CurvatureBundle(stencil_chart, ex.structure, points, CFG)
+    for part in ("lc_riemann", "riemann"):
+        assert np.max(np.abs(getattr(exact, part) - getattr(fallback, part))) < 1e-9, part
+
+
+def test_scalar_curvature_from_exact_partials_meets_the_oracle():
+    # -20 on h5 (curvature -1 in dim 5) and -20 - 2 e^{-2t} on ne5, to roundoff
+    for name in ("h5", "ne5"):
+        ex = by_name(name)
+        points = ex.sample_points(50, seed=7)
+        exact = -20.0 - (2.0 * np.exp(-2.0 * points[:, -1]) if name == "ne5" else 0.0)
+        scalar = CurvatureBundle(ex.manifold, None, points, CFG).lc_scalar
+        assert np.max(np.abs(scalar - exact)) < 1e-13, name
 
 
 def test_christoffel_oracle_h3():
@@ -285,7 +318,7 @@ def test_riemann_of_connection_arbitrary_coefficients():
     rng = np.random.default_rng(12)
     const = rng.normal(size=(3, 3, 3)) * 0.5
     on_stencil = np.broadcast_to(const, stencil(np.zeros(3), CFG).shape[:-1] + const.shape)
-    riem = riemann_of_connection(on_stencil, CFG)
+    riem = riemann_of_connection(const, stencil_partials(on_stencil, CFG, axis=-4))
     q1 = np.einsum("lim,mjk->lijk", const, const)
     expected = q1 - q1.transpose(0, 2, 1, 3)
     assert riem.shape == (3, 3, 3, 3)

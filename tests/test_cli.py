@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -72,6 +73,17 @@ def test_negative_seed_is_usage_error(seed, capsys):
 def test_nonpositive_points_rejected(capsys):
     assert main(["--manifold", "h3", "--points", "0"]) == 2
     capsys.readouterr()
+
+
+def test_points_beyond_the_sampler_limit_are_usage_errors(capsys):
+    # the sampler's one getrandbits call takes a C int; both counts are
+    # refused before anything is allocated
+    limit = (2**31 - 1) // 64
+    assert main(["--points", str(10**12)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: count * dim must be in [1, {limit}], got {10**12} * 3\n"
+    with pytest.raises(ValueError, match=re.escape(f"in [1, {limit}], got 7000000 * 5")):
+        by_name("h5").sample_points(7_000_000, seed=0)
 
 
 def test_resolve_suites_order():
