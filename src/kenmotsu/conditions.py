@@ -75,8 +75,9 @@ def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w(a, b) = sum_q sign[a, b, q] w[q], with ``sign[a, b, q]`` +1 where
     (a, b) is the q-th pair, -1 where (b, a) is and 0 elsewhere.  An
     endomorphism A[c, z] acts on it by (A w)(Z_1, Z_2) = w(A Z_1, Z_2)
-    + w(Z_1, A Z_2): the matrix from pair r to pair q is
-    sum_{c,z} A[c, z] induced[(c, z), (q, r)].
+    + w(Z_1, A Z_2): the pairs x pairs matrix from pair r to pair q is
+    sum_{c,z} A[c, z] induced[(c, z), (q, r)], so one matmul against
+    ``induced`` gives it for a whole stack of endomorphisms.
     """
     i, j = np.triu_indices(m, k=1)
     q = np.arange(len(i))
@@ -89,38 +90,6 @@ def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, induced.reshape(m * m, -1)
 
 
-def _two_form_action(
-    family: np.ndarray, target: np.ndarray, tables: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Endomorphisms acting as derivations on a (0,4) array with a 2-form in slots 1, 2.
-
-    ``family[n, l, p, z]`` holds the endomorphism A_p (the pairs flattened
-    into one axis, as for :func:`_endomorphism_action`) and
-    ``target[n, a, q, b]`` the (0,4) tensor T(Z_0, Z_1, Z_2, Z_3) at the
-    pairs q = (Z_1, Z_2) of ``tables``.  The derivation keeps the
-    antisymmetry in (Z_1, Z_2), so the result is stored the same way,
-    out[n, p, a, q, b]: two matmuls over l act on the outer slots, and the
-    induced action of each A_p on 2-forms (:func:`_two_form_tables`), a
-    pairs x pairs matrix, acts on the middle one; the derivation's sign
-    negates the sum.
-    """
-    n, m, p = family.shape[:3]
-    pairs = len(tables[0])
-    out = np.matmul(
-        family.transpose(0, 2, 3, 1).reshape(n, p * m, m), target.reshape(n, m, pairs * m)
-    ).reshape(n, p, m, pairs, m)
-    out += np.matmul(target.reshape(n, 1, m * pairs, m), family.transpose(0, 2, 1, 3)).reshape(
-        n, p, m, pairs, m
-    )
-    on_two_forms = family.transpose(0, 2, 1, 3).reshape(n * p, m * m) @ tables[2]
-    middle = np.matmul(
-        on_two_forms.reshape(n, p * pairs, pairs),
-        target.transpose(0, 2, 1, 3).reshape(n, pairs, m * m),
-    )
-    out += middle.reshape(n, p, pairs, m, m).transpose(0, 1, 3, 2, 4)
-    return np.negative(out, out=out)
-
-
 def _commutation_maxima(
     g: np.ndarray,
     riem: np.ndarray,
@@ -131,33 +100,48 @@ def _commutation_maxima(
 ) -> tuple[np.ndarray, ...]:
     """Per point of one chunk: |C.R - R.C|, |Q(g,R)|, |Q(g,C)| and both scaled relations.
 
-    [C, wedge] act on R and [R, wedge] on C, each family stacked into one
-    call; the arrays die with the call, before the next chunk allocates.
+    The (0,4) form T of R or C, antisymmetrized in its outer slots, is its
+    curvature operator on 2-forms, T[s, q] = T(a_s, X_q, Y_q, b_s) at the
+    pairs s and q of ``tables``.  An endomorphism A_p with induced action
+    Ahat_p on 2-forms acts on it by A_p . T = -(Ahat_p T + T Ahat_p^t):
+    with the family of the chunk stacked along rows, each target takes two
+    batched matmuls, against T and against its transpose.  The families
+    are stacked [C, wedge, R], so [C, wedge] acting on R and [wedge, R]
+    acting on C are slices of one array of induced actions, ``act``; the
+    arrays die with the call, before the next chunk allocates.
     """
-    x, y, _ = tables
-    m, pairs = g.shape[-1], len(x)
-    wedge = _wedge(g)[:, :, x, y, :]
-    # the (0,4) forms of R and C: g lowers the upper slot
-    riem4, weyl4 = ((g @ t.reshape(len(g), m, -1)).reshape(t.shape) for t in (riem, weyl))
-    on_riem = _two_form_action(
-        np.concatenate([weyl[:, :, x, y, :], wedge], axis=2), riem4[:, :, x, y, :], tables
+    x, y, induced = tables
+    k, m, pairs = len(g), g.shape[-1], len(x)
+    family = np.concatenate(
+        [weyl[:, :, x, y, :], _wedge(g)[:, :, x, y, :], riem[:, :, x, y, :]], axis=2
     )
-    on_weyl = _two_form_action(
-        np.concatenate([riem[:, :, x, y, :], wedge], axis=2), weyl4[:, :, x, y, :], tables
+    act = (family.transpose(0, 2, 1, 3).reshape(-1, m * m) @ induced).reshape(
+        k, 3 * pairs * pairs, pairs
     )
-    commutator = on_riem[:, :pairs] - on_weyl[:, :pairs]
+
+    def derivation(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # lower the upper slot with g, then keep the outer pairs, antisymmetrized
+        t4 = (g @ t[:, :, x, y, :].reshape(k, m, -1)).reshape(k, m, pairs, m)
+        t4 = t4.transpose(0, 1, 3, 2)
+        op = 0.5 * (t4[:, x, y] - t4[:, y, x])
+        out = (rows @ op).reshape(k, -1, pairs, pairs)
+        out += (rows @ op.transpose(0, 2, 1)).reshape(k, -1, pairs, pairs).transpose(0, 1, 3, 2)
+        return np.negative(out, out=out)
+
+    on_riem = derivation(act[:, : 2 * pairs * pairs], riem)
+    on_weyl = derivation(act[:, pairs * pairs :], weyl)
+    del act
+    commutator = on_riem[:, :pairs] - on_weyl[:, pairs:]
     q_riem = on_riem[:, pairs:]
     # dim >= 5 here, so the contact half-dimension n is at least 2 and
     # both normalizations of the scale factor are finite
-    r = scalar.reshape((-1,) + (1,) * 4)
-    scale_total = r / (m * (m - 1))
-    scale_contact = r / (n * (n - 1))
+    r = scalar.reshape(-1, 1, 1, 1)
     return (
         per_point(commutator),
         per_point(q_riem),
-        per_point(on_weyl[:, pairs:]),
-        per_point(commutator + scale_total * q_riem),
-        per_point(commutator + scale_contact * q_riem),
+        per_point(on_weyl[:, :pairs]),
+        per_point(commutator + r / (m * (m - 1)) * q_riem),
+        per_point(commutator + r / (n * (n - 1)) * q_riem),
     )
 
 
@@ -260,19 +244,19 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     residual of the scaled relation under the total-dimension scale
     r / (m(m-1)), the one above, and under the contact-n scale r / (n(n-1)).
 
-    R, C and the wedge are antisymmetric in their (X,Y) slots, and so are
-    the (0,4) forms of R and C, so both are stored at the m(m-1)/2 pairs
-    X < Y: a family of endomorphisms at its pairs acts on a (0,4) array
-    with a 2-form in its middle slots (:func:`_two_form_action`), and each
-    rank-6 array holds m^2 (m(m-1)/2)^2 values per point instead of m^6.
-    Every action is linear in the endomorphism and keeps the antisymmetry
-    of its target, so the largest value over the stored pairs is the
-    largest over all of them.  That holds exactly for the wedge and to
-    roundoff for the computed curvatures, whose other half is taken as the
-    negative of the stored one; with the different order of summation the
-    magnitudes match those of the full per-point actions to roundoff, not
-    bit for bit.  The work runs over chunks of points so that memory stays
-    bounded.
+    R, C and the wedge are antisymmetric in their (X,Y) slots, and the
+    (0,4) forms of R and C in their outer slots as well, so each form is
+    stored as its curvature operator on 2-forms, a pairs x pairs matrix over
+    the m(m-1)/2 pairs (:func:`_commutation_maxima`): 100 values per point
+    in dim 5, where the full form holds m^4.  R, C and the wedge act only at
+    their pairs, each through its induced action on 2-forms.  Every action
+    is linear in the endomorphism and keeps the antisymmetry of its target,
+    so the largest value over the stored pairs is the largest over all of
+    them.  The forms are antisymmetrized in their outer slots first, which
+    the computed curvatures satisfy to roundoff, so the magnitudes match
+    those of the full per-point actions on the antisymmetrized forms to
+    roundoff, not bit for bit.  The work runs over chunks of points so that
+    memory stays bounded.
     """
     m, n = geometry.manifold.dim, geometry.manifold.n
     if m < 5:
@@ -286,9 +270,9 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     mags = {k: [] for k in keys}
     tables = _two_form_tables(m)
     pairs = len(tables[0])
-    # the largest array of a chunk is a stacked action: two families of
-    # pairs endomorphisms acting on a (0,4) array with a 2-form in its middle
-    for lo, hi in _chunk_ranges(len(geometry.p), 8 * 2 * pairs * m**2 * pairs):
+    # the largest array of a chunk holds the induced actions on 2-forms of
+    # three families of pairs endomorphisms: C, the wedge and R
+    for lo, hi in _chunk_ranges(len(geometry.p), 8 * 3 * pairs**3):
         maxima = _commutation_maxima(
             geometry.metric.matrix[lo:hi],
             geometry.lc_riemann[lo:hi],

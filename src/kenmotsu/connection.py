@@ -46,8 +46,9 @@ from .structure import AlmostContactStructure, StructureError
 from .tensors import MetricError, MetricPair, slots
 
 # bytes that one array of a chunk of points may take: the curvature pass
-# and the rank-6 Weyl actions hold about ten such arrays at a time, so
-# their memory stays bounded whatever the number of points
+# and the Weyl commutation's actions on curvature operators hold a few
+# such arrays at a time, so their memory stays bounded whatever the
+# number of points
 CHUNK_BYTES = 2**18
 
 
@@ -251,8 +252,9 @@ class CurvatureBundle:
     def _curvature(self) -> dict[str, np.ndarray]:
         m = self.manifold
         # a chart without analytic partials differences its metric around
-        # each stencil point, a second step out from the sample point
-        m.require_inside(self.p, margin=2.0 * self.cfg.step)
+        # each stencil point, a second step out from the sample point; any
+        # other reaches only its stencil, one step out
+        m.require_inside(self.p, margin=self.cfg.step * (1 if m.metric_partials is not None else 2))
         exact = m.metric_second_partials is not None
         # bytes per point: one rank-4 array, or one on the 1 + 4 dim stencil
         ranges = _chunk_ranges(len(self.p), 8 * m.dim**3 * (m.dim if exact else 4 * m.dim + 1))

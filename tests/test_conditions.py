@@ -14,6 +14,12 @@ from kenmotsu import (
     check_weyl,
     check_weyl_commutation,
 )
+from kenmotsu.catalog import (
+    _hyperbolic_times_flat,
+    _hyperbolic_times_flat_partials,
+    _hyperbolic_times_flat_second_partials,
+    warped,
+)
 from kenmotsu.conditions import _action_on_all_pairs, _wedge, _weyl_trace
 from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, _fit_operators, curvature_bundle
 from kenmotsu.report import per_point
@@ -260,31 +266,49 @@ def _generic_chart() -> ChartManifold:
     return ChartManifold(dim=5, metric=metric, domain=((-1.0, 1.0),) * 5)
 
 
-@pytest.mark.parametrize("name", ["h5", "ne5", "generic", "generic-chunks"])
+def _ne7():
+    """ne5's fibre times a flat plane: a dim-7 chart, 21 pairs X < Y."""
+    return warped(
+        "ne7", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
+        fiber_second_partials=_hyperbolic_times_flat_second_partials,
+        domain=((-2.0, 2.0), (0.5, 3.0)) + ((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
+        sample_box=((-1.0, 1.0), (0.7, 2.5)) + ((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
+        expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
+    )
+
+
+@pytest.mark.parametrize("name", ["h5", "ne5", "ne7", "generic", "generic-chunks"])
 def test_weyl_commutation_on_pairs_equals_full_actions(name):
-    # the check takes the rank-6 actions on the pairs X < Y of the
-    # endomorphisms and of the target's middle slots; the reference here
-    # takes them on every (X,Y).  The catalog's curvatures vanish on
-    # many pairs; the generic chart's on none.  "generic-chunks" spans
-    # several chunks of points, so a chunk boundary that misaligns points
-    # and residuals fails it.
+    # the check takes the actions on the pairs X < Y of the endomorphisms
+    # and on the curvature operators of the forms, antisymmetrized in their
+    # outer slots; the reference here takes the rank-6 actions on every
+    # (X,Y) and every slot of those antisymmetrized forms.  The catalog's
+    # curvatures vanish on many pairs; the generic chart's on none.
+    # "generic-chunks" spans several chunks of points, so a chunk boundary
+    # that misaligns points and residuals fails it.
     if name.startswith("generic"):
         manifold = _generic_chart()
-        count = 4 if name == "generic" else 15
+        count = 4 if name == "generic" else 25
         points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(count, 5)))
     else:
-        manifold = by_name(name).manifold
-        points = by_name(name).sample_points(4, seed=19)
+        ex = _ne7() if name == "ne7" else by_name(name)
+        manifold = ex.manifold
+        points = ex.sample_points(3 if name == "ne7" else 4, seed=19)
     m, n = manifold.dim, manifold.n
     if name == "generic-chunks":
-        # each stacked action holds 2 * 10 endomorphisms times 5 * 10 * 5
-        # values per point in dim 5
-        assert len(_chunk_ranges(len(points), 8 * 2 * 10 * 5 * 10 * 5)) >= 3
+        # the induced actions of 3 * 10 endomorphisms on 10 pairs take
+        # 3 * 10**3 values per point in dim 5
+        assert len(_chunk_ranges(len(points), 8 * 3 * 10**3)) >= 3
     b = CurvatureBundle(manifold, None, points, CFG)
     report = check_weyl_commutation(b)
     g, riem, weyl = b.metric.matrix, b.lc_riemann, b.weyl
     r = b.lc_scalar.reshape((-1,) + (1,) * 6)
-    riem4, weyl4 = (np.einsum("...al,...lijk->...aijk", g, t) for t in (riem, weyl))
+    raw = [np.einsum("...al,...lijk->...aijk", g, t) for t in (riem, weyl)]
+    # the computed forms are antisymmetric in their outer slots to roundoff,
+    # so a form lowered on the wrong slot fails here
+    for t in raw:
+        assert np.max(np.abs(t + np.swapaxes(t, 1, 4))) <= 1e-10 * np.max(np.abs(raw[0]))
+    riem4, weyl4 = (0.5 * (t - np.swapaxes(t, 1, 4)) for t in raw)
     commutator = _action_on_all_pairs(weyl, riem4, 4) - _action_on_all_pairs(riem, weyl4, 4)
     q_riem = _action_on_all_pairs(_wedge(g), riem4, 4)
     values = {
@@ -320,10 +344,10 @@ def _weyl_commutation_peak(count: int) -> int:
 
 
 def test_weyl_commutation_memory_is_bounded_by_its_chunks():
-    # the rank-6 actions run over chunks sized from CHUNK_BYTES, so the
-    # peak of the check on a prebuilt record does not grow with the points.
-    # 6.5 CHUNK_BYTES is the peak of the actions on whole (0,4) targets;
-    # chunks sized from one family instead of the stacked pair exceed it.
+    # the actions on the curvature operators run over chunks sized from
+    # CHUNK_BYTES, so the peak of the check on a prebuilt record does not
+    # grow with the points.  It reads 3.5 CHUNK_BYTES; chunks sized from two
+    # families instead of the three stacked read 5.3 and fail the bound.
     small, large = _weyl_commutation_peak(20), _weyl_commutation_peak(200)
-    assert large <= 6.5 * CHUNK_BYTES
+    assert large <= 4.5 * CHUNK_BYTES
     assert large < 1.1 * small

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from kenmotsu import (
     DifferentiationConfig,
+    DomainError,
     NonMetricConnection,
     by_name,
     catalog,
@@ -122,6 +124,27 @@ def test_curvature_bundle_h3_values():
     operator_target = 2.0 * np.eye(3) - 2.0 * np.outer(xi, eta)
     operator = bundle.metric.inverse @ bundle.ricci
     assert np.max(np.abs(operator[0] - operator_target)) < 1e-9
+
+
+@pytest.mark.parametrize("partials", ["second", "first", "none"])
+def test_curvature_pass_needs_a_second_step_only_without_partials(partials):
+    # 1.5 steps inside the chart: every stencil reaches one step out, and
+    # only a chart without metric partials differences its metric a second
+    # step further
+    ex = by_name("h3")
+    manifold = dataclasses.replace(ex.manifold, metric_second_partials=None)
+    if partials == "second":
+        manifold = ex.manifold
+    elif partials == "none":
+        manifold = dataclasses.replace(manifold, metric_partials=None)
+    conn = NonMetricConnection(manifold, ex.structure)
+    bundle = curvature_bundle(conn, [0.0, 0.0, 1.0 - 1.5 * CFG.step], CFG)
+    assert bundle.deta.shape == (1, 3, 3)
+    if partials == "none":
+        with pytest.raises(DomainError, match=r"margin 0\.0002"):
+            bundle.lc_riemann
+    else:
+        assert abs(bundle.lc_scalar[0] + 6.0) < 1e-6
 
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
