@@ -12,10 +12,8 @@ module or the ``kenmotsu`` console script for the runner.
 from .catalog import NamedExample, by_name, catalog
 from .charts import (
     ChartManifold,
-    DifferentiationConfig,
     DomainError,
     MetricError,
-    batched,
     levi_civita,
 )
 from .conditions import (
@@ -52,7 +50,6 @@ __all__ = [
     "AlmostContactStructure",
     "ChartManifold",
     "CurvatureBundle",
-    "DifferentiationConfig",
     "DomainError",
     "EinsteinFit",
     "IdentityResidualReport",
@@ -61,7 +58,6 @@ __all__ = [
     "NamedExample",
     "NonMetricConnection",
     "StructureError",
-    "batched",
     "by_name",
     "catalog",
     "check_almost_contact",

@@ -14,11 +14,10 @@ Four charts make up the corpus:
   plane.  Kenmotsu but not Einstein, with a nonzero conformal tensor;
   exists so the Einstein-only consequences have a falsifier.
 
-Every chart carries analytic first and second metric partials, so its
-curvature is closed-form and the stencil's metric partials have an exact
-competitor, and a sample box on which metric entries stay within a few
-orders of magnitude of 1 (absolute tolerances stay meaningful).  Sampling
-shrinks the box by 10 * step so no stencil ever leaves it.
+Every metric is one expression over jets (:mod:`kenmotsu.jets`), which
+gives its exact first and second partials, and every chart has a sample
+box on which metric entries stay within a few orders of magnitude of 1
+(absolute tolerances stay meaningful).
 """
 
 from __future__ import annotations
@@ -30,8 +29,14 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import ChartManifold, batched
+from . import jets
+from .charts import ChartManifold
 from .structure import AlmostContactStructure
+
+# sampling shrinks the sample box by this much on each side: ten times the
+# old default finite-difference step, kept so that seeded points stay where
+# earlier reports put them
+SAMPLE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,8 @@ class NamedExample:
     def n(self) -> int:
         return self.manifold.n
 
-    def sample_points(self, count: int, seed: int, step: float = 1e-4) -> np.ndarray:
-        """(count, dim) deterministic uniform draws from the sample box, shrunk by 10*step.
+    def sample_points(self, count: int, seed: int) -> np.ndarray:
+        """(count, dim) deterministic uniform draws from the sample box, shrunk by SAMPLE_MARGIN.
 
         The per-example stream is ``random.Random`` keyed by (seed,
         crc32(name)), so reports are reproducible across runs and machines
@@ -73,11 +78,8 @@ class NamedExample:
                 f"count * dim must be in [1, {limit}], got {count} * {self.manifold.dim}")
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        margin = 10.0 * step
-        lows = np.array([lo + margin for lo, _ in self.sample_box])
-        highs = np.array([hi - margin for _, hi in self.sample_box])
-        if np.any(lows >= highs):
-            raise ValueError("step too large for the sample box")
+        lows = np.array([lo + SAMPLE_MARGIN for lo, _ in self.sample_box])
+        highs = np.array([hi - SAMPLE_MARGIN for _, hi in self.sample_box])
         # crc32 fits in 32 bits, so each (seed, name) pair is its own key
         rng = random.Random(seed << 32 | zlib.crc32(self.name.encode()))
         words = rng.getrandbits(64 * size).to_bytes(8 * size, "little")
@@ -95,65 +97,36 @@ def _planar_phi(dim: int) -> np.ndarray:
 
 
 def _constant(value: np.ndarray):
-    """A batch-form field equal to ``value`` at every point (a read-only view)."""
-    return batched(lambda p: np.broadcast_to(value, p.shape[:-1] + value.shape))
+    """A field equal to ``value`` at every point: a plain array of its own shape, zero partials."""
+    return lambda p: value
 
 
-def _diagonal(entries: list) -> np.ndarray:
-    """Diagonal matrices, shape (..., k, k), from k entries broadcast over a batch."""
-    values = np.broadcast_arrays(*entries)
-    out = np.zeros(values[0].shape + (len(values),) * 2)
-    for k, value in enumerate(values):
-        out[..., k, k] = value
-    return out
+def _diagonal(entries: list) -> list[list]:
+    """The rows of the diagonal matrix with these entries, for :func:`~kenmotsu.jets.matrix`."""
+    return [[e if i == j else 0.0 for j in range(len(entries))] for i, e in enumerate(entries)]
 
 
-def warped(name: str, beta: float, fiber: Callable, fiber_partials: Callable,
-           domain: tuple, sample_box: tuple, fiber_second_partials: Callable | None = None,
+def warped(name: str, beta: float, fiber: Callable, domain: tuple, sample_box: tuple,
            **expectations) -> NamedExample:
     """The chart R x_{e^{beta t}} N: metric e^{2 beta t} g_N + dt^2, t the last coordinate.
 
-    ``fiber(x)`` gives g_N, ``fiber_partials(x)`` dg_N[a, i, j] = d_a g_N,ij
-    and the optional ``fiber_second_partials(x)`` ddg_N[a, b, i, j], in batch
-    form over the fibre coordinates x = p[..., :-1].  With w = e^{2 beta t},
-    the fibre block has d_t g = 2 beta w g_N, d_a g = w d_a g_N, d_t d_t g =
-    4 beta^2 w g_N, d_t d_a g = 2 beta w d_a g_N and d_a d_b g = w d_a d_b g_N.
+    ``fiber(x)`` gives the rows of g_N over the coordinate jets of the fibre,
+    x = p[..., :-1]; the chart's partials come from the same expression.
     The structure is xi = d_t, eta = dt and phi rotating each fibre
     coordinate pair.  ``expectations`` are the other NamedExample fields.
     """
     dim = len(domain)
     k = dim - 1
 
-    @batched
-    def metric(p: np.ndarray) -> np.ndarray:
-        g = np.zeros(p.shape[:-1] + (dim, dim))
-        g[..., :k, :k] = np.exp(2.0 * beta * p[..., -1])[..., None, None] * fiber(p[..., :k])
-        g[..., k, k] = 1.0
-        return g
-
-    @batched
-    def partials(p: np.ndarray) -> np.ndarray:
-        w = np.exp(2.0 * beta * p[..., -1])[..., None, None]
-        dg = np.zeros(p.shape[:-1] + (dim,) * 3)
-        dg[..., :k, :k, :k] = w[..., None] * fiber_partials(p[..., :k])
-        dg[..., k, :k, :k] = 2.0 * beta * w * fiber(p[..., :k])
-        return dg
-
-    @batched
-    def second_partials(p: np.ndarray) -> np.ndarray:
-        w, x = np.exp(2.0 * beta * p[..., -1])[..., None, None], p[..., :k]
-        ddg = np.zeros(p.shape[:-1] + (dim,) * 4)
-        ddg[..., :k, :k, :k, :k] = w[..., None, None] * fiber_second_partials(x)
-        ddg[..., k, :k, :k, :k] = 2.0 * beta * w[..., None] * fiber_partials(x)
-        ddg[..., :k, k, :k, :k] = ddg[..., k, :k, :k, :k]
-        ddg[..., k, k, :k, :k] = 4.0 * beta**2 * w * fiber(x)
-        return ddg
+    def metric(p: jets.Jet) -> jets.Jet:
+        w = jets.exp(2.0 * beta * p[..., -1])
+        rows = [[w * e for e in row] + [0.0] for row in fiber(p[..., :k])]
+        return jets.matrix(rows + [[0.0] * k + [1.0]])
 
     xi = np.eye(dim)[-1]
     return NamedExample(
         name=name,
-        manifold=ChartManifold(dim, metric, domain, partials,
-                               second_partials if fiber_second_partials else None),
+        manifold=ChartManifold(dim, metric, domain),
         structure=AlmostContactStructure(
             phi=_constant(_planar_phi(dim)), xi=_constant(xi), eta=_constant(xi)
         ),
@@ -162,35 +135,15 @@ def warped(name: str, beta: float, fiber: Callable, fiber_partials: Callable,
     )
 
 
-def _flat(x: np.ndarray) -> np.ndarray:
+def _flat(x: jets.Jet) -> list[list]:
     """The flat fibre metric: the identity at every point."""
-    return np.broadcast_to(np.eye(x.shape[-1]), x.shape + x.shape[-1:])
+    return _diagonal([1.0] * x.shape[-1])
 
 
-def _flat_partials(x: np.ndarray) -> np.ndarray:
-    return np.zeros(x.shape + x.shape[-1:] * 2)
-
-
-def _flat_second_partials(x: np.ndarray) -> np.ndarray:
-    return np.zeros(x.shape + x.shape[-1:] * 3)
-
-
-def _hyperbolic_times_flat(x: np.ndarray) -> np.ndarray:
+def _hyperbolic_times_flat(x: jets.Jet) -> list[list]:
     """The hyperbolic plane times a flat factor: (dx1^2 + dy1^2) / y1^2 + the flat rest."""
-    return _diagonal([1.0 / x[..., 1] ** 2] * 2 + [1.0] * (x.shape[-1] - 2))
-
-
-def _hyperbolic_times_flat_partials(x: np.ndarray) -> np.ndarray:
-    dg = np.zeros(x.shape + x.shape[-1:] * 2)
-    # only y1 moves the fibre metric, and only its hyperbolic block
-    dg[..., 1, :2, :2] = _diagonal([-2.0 / x[..., 1] ** 3] * 2)
-    return dg
-
-
-def _hyperbolic_times_flat_second_partials(x: np.ndarray) -> np.ndarray:
-    ddg = np.zeros(x.shape + x.shape[-1:] * 3)
-    ddg[..., 1, 1, :2, :2] = _diagonal([6.0 / x[..., 1] ** 4] * 2)
-    return ddg
+    h = 1.0 / x[..., 1] ** 2
+    return _diagonal([h, h] + [1.0] * (x.shape[-1] - 2))
 
 
 def catalog() -> list[NamedExample]:
@@ -200,30 +153,26 @@ def catalog() -> list[NamedExample]:
     )
     return [
         warped(
-            "euclidean3", 0.0, _flat, _flat_partials,
-            fiber_second_partials=_flat_second_partials,
+            "euclidean3", 0.0, _flat,
             domain=((-2.0, 2.0),) * 3,
             sample_box=((-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
             expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
             notes="flat control: almost contact metric, fails the defining condition",
         ),
         warped(
-            "h3", 1.0, _flat, _flat_partials,
-            fiber_second_partials=_flat_second_partials,
+            "h3", 1.0, _flat,
             domain=((-2.0, 2.0),) * 2 + ((-1.0, 1.0),),
             sample_box=((-1.0, 1.0),) * 2 + ((-0.5, 0.5),),
             **space_form,
         ),
         warped(
-            "h5", 1.0, _flat, _flat_partials,
-            fiber_second_partials=_flat_second_partials,
+            "h5", 1.0, _flat,
             domain=((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
             sample_box=((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
             **space_form,
         ),
         warped(
-            "ne5", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
-            fiber_second_partials=_hyperbolic_times_flat_second_partials,
+            "ne5", 1.0, _hyperbolic_times_flat,
             domain=((-2.0, 2.0), (0.5, 3.0), (-2.0, 2.0), (-2.0, 2.0), (-1.0, 1.0)),
             sample_box=((-1.0, 1.0), (0.7, 2.5), (-1.0, 1.0), (-1.0, 1.0), (-0.5, 0.5)),
             expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,

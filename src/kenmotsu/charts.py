@@ -1,9 +1,8 @@
-"""Coordinate charts, finite differencing, and Levi-Civita curvature.
+"""Coordinate charts and Levi-Civita curvature.
 
 A manifold here is a single chart: a box domain in R^dim with a smooth
-positive-definite metric given by a callable.  Differentiation is numerical
-(central differences, optionally one Richardson level) where the chart gives
-no analytic metric partials, first or second.
+positive-definite metric written over jets (:mod:`kenmotsu.jets`), so one
+evaluation of the metric gives its exact first and second partials.
 
 Sign conventions, used consistently everywhere downstream:
 
@@ -23,105 +22,71 @@ from typing import Callable
 
 import numpy as np
 
+from .jets import Jet, variables
 from .tensors import UP, MetricError, MetricPair, require_metric
 
 
 class DomainError(ValueError):
-    """A point (or a finite-difference stencil around it) leaves the chart."""
+    """A point leaves the chart."""
 
 
-@dataclass(frozen=True)
-class DifferentiationConfig:
-    """Finite-difference settings.
-
-    ``step`` is the central-difference half-width h; with ``richardson``
-    the derivative is (4 D_{h/2} - D_h) / 3, one extrapolation level.
-    """
-
-    step: float = 1e-4
-    richardson: bool = True
-
-    def __post_init__(self) -> None:
-        if not (self.step > 0.0 and np.isfinite(self.step)):
-            raise ValueError("step must be a positive finite number")
-
-
-def batched(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
-    """Mark a chart or structure callable as taking a batch of points.
-
-    A marked callable takes points of shape (..., dim) and returns values of
-    shape (..., *shape); it must also accept a single point (dim,).  It is
-    then called once per batch instead of once per point.  The mark is an
-    attribute of the callable itself, so one structure may mix marked and
-    per-point callables.  Returns ``f``.
-    """
-    f.takes_batch = True
-    return f
-
-
-def _at_each(
-    f: Callable[[np.ndarray], np.ndarray],
+def _partials_at(
+    f: Callable,
     points: np.ndarray,
-    shape: tuple[int, ...] | None,
+    shape: tuple[int, ...],
+    order: int,
     what: str,
     error: type[Exception],
-) -> np.ndarray:
-    """Evaluate a chart or structure callable on a (..., dim) batch.
+) -> list[np.ndarray]:
+    """[value, partials] of a field at one point (dim,) or a batch (..., dim), from one call.
 
-    A callable marked by :func:`batched` is called once, with the batch
-    flattened to (N, dim); any other is called at each point and the values
-    are stacked.  Every value must have ``shape`` (``None``: the first
-    value's shape); otherwise ``error`` names the callable and the point or
-    batch shape.  The callable gets read-only points, and the result is a
-    fresh array, so a broadcast or aliased return does not leak.
+    ``f`` runs once, on the coordinate jets of ``order`` 1 or 2 of the points
+    flattened to (N, dim).  value[..., *shape], partials[..., a, *shape] and
+    at order 2 second[..., a, b, *shape] are fresh read-only arrays.  A plain
+    array of the field's own ``shape`` is a constant, with zero partials; any
+    other plain array, or a jet of another shape, raises ``error`` naming ``what``.
     """
-    flat = np.asarray(points, dtype=float).reshape(-1, points.shape[-1]).view()
+    p = np.asarray(points, dtype=float)
+    flat = p.reshape(-1, p.shape[-1]).view()
     flat.setflags(write=False)
-    if getattr(f, "takes_batch", False):
-        out = np.array(f(flat), dtype=float)
-        want = flat.shape[:1] + (out.shape[1:] if shape is None else shape)
-        if out.shape != want:
+    n, dim = flat.shape
+    out = f(variables(flat, order))
+    if isinstance(out, Jet):
+        if out.shape != (n,) + shape:
             raise error(f"{what} returned shape {out.shape} for a batch of shape {flat.shape}")
-        return out.reshape(points.shape[:-1] + out.shape[1:])
-    out = None
-    for i, q in enumerate(flat):
-        value = np.asarray(f(q), dtype=float)
-        if out is None:
-            shape = value.shape if shape is None else shape
-            out = np.empty((len(flat),) + shape)
+        parts = [out.value, np.moveaxis(out.grad, -1, 1)]
+        if order == 2:
+            parts.append(np.moveaxis(out.hess, (-2, -1), (1, 2)))
+        parts = [np.array(part, dtype=float) for part in parts]
+    else:
+        value = np.asarray(out, dtype=float)
         if value.shape != shape:
-            raise error(f"{what} returned shape {value.shape} at {q.tolist()}")
-        out[i] = value
-    return out.reshape(points.shape[:-1] + shape)
+            raise error(f"{what} returned a plain array of shape {value.shape}: neither a jet"
+                        f" nor a constant of shape {shape}")
+        parts = [np.array(np.broadcast_to(value, (n,) + shape))]
+        parts += [np.zeros((n,) + (dim,) * k + shape) for k in range(1, order + 1)]
+    for part in parts:
+        part.setflags(write=False)
+    return [part.reshape(p.shape[:-1] + part.shape[1:]) for part in parts]
 
 
 @dataclass(frozen=True)
 class ChartManifold:
-    """One coordinate chart with a metric.
+    """One coordinate chart with a metric, on a box ``domain`` of one (lo, hi) pair per coordinate.
 
-    ``metric(p)`` returns the (dim, dim) matrix g_ij at p.
-    ``metric_partials(p)``, when provided, returns dg[a, i, j] = d_a g_ij;
-    otherwise partials are taken by finite differences.
-    ``metric_second_partials(p)``, optional and only with ``metric_partials``,
-    returns ddg[a, b, i, j] = d_a d_b g_ij.
-    ``domain`` is a box: a (lo, hi) pair per coordinate.
-
-    Each callable takes one point, or, when marked by :func:`batched`, a
-    batch (..., dim).  The ``*_at`` methods take one point, shape (dim,), or
-    a batch, shape (..., dim), call a marked callable once for the whole
-    batch and any other at each point, and return arrays with the batch's
-    leading axes.
+    ``metric(x)`` takes the coordinate jets x of a batch of points (see
+    :func:`~kenmotsu.jets.variables`) and returns g_ij there as a jet of
+    shape (N, dim, dim), or a plain (dim, dim) array for a constant metric.
+    The ``*_at`` methods take one point, shape (dim,), or a batch, shape
+    (..., dim), call ``metric`` once for the whole batch, and return arrays
+    with the batch's leading axes.
     """
 
     dim: int
-    metric: Callable[[np.ndarray], np.ndarray]
+    metric: Callable
     domain: tuple[tuple[float, float], ...]
-    metric_partials: Callable[[np.ndarray], np.ndarray] | None = None
-    metric_second_partials: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        if self.metric_second_partials is not None and self.metric_partials is None:
-            raise ValueError("metric_second_partials needs metric_partials")
         if self.dim < 3 or self.dim % 2 == 0:
             raise ValueError("dim must be odd and at least 3")
         if len(self.domain) != self.dim:
@@ -138,60 +103,62 @@ class ChartManifold:
         """The contact half-dimension: dim = 2n + 1."""
         return (self.dim - 1) // 2
 
-    def _inside(self, p: np.ndarray, margin: float) -> np.ndarray:
+    def _inside(self, p: np.ndarray) -> np.ndarray:
         lo = np.array([lo for lo, _ in self.domain])
         hi = np.array([hi for _, hi in self.domain])
-        return np.all((lo + margin <= p) & (p <= hi - margin), axis=-1)
+        return np.all((lo <= p) & (p <= hi), axis=-1)
 
-    def contains(self, point: np.ndarray, margin: float = 0.0) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
         p = np.asarray(point, dtype=float)
         if p.shape != (self.dim,):
             return False
-        return bool(self._inside(p, margin))
+        return bool(self._inside(p))
 
-    def require_inside(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """The points as a float array, if every one sits ``margin`` inside the box."""
+    def require_inside(self, points: np.ndarray) -> np.ndarray:
+        """The points as a float array, if every one lies in the box."""
         p = np.asarray(points, dtype=float)
         if p.ndim == 0 or p.shape[-1] != self.dim:
             raise DomainError(f"point has shape {p.shape}, expected ({self.dim},)")
-        outside = ~self._inside(p, margin)
+        outside = ~self._inside(p)
         if np.any(outside):
             first = p.reshape(-1, self.dim)[np.argmax(outside.ravel())]
-            raise DomainError(
-                f"point {first.tolist()} leaves the chart domain (margin {margin})"
-            )
+            raise DomainError(f"point {first.tolist()} leaves the chart domain")
         return p
 
+    # nothing in the package calls this; the benchmark's tracer
+    # (``perfbench/tracing.py``) still binds it by name, so it stays with that
     def metric_at(self, points: np.ndarray) -> np.ndarray:
         """g_ij at each point, validated by :func:`~kenmotsu.tensors.require_metric`."""
         p = self.require_inside(points)
-        m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
+        m = self.metric_partials_at(p)[0]
         try:
             require_metric(m)
         except MetricError as exc:
             raise _at_point(p, exc) from None
         return m
 
-    def metric_pair_at(self, points: np.ndarray) -> MetricPair:
-        """g_ij and g^ij at each point: one evaluation, one inverse, one validation."""
+    def metric_pair_at(self, points: np.ndarray, g: np.ndarray | None = None) -> MetricPair:
+        """g_ij and g^ij at each point: one inverse, one validation.
+
+        ``g`` is the metric at the points, when the caller has it already
+        from :meth:`metric_partials_at`.
+        """
         p = self.require_inside(points)
-        m = _at_each(self.metric, p, (self.dim, self.dim), "metric", MetricError)
+        if g is None:
+            g = self.metric_partials_at(p)[0]
         try:
-            return MetricPair.from_matrix(m)
+            return MetricPair.from_matrix(g)
         except MetricError as exc:
             raise _at_point(p, exc) from None
 
-    def metric_partials_at(
-        self, points: np.ndarray, cfg: DifferentiationConfig
-    ) -> np.ndarray:
-        """dg[..., a, i, j] = d_a g_ij, analytic when the chart provides it."""
-        if self.metric_partials is not None:
-            p = self.require_inside(points)
-            return _at_each(
-                self.metric_partials, p, (self.dim,) * 3, "metric_partials", MetricError
-            )
-        p = self.require_inside(points, margin=cfg.step)
-        return array_field_partials(self.metric, p, cfg)
+    def metric_partials_at(self, points: np.ndarray, order: int = 1) -> list[np.ndarray]:
+        """[g, dg] at each point and, at ``order`` 2, ddg, from one evaluation of the metric.
+
+        g[..., i, j] = g_ij, dg[..., a, i, j] = d_a g_ij and ddg[..., a, b,
+        i, j] = d_a d_b g_ij, exact: the metric runs on coordinate jets.
+        """
+        p = self.require_inside(points)
+        return _partials_at(self.metric, p, (self.dim, self.dim), order, "metric", MetricError)
 
 
 def _at_point(points: np.ndarray, error: MetricError) -> MetricError:
@@ -200,60 +167,6 @@ def _at_point(points: np.ndarray, error: MetricError) -> MetricError:
         return error
     where = points.reshape(-1, points.shape[-1])[error.index].tolist()
     return MetricError(f"{error} at {where}")
-
-
-def stencil(points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
-    """The central-difference stencil of each point, shape (..., S, dim).
-
-    Entry 0 is the point itself; then, per axis a, the offsets +h and -h
-    along a and, with Richardson, +h/2 and -h/2.  S = 1 + 4 dim with
-    Richardson and 1 + 2 dim without.
-    """
-    p = np.asarray(points, dtype=float)
-    dim = p.shape[-1]
-    steps = (cfg.step, -cfg.step, cfg.step / 2.0, -cfg.step / 2.0)
-    steps = steps if cfg.richardson else steps[:2]
-    offsets = np.zeros((1 + dim * len(steps), dim))
-    for a in range(dim):
-        for s, h in enumerate(steps):
-            offsets[1 + a * len(steps) + s, a] = h
-    return p[..., None, :] + offsets
-
-
-def stencil_partials(
-    values: np.ndarray, cfg: DifferentiationConfig, axis: int
-) -> np.ndarray:
-    """Partials of a field from its values on :func:`stencil`.
-
-    ``axis`` is the stencil axis of ``values``; the derivative axis (length
-    dim) takes its place.  Central differences of width ``cfg.step``, with
-    one Richardson level when enabled.
-    """
-    per_axis = 4 if cfg.richardson else 2
-    v = np.moveaxis(values, axis, 0)
-    v = v[1:].reshape(((v.shape[0] - 1) // per_axis, per_axis) + v.shape[1:])
-    out = (v[:, 0] - v[:, 1]) / (2.0 * cfg.step)
-    if cfg.richardson:
-        d_half = (v[:, 2] - v[:, 3]) / (2.0 * (cfg.step / 2.0))
-        out = (4.0 * d_half - out) / 3.0
-    return np.moveaxis(out, 0, axis)
-
-
-def array_field_partials(
-    f: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    cfg: DifferentiationConfig,
-) -> np.ndarray:
-    """Partials of an array-valued field; the derivative axis comes first.
-
-    out[..., a, ...] = d_a f(point)[...] for one point (dim,) or a batch
-    (..., dim): ``f`` is called at every stencil point (see
-    :func:`stencil`).  Domain checking is the caller's job; this function
-    only evaluates f where it is told to.
-    """
-    p = np.asarray(points, dtype=float)
-    values = _at_each(f, stencil(p, cfg), None, "field", ValueError)
-    return stencil_partials(values, cfg, axis=p.ndim - 1)
 
 
 def levi_civita(pair: MetricPair, dg: np.ndarray) -> np.ndarray:
@@ -287,8 +200,7 @@ def riemann_of_connection(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     """Curvature of an arbitrary connection from its coefficients and their partials.
 
     ``gamma[..., l, j, k]`` = Gamma^l_jk and ``dgamma[..., i, l, j, k]`` =
-    d_i Gamma^l_jk, exact or the :func:`stencil_partials` of the
-    coefficients on the stencils.  Returns riem[..., l, i, j, k].
+    d_i Gamma^l_jk.  Returns riem[..., l, i, j, k].
     """
     t1 = np.swapaxes(dgamma, -4, -3)  # t1[l,i,j,k] = d_i Gamma^l_jk
     t2 = np.swapaxes(t1, -3, -2)

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .catalog import NamedExample, by_name, catalog
-from .charts import DifferentiationConfig, DomainError, MetricError
+from .charts import DomainError, MetricError
 from .conditions import (
     EINSTEIN_FIT_THRESHOLD,
     check_derivation_identity,
@@ -62,8 +62,6 @@ class RunConfig:
     suites: tuple[str, ...]
     num_points: int = 20
     seed: int = 0
-    step: float = 1e-4
-    richardson: bool = True
     tolerances: dict[str, float] = field(default_factory=dict)
     output_format: str = "text"
 
@@ -72,8 +70,6 @@ class RunConfig:
             raise UsageError("--points must be at least 1")
         if self.seed < 0:
             raise UsageError("--seed must be a non-negative integer")
-        if not (self.step > 0 and math.isfinite(self.step)):
-            raise UsageError("--step must be a positive finite number")
         if self.output_format not in ("text", "json"):
             raise UsageError(f"unknown output format {self.output_format!r}")
         for name in self.tolerances:
@@ -86,8 +82,6 @@ class RunConfig:
             "suites": list(self.suites),
             "num_points": self.num_points,
             "seed": self.seed,
-            "step": float(self.step),
-            "richardson": self.richardson,
             "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
             "output_format": self.output_format,
         }
@@ -181,12 +175,9 @@ class _ManifoldRunner:
         self.example = example
         self.config = config
         try:
-            points = example.sample_points(
-                config.num_points, config.seed, config.step
-            )
+            points = example.sample_points(config.num_points, config.seed)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        cfg = DifferentiationConfig(step=config.step, richardson=config.richardson)
         # a chart or structure that fails at a sample point makes every
         # suite an error row with this message
         self.error: str | None = None
@@ -194,7 +185,7 @@ class _ManifoldRunner:
             # the geometry of every sample point, computed on first use for
             # all of them at once and read by every suite
             self.geometry = curvature_bundle(
-                NonMetricConnection(example.manifold, example.structure), points, cfg
+                NonMetricConnection(example.manifold, example.structure), points
             )
             self.axioms = self._stamped(check_almost_contact(self.geometry))
             self.kenmotsu = self._stamped(check_kenmotsu(self.geometry))
@@ -406,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--points", type=int, default=20, metavar="N",
                         help="sample points per manifold (default 20)")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    parser.add_argument("--step", type=float, default=1e-4, metavar="H",
-                        help="finite-difference step (default 1e-4)")
-    parser.add_argument("--no-richardson", action="store_true",
-                        help="disable Richardson extrapolation")
     parser.add_argument(
         "--tol",
         action="append",
@@ -462,8 +449,6 @@ def main(argv: list[str] | None = None) -> int:
             suites=tuple(args.suite or ["all"]),
             num_points=args.points,
             seed=args.seed,
-            step=args.step,
-            richardson=not args.no_richardson,
             tolerances=_parse_tolerances(args.tol),
             output_format="json" if args.json else "text",
         )

@@ -32,18 +32,14 @@ import numpy as np
 
 from .charts import (
     ChartManifold,
-    DifferentiationConfig,
     _add_connection_terms,
-    _at_each,
     _christoffel_partials,
     levi_civita,
     riemann_of_connection,
-    stencil,
-    stencil_partials,
 )
 from .report import IdentityResidualReport, per_point, row, sides_row
 from .structure import AlmostContactStructure, StructureError
-from .tensors import MetricError, MetricPair, slots
+from .tensors import MetricPair, slots
 
 # bytes that one array of a chunk of points may take: the curvature pass
 # and the Weyl commutation's actions on curvature operators hold a few
@@ -73,10 +69,10 @@ class NonMetricConnection:
     manifold: ChartManifold
     structure: AlmostContactStructure
 
-    def coefficients_at(self, points: np.ndarray, cfg: DifferentiationConfig) -> np.ndarray:
+    def coefficients_at(self, points: np.ndarray) -> np.ndarray:
         """Coefficients gamma[..., k, i, j] at one point (dim,) or a batch (..., dim)."""
         p = self.manifold.require_inside(points)
-        gamma = CurvatureBundle(self.manifold, self.structure, p, cfg).gamma
+        gamma = CurvatureBundle(self.manifold, self.structure, p).gamma
         return gamma.reshape(p.shape[:-1] + gamma.shape[1:])
 
 
@@ -145,22 +141,21 @@ class CurvatureBundle:
     tensor slot; scalars per point have shape (N,).  Each part is computed
     on first use and then kept, for all points at once:
     ``metric`` (a :class:`~kenmotsu.tensors.MetricPair` of (N, dim, dim)
-    arrays), ``phi``, ``eta``, ``xi``, their partials ``dxi[n, a, k]`` and
-    ``deta[n, a, j]``, the Levi-Civita and modified coefficients
-    ``lc_gamma``/``gamma`` [n, k, i, j], the Levi-Civita derivative of eta
-    ``lc_nabla_eta[n, a, j]`` = (nabla_a eta)_j, one Levi-Civita and one modified
-    curvature pass ``lc_riemann``/``riemann`` [n, l, i, j, k], the
-    finite-difference metric partials ``dg_fd`` [n, a, i, j], both Ricci
-    tensors and scalars, the per-point Einstein fits ``lc_einstein_fits`` of
-    the Levi-Civita Ricci operator, the closed-form modified curvature with
-    its cross-check residuals and the Weyl tensor.
+    arrays) and its partials ``dg[n, a, i, j]`` = d_a g_ij, ``phi``, ``eta``,
+    ``xi``, their partials ``dxi[n, a, k]`` and ``deta[n, a, j]``, the
+    Levi-Civita and modified coefficients ``lc_gamma``/``gamma`` [n, k, i, j],
+    the Levi-Civita derivative of eta ``lc_nabla_eta[n, a, j]`` =
+    (nabla_a eta)_j, one Levi-Civita and one modified curvature pass
+    ``lc_riemann``/``riemann`` [n, l, i, j, k], both Ricci tensors and
+    scalars, the per-point Einstein fits ``lc_einstein_fits`` of the
+    Levi-Civita Ricci operator, the closed-form modified curvature with its
+    cross-check residuals and the Weyl tensor.
 
-    The chart and structure callables are evaluated at the sample points, and
-    ``metric``, ``eta`` and ``xi`` on their stencils too: one marked by
-    :func:`~kenmotsu.charts.batched` once per batch, any other once per point.
-    The curvature pass runs over chunks of points (:func:`_chunk_ranges`).
-    With ``metric_second_partials`` it differentiates the Christoffel symbols
-    in closed form; without, it differences them on the stencils.
+    The chart and structure callables run once each on first-order jets of
+    all the points, which give g, dg, dxi and deta.  The curvature pass runs
+    over chunks of points (:func:`_chunk_ranges`), each evaluating the metric
+    on second-order jets for the Christoffel partials in closed form, so no
+    Hessian is ever held for all the points.
     ``riemann``/``ricci``/``scalar`` come from the partials of the modified
     coefficients (the direct route, consumed downstream); ``*_closed_form``
     come from the Levi-Civita curvature through
@@ -181,17 +176,26 @@ class CurvatureBundle:
         manifold: ChartManifold,
         structure: AlmostContactStructure | None,
         points: np.ndarray,
-        cfg: DifferentiationConfig,
     ):
         self.manifold = manifold
         self.structure = structure
-        self.cfg = cfg
         p = manifold.require_inside(points).reshape(-1, manifold.dim)
         self.p = _frozen(p)
+        self._fields: dict[str, list[np.ndarray]] = {}
 
     @cached_property
+    def _metric(self) -> tuple[MetricPair, np.ndarray]:
+        """g with its inverse, and dg, from one evaluation of the metric."""
+        g, dg = self.manifold.metric_partials_at(self.p)
+        return self.manifold.metric_pair_at(self.p, g), dg
+
+    @property
     def metric(self) -> MetricPair:
-        return self.manifold.metric_pair_at(self.p)
+        return self._metric[0]
+
+    @property
+    def dg(self) -> np.ndarray:
+        return self._metric[1]
 
     def _structure(self, part: str) -> AlmostContactStructure:
         """The structure that ``part`` is computed from."""
@@ -199,42 +203,22 @@ class CurvatureBundle:
             raise StructureError(f"no {part}: the geometry record has no structure")
         return self.structure
 
-    @cached_property
-    def phi(self) -> np.ndarray:
-        return _frozen(self._structure("phi").phi_at(self.manifold.dim, self.p))
+    def _field(self, name: str) -> list[np.ndarray]:
+        """[value, partials] of the structure field ``name`` at the points, evaluated once."""
+        if name not in self._fields:
+            at = getattr(self._structure(name), f"{name}_at")
+            self._fields[name] = at(self.manifold.dim, self.p)
+        return self._fields[name]
 
-    @cached_property
-    def eta(self) -> np.ndarray:
-        return _frozen(self._structure("eta").eta_at(self.manifold.dim, self.p))
-
-    @cached_property
-    def xi(self) -> np.ndarray:
-        return _frozen(self._structure("xi").xi_at(self.manifold.dim, self.p))
-
-    @cached_property
-    def _stencil(self) -> np.ndarray:
-        """Every point's stencil, (N, S, dim)."""
-        return stencil(self.manifold.require_inside(self.p, margin=self.cfg.step), self.cfg)
-
-    @cached_property
-    def deta(self) -> np.ndarray:
-        """deta[n, a, j] = d_a eta_j."""
-        eta = self._structure("eta on the stencils").eta_at(self.manifold.dim, self._stencil)
-        return _frozen(stencil_partials(eta, self.cfg, axis=1))
-
-    @cached_property
-    def dxi(self) -> np.ndarray:
-        """dxi[n, a, k] = d_a xi^k."""
-        xi = self._structure("xi on the stencils").xi_at(self.manifold.dim, self._stencil)
-        return _frozen(stencil_partials(xi, self.cfg, axis=1))
-
-    @cached_property
-    def _dg(self) -> np.ndarray:
-        return _frozen(self.manifold.metric_partials_at(self.p, self.cfg))
+    phi = property(lambda self: self._field("phi")[0])
+    eta = property(lambda self: self._field("eta")[0])
+    deta = property(lambda self: self._field("eta")[1])
+    xi = property(lambda self: self._field("xi")[0])
+    dxi = property(lambda self: self._field("xi")[1])
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        return _frozen(levi_civita(self.metric, self._dg))
+        return _frozen(levi_civita(self.metric, self.dg))
 
     @cached_property
     def lc_nabla_eta(self) -> np.ndarray:
@@ -250,35 +234,17 @@ class CurvatureBundle:
 
     @cached_property
     def _curvature(self) -> dict[str, np.ndarray]:
-        m = self.manifold
-        # a chart without analytic partials differences its metric around
-        # each stencil point, a second step out from the sample point; any
-        # other reaches only its stencil, one step out
-        m.require_inside(self.p, margin=self.cfg.step * (1 if m.metric_partials is not None else 2))
-        exact = m.metric_second_partials is not None
-        # bytes per point: one rank-4 array, or one on the 1 + 4 dim stencil
-        ranges = _chunk_ranges(len(self.p), 8 * m.dim**3 * (m.dim if exact else 4 * m.dim + 1))
-        chunks = [self._curvature_chunk(lo, hi, exact) for lo, hi in ranges]
+        # bytes per point: one rank-4 array, such as the second metric partials
+        ranges = _chunk_ranges(len(self.p), 8 * self.manifold.dim**4)
+        chunks = [self._curvature_chunk(lo, hi) for lo, hi in ranges]
         return {k: _frozen(np.concatenate([c[k] for c in chunks])) for k in chunks[0]}
 
-    def _curvature_chunk(self, lo: int, hi: int, exact: bool) -> dict[str, np.ndarray]:
-        """Both curvature passes and ``dg_fd`` for points lo..hi.
-
-        d Gamma is ``exact`` from second partials at the points, or the
-        differences of the Christoffel symbols on the chunk's stencils.
-        """
-        m, cfg = self.manifold, self.cfg
-        q, dg, lc = self._stencil[lo:hi], self._dg[lo:hi], self.lc_gamma[lo:hi]
-        if exact:
-            dg_fd = stencil_partials(m.metric_at(q), cfg, axis=1)
-            ddg = _at_each(m.metric_second_partials, self.p[lo:hi], (m.dim,) * 4,
-                           "metric_second_partials", MetricError)
-            dlc = _christoffel_partials(self.metric.inverse[lo:hi], dg, ddg, lc)
-        else:
-            pair = m.metric_pair_at(q)
-            dg_fd = stencil_partials(pair.matrix, cfg, axis=1)
-            dlc = stencil_partials(levi_civita(pair, m.metric_partials_at(q, cfg)), cfg, axis=1)
-        out = {"lc_riemann": riemann_of_connection(lc, dlc), "dg_fd": dg_fd}
+    def _curvature_chunk(self, lo: int, hi: int) -> dict[str, np.ndarray]:
+        """Both curvature passes for points lo..hi, with d Gamma in closed form."""
+        dg, lc = self.dg[lo:hi], self.lc_gamma[lo:hi]
+        ddg = self.manifold.metric_partials_at(self.p[lo:hi], 2)[2]
+        dlc = _christoffel_partials(self.metric.inverse[lo:hi], dg, ddg, lc)
+        out = {"lc_riemann": riemann_of_connection(lc, dlc)}
         if self.structure is not None:
             # d_a G^k_ij = d_a Gamma^k_ij - d_a eta_j delta^k_i - d_a g_ij xi^k - g_ij d_a xi^k
             g, xi = self.metric.matrix[lo:hi], self.xi[lo:hi]
@@ -295,11 +261,6 @@ class CurvatureBundle:
     def riemann(self) -> np.ndarray:
         self._structure("modified curvature")
         return self._curvature["riemann"]
-
-    @property
-    def dg_fd(self) -> np.ndarray:
-        """dg_fd[n, a, i, j] = d_a g_ij by central differences of the metric values."""
-        return self._curvature["dg_fd"]
 
     @cached_property
     def lc_ricci(self) -> np.ndarray:
@@ -398,11 +359,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def curvature_bundle(
-    conn: NonMetricConnection, points: np.ndarray, cfg: DifferentiationConfig
-) -> CurvatureBundle:
+def curvature_bundle(conn: NonMetricConnection, points: np.ndarray) -> CurvatureBundle:
     """The geometry record of ``conn`` at a batch of points (or one point, as a batch of one)."""
-    return CurvatureBundle(conn.manifold, conn.structure, points, cfg)
+    return CurvatureBundle(conn.manifold, conn.structure, points)
 
 
 def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -417,7 +376,7 @@ def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
 def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
     """(D_X g)(Y,Z) = 2 eta(Y) g(X,Z) + 2 eta(Z) g(X,Y)."""
     g, eta = geometry.metric.matrix, geometry.eta
-    grad = _add_connection_terms(geometry.dg_fd, g, slots("dd"), geometry.gamma)
+    grad = _add_connection_terms(geometry.dg, g, slots("dd"), geometry.gamma)
     want = 2.0 * np.einsum("...i,...aj->...aij", eta, g) + 2.0 * np.einsum(
         "...j,...ai->...aij", eta, g
     )

@@ -15,7 +15,7 @@ and the defining condition for the Kenmotsu class:
 plus the curvature identities these force, all evaluated numerically at
 sample points.  Each check reads the chart's geometry record
 (:class:`~kenmotsu.connection.CurvatureBundle`).  Axiom checks are pure
-pointwise algebra; the Kenmotsu and curvature checks differentiate.
+pointwise algebra; the Kenmotsu and curvature checks read partials.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .charts import (
-    _add_connection_terms,
-    _at_each,
-)
+from .charts import _add_connection_terms, _partials_at
 from .report import IdentityResidualReport, per_point, row, sides_row
 from .tensors import slots
 
@@ -44,28 +41,29 @@ class StructureError(ValueError):
 class AlmostContactStructure:
     """Candidate almost contact data on a chart.
 
-    ``phi(p)`` returns the matrix phi[k, j] (column j is phi applied to the
-    j-th coordinate frame vector), ``xi(p)`` the vector components,
-    ``eta(p)`` the covector components.  Each callable takes one point, or,
-    when marked by :func:`~kenmotsu.charts.batched`, a batch (..., dim);
-    the mark is per callable, so marked and per-point callables mix.  The
-    ``*_at`` methods take one point (dim,) or a batch (..., dim) and return
-    the values stacked along the batch's axes.  Nothing is validated on
+    ``phi`` gives the matrix phi[k, j] (column j is phi applied to the j-th
+    coordinate frame vector), ``xi`` the vector components, ``eta`` the
+    covector components.  Each takes the coordinate jets of a batch of
+    points (see :func:`~kenmotsu.jets.variables`) and returns a jet with the
+    batch axis, or a plain array of the field's own shape for a constant
+    field.  The ``*_at`` methods take one point (dim,) or a batch (..., dim)
+    and return [value, partials] with the batch's axes, partials[..., a, ...]
+    = d_a value, from one call of the field.  Nothing is validated on
     construction; run :func:`check_almost_contact`.
     """
 
-    phi: Callable[[np.ndarray], np.ndarray]
-    xi: Callable[[np.ndarray], np.ndarray]
-    eta: Callable[[np.ndarray], np.ndarray]
+    phi: Callable
+    xi: Callable
+    eta: Callable
 
-    def phi_at(self, dim: int, points: np.ndarray) -> np.ndarray:
-        return _at_each(self.phi, np.asarray(points, float), (dim, dim), "phi", StructureError)
+    def phi_at(self, dim: int, points: np.ndarray) -> list[np.ndarray]:
+        return _partials_at(self.phi, points, (dim, dim), 1, "phi", StructureError)
 
-    def xi_at(self, dim: int, points: np.ndarray) -> np.ndarray:
-        return _at_each(self.xi, np.asarray(points, float), (dim,), "xi", StructureError)
+    def xi_at(self, dim: int, points: np.ndarray) -> list[np.ndarray]:
+        return _partials_at(self.xi, points, (dim,), 1, "xi", StructureError)
 
-    def eta_at(self, dim: int, points: np.ndarray) -> np.ndarray:
-        return _at_each(self.eta, np.asarray(points, float), (dim,), "eta", StructureError)
+    def eta_at(self, dim: int, points: np.ndarray) -> list[np.ndarray]:
+        return _partials_at(self.eta, points, (dim,), 1, "eta", StructureError)
 
 
 def _axiom_residuals(b) -> dict[str, np.ndarray]:

@@ -14,7 +14,6 @@ import pytest
 
 from kenmotsu import (
     CurvatureBundle,
-    DifferentiationConfig,
     catalog,
     check_almost_contact,
     check_curvature_identities,
@@ -32,7 +31,6 @@ from kenmotsu import (
 )
 from kenmotsu.cli import main
 
-CFG = DifferentiationConfig()
 N_POINTS = 20
 SEED = 0
 KENMOTSU_NAMES = ("h3", "h5", "ne5")
@@ -51,7 +49,7 @@ def _verdict(label: str, ok: bool, detail: str) -> bool:
 def records():
     """Each catalog chart's geometry record at its sample points."""
     return {
-        ex.name: CurvatureBundle(ex.manifold, ex.structure, ex.sample_points(N_POINTS, SEED), CFG)
+        ex.name: CurvatureBundle(ex.manifold, ex.structure, ex.sample_points(N_POINTS, SEED))
         for ex in catalog()
     }
 

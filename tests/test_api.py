@@ -6,15 +6,17 @@ import kenmotsu
 
 # the per-point layer over the curvature record and the variance markers of
 # its MultiTensor returns, the connection constructor that gated on the axioms,
-# the per-point report record, the wrapper of the semisymmetry rows and the
-# coefficient record that copied and re-checked every Christoffel array, which
-# the package no longer exports
+# the per-point report record, the wrapper of the semisymmetry rows, the
+# coefficient record that copied and re-checked every Christoffel array, and
+# the finite-difference settings and batch mark that jets replaced, which the
+# package no longer exports
 REMOVED = (
     "DOWN", "UP", "slots", "MultiTensor", "contract", "raise_slot", "lower_slot", "max_abs",
     "riemann", "ricci", "scalar_curvature", "covariant_derivative",
     "derivation_action", "metric_wedge", "tachibana", "einstein_fit", "weyl_tensor",
     "weyl_trace_residual", "axiom_residuals", "kenmotsu_residuals",
     "build_connection", "PointResidual", "SemisymmetryVerdict", "ConnectionCoefficients",
+    "DifferentiationConfig", "batched",
 )
 
 

@@ -5,9 +5,9 @@ over chunks of points in the curvature pass.  Swapping or mixing axes
 across points would show up here as a disagreement between a record of N
 points and N records of one point.  A small chunk budget makes sixteen
 points span several chunks on every chart.  The catalog's chart and
-structure callables take a whole batch of points in one call; each must
-give what it gives point by point, and a batch-form callable whose value
-lacks the batch axis is rejected.
+structure callables run once on the coordinate jets of a whole batch of
+points; each must give what it gives point by point, and a callable that
+returns a plain array with a batch axis is rejected.
 """
 
 import numpy as np
@@ -16,120 +16,92 @@ import pytest
 from kenmotsu import (
     AlmostContactStructure,
     ChartManifold,
-    DifferentiationConfig,
     MetricError,
     NonMetricConnection,
     StructureError,
-    batched,
     by_name,
     catalog,
+    jets,
 )
-from kenmotsu.catalog import NamedExample
 
 PARTS = ("lc_gamma", "gamma", "lc_riemann", "riemann", "dxi", "deta")
 
 
-def _without_partials(name: str) -> NamedExample:
-    """A catalog chart whose metric partials come from finite differences."""
-    ex = by_name(name)
-    m = ex.manifold
-    chart = ChartManifold(dim=m.dim, metric=m.metric, domain=m.domain)
-    return NamedExample(
-        name=f"{name}-fd",
-        manifold=chart,
-        structure=ex.structure,
-        expected_kenmotsu=ex.expected_kenmotsu,
-        expected_einstein=ex.expected_einstein,
-        expected_weyl_flat=ex.expected_weyl_flat,
-        sample_box=ex.sample_box,
-    )
-
-
-EXAMPLES = [*catalog(), _without_partials("ne5")]
-
-
-@pytest.mark.parametrize("richardson", [True, False], ids=["richardson", "plain"])
-@pytest.mark.parametrize("ex", EXAMPLES, ids=[ex.name for ex in EXAMPLES])
-def test_batch_equals_one_point_batches(ex, richardson, monkeypatch):
+@pytest.mark.parametrize("ex", catalog(), ids=[ex.name for ex in catalog()])
+def test_batch_equals_one_point_batches(ex, monkeypatch):
     from kenmotsu import connection, curvature_bundle
 
     monkeypatch.setattr(connection, "CHUNK_BYTES", 2**13)
-    cfg = DifferentiationConfig(richardson=richardson)
     conn = NonMetricConnection(ex.manifold, ex.structure)
     points = ex.sample_points(16, seed=3)
-    batch = curvature_bundle(conn, points, cfg)
+    batch = curvature_bundle(conn, points)
     for i, p in enumerate(points):
-        alone = curvature_bundle(conn, p, cfg)
+        alone = curvature_bundle(conn, p)
         for part in PARTS:
             got, want = getattr(batch, part)[i], getattr(alone, part)[0]
             assert got.shape == want.shape, part
             assert np.max(np.abs(got - want)) <= 1e-12, (part, i)
 
 
-def _callables(ex: NamedExample) -> dict:
-    s = ex.structure
-    return {
-        "metric": ex.manifold.metric,
-        "metric_partials": ex.manifold.metric_partials,
-        "metric_second_partials": ex.manifold.metric_second_partials,
-        "phi": s.phi,
-        "xi": s.xi,
-        "eta": s.eta,
-    }
-
-
 @pytest.mark.parametrize("ex", catalog(), ids=[ex.name for ex in catalog()])
 def test_batch_form_callables_equal_their_per_point_values(ex):
-    from kenmotsu.charts import stencil
-
-    # ne5's metric takes y1**2 and y1**3: numpy's scalar power calls libm's
-    # pow, its array loop does not, and the two differ in the last ulp for a
-    # few percent of inputs; every other catalog callable is elementwise
-    # arithmetic and exp, which agree bit for bit
-    ulps = 4 if ex.name == "ne5" else 0
+    # the metric's value, first and second partials and each structure
+    # field's value and partials, from one call on the batch and from one
+    # call per point; both calls take the same array loops, so they agree
+    # bit for bit
     points = np.array(ex.sample_points(6, seed=11))
-    batch = stencil(points, DifferentiationConfig())
-    for name, f in _callables(ex).items():
-        assert getattr(f, "takes_batch", False), name
-        got = f(batch)
-        want = np.array([[f(q) for q in row] for row in batch])
-        assert got.shape == want.shape == batch.shape[:-1] + want.shape[2:], name
-        spacing = np.spacing(np.maximum(np.abs(got), np.abs(want)))
-        assert np.all(np.abs(got - want) <= ulps * spacing), name
-        one = f(points[0])
-        assert np.array_equal(one, want[0, 0]), name
+    m, s = ex.manifold, ex.structure
+    fields = {
+        "metric": lambda q: m.metric_partials_at(q, 2),
+        "phi": lambda q: s.phi_at(m.dim, q),
+        "xi": lambda q: s.xi_at(m.dim, q),
+        "eta": lambda q: s.eta_at(m.dim, q),
+    }
+    for name, at in fields.items():
+        batch = at(points)
+        for i, p in enumerate(points):
+            for got, want in zip(batch, at(p), strict=True):
+                assert np.array_equal(got[i], want), (name, i)
 
 
 def test_batch_form_callable_of_wrong_shape_is_rejected():
-    # a batch-form callable that ignores the batch axis: for a batch of one
-    # point its value even has the right size
+    # a plain array with the batch axis has read the jet's values, whose
+    # partials it would silently drop; a plain array of the field's own
+    # shape is a constant
     h3 = by_name("h3")
-    chart = ChartManifold(dim=3, metric=batched(lambda p: np.eye(3)), domain=h3.manifold.domain)
+    chart = ChartManifold(
+        dim=3, metric=lambda p: np.broadcast_to(np.eye(3), p.shape[:-1] + (3, 3)),
+        domain=h3.manifold.domain,
+    )
     structure = AlmostContactStructure(
         phi=h3.structure.phi,
-        xi=batched(lambda p: np.array([0.0, 0.0, 1.0])),
+        xi=lambda p: np.zeros(p.shape),
         eta=h3.structure.eta,
     )
     for points in (np.zeros(3), np.zeros((2, 3))):
-        with pytest.raises(MetricError, match=r"metric returned shape \(3, 3\) for a batch"):
+        plain = "returned a plain array of shape"
+        with pytest.raises(MetricError, match=rf"^metric {plain} \([12], 3, 3\)"):
             chart.metric_at(points)
-        with pytest.raises(StructureError, match=r"xi returned shape \(3,\) for a batch"):
+        with pytest.raises(StructureError, match=rf"^xi {plain} \([12], 3\)"):
             structure.xi_at(3, points)
+    wrong = ChartManifold(dim=3, metric=lambda p: jets.matrix([[p[..., 0]] * 2] * 2),
+                          domain=h3.manifold.domain)
+    with pytest.raises(MetricError, match=r"^metric returned shape \(2, 2, 2\) for a batch"):
+        wrong.metric_at(np.zeros((2, 3)))
 
 
 def test_batch_form_callable_sees_read_only_points_and_its_value_is_copied():
     seen = []
     eye = np.eye(3)
 
-    @batched
     def metric(p):
         seen.append(p)
-        return np.broadcast_to(eye, p.shape[:-1] + (3, 3))
+        return eye
 
     chart = ChartManifold(dim=3, metric=metric, domain=((-1.0, 1.0),) * 3)
     g = chart.metric_at(np.zeros((2, 4, 3)))
     assert len(seen) == 1 and seen[0].shape == (8, 3)
-    assert not seen[0].flags.writeable
+    assert not seen[0].value.flags.writeable
     assert g.shape == (2, 4, 3, 3)
-    g[0, 0, 0, 0] = 5.0  # a fresh array, not a view of the callable's data
-    assert eye[0, 0] == 1.0
+    assert not g.flags.writeable
+    assert not np.shares_memory(g, eye)

@@ -1,36 +1,37 @@
-import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from helpers import beta2, central_difference, generic_chart, ne7
 
 from kenmotsu import (
     ChartManifold,
     CurvatureBundle,
-    DifferentiationConfig,
     DomainError,
     MetricError,
     by_name,
     catalog,
-    check_weyl,
+    jets,
     levi_civita,
 )
-from kenmotsu.charts import (
-    _add_connection_terms,
-    array_field_partials,
-    riemann_of_connection,
-    stencil,
-    stencil_partials,
-)
+from kenmotsu.charts import _add_connection_terms, _partials_at, riemann_of_connection
+from kenmotsu.connection import _wedge
 from kenmotsu.tensors import SYMMETRY_TOL, slots
 
-CFG = DifferentiationConfig()
 
-
-def christoffel(manifold, p, cfg=CFG):
+def christoffel(manifold, p):
     """The Levi-Civita coefficients of a chart at p, from its metric pair and partials."""
-    return levi_civita(manifold.metric_pair_at(p), manifold.metric_partials_at(p, cfg))
+    return levi_civita(manifold.metric_pair_at(p), manifold.metric_partials_at(p)[1])
+
+
+def _pointwise(metric):
+    """A chart metric read off each point's coordinates, with zero partials that no test reads."""
+    def over_jets(x):
+        value = np.array([metric(q) for q in x.value])
+        return jets.Jet(value, np.zeros(value.shape + x.shape[-1:]))
+
+    return over_jets
 
 
 def constant_curvature_riemann(g):
@@ -53,13 +54,6 @@ def ne5_ricci_oracle(point):
     return np.diag([hyper, hyper, -4.0 * w, -4.0 * w, -4.0])
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DifferentiationConfig(step=0.0)
-    with pytest.raises(ValueError):
-        DifferentiationConfig(step=-1e-4)
-
-
 def test_chart_validation():
     metric = lambda p: np.eye(4)
     with pytest.raises(ValueError):
@@ -71,12 +65,14 @@ def test_chart_validation():
 
 
 def test_domain_membership_and_margins():
+    # the box is closed and no call takes a margin: the partials come from
+    # the point itself, so a corner is inside and a hair beyond it is not
     m = by_name("h3").manifold
     assert m.contains(np.array([0.0, 0.0, 0.0]))
+    assert m.contains(np.array([2.0, 0.0, -1.0]))
     assert not m.contains(np.array([0.0, 0.0, 5.0]))
-    assert not m.contains(np.array([1.95, 0.0, 0.0]), margin=0.1)
-    with pytest.raises(DomainError):
-        m.require_inside(np.array([0.0, 0.0, 0.999]), margin=0.01)
+    with pytest.raises(DomainError, match=r"^point \[0\.0, 0\.0, 1\.001\] leaves the chart domain$"):
+        m.require_inside(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.001]]))
     with pytest.raises(DomainError):
         m.require_inside(np.array([0.0, 0.0]))
 
@@ -120,7 +116,8 @@ def test_metric_pair_at_names_the_first_failing_point(bad, why):
     # the second, with the reason its own metric fails
     points = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]])
     chart = ChartManifold(
-        dim=3, metric=lambda q: bad if q[0] > 0.15 else np.eye(3), domain=((-1, 1),) * 3
+        dim=3, metric=_pointwise(lambda q: bad if q[0] > 0.15 else np.eye(3)),
+        domain=((-1, 1),) * 3,
     )
     message = f"metric {why} at {points[1].tolist()}"
     with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
@@ -137,7 +134,7 @@ def test_metric_pair_at_names_the_point_whose_inverse_fails():
     q = q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     chart = ChartManifold(
         dim=3,
-        metric=lambda p: q @ np.diag([1.0, 1.0, 1e-14 if p[0] > 0.5 else 1.0]) @ q.T,
+        metric=_pointwise(lambda p: q @ np.diag([1.0, 1.0, 1e-14 if p[0] > 0.5 else 1.0]) @ q.T),
         domain=((-1, 1),) * 3,
     )
     points = np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]])
@@ -147,35 +144,91 @@ def test_metric_pair_at_names_the_point_whose_inverse_fails():
         chart.metric_pair_at(points)
 
 
-@pytest.mark.parametrize("name", [ex.name for ex in catalog()])
+@pytest.mark.parametrize("name", [ex.name for ex in catalog()] + ["generic"])
 def test_finite_difference_matches_analytic_partials(name):
-    # the warped constructor's beta term and fibre term, one point at a time;
-    # the second partials against differences of the analytic first partials
-    m = by_name(name).manifold
-    for p in by_name(name).sample_points(5, seed=5):
-        fd = array_field_partials(m.metric, p, CFG)
-        assert np.max(np.abs(fd - m.metric_partials(p))) < 1e-9
-        fd2 = array_field_partials(m.metric_partials, p, CFG)
-        assert np.max(np.abs(fd2 - m.metric_second_partials(p))) < 1e-9
+    # the jets' partials against central differences of the values, one
+    # point at a time: the metric's first partials against differences of
+    # its values, its second against differences of its first, and each
+    # structure field's partials against differences of its values
+    if name == "generic":
+        m, structure = generic_chart(), None
+        points = np.random.default_rng(5).uniform(-0.5, 0.5, size=(5, 5))
+    else:
+        ex = by_name(name)
+        m, structure, points = ex.manifold, ex.structure, ex.sample_points(5, seed=5)
+    for p in points:
+        _, dg, ddg = m.metric_partials_at(p, 2)
+        fd = central_difference(lambda q: m.metric_partials_at(q)[0], p)
+        assert np.max(np.abs(fd - dg)) < 1e-9
+        fd2 = central_difference(lambda q: m.metric_partials_at(q)[1], p)
+        assert np.max(np.abs(fd2 - ddg)) < 1e-9
+        for field in () if structure is None else ("phi", "xi", "eta"):
+            at = getattr(structure, f"{field}_at")
+            fd = central_difference(lambda q: at(m.dim, q)[0], p)
+            assert np.max(np.abs(fd - at(m.dim, p)[1])) < 1e-9, field
 
 
-def test_second_partials_need_first_partials():
-    with pytest.raises(ValueError, match="metric_second_partials needs metric_partials"):
-        ChartManifold(dim=3, metric=lambda p: np.eye(3), domain=((-1, 1),) * 3,
-                      metric_second_partials=lambda p: np.zeros((3,) * 4))
+# beta, and whether the fibre's first two coordinates span a hyperbolic plane
+WARPED = {
+    "euclidean3": (0.0, False), "h3": (1.0, False), "h5": (1.0, False), "ne5": (1.0, True),
+    "ne7": (1.0, True), "beta2": (2.0, False),
+}
+
+
+def oneill_riemann(g, points, beta, hyperbolic):
+    """R = R_N - beta^2 (g wedge g) on R x_{e^{beta t}} N, as [n, l, i, j, k].
+
+    B. O'Neill, Semi-Riemannian Geometry (1983), Prop. 7.42, for the warping
+    function e^{beta t}.  R_N is the fibre's curvature lifted to M: zero on a
+    flat fibre, and -(g_H wedge g_H) on a hyperbolic block, with g_H =
+    (dx^2 + dy^2) / y^2 without the warp.  No metric derivative enters.
+    """
+    riem = -beta**2 * _wedge(g)
+    if hyperbolic:
+        riem[:, :2, :2, :2, :2] -= _wedge(np.eye(2) / points[:, 1, None, None] ** 2)
+    return riem
+
+
+@pytest.mark.parametrize("name", list(WARPED))
+def test_curvature_meets_the_warped_product_formula(name):
+    ex = {"ne7": ne7, "beta2": beta2}.get(name, lambda: by_name(name))()
+    points = ex.sample_points(200, seed=6)
+    record = CurvatureBundle(ex.manifold, ex.structure, points)
+    oracle = oneill_riemann(record.metric.matrix, points, *WARPED[name])
+    assert np.max(np.abs(record.lc_riemann - oracle)) < 1e-12
 
 
 @pytest.mark.parametrize("name", [ex.name for ex in catalog()])
 def test_exact_curvature_agrees_with_the_stencil_fallback(name):
-    # the closed-form d Gamma against differences of Gamma on the stencils,
-    # for both connections
+    # the closed-form d Gamma against central differences of Gamma, one
+    # point at a time, for both connections
     ex = by_name(name)
     points = ex.sample_points(20, seed=6)
-    stencil_chart = dataclasses.replace(ex.manifold, metric_second_partials=None)
-    exact = CurvatureBundle(ex.manifold, ex.structure, points, CFG)
-    fallback = CurvatureBundle(stencil_chart, ex.structure, points, CFG)
-    for part in ("lc_riemann", "riemann"):
-        assert np.max(np.abs(getattr(exact, part) - getattr(fallback, part))) < 1e-9, part
+    exact = CurvatureBundle(ex.manifold, ex.structure, points)
+    for part, coefficients in (("lc_riemann", "lc_gamma"), ("riemann", "gamma")):
+        def gamma_at(q):
+            return getattr(CurvatureBundle(ex.manifold, ex.structure, q), coefficients)[0]
+
+        fallback = np.stack(
+            [riemann_of_connection(gamma_at(p), central_difference(gamma_at, p)) for p in points]
+        )
+        assert np.max(np.abs(getattr(exact, part) - fallback)) < 1e-9, part
+
+
+def test_richardson_improves_truncation_error():
+    # the reference stencil's Richardson level against plain central
+    # differences, at a step large enough that truncation dominates roundoff
+    m = by_name("h3").manifold
+    p = np.array([0.3, -0.2, 0.25])
+    h = 1e-3
+    truth = m.metric_partials_at(p)[1]
+    metric = lambda q: m.metric_partials_at(q)[0]
+    plain = np.stack([(metric(p + h * e) - metric(p - h * e)) / (2.0 * h) for e in np.eye(3)])
+    extrap = central_difference(metric, p, step=h)
+    err_plain = np.max(np.abs(plain - truth))
+    err_extrap = np.max(np.abs(extrap - truth))
+    assert err_plain > 1e-8
+    assert err_extrap < err_plain / 100.0
 
 
 def test_scalar_curvature_from_exact_partials_meets_the_oracle():
@@ -184,7 +237,7 @@ def test_scalar_curvature_from_exact_partials_meets_the_oracle():
         ex = by_name(name)
         points = ex.sample_points(50, seed=7)
         exact = -20.0 - (2.0 * np.exp(-2.0 * points[:, -1]) if name == "ne5" else 0.0)
-        scalar = CurvatureBundle(ex.manifold, None, points, CFG).lc_scalar
+        scalar = CurvatureBundle(ex.manifold, None, points).lc_scalar
         assert np.max(np.abs(scalar - exact)) < 1e-13, name
 
 
@@ -213,7 +266,7 @@ def test_levi_civita_is_symmetric_flag():
 def test_riemann_matches_constant_curvature_oracle(name):
     ex = by_name(name)
     points = ex.sample_points(4, seed=2)
-    riem = CurvatureBundle(ex.manifold, None, points, CFG).lc_riemann
+    riem = CurvatureBundle(ex.manifold, None, points).lc_riemann
     for n, p in enumerate(points):
         oracle = constant_curvature_riemann(ex.manifold.metric_at(p))
         assert np.max(np.abs(riem[n] - oracle)) < 1e-10
@@ -223,7 +276,7 @@ def test_ricci_and_scalar_on_space_forms():
     for name, n in (("h3", 1), ("h5", 2)):
         ex = by_name(name)
         p = ex.sample_points(1, seed=3)[0]
-        b = CurvatureBundle(ex.manifold, None, p, CFG)
+        b = CurvatureBundle(ex.manifold, None, p)
         g = ex.manifold.metric_at(p)
         assert np.max(np.abs(b.lc_ricci[0] + 2.0 * n * g)) < 1e-10
         assert abs(b.lc_scalar[0] + 2 * n * (2 * n + 1)) < 1e-9
@@ -232,7 +285,7 @@ def test_ricci_and_scalar_on_space_forms():
 def test_ne5_ricci_against_warped_product_oracle():
     ex = by_name("ne5")
     points = ex.sample_points(5, seed=9)
-    ric = CurvatureBundle(ex.manifold, None, points, CFG).lc_ricci
+    ric = CurvatureBundle(ex.manifold, None, points).lc_ricci
     for n, p in enumerate(points):
         assert np.max(np.abs(ric[n] - ne5_ricci_oracle(p))) < 1e-9
 
@@ -240,7 +293,7 @@ def test_ne5_ricci_against_warped_product_oracle():
 def test_ne5_frozen_point_values():
     ex = by_name("ne5")
     p = np.array([0.1, 1.5, 0.2, 0.3, 0.0])
-    b = CurvatureBundle(ex.manifold, None, p, CFG)
+    b = CurvatureBundle(ex.manifold, None, p)
     ric = b.lc_ricci[0]
     assert abs(ric[0, 0] - (-2.2222222222222223)) < 1e-10
     assert abs(ric[2, 2] - (-4.0)) < 1e-10
@@ -248,56 +301,21 @@ def test_ne5_frozen_point_values():
     assert abs(b.lc_scalar[0] - (-22.0)) < 1e-9  # -20 - 2 e^{-2t} at t = 0
 
 
-def test_richardson_improves_truncation_error():
-    # step chosen large enough that truncation dominates roundoff
-    fiber = lambda p: np.diag([math.exp(2.0 * p[2])] * 2 + [1.0])
-    chart = ChartManifold(dim=3, metric=fiber, domain=((-2, 2), (-2, 2), (-1, 1)))
-    p = np.array([0.3, -0.2, 0.25])
-    truth = christoffel(by_name("h3").manifold, p)
-    plain = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=False))
-    extrap = christoffel(chart, p, DifferentiationConfig(step=1e-3, richardson=True))
-    err_plain = np.max(np.abs(plain - truth))
-    err_extrap = np.max(np.abs(extrap - truth))
-    assert err_plain > 1e-8
-    assert err_extrap < err_plain / 100.0
-
-
-def test_curvature_stencil_respects_domain():
+def test_curvature_needs_no_margin_at_the_domain_edge():
+    # the partials come from the point itself, so a corner of the chart
+    # has the curvature -1 of every other point, and a point just beyond
+    # the corner is refused
     m = by_name("h3").manifold
-    near_edge = np.array([0.0, 0.0, 0.99999])
+    assert abs(CurvatureBundle(m, None, np.array([2.0, -2.0, 1.0])).lc_scalar[0] + 6.0) < 1e-12
     with pytest.raises(DomainError):
-        CurvatureBundle(m, None, near_edge, CFG).lc_riemann
-
-
-@pytest.mark.parametrize(
-    "bad", [np.diag([1.0, -1.0, 1.0]), np.full((3, 3), np.nan)], ids=["indefinite", "non-finite"]
-)
-def test_metric_is_validated_at_stencil_points(bad):
-    # the metric is fine at the sample point and at every stencil point but
-    # one, the +h offset along the first axis
-    p = np.array([0.1, -0.2, 0.3])
-    h = CFG.step
-    offset = (p + np.array([h, 0.0, 0.0])).tolist()
-    chart = ChartManifold(
-        dim=3,
-        metric=lambda q: bad if q[0] > p[0] + 0.75 * h else np.eye(3),
-        metric_partials=lambda q: np.zeros((3, 3, 3)),
-        domain=((-1, 1),) * 3,
-    )
-    chart.metric_pair_at(p)
-    with pytest.raises(MetricError, match=re.escape(str(offset))):
-        CurvatureBundle(chart, None, p, CFG).lc_riemann
-    # in a batch, the error names the offset of the point it belongs to
-    with pytest.raises(MetricError, match=re.escape(str(offset))):
-        check_weyl(CurvatureBundle(chart, None, [np.array([-0.5, 0.0, 0.0]), p], CFG))
+        CurvatureBundle(m, None, np.array([2.0, -2.0, 1.0 + 1e-12]))
 
 
 def test_metric_compatibility_of_levi_civita():
-    # the finite-difference partials of g made covariant with the record's
-    # Levi-Civita symbols
+    # the partials of g made covariant with the record's Levi-Civita symbols
     ex = by_name("h5")
-    b = CurvatureBundle(ex.manifold, None, ex.sample_points(3, seed=4), CFG)
-    grad = _add_connection_terms(b.dg_fd, b.metric.matrix, slots("dd"), b.lc_gamma)
+    b = CurvatureBundle(ex.manifold, None, ex.sample_points(3, seed=4))
+    grad = _add_connection_terms(b.dg, b.metric.matrix, slots("dd"), b.lc_gamma)
     assert grad.shape == (3, 5, 5, 5)
     assert np.max(np.abs(grad)) < 1e-10
 
@@ -305,7 +323,7 @@ def test_metric_compatibility_of_levi_civita():
 def test_covariant_derivative_of_constant_field_flat():
     m = by_name("euclidean3").manifold
     vec = np.array([1.0, 2.0, -1.0])
-    partials = array_field_partials(lambda q: vec, np.zeros(3), CFG)
+    _, partials = _partials_at(lambda q: vec, np.zeros(3), (3,), 1, "field", ValueError)
     gamma = christoffel(m, np.zeros(3))
     grad = _add_connection_terms(partials[None], vec[None], slots("u"), gamma[None])
     assert grad.shape == (1, 3, 3)
@@ -317,8 +335,7 @@ def test_riemann_of_connection_arbitrary_coefficients():
     # the commutator quadratic, computable by hand
     rng = np.random.default_rng(12)
     const = rng.normal(size=(3, 3, 3)) * 0.5
-    on_stencil = np.broadcast_to(const, stencil(np.zeros(3), CFG).shape[:-1] + const.shape)
-    riem = riemann_of_connection(const, stencil_partials(on_stencil, CFG, axis=-4))
+    riem = riemann_of_connection(const, np.zeros((3,) + const.shape))
     q1 = np.einsum("lim,mjk->lijk", const, const)
     expected = q1 - q1.transpose(0, 2, 1, 3)
     assert riem.shape == (3, 3, 3, 3)

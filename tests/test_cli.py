@@ -52,15 +52,44 @@ def test_bad_tolerance_flags(flag, capsys):
 
 @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
 def test_bad_step_is_usage_error(step, capsys):
-    assert main(["--manifold", "h3", "--suite", "kenmotsu", f"--step={step}"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--manifold", "h3", "--suite", "kenmotsu", f"--step={step}"])
+    assert exit_.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("step", ["3e-5", "1e-4", "1e-3"])
-def test_every_chart_matches_at_valid_steps(step, capsys):
+@pytest.mark.parametrize(
+    "argv", [["--step", "1e-4"], ["--step", "5e-324"], ["--no-richardson"]],
+    ids=["step", "subnormal-step", "no-richardson"],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    # no finite difference is left to tune; a step of 5e-324 once underflowed
+    # to a wrong verdict
+    with pytest.raises(SystemExit) as exit_:
+        main(["--manifold", "h3", *argv])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"kenmotsu: error: unrecognized arguments: {' '.join(argv)}"
+    ]
+
+
+def test_removed_flag_exits_2_without_a_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kenmotsu", "--step", "5e-324"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1
+
+
+def test_every_chart_matches_on_the_default_run(capsys):
     # every row keeps its table gate on every chart, ne5's curvature rows
-    # included, across the steps where Richardson differences are sound
-    assert main([f"--step={step}"]) == 0
+    # included
+    assert main([]) == 0
     assert capsys.readouterr().out.endswith("exit status: 0\n")
 
 
@@ -162,8 +191,7 @@ def test_json_schema_fields(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"config", "manifolds", "exit_status"}
     assert set(doc["config"]) == {
-        "manifolds", "suites", "num_points", "seed", "step",
-        "richardson", "tolerances", "output_format",
+        "manifolds", "suites", "num_points", "seed", "tolerances", "output_format",
     }
     (mdoc,) = doc["manifolds"]
     assert set(mdoc) == {"name", "dim", "suites", "verdicts"}
@@ -294,19 +322,12 @@ def test_axiom_failure_skips_downstream_suites(monkeypatch):
 def _skewed_h3(monkeypatch, skew: float) -> None:
     """Register ``skewed``: h3 with g_01 raised by ``skew`` (g_10 unchanged)."""
     base = by_name("h3")
-
-    def skewed(p):
-        g = base.manifold.metric(p)
-        g[0, 1] += skew
-        return g
-
+    offset = np.zeros((3, 3))
+    offset[0, 1] = skew
     example = NamedExample(
         name="skewed",
         manifold=k.ChartManifold(
-            dim=3,
-            metric=skewed,
-            metric_partials=base.manifold.metric_partials,
-            domain=base.manifold.domain,
+            dim=3, metric=lambda p: base.manifold.metric(p) + offset, domain=base.manifold.domain
         ),
         structure=base.structure,
         expected_kenmotsu=True,
@@ -321,25 +342,24 @@ def _skewed_h3(monkeypatch, skew: float) -> None:
     )
 
 
+class _SkewedPartials(k.ChartManifold):
+    """A chart whose d_0 g_01 is raised by 1e-3 after the jets (d_0 g_10 unchanged)."""
+
+    def metric_partials_at(self, points, order=1):
+        parts = [np.array(part) for part in super().metric_partials_at(points, order)]
+        parts[1][..., 0, 0, 1] += 1e-3
+        return parts
+
+
 def test_partials_not_symmetric_in_the_metric_slots_fail_the_torsion_row(monkeypatch):
-    # analytic partials d_a g_ij that are not symmetric in (i, j) make the
+    # metric partials d_a g_ij that are not symmetric in (i, j) make the
     # Christoffel symbols asymmetric; the torsion-form row catches that and
     # the run exits 1 with a report
     base = by_name("h3")
-
-    @k.batched
-    def skewed_partials(p):
-        dg = base.manifold.metric_partials(p)
-        dg[..., 0, 0, 1] += 1e-3
-        return dg
-
     example = NamedExample(
         name="skewed-partials",
-        manifold=k.ChartManifold(
-            dim=3,
-            metric=base.manifold.metric,
-            metric_partials=skewed_partials,
-            domain=base.manifold.domain,
+        manifold=_SkewedPartials(
+            dim=3, metric=base.manifold.metric, domain=base.manifold.domain
         ),
         structure=base.structure,
         expected_kenmotsu=True,
@@ -418,7 +438,6 @@ def test_library_defaults_equal_cli_gates(chart):
     geometry = k.curvature_bundle(
         k.NonMetricConnection(ex.manifold, ex.structure),
         ex.sample_points(2, seed=0),
-        k.DifferentiationConfig(),
     )
     library = [
         k.check_almost_contact(geometry),

@@ -2,11 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import generic_chart, ne7
 
 from kenmotsu import (
-    ChartManifold,
     CurvatureBundle,
-    DifferentiationConfig,
     NonMetricConnection,
     by_name,
     check_derivation_identity,
@@ -14,29 +13,21 @@ from kenmotsu import (
     check_weyl,
     check_weyl_commutation,
 )
-from kenmotsu.catalog import (
-    _hyperbolic_times_flat,
-    _hyperbolic_times_flat_partials,
-    _hyperbolic_times_flat_second_partials,
-    warped,
-)
 from kenmotsu.conditions import _action_on_all_pairs, _wedge, _weyl_trace
 from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, _fit_operators, curvature_bundle
 from kenmotsu.report import per_point
-
-CFG = DifferentiationConfig()
 
 
 def lc_record(name, count, seed):
     """The Levi-Civita geometry of a catalog chart at its sample points."""
     ex = by_name(name)
-    return CurvatureBundle(ex.manifold, None, ex.sample_points(count, seed=seed), CFG)
+    return CurvatureBundle(ex.manifold, None, ex.sample_points(count, seed=seed))
 
 
 def record(name, count, seed):
     """The geometry record of a catalog chart and its structure at its sample points."""
     ex = by_name(name)
-    return CurvatureBundle(ex.manifold, ex.structure, ex.sample_points(count, seed=seed), CFG)
+    return CurvatureBundle(ex.manifold, ex.structure, ex.sample_points(count, seed=seed))
 
 
 def test_metric_wedge_spot_values():
@@ -254,29 +245,6 @@ def test_weyl_commutation_informational_off_einstein():
     assert report.extras["tachibana-riemann"] > 0.01
 
 
-def _generic_chart() -> ChartManifold:
-    """A dim-5 metric with no symmetry: g = I + 0.1 (T + T^t)/2, T_ij = sin(w_ij . p + c_ij)."""
-    rng = np.random.default_rng(7)
-    w, c = rng.normal(size=(5, 5, 5)), rng.normal(size=(5, 5))
-
-    def metric(p):
-        t = np.sin(w @ p + c)
-        return np.eye(5) + 0.05 * (t + t.T)
-
-    return ChartManifold(dim=5, metric=metric, domain=((-1.0, 1.0),) * 5)
-
-
-def _ne7():
-    """ne5's fibre times a flat plane: a dim-7 chart, 21 pairs X < Y."""
-    return warped(
-        "ne7", 1.0, _hyperbolic_times_flat, _hyperbolic_times_flat_partials,
-        fiber_second_partials=_hyperbolic_times_flat_second_partials,
-        domain=((-2.0, 2.0), (0.5, 3.0)) + ((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
-        sample_box=((-1.0, 1.0), (0.7, 2.5)) + ((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
-        expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
-    )
-
-
 @pytest.mark.parametrize("name", ["h5", "ne5", "ne7", "generic", "generic-chunks"])
 def test_weyl_commutation_on_pairs_equals_full_actions(name):
     # the check takes the actions on the pairs X < Y of the endomorphisms
@@ -287,11 +255,11 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
     # "generic-chunks" spans several chunks of points, so a chunk boundary
     # that misaligns points and residuals fails it.
     if name.startswith("generic"):
-        manifold = _generic_chart()
+        manifold = generic_chart()
         count = 4 if name == "generic" else 25
         points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(count, 5)))
     else:
-        ex = _ne7() if name == "ne7" else by_name(name)
+        ex = ne7() if name == "ne7" else by_name(name)
         manifold = ex.manifold
         points = ex.sample_points(3 if name == "ne7" else 4, seed=19)
     m, n = manifold.dim, manifold.n
@@ -299,7 +267,7 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
         # the induced actions of 3 * 10 endomorphisms on 10 pairs take
         # 3 * 10**3 values per point in dim 5
         assert len(_chunk_ranges(len(points), 8 * 3 * 10**3)) >= 3
-    b = CurvatureBundle(manifold, None, points, CFG)
+    b = CurvatureBundle(manifold, None, points)
     report = check_weyl_commutation(b)
     g, riem, weyl = b.metric.matrix, b.lc_riemann, b.weyl
     r = b.lc_scalar.reshape((-1,) + (1,) * 6)
@@ -332,7 +300,7 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
 def _weyl_commutation_peak(count: int) -> int:
     ex = by_name("ne5")
     conn = NonMetricConnection(ex.manifold, ex.structure)
-    geometry = curvature_bundle(conn, ex.sample_points(count, seed=5), CFG)
+    geometry = curvature_bundle(conn, ex.sample_points(count, seed=5))
     # build what the check reads
     geometry.metric, geometry.weyl, geometry.lc_scalar, geometry.lc_einstein_fits
     tracemalloc.start()

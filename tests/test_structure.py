@@ -4,7 +4,6 @@ import pytest
 from kenmotsu import (
     AlmostContactStructure,
     CurvatureBundle,
-    DifferentiationConfig,
     StructureError,
     by_name,
     check_almost_contact,
@@ -12,14 +11,13 @@ from kenmotsu import (
     check_kenmotsu,
     check_torsion,
     check_weyl,
+    jets,
 )
-
-CFG = DifferentiationConfig()
 
 
 def record(ex, points, structure=None):
     """The geometry record of a catalog chart, with its own structure or ``structure``."""
-    return CurvatureBundle(ex.manifold, structure or ex.structure, points, CFG)
+    return CurvatureBundle(ex.manifold, structure or ex.structure, points)
 
 
 @pytest.mark.parametrize("name", ["euclidean3", "h3", "h5", "ne5"])
@@ -119,11 +117,12 @@ def test_a_nan_residual_fails_its_row():
     # worst residual is NaN and the row fails
     ex = by_name("h3")
     xi = ex.structure.xi
-    broken = AlmostContactStructure(
-        ex.structure.phi,
-        lambda p: np.full(3, np.nan) if p[0] > 0.8 else xi(p),
-        ex.structure.eta,
-    )
+
+    def broken_xi(p):
+        value = np.where(p.value[:, :1] > 0.8, np.nan, xi(p))
+        return jets.Jet(value, np.zeros(value.shape + (3,)))
+
+    broken = AlmostContactStructure(ex.structure.phi, broken_xi, ex.structure.eta)
     points = ex.sample_points(6, 0)
     assert [i for i, p in enumerate(points) if p[0] > 0.8] == [1]
     for report in (
@@ -140,7 +139,7 @@ def test_a_nan_residual_fails_its_row():
 )
 def test_record_without_structure_names_what_it_lacks(check):
     ex = by_name("h3")
-    bare = CurvatureBundle(ex.manifold, None, ex.sample_points(2, seed=1), CFG)
+    bare = CurvatureBundle(ex.manifold, None, ex.sample_points(2, seed=1))
     with pytest.raises(StructureError, match=r"no (phi|eta|xi)\b.*record has no structure"):
         check(bare)
     # the Levi-Civita parts need no structure
@@ -150,6 +149,6 @@ def test_record_without_structure_names_what_it_lacks(check):
 @pytest.mark.parametrize("part", ["phi", "eta", "xi", "dxi", "deta", "riemann"])
 def test_every_structure_part_of_a_bare_record_raises(part):
     ex = by_name("h3")
-    bare = CurvatureBundle(ex.manifold, None, ex.sample_points(2, seed=1), CFG)
+    bare = CurvatureBundle(ex.manifold, None, ex.sample_points(2, seed=1))
     with pytest.raises(StructureError, match="record has no structure"):
         getattr(bare, part)

@@ -4,7 +4,6 @@ import pytest
 from kenmotsu import (
     ChartManifold,
     CurvatureBundle,
-    DifferentiationConfig,
     MetricError,
     MetricPair,
     by_name,
@@ -62,7 +61,7 @@ def test_h3_curvature_contraction_oracle():
 
 def test_raise_ricci_gives_minus_two_identity_on_h3():
     point = np.array([0.25, 0.1, -0.3])
-    b = CurvatureBundle(by_name("h3").manifold, None, point, DifferentiationConfig())
+    b = CurvatureBundle(by_name("h3").manifold, None, point)
     q = b.metric.inverse @ b.lc_ricci
     assert q.shape == (1, 3, 3)
     assert np.max(np.abs(q[0] + 2.0 * np.eye(3))) < 1e-9

@@ -2,20 +2,18 @@
 
 Every sample point needs one geometry record and two curvature passes, one
 of the Levi-Civita connection and one of the modified connection; every
-suite reads them from the record.  A chart with second metric partials
-evaluates its Christoffel symbols once, at the sample points; one without
-them evaluates them again on every chunk's stencils.  The record takes
-each chart's points as one batch, so the calls that build it do not grow
-with the number of points while the points fit in one chunk.  The tests count the calls
-through every module binding of the functions, so a suite that goes back
-to recomputing curvature, or a record that goes back to one point at a
-time, fails here.  The catalog's chart and structure callables take a
-batch of points, so the number of calls to them does not grow with the
-number of points either, and each metric batch (the sample points, and
-with a curvature suite their stencils) is evaluated and validated exactly
-once; only the sample points' metric is inverted, and the stencils' too on
-a chart without second partials.  The stencils of a chart's points are
-built once.
+suite reads them from the record.  The Christoffel symbols are evaluated
+once per chart, at the sample points.  The record takes each chart's
+points as one batch, so the calls that build it do not grow with the
+number of points while the points fit in one chunk.  The tests count the
+calls through every module binding of the functions, so a suite that goes
+back to recomputing curvature, or a record that goes back to one point at
+a time, fails here.  The catalog's chart and structure callables run on
+the jets of a whole batch of points, so the number of calls to them does
+not grow with the number of points either: each runs once on first-order
+jets of all the points, and the metric once more on second-order jets per
+curvature chunk.  The sample points' metric is validated and inverted
+exactly once.
 """
 
 import dataclasses
@@ -26,7 +24,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kenmotsu import AlmostContactStructure, by_name, charts, cli, connection
+from kenmotsu import AlmostContactStructure, charts, cli, connection
 from kenmotsu.cli import SUITE_ORDER, RunConfig, run
 
 CHARTS = ("euclidean3", "h3", "h5", "ne5")
@@ -94,52 +92,15 @@ def test_at_most_one_record_and_two_curvature_passes_per_point(monkeypatch):
     assert 0 < bundles[0] <= points
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "fallback"])
-def test_christoffel_evaluations_and_curvature_passes_per_chunk(monkeypatch, exact):
-    # 60 dim-5 points span two chunks on the exact path and five on the
-    # stencil fallback
-    levi = _count_calls(monkeypatch, charts.levi_civita)
-    passes = _count_calls(monkeypatch, charts.riemann_of_connection)
-    chunks = _count_method(monkeypatch, connection.CurvatureBundle, "_curvature_chunk")
-    if not exact:
-        monkeypatch.setattr(cli, "by_name", _stencil_fallback)
-    for chart in ("h5", "ne5"):
-        for calls in (levi, passes, chunks):
-            calls[0] = 0
-        report = run(RunConfig(manifolds=(chart,), suites=SUITE_ORDER, num_points=60))
-        assert report.exit_status == 0
-        assert chunks[0] == (2 if exact else 5), chart
-        assert levi[0] == (1 if exact else 1 + chunks[0]), chart
-        assert passes[0] == 2 * chunks[0], chart
-
-
-def test_one_stencil_per_chart(monkeypatch):
-    # the record builds every point's stencil once and hands the values on
-    # it to every finite difference, whatever the number of chunks
-    calls = _count_calls(monkeypatch, charts.stencil)
-    for points in (2, 50):
-        calls[0] = 0
-        report = run(RunConfig(manifolds=CHARTS, suites=SUITE_ORDER, num_points=points))
-        assert report.exit_status == 0
-        assert calls[0] == len(CHARTS), points
-
-
-def _stencil_fallback(name: str):
-    """The catalog example without second metric partials."""
-    ex = by_name(name)
-    return dataclasses.replace(
-        ex, manifold=dataclasses.replace(ex.manifold, metric_second_partials=None)
-    )
-
-
-def _count_catalog_callables(monkeypatch, lookup=by_name) -> Counter:
-    """Make the CLI run ``lookup``'s examples, whose callables count their calls."""
+def _count_catalog_callables(monkeypatch) -> Counter:
+    """Make the CLI run catalog examples whose callables count their calls by jet order."""
     calls = Counter()
+    lookup = cli.by_name
 
     def counted(chart: str, name: str, f):
-        @functools.wraps(f)  # keeps the batch-form mark
+        @functools.wraps(f)
         def wrapper(p):
-            calls[chart, name] += 1
+            calls[chart, name, 1 if p.hess is None else 2] += 1
             return f(p)
 
         return wrapper
@@ -147,10 +108,7 @@ def _count_catalog_callables(monkeypatch, lookup=by_name) -> Counter:
     def counted_example(name: str):
         ex = lookup(name)
         m, s = ex.manifold, ex.structure
-        fields = ("metric", "metric_partials", "metric_second_partials")
-        manifold = dataclasses.replace(
-            m, **{f: counted(name, f, getattr(m, f)) for f in fields if getattr(m, f)}
-        )
+        manifold = dataclasses.replace(m, metric=counted(name, "metric", m.metric))
         structure = AlmostContactStructure(
             *(counted(name, f, getattr(s, f)) for f in ("phi", "xi", "eta"))
         )
@@ -158,6 +116,26 @@ def _count_catalog_callables(monkeypatch, lookup=by_name) -> Counter:
 
     monkeypatch.setattr(cli, "by_name", counted_example)
     return calls
+
+
+def test_christoffel_evaluations_and_curvature_passes_per_chunk(monkeypatch):
+    # 60 dim-5 points span two chunks; each chunk evaluates the metric once
+    # on second-order jets, and nothing else grows with the chunks
+    levi = _count_calls(monkeypatch, charts.levi_civita)
+    passes = _count_calls(monkeypatch, charts.riemann_of_connection)
+    chunks = _count_method(monkeypatch, connection.CurvatureBundle, "_curvature_chunk")
+    calls = _count_catalog_callables(monkeypatch)
+    for chart in ("h5", "ne5"):
+        for counter in (levi, passes, chunks):
+            counter[0] = 0
+        calls.clear()
+        report = run(RunConfig(manifolds=(chart,), suites=SUITE_ORDER, num_points=60))
+        assert report.exit_status == 0
+        assert chunks[0] == 2, chart
+        assert levi[0] == 1, chart
+        assert passes[0] == 2 * chunks[0], chart
+        assert calls == {(chart, "metric", 1): 1, (chart, "metric", 2): 2,
+                         (chart, "phi", 1): 1, (chart, "xi", 1): 1, (chart, "eta", 1): 1}
 
 
 def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
@@ -170,31 +148,27 @@ def test_catalog_callable_calls_do_not_grow_with_points(monkeypatch):
         return Counter(calls)
 
     two, five = counts(2), counts(5)
-    assert len(two) == 6 * len(CHARTS), two
+    assert len(two) == 5 * len(CHARTS), two
     assert five == two
 
 
-# per chart: metric, metric_partials and metric_second_partials calls, then
+# per chart: metric calls on first-order and on second-order jets, then
 # np.linalg.cholesky and np.linalg.inv calls
-FIRST_ORDER = (1, 1, 0, 1, 1)
-EXACT = (2, 1, 1, 2, 1)
-FALLBACK = (2, 2, 0, 2, 2)
+FIRST_ORDER = (1, 0, 1, 1)
+FULL = (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("chart", CHARTS)
 @pytest.mark.parametrize(
-    "suites, lookup, each",
-    [(SUITE_ORDER, by_name, EXACT), (SUITE_ORDER, _stencil_fallback, FALLBACK),
-     (("axioms", "kenmotsu"), by_name, FIRST_ORDER)],
-    ids=["full", "fallback", "first-order"],
+    "suites, each", [(SUITE_ORDER, FULL), (("axioms", "kenmotsu"), FIRST_ORDER)],
+    ids=["full", "first-order"],
 )
-def test_metric_is_evaluated_validated_and_inverted_once_per_batch(
-    monkeypatch, chart, suites, lookup, each
-):
-    # one batch for the sample points and, with a curvature suite, one for
-    # their stencils: each is evaluated and factored exactly once; the
-    # stencils' metric is inverted only for the fallback's Christoffel symbols
-    calls = _count_catalog_callables(monkeypatch, lookup)
+def test_metric_is_evaluated_validated_and_inverted_once_per_batch(monkeypatch, chart, suites, each):
+    # the sample points' metric is evaluated once on first-order jets and,
+    # with a curvature suite, once more on second-order jets for their one
+    # chunk; it is factored and inverted exactly once, and a run without a
+    # curvature suite builds no Hessian
+    calls = _count_catalog_callables(monkeypatch)
     for name in ("cholesky", "inv"):
         original = getattr(np.linalg, name)
 
@@ -205,6 +179,5 @@ def test_metric_is_evaluated_validated_and_inverted_once_per_batch(
         monkeypatch.setattr(np.linalg, name, counted)
     report = run(RunConfig(manifolds=(chart,), suites=suites, num_points=POINTS))
     assert report.exit_status == 0
-    keys = [(chart, f) for f in ("metric", "metric_partials", "metric_second_partials")]
-    keys += [("linalg", "cholesky"), ("linalg", "inv")]
+    keys = [(chart, "metric", 1), (chart, "metric", 2), ("linalg", "cholesky"), ("linalg", "inv")]
     assert [calls[key] for key in keys] == list(each)
