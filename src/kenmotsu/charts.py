@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .jets import Jet, variables
-from .tensors import UP, MetricError, MetricPair, require_metric
+from .tensors import MetricError, MetricPair, require_metric
 
 
 class DomainError(ValueError):
@@ -115,10 +115,12 @@ class ChartManifold:
         return bool(self._inside(p))
 
     def require_inside(self, points: np.ndarray) -> np.ndarray:
-        """The points as a float array, if every one lies in the box."""
+        """The points as a float array, if there is at least one and every one lies in the box."""
         p = np.asarray(points, dtype=float)
         if p.ndim == 0 or p.shape[-1] != self.dim:
             raise DomainError(f"point has shape {p.shape}, expected ({self.dim},)")
+        if p.size == 0:
+            raise DomainError(f"no points: the batch has shape {p.shape}")
         outside = ~self._inside(p)
         if np.any(outside):
             first = p.reshape(-1, self.dim)[np.argmax(outside.ravel())]
@@ -210,28 +212,28 @@ def riemann_of_connection(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     return t1 - t2 + q1 - q2
 
 
-def _add_connection_terms(
-    partials: np.ndarray, base: np.ndarray, variance: tuple[str, ...], gamma: np.ndarray
-) -> np.ndarray:
-    """Turn coordinate partials of a tensor field into its covariant derivative.
+def _nabla_vector(dv: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(nabla_a V)^k = d_a V^k + Gamma^k_am V^m, as [n, a, k].
 
-    Every array has a leading point axis: ``partials[n, a, ...]``,
-    ``base[n, ...]`` with one axis per entry of ``variance``, and
-    ``gamma[n, k, i, j]``.
+    Each covariant derivative takes the partials d[n, a, ...] = d_a and the
+    values of a field at N points, and gamma[n, k, i, j] = Gamma^k_ij.
     """
     n, m = gamma.shape[:2]
-    comps = partials
-    for s, var in enumerate(variance):
-        # slot s first, the other slots flattened behind it
-        moved = np.moveaxis(base, s + 1, 1)
-        flat = moved.reshape(n, m, -1)
-        shape = (n, m, m, *moved.shape[2:])
-        if var == UP:
-            # +Gamma^k_am T[.. m at s ..]; the product leaves axes (k, a, rest)
-            corr = (gamma.reshape(n, m * m, m) @ flat).reshape(shape)
-            comps = comps + np.moveaxis(corr, (1, 2), (s + 2, 1))
-        else:
-            # -Gamma^m_ab T[.. m at s ..]; the product leaves axes (a, b, rest)
-            corr = (np.moveaxis(gamma, 1, -1).reshape(n, m * m, m) @ flat).reshape(shape)
-            comps = comps - np.moveaxis(corr, (1, 2), (1, s + 2))
-    return comps
+    return dv + np.swapaxes((gamma.reshape(n, m * m, m) @ v[..., None]).reshape(n, m, m), 1, 2)
+
+
+def _nabla_form(domega: np.ndarray | float, omega: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(nabla_a omega)_j = d_a omega_j - Gamma^m_aj omega_m, as [n, a, j].
+
+    Further slots of omega[n, j, ...] ride along: only the first gets its term.
+    """
+    n, m = gamma.shape[:2]
+    lowered = np.moveaxis(gamma, 1, -1).reshape(n, m * m, m)
+    return domega - (lowered @ omega.reshape(n, m, -1)).reshape(n, m, *omega.shape[1:])
+
+
+def _nabla_bilinear(dw: np.ndarray, w: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """(nabla_a w)_ij = d_a w_ij - Gamma^m_ai w_mj - Gamma^m_aj w_im, as [n, a, i, j]."""
+    # one 1-form term per slot, the other slot riding along
+    second = _nabla_form(0.0, np.swapaxes(w, 1, 2), gamma)
+    return _nabla_form(dw, w, gamma) + np.swapaxes(second, 2, 3)

@@ -5,10 +5,14 @@ T as a derivation,
 
     (A(X,Y) . T)(Z_1, ..., Z_k) = - sum_s T(Z_1, ..., A(X,Y) Z_s, ..., Z_k)
 
-producing a (0,k+2) tensor stored with the (X,Y) pair in the trailing two
-slots.  With A the curvature this is the usual R . T; with A the metric
-wedge endomorphism (X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y it is the
-Tachibana tensor Q(g,T).
+producing a (0,k+2) tensor.  With A the curvature this is the usual R . T;
+with A the metric wedge endomorphism (X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y
+it is the Tachibana tensor Q(g,T).  Each A here is antisymmetric in
+(X,Y) and the action is linear in A, so every action is antisymmetric in
+(X,Y): it is computed at the m(m-1)/2 pairs X < Y only, and its largest
+value there is its largest over all (X,Y).  One helper, :func:`_derivation`,
+computes -(A t + t A^t) for a family of matrices A stacked along rows; the
+(0,2) targets and the curvature operators on 2-forms both go through it.
 
 On the modified connection the derivation action on its Ricci tensor
 relates to the Levi-Civita one by
@@ -16,10 +20,11 @@ relates to the Levi-Civita one by
     (K . ric_K)(Z,U,X,Y) = (R . S)(Z,U,X,Y)
         - g(Y,Z) S(X,U) + g(X,Z) S(Y,U) - g(Y,U) S(Z,X) + g(X,U) S(Z,Y)
 
-which is an identity on every Kenmotsu chart.  Demanding K . ric_K = R . S
-(the semi-symmetry comparison) therefore forces the four-term bracket to
-vanish, which happens exactly when S = -2n g; the checks below walk that
-chain and report the Einstein fits and scalar targets that follow.
+which is an identity on every Kenmotsu chart; the bracket is Q(g,S).
+Demanding K . ric_K = R . S (the semi-symmetry comparison) therefore
+forces the four-term bracket to vanish, which happens exactly when
+S = -2n g; the checks below walk that chain and report the Einstein fits
+and scalar targets that follow.
 """
 
 from __future__ import annotations
@@ -40,32 +45,20 @@ from .report import IdentityResidualReport, per_point, row, sides_row
 EINSTEIN_FIT_THRESHOLD = 1e-4
 
 
-def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
-    """Apply a family of endomorphisms to every slot of a (0,k) array, point by point.
+def _derivation(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """out[n, f] = -(A_f t[n] + t[n] A_f^t) for the (d, d) matrices A_f stacked in rows[n]."""
+    k, d = t.shape[:2]
+    out = (rows @ t).reshape(k, -1, d, d)
+    out += (rows @ np.swapaxes(t, 1, 2)).reshape(k, -1, d, d).swapaxes(2, 3)
+    return np.negative(out, out=out)
 
-    ``curv[n, l, p, z]`` holds the endomorphism A(X,Y) of each (X,Y) pair p,
-    the pairs flattened into one axis; ``target`` is (n, dim, ..., dim).  The
-    result is indexed out[n, Z_1, ..., Z_k, p].
-    """
+
+def _pair_action(curv: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """(curv(X,Y) . target)(Z,U) at the pairs X < Y: curv[n, l, X, Y, z] -> out[n, pair, Z, U]."""
     n, m = curv.shape[:2]
-    # one row per (p, z), to be summed over l against one slot of the target
-    family = np.moveaxis(curv, 1, -1).reshape(n, -1, m)
-    out = None
-    for s in range(k):
-        # slot s first, the other slots flattened behind it
-        moved = np.moveaxis(target, s + 1, 1)
-        shape = (n, *curv.shape[2:], *moved.shape[2:])
-        term = (family @ moved.reshape(n, m, -1)).reshape(shape)
-        term = np.moveaxis(term, (1, 2), (k + 1, s + 1))
-        out = term if out is None else out + term
-    return -out
-
-
-def _action_on_all_pairs(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
-    """(curv(X,Y) . target) for every (X,Y): curv[n, l, X, Y, z] -> out[n, Z_1..Z_k, X, Y]."""
-    n, m = curv.shape[:2]
-    out = _endomorphism_action(curv.reshape(n, m, m * m, m), target, k)
-    return out.reshape(out.shape[:-1] + (m, m))
+    x, y = np.triu_indices(m, k=1)
+    # T(A Z, U) + T(Z, A U) = (A^t T + T A)(Z, U): the family's rows are the A(X,Y)^t
+    return _derivation(curv[:, :, x, y, :].transpose(0, 2, 3, 1).reshape(n, -1, m), target)
 
 
 def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,12 +96,11 @@ def _commutation_maxima(
     The (0,4) form T of R or C, antisymmetrized in its outer slots, is its
     curvature operator on 2-forms, T[s, q] = T(a_s, X_q, Y_q, b_s) at the
     pairs s and q of ``tables``.  An endomorphism A_p with induced action
-    Ahat_p on 2-forms acts on it by A_p . T = -(Ahat_p T + T Ahat_p^t):
-    with the family of the chunk stacked along rows, each target takes two
-    batched matmuls, against T and against its transpose.  The families
-    are stacked [C, wedge, R], so [C, wedge] acting on R and [wedge, R]
-    acting on C are slices of one array of induced actions, ``act``; the
-    arrays die with the call, before the next chunk allocates.
+    Ahat_p on 2-forms acts on it by A_p . T = -(Ahat_p T + T Ahat_p^t)
+    (:func:`_derivation`).  The families are stacked [C, wedge, R], so
+    [C, wedge] acting on R and [wedge, R] acting on C are slices of one
+    array of induced actions, ``act``; the arrays die with the call,
+    before the next chunk allocates.
     """
     x, y, induced = tables
     k, m, pairs = len(g), g.shape[-1], len(x)
@@ -119,17 +111,14 @@ def _commutation_maxima(
         k, 3 * pairs * pairs, pairs
     )
 
-    def derivation(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def operator(t: np.ndarray) -> np.ndarray:
         # lower the upper slot with g, then keep the outer pairs, antisymmetrized
         t4 = (g @ t[:, :, x, y, :].reshape(k, m, -1)).reshape(k, m, pairs, m)
         t4 = t4.transpose(0, 1, 3, 2)
-        op = 0.5 * (t4[:, x, y] - t4[:, y, x])
-        out = (rows @ op).reshape(k, -1, pairs, pairs)
-        out += (rows @ op.transpose(0, 2, 1)).reshape(k, -1, pairs, pairs).transpose(0, 1, 3, 2)
-        return np.negative(out, out=out)
+        return 0.5 * (t4[:, x, y] - t4[:, y, x])
 
-    on_riem = derivation(act[:, : 2 * pairs * pairs], riem)
-    on_weyl = derivation(act[:, pairs * pairs :], weyl)
+    on_riem = _derivation(act[:, : 2 * pairs * pairs], operator(riem))
+    on_weyl = _derivation(act[:, pairs * pairs :], operator(weyl))
     del act
     commutator = on_riem[:, :pairs] - on_weyl[:, pairs:]
     q_riem = on_riem[:, pairs:]
@@ -146,13 +135,13 @@ def _commutation_maxima(
 
 
 def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
-    """The four-term bracket, indexed out[..., z, u, i, j] for arguments (Z,U,X,Y)."""
-    return (
-        -np.einsum("...jz,...iu->...zuij", g, ric)
-        + np.einsum("...iz,...ju->...zuij", g, ric)
-        - np.einsum("...ju,...zi->...zuij", g, ric)
-        + np.einsum("...iu,...zj->...zuij", g, ric)
-    )
+    """The four-term bracket, indexed out[..., z, u, i, j] for arguments (Z,U,X,Y).
+
+    It is Q(g,S) = -S((X wedge_g Y) Z, U) - S(Z, (X wedge_g Y) U), each term
+    minus a wedge of g: with B = S^t on the Z slot and B = S on the U slot.
+    """
+    first = np.moveaxis(_wedge(g, np.swapaxes(ric, -1, -2)), -1, -4)
+    return -first - np.moveaxis(_wedge(g, ric), -1, -3)
 
 
 def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -162,11 +151,9 @@ def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualRepo
     side from Levi-Civita data; holds on every Kenmotsu chart, Einstein or
     not, so it is an end-to-end test of the whole pipeline.
     """
-    lc_ricci = geometry.lc_ricci
-    lhs = _action_on_all_pairs(geometry.riemann, geometry.ricci, 2)
-    rhs = _action_on_all_pairs(geometry.lc_riemann, lc_ricci, 2) + _semisymmetry_defect(
-        geometry.metric.matrix, lc_ricci
-    )
+    # the bracket is Q(g,S), so the right side is the action of R + g wedge g
+    lhs = _pair_action(geometry.riemann, geometry.ricci)
+    rhs = _pair_action(geometry.lc_riemann + _wedge(geometry.metric.matrix), geometry.lc_ricci)
     return sides_row("derivation-identity", geometry.p, lhs, rhs)
 
 
@@ -250,13 +237,13 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     the m(m-1)/2 pairs (:func:`_commutation_maxima`): 100 values per point
     in dim 5, where the full form holds m^4.  R, C and the wedge act only at
     their pairs, each through its induced action on 2-forms.  Every action
-    is linear in the endomorphism and keeps the antisymmetry of its target,
-    so the largest value over the stored pairs is the largest over all of
-    them.  The forms are antisymmetrized in their outer slots first, which
-    the computed curvatures satisfy to roundoff, so the magnitudes match
-    those of the full per-point actions on the antisymmetrized forms to
-    roundoff, not bit for bit.  The work runs over chunks of points so that
-    memory stays bounded.
+    also keeps the antisymmetry of its target, so the largest value over
+    the stored pairs is the largest over all of them.  The forms are
+    antisymmetrized in their outer slots first, which the computed
+    curvatures satisfy to roundoff, so the magnitudes match those of the
+    full per-point actions on the antisymmetrized forms to roundoff, not
+    bit for bit.  The work runs over chunks of points so that memory stays
+    bounded.
     """
     m, n = geometry.manifold.dim, geometry.manifold.n
     if m < 5:
@@ -297,5 +284,5 @@ def check_weyl(
     return (
         row("weyl-traceless", p, _weyl_trace(weyl, g, geometry.metric.inverse)),
         row("weyl-vanishing", p, per_point(weyl)),
-        row("tachibana-metric", p, per_point(_action_on_all_pairs(_wedge(g), g, 2))),
+        row("tachibana-metric", p, per_point(_pair_action(_wedge(g), g))),
     )

@@ -32,14 +32,16 @@ import numpy as np
 
 from .charts import (
     ChartManifold,
-    _add_connection_terms,
     _christoffel_partials,
+    _nabla_bilinear,
+    _nabla_form,
+    _nabla_vector,
     levi_civita,
     riemann_of_connection,
 )
 from .report import IdentityResidualReport, per_point, row, sides_row
 from .structure import AlmostContactStructure, StructureError
-from .tensors import MetricPair, slots
+from .tensors import MetricPair
 
 # bytes that one array of a chunk of points may take: the curvature pass
 # and the Weyl commutation's actions on curvature operators hold a few
@@ -223,7 +225,7 @@ class CurvatureBundle:
     @cached_property
     def lc_nabla_eta(self) -> np.ndarray:
         """lc_nabla_eta[n, a, j] = (nabla_a eta)_j, nabla the Levi-Civita connection."""
-        return _frozen(_add_connection_terms(self.deta, self.eta, slots("d"), self.lc_gamma))
+        return _frozen(_nabla_form(self.deta, self.eta, self.lc_gamma))
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -285,13 +287,9 @@ class CurvatureBundle:
 
     @cached_property
     def riemann_closed_form(self) -> np.ndarray:
-        g, eta, xi = self.metric.matrix, self.eta, self.xi
-        correction = (
-            _wedge(g)
-            + 2.0 * np.einsum("...jk,...i,...l->...lijk", g, eta, xi)
-            - 2.0 * np.einsum("...ik,...j,...l->...lijk", g, eta, xi)
-        )
-        return _frozen(self.lc_riemann + correction)
+        # K - R = g(Y,Z) BX - g(X,Z) BY with BX = X + 2 eta(X) xi
+        b = np.eye(self.manifold.dim) + 2.0 * np.einsum("...l,...i->...li", self.xi, self.eta)
+        return _frozen(self.lc_riemann + _wedge(self.metric.matrix, b))
 
     @cached_property
     def ricci_closed_form(self) -> np.ndarray:
@@ -320,20 +318,10 @@ class CurvatureBundle:
         C(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY]/(m-2)
                   + r [g(Y,Z)X - g(X,Z)Y] / ((m-1)(m-2))
         """
-        m = self.manifold.dim
-        g = self.metric.matrix
-        eye = np.eye(m)
-        s = self.lc_ricci
-        q = self.metric.inverse @ s
-        term_s = (
-            np.einsum("...jk,li->...lijk", s, eye)
-            - np.einsum("...ik,lj->...lijk", s, eye)
-            + np.einsum("...jk,...li->...lijk", g, q)
-            - np.einsum("...ik,...lj->...lijk", g, q)
-        )
-        term_g = _wedge(g)
+        m, g, s = self.manifold.dim, self.metric.matrix, self.lc_ricci
+        term_s = _wedge(s) + _wedge(g, self.metric.inverse @ s)
         scale = self.lc_scalar[:, None, None, None, None]
-        return _frozen(self.lc_riemann - term_s / (m - 2) + scale * term_g / ((m - 1) * (m - 2)))
+        return _frozen(self.lc_riemann - term_s / (m - 2) + scale * _wedge(g) / ((m - 1) * (m - 2)))
 
 
 def scalar_shift(n: int) -> float:
@@ -341,10 +329,13 @@ def scalar_shift(n: int) -> float:
     return 2.0 * n * (2 * n + 3)
 
 
-def _wedge(g: np.ndarray) -> np.ndarray:
-    """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components [..., l, i, j, k]."""
-    eye = np.eye(g.shape[-1])
-    return np.einsum("...jk,li->...lijk", g, eye) - np.einsum("...ik,lj->...lijk", g, eye)
+def _wedge(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """(X wedge Y) Z = a(Y,Z) BX - a(X,Z) BY, (1,3) components [..., l, i, j, k].
+
+    ``b`` holds B[..., l, i], the identity by default: then a = g gives the metric wedge.
+    """
+    b = np.eye(a.shape[-1]) if b is None else b
+    return np.einsum("...jk,...li->...lijk", a, b) - np.einsum("...ik,...lj->...lijk", a, b)
 
 
 def _ricci_components(riem: np.ndarray) -> np.ndarray:
@@ -376,7 +367,7 @@ def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
 def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
     """(D_X g)(Y,Z) = 2 eta(Y) g(X,Z) + 2 eta(Z) g(X,Y)."""
     g, eta = geometry.metric.matrix, geometry.eta
-    grad = _add_connection_terms(geometry.dg, g, slots("dd"), geometry.gamma)
+    grad = _nabla_bilinear(geometry.dg, g, geometry.gamma)
     want = 2.0 * np.einsum("...i,...aj->...aij", eta, g) + 2.0 * np.einsum(
         "...j,...ai->...aij", eta, g
     )
@@ -385,9 +376,8 @@ def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
 
 def check_reeb_transport(geometry: CurvatureBundle) -> IdentityResidualReport:
     """D_X xi = -2 eta(X) xi."""
-    xi = geometry.xi
-    grad = _add_connection_terms(geometry.dxi, xi, slots("u"), geometry.gamma)
-    want = -2.0 * np.einsum("...i,...j->...ij", geometry.eta, xi)
+    grad = _nabla_vector(geometry.dxi, geometry.xi, geometry.gamma)
+    want = -2.0 * np.einsum("...i,...j->...ij", geometry.eta, geometry.xi)
     return sides_row("reeb-transport", geometry.p, grad, want)
 
 

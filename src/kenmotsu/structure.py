@@ -25,9 +25,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .charts import _add_connection_terms, _partials_at
+from .charts import _nabla_vector, _partials_at
 from .report import IdentityResidualReport, per_point, row, sides_row
-from .tensors import slots
 
 if TYPE_CHECKING:
     from .connection import CurvatureBundle
@@ -100,7 +99,7 @@ def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
     """Per-point residuals of the two equivalent forms of the defining condition."""
     dim = b.manifold.dim
     eta, xi = b.eta, b.xi
-    grad_xi = _add_connection_terms(b.dxi, xi, slots("u"), b.lc_gamma)
+    grad_xi = _nabla_vector(b.dxi, xi, b.lc_gamma)
     # (nabla_{d_a} xi)^k = delta^k_a - eta_a xi^k
     want_xi = np.eye(dim) - np.einsum("...i,...j->...ij", eta, xi)
     want_eta = b.metric.matrix - np.einsum("...i,...j->...ij", eta, eta)

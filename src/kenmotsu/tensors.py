@@ -1,9 +1,10 @@
-"""Dense tensor components on a single coordinate chart.
+"""Dense tensor components on a single coordinate chart, and metric validation.
 
 Components live in row-major numpy arrays, one axis per slot, every axis
-of length ``dim``, after any leading point axes.  Variance is data: a
-tuple of ``"up"`` / ``"down"`` markers parallel to the slots.  There is no
-index gymnastics DSL here; everything is plain numpy on the arrays.
+of length ``dim``, after any leading point axes.  Variance is not data:
+each array's docstring names its slots, as in gamma[..., k, i, j] =
+Gamma^k_ij, and each rank has its own covariant derivative in
+:mod:`kenmotsu.charts`.  Everything is plain numpy on the arrays.
 """
 
 from __future__ import annotations
@@ -12,18 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the variance markers of a MultiTensor, one per slot
 UP = "up"
 DOWN = "down"
-
-_SLOT_CODES = {"u": UP, "d": DOWN}
-
-
-def slots(code: str) -> tuple[str, ...]:
-    """Expand a compact variance code, e.g. ``"udd"`` -> (up, down, down)."""
-    try:
-        return tuple(_SLOT_CODES[c] for c in code)
-    except KeyError as exc:
-        raise ValueError(f"variance code may only contain 'u'/'d': {code!r}") from exc
 
 
 # nothing in the package builds one; the benchmark's tracer

@@ -1,7 +1,10 @@
-"""Test-only charts and the finite-difference reference for the jets.
+"""Test-only charts and the references for the jets and the derivation actions.
 
 The package takes every partial from jets; central differences of a
 field's values live here only, as the independent check of those partials.
+The package acts with curvature-like tensors on (0,2) targets and on
+curvature operators only; the per-slot action on a (0,k) tensor at every
+(X,Y) lives here, as the rank-k reference for those actions.
 """
 
 import numpy as np
@@ -60,3 +63,31 @@ def beta2():
         sample_box=((-1.0, 1.0),) * 2 + ((-0.5, 0.5),),
         expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
     )
+
+
+def _endomorphism_action(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """Apply a family of endomorphisms to every slot of a (0,k) array, point by point.
+
+    ``curv[n, l, p, z]`` holds the endomorphism A(X,Y) of each (X,Y) pair p,
+    the pairs flattened into one axis; ``target`` is (n, dim, ..., dim).  The
+    result is indexed out[n, Z_1, ..., Z_k, p].
+    """
+    n, m = curv.shape[:2]
+    # one row per (p, z), to be summed over l against one slot of the target
+    family = np.moveaxis(curv, 1, -1).reshape(n, -1, m)
+    out = None
+    for s in range(k):
+        # slot s first, the other slots flattened behind it
+        moved = np.moveaxis(target, s + 1, 1)
+        shape = (n, *curv.shape[2:], *moved.shape[2:])
+        term = (family @ moved.reshape(n, m, -1)).reshape(shape)
+        term = np.moveaxis(term, (1, 2), (k + 1, s + 1))
+        out = term if out is None else out + term
+    return -out
+
+
+def _action_on_all_pairs(curv: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """(curv(X,Y) . target) for every (X,Y): curv[n, l, X, Y, z] -> out[n, Z_1..Z_k, X, Y]."""
+    n, m = curv.shape[:2]
+    out = _endomorphism_action(curv.reshape(n, m, m * m, m), target, k)
+    return out.reshape(out.shape[:-1] + (m, m))

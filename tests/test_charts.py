@@ -15,9 +15,15 @@ from kenmotsu import (
     jets,
     levi_civita,
 )
-from kenmotsu.charts import _add_connection_terms, _partials_at, riemann_of_connection
+from kenmotsu.charts import (
+    _nabla_bilinear,
+    _nabla_form,
+    _nabla_vector,
+    _partials_at,
+    riemann_of_connection,
+)
 from kenmotsu.connection import _wedge
-from kenmotsu.tensors import SYMMETRY_TOL, slots
+from kenmotsu.tensors import SYMMETRY_TOL
 
 
 def christoffel(manifold, p):
@@ -315,7 +321,7 @@ def test_metric_compatibility_of_levi_civita():
     # the partials of g made covariant with the record's Levi-Civita symbols
     ex = by_name("h5")
     b = CurvatureBundle(ex.manifold, None, ex.sample_points(3, seed=4))
-    grad = _add_connection_terms(b.dg, b.metric.matrix, slots("dd"), b.lc_gamma)
+    grad = _nabla_bilinear(b.dg, b.metric.matrix, b.lc_gamma)
     assert grad.shape == (3, 5, 5, 5)
     assert np.max(np.abs(grad)) < 1e-10
 
@@ -325,9 +331,46 @@ def test_covariant_derivative_of_constant_field_flat():
     vec = np.array([1.0, 2.0, -1.0])
     _, partials = _partials_at(lambda q: vec, np.zeros(3), (3,), 1, "field", ValueError)
     gamma = christoffel(m, np.zeros(3))
-    grad = _add_connection_terms(partials[None], vec[None], slots("u"), gamma[None])
+    grad = _nabla_vector(partials[None], vec[None], gamma[None])
     assert grad.shape == (1, 3, 3)
     assert np.max(np.abs(grad)) < 1e-12
+
+
+def test_covariant_derivatives_match_their_index_formulas():
+    # non-constant fields: random values and partials of a vector, a 1-form
+    # and a non-symmetric (0,2) tensor, against each formula spelled out with
+    # einsum.  The generic chart's symbols are symmetric in their lower
+    # slots; the same symbols plus a random torsion part tell the
+    # derivative slot from the other one.
+    rng = np.random.default_rng(31)
+    points = rng.uniform(-0.5, 0.5, size=(4, 5))
+    lc = CurvatureBundle(generic_chart(), None, points).lc_gamma
+    v, dv = rng.normal(size=(4, 5)), rng.normal(size=(4, 5, 5))
+    omega, domega = rng.normal(size=(4, 5)), rng.normal(size=(4, 5, 5))
+    w, dw = rng.normal(size=(4, 5, 5)), rng.normal(size=(4, 5, 5, 5))
+    for gamma in (lc, lc + 0.3 * rng.normal(size=lc.shape)):
+        pairs = {
+            "vector": (_nabla_vector(dv, v, gamma), dv + np.einsum("nkam,nm->nak", gamma, v)),
+            "1-form": (
+                _nabla_form(domega, omega, gamma),
+                domega - np.einsum("nmaj,nm->naj", gamma, omega),
+            ),
+            "(0,2)": (
+                _nabla_bilinear(dw, w, gamma),
+                dw - np.einsum("nmai,nmj->naij", gamma, w) - np.einsum("nmaj,nim->naij", gamma, w),
+            ),
+        }
+        for rank, (got, want) in pairs.items():
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13, err_msg=rank)
+
+
+def test_an_empty_batch_is_refused():
+    # no point leaves the box, but every check would reduce over no points
+    ex = by_name("h5")
+    with pytest.raises(DomainError, match=r"\(0, 5\)"):
+        CurvatureBundle(ex.manifold, ex.structure, np.zeros((0, 5)))
+    with pytest.raises(DomainError, match=r"\(2, 0, 5\)"):
+        ex.manifold.metric_partials_at(np.zeros((2, 0, 5)))
 
 
 def test_riemann_of_connection_arbitrary_coefficients():

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import generic_chart, ne7
+from helpers import _action_on_all_pairs, generic_chart, ne7
 
 from kenmotsu import (
     CurvatureBundle,
@@ -13,7 +13,7 @@ from kenmotsu import (
     check_weyl,
     check_weyl_commutation,
 )
-from kenmotsu.conditions import _action_on_all_pairs, _wedge, _weyl_trace
+from kenmotsu.conditions import _pair_action, _wedge, _weyl_trace
 from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, _fit_operators, curvature_bundle
 from kenmotsu.report import per_point
 
@@ -89,6 +89,29 @@ def test_tachibana_nonzero_on_anisotropic_ricci():
     b = lc_record("ne5", 1, seed=7)
     q = _action_on_all_pairs(_wedge(b.metric.matrix), b.lc_ricci, 2)
     assert np.max(np.abs(q)) > 0.01
+
+
+@pytest.mark.parametrize("name", ["generic", "ne5", "ne7"])
+def test_pair_action_equals_the_all_pairs_reference(name):
+    # derivation-identity and tachibana-metric act at the pairs X < Y only,
+    # through one -(A t + t A^t); the reference acts slot by slot at every
+    # (X,Y).  The non-symmetric target tells t from its transpose.
+    if name == "generic":
+        manifold = generic_chart()
+        points = np.random.default_rng(23).uniform(-0.5, 0.5, size=(3, 5))
+    else:
+        ex = ne7() if name == "ne7" else by_name(name)
+        manifold, points = ex.manifold, ex.sample_points(3, seed=23)
+    b = CurvatureBundle(manifold, None, points)
+    g = b.metric.matrix
+    skew = np.random.default_rng(29).normal(size=g.shape)
+    x, y = np.triu_indices(manifold.dim, k=1)
+    for curv in (b.lc_riemann, _wedge(g)):
+        for target in (b.lc_ricci, skew):
+            want = np.moveaxis(_action_on_all_pairs(curv, target, 2)[..., x, y], -1, 1)
+            got = _pair_action(curv, target)
+            assert got.shape == (3, len(x), manifold.dim, manifold.dim)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name,tol", [("h3", 1e-5), ("h5", 1e-5), ("ne5", 1e-4)])

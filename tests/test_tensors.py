@@ -10,28 +10,16 @@ from kenmotsu import (
 )
 from kenmotsu.connection import _ricci_components
 from kenmotsu.report import per_point
-from kenmotsu.tensors import (
-    DOWN,
-    UP,
-    MultiTensor,
-    slots,
-)
+from kenmotsu.tensors import DOWN, MultiTensor
 
 
 def h3_metric_pair(point):
     return by_name("h3").manifold.metric_pair_at(np.asarray(point))
 
 
-def test_slots_codes():
-    assert slots("ud") == (UP, DOWN)
-    assert slots("") == ()
-    with pytest.raises(ValueError):
-        slots("ux")
-
-
 def test_components_are_frozen_and_copied():
     src = np.zeros((3, 3))
-    t = MultiTensor(3, slots("dd"), src)
+    t = MultiTensor(3, (DOWN, DOWN), src)
     src[0, 0] = 5.0
     assert t.components[0, 0] == 0.0
     with pytest.raises(ValueError):
@@ -40,11 +28,11 @@ def test_components_are_frozen_and_copied():
 
 def test_shape_and_variance_validation():
     with pytest.raises(ValueError):
-        MultiTensor(3, slots("d"), np.zeros((4,)))
+        MultiTensor(3, (DOWN,), np.zeros((4,)))
     with pytest.raises(ValueError):
         MultiTensor(3, ("sideways",), np.zeros(3))
     with pytest.raises(ValueError):
-        MultiTensor(3, slots("d"), np.array([1.0, np.nan, 0.0]))
+        MultiTensor(3, (DOWN,), np.array([1.0, np.nan, 0.0]))
 
 
 def test_h3_curvature_contraction_oracle():
