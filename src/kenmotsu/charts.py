@@ -204,12 +204,12 @@ def riemann_of_connection(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
     ``gamma[..., l, j, k]`` = Gamma^l_jk and ``dgamma[..., i, l, j, k]`` =
     d_i Gamma^l_jk.  Returns riem[..., l, i, j, k].
     """
-    t1 = np.swapaxes(dgamma, -4, -3)  # t1[l,i,j,k] = d_i Gamma^l_jk
-    t2 = np.swapaxes(t1, -3, -2)
     lead, m = gamma.shape[:-3], gamma.shape[-1]
-    q1 = (gamma.reshape(lead + (m * m, m)) @ gamma.reshape(lead + (m, m * m))).reshape(t1.shape)
-    q2 = np.swapaxes(q1, -3, -2)
-    return t1 - t2 + q1 - q2
+    # half[l,i,j,k] = d_i Gamma^l_jk + Gamma^l_im Gamma^m_jk; riem is half minus its (i,j) swap
+    half = gamma.reshape(lead + (m * m, m)) @ gamma.reshape(lead + (m, m * m))
+    half = half.reshape(dgamma.shape)
+    half += np.swapaxes(dgamma, -4, -3)
+    return half - np.swapaxes(half, -3, -2)
 
 
 def _nabla_vector(dv: np.ndarray, v: np.ndarray, gamma: np.ndarray) -> np.ndarray:

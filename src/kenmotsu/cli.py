@@ -7,13 +7,15 @@ reports can be diffed or golden-tested.
 
 Exit codes: 0 when every gated identity matched its expectation (controls
 are EXPECTED to fail and count as matches when they do), 1 on a mismatch
-or a numerical abort, 2 on a usage error.
+or a numerical abort, 2 on a usage error, and :data:`EXIT_BROKEN_PIPE`
+when the reader closes stdout before the report is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -437,9 +439,24 @@ def _render_catalog() -> str:
     return "\n".join(lines) + "\n"
 
 
+# 128 + SIGPIPE, what a shell reports for a writer that signal ended
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        status = _main(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; Python flushes it again at exit, so point
+        # it at devnull first to keep that flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
+
+
+def _main(args: argparse.Namespace) -> int:
     if args.list:
         sys.stdout.write(_render_catalog())
         return 0

@@ -10,9 +10,11 @@ with A the metric wedge endomorphism (X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y
 it is the Tachibana tensor Q(g,T).  Each A here is antisymmetric in
 (X,Y) and the action is linear in A, so every action is antisymmetric in
 (X,Y): it is computed at the m(m-1)/2 pairs X < Y only, and its largest
-value there is its largest over all (X,Y).  One helper, :func:`_derivation`,
-computes -(A t + t A^t) for a family of matrices A stacked along rows; the
-(0,2) targets and the curvature operators on 2-forms both go through it.
+value there is its largest over all (X,Y).  One helper, :func:`_derivation`
+of :mod:`kenmotsu.connection`, computes -(A t + t A^t) for a family of
+matrices A stacked along rows; the (0,2) targets and the curvature
+operators on 2-forms both go through it.  The geometry record holds g wedge g
+and Q(g,S) once each, and every row here reads those.
 
 On the modified connection the derivation action on its Ricci tensor
 relates to the Levi-Civita one by
@@ -34,8 +36,9 @@ import numpy as np
 from .connection import (
     CurvatureBundle,
     _chunk_ranges,
+    _derivation,
     _fit_operators,
-    _wedge,
+    _pair_action,
 )
 from .report import IdentityResidualReport, per_point, row, sides_row
 
@@ -43,22 +46,6 @@ from .report import IdentityResidualReport, per_point, row, sides_row
 # einstein verdict reads the joint fit, the Weyl commutation the largest
 # per-point fit
 EINSTEIN_FIT_THRESHOLD = 1e-4
-
-
-def _derivation(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """out[n, f] = -(A_f t[n] + t[n] A_f^t) for the (d, d) matrices A_f stacked in rows[n]."""
-    k, d = t.shape[:2]
-    out = (rows @ t).reshape(k, -1, d, d)
-    out += (rows @ np.swapaxes(t, 1, 2)).reshape(k, -1, d, d).swapaxes(2, 3)
-    return np.negative(out, out=out)
-
-
-def _pair_action(curv: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """(curv(X,Y) . target)(Z,U) at the pairs X < Y: curv[n, l, X, Y, z] -> out[n, pair, Z, U]."""
-    n, m = curv.shape[:2]
-    x, y = np.triu_indices(m, k=1)
-    # T(A Z, U) + T(Z, A U) = (A^t T + T A)(Z, U): the family's rows are the A(X,Y)^t
-    return _derivation(curv[:, :, x, y, :].transpose(0, 2, 3, 1).reshape(n, -1, m), target)
 
 
 def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -84,64 +71,46 @@ def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _commutation_maxima(
-    g: np.ndarray,
-    riem: np.ndarray,
-    weyl: np.ndarray,
-    scalar: np.ndarray,
-    n: int,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+    geometry: CurvatureBundle, chunk: slice, tables: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, ...]:
-    """Per point of one chunk: |C.R - R.C|, |Q(g,R)|, |Q(g,C)| and both scaled relations.
+    """Per point of a chunk: |C.R - R.C|, |Q(g,R)|, |Q(g,C)| and both scaled relations.
 
     The (0,4) form T of R or C, antisymmetrized in its outer slots, is its
     curvature operator on 2-forms, T[s, q] = T(a_s, X_q, Y_q, b_s) at the
     pairs s and q of ``tables``.  An endomorphism A_p with induced action
     Ahat_p on 2-forms acts on it by A_p . T = -(Ahat_p T + T Ahat_p^t)
-    (:func:`_derivation`).  The families are stacked [C, wedge, R], so
-    [C, wedge] acting on R and [wedge, R] acting on C are slices of one
-    array of induced actions, ``act``; the arrays die with the call,
-    before the next chunk allocates.
+    (:func:`_derivation`).  T is symmetric, by the pair symmetry of R and C,
+    so T Ahat_p^t is the transpose of Ahat_p T: one matmul per target.  The
+    families are stacked [C, wedge, R], so [C, wedge] acting on R and
+    [wedge, R] acting on C are slices of one array of induced actions,
+    ``act``; the arrays die with the call, before the next chunk allocates.
     """
     x, y, induced = tables
-    k, m, pairs = len(g), g.shape[-1], len(x)
-    family = np.concatenate(
-        [weyl[:, :, x, y, :], _wedge(g)[:, :, x, y, :], riem[:, :, x, y, :]], axis=2
-    )
+    g = geometry.metric.matrix[chunk]
+    k, m, n, pairs = len(g), g.shape[-1], geometry.manifold.n, len(x)
+    forms = (geometry.weyl, geometry.g_wedge_g, geometry.lc_riemann)
+    family = np.concatenate([t[chunk, :, x, y, :] for t in forms], axis=2)
     act = (family.transpose(0, 2, 1, 3).reshape(-1, m * m) @ induced).reshape(
         k, 3 * pairs * pairs, pairs
     )
-
-    def operator(t: np.ndarray) -> np.ndarray:
-        # lower the upper slot with g, then keep the outer pairs, antisymmetrized
-        t4 = (g @ t[:, :, x, y, :].reshape(k, m, -1)).reshape(k, m, pairs, m)
-        t4 = t4.transpose(0, 1, 3, 2)
-        return 0.5 * (t4[:, x, y] - t4[:, y, x])
-
-    on_riem = _derivation(act[:, : 2 * pairs * pairs], operator(riem))
-    on_weyl = _derivation(act[:, pairs * pairs :], operator(weyl))
+    # one matmul lowers the upper slot of all three forms (the wedge's operator
+    # goes unused); T[n, s, q] keeps the outer pairs s, antisymmetrized
+    t4 = (g @ family.reshape(k, m, -1)).reshape(k, m, 3 * pairs, m).transpose(0, 1, 3, 2)
+    operators = 0.5 * (t4[:, x, y] - t4[:, y, x])
+    on_riem = _derivation(act[:, : 2 * pairs * pairs], operators[..., 2 * pairs :], symmetric=True)
+    on_weyl = _derivation(act[:, pairs * pairs :], operators[..., :pairs], symmetric=True)
     del act
     commutator = on_riem[:, :pairs] - on_weyl[:, pairs:]
     q_riem = on_riem[:, pairs:]
+    maxima = [per_point(commutator), per_point(q_riem), per_point(on_weyl[:, :pairs])]
     # dim >= 5 here, so the contact half-dimension n is at least 2 and
     # both normalizations of the scale factor are finite
-    r = scalar.reshape(-1, 1, 1, 1)
-    return (
-        per_point(commutator),
-        per_point(q_riem),
-        per_point(on_weyl[:, :pairs]),
-        per_point(commutator + r / (m * (m - 1)) * q_riem),
-        per_point(commutator + r / (n * (n - 1)) * q_riem),
-    )
-
-
-def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
-    """The four-term bracket, indexed out[..., z, u, i, j] for arguments (Z,U,X,Y).
-
-    It is Q(g,S) = -S((X wedge_g Y) Z, U) - S(Z, (X wedge_g Y) U), each term
-    minus a wedge of g: with B = S^t on the Z slot and B = S on the U slot.
-    """
-    first = np.moveaxis(_wedge(g, np.swapaxes(ric, -1, -2)), -1, -4)
-    return -first - np.moveaxis(_wedge(g, ric), -1, -3)
+    r = geometry.lc_scalar[chunk].reshape(-1, 1, 1, 1)
+    for scale in (m * (m - 1), n * (n - 1)):
+        relation = r / scale * q_riem
+        relation += commutator
+        maxima.append(per_point(relation))
+    return tuple(maxima)
 
 
 def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -151,9 +120,10 @@ def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualRepo
     side from Levi-Civita data; holds on every Kenmotsu chart, Einstein or
     not, so it is an end-to-end test of the whole pipeline.
     """
-    # the bracket is Q(g,S), so the right side is the action of R + g wedge g
+    # the bracket is Q(g,S), the record's tachibana_ricci
     lhs = _pair_action(geometry.riemann, geometry.ricci)
-    rhs = _pair_action(geometry.lc_riemann + _wedge(geometry.metric.matrix), geometry.lc_ricci)
+    rhs = _pair_action(geometry.lc_riemann, geometry.lc_ricci)
+    rhs += geometry.tachibana_ricci
     return sides_row("derivation-identity", geometry.p, lhs, rhs)
 
 
@@ -169,11 +139,10 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
     two fit rows.
     """
     n, p = geometry.manifold.n, geometry.p
-    g, ginv, xi, eta = geometry.metric.matrix, geometry.metric.inverse, geometry.xi, geometry.eta
-    defect = _semisymmetry_defect(g, geometry.lc_ricci)
-    # normalize with the inverse metric on the Z slot so the residual is
-    # scale-free, matching the (1,1) convention of the fits
-    defect_norm = np.einsum("...az,...zuij->...auij", ginv, defect)
+    ginv, xi, eta = geometry.metric.inverse, geometry.xi, geometry.eta
+    # the bracket is Q(g,S) at the pairs X < Y; g^-1 on its Z slot makes the
+    # residual scale-free, in the (1,1) convention of the fits
+    defect_norm = ginv[:, None] @ geometry.tachibana_ricci
     means = {
         "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
         "mean-modified-scalar": float(np.mean(geometry.scalar)),
@@ -231,21 +200,12 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     residual of the scaled relation under the total-dimension scale
     r / (m(m-1)), the one above, and under the contact-n scale r / (n(n-1)).
 
-    R, C and the wedge are antisymmetric in their (X,Y) slots, and the
-    (0,4) forms of R and C in their outer slots as well, so each form is
-    stored as its curvature operator on 2-forms, a pairs x pairs matrix over
-    the m(m-1)/2 pairs (:func:`_commutation_maxima`): 100 values per point
-    in dim 5, where the full form holds m^4.  R, C and the wedge act only at
-    their pairs, each through its induced action on 2-forms.  Every action
-    also keeps the antisymmetry of its target, so the largest value over
-    the stored pairs is the largest over all of them.  The forms are
-    antisymmetrized in their outer slots first, which the computed
-    curvatures satisfy to roundoff, so the magnitudes match those of the
-    full per-point actions on the antisymmetrized forms to roundoff, not
-    bit for bit.  The work runs over chunks of points so that memory stays
-    bounded.
+    Each form is stored as its curvature operator on 2-forms, and R, C and
+    the wedge act only at their slot pairs (:func:`_commutation_maxima`;
+    README's Library section says why the maxima stay those over all (X,Y)).
+    The work runs over chunks of points so that memory stays bounded.
     """
-    m, n = geometry.manifold.dim, geometry.manifold.n
+    m = geometry.manifold.dim
     if m < 5:
         note = "conformal tensor is identically zero in dimension 3"
         return row("weyl-tachibana", geometry.p[:0], [], status="not-applicable", note=note)
@@ -254,23 +214,13 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
         status, note = "info", "Einstein hypothesis fails here; magnitudes recorded only"
     keys = ("commutator", "tachibana-riemann", "tachibana-weyl",
             "relation-total-dim", "relation-contact-n")
-    mags = {k: [] for k in keys}
     tables = _two_form_tables(m)
     pairs = len(tables[0])
     # the largest array of a chunk holds the induced actions on 2-forms of
     # three families of pairs endomorphisms: C, the wedge and R
-    for lo, hi in _chunk_ranges(len(geometry.p), 8 * 3 * pairs**3):
-        maxima = _commutation_maxima(
-            geometry.metric.matrix[lo:hi],
-            geometry.lc_riemann[lo:hi],
-            geometry.weyl[lo:hi],
-            geometry.lc_scalar[lo:hi],
-            n,
-            tables,
-        )
-        for key, value in zip(keys, maxima):
-            mags[key].append(value)
-    mags = {k: np.concatenate(v) for k, v in mags.items()}
+    chunks = [_commutation_maxima(geometry, slice(lo, hi), tables)
+              for lo, hi in _chunk_ranges(len(geometry.p), 8 * 3 * pairs**3)]
+    mags = {k: np.concatenate(v) for k, v in zip(keys, zip(*chunks))}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
     extras = {k: float(np.max(v)) for k, v in mags.items()}
     return row("weyl-tachibana", geometry.p, headline, extras, status=status, note=note)
@@ -284,5 +234,5 @@ def check_weyl(
     return (
         row("weyl-traceless", p, _weyl_trace(weyl, g, geometry.metric.inverse)),
         row("weyl-vanishing", p, per_point(weyl)),
-        row("tachibana-metric", p, per_point(_pair_action(_wedge(g), g))),
+        row("tachibana-metric", p, per_point(_pair_action(geometry.g_wedge_g, g))),
     )

@@ -61,7 +61,9 @@ def _modified_coefficients(
 ) -> np.ndarray:
     """G^k_ij = Gamma^k_ij - eta_j delta^k_i - g_ij xi^k, with leading point axes."""
     eye = np.eye(g.shape[-1])[:, :, None]
-    return lc_gamma - eye * eta[..., None, None, :] - g[..., None, :, :] * xi[..., :, None, None]
+    out = lc_gamma - eye * eta[..., None, None, :]
+    out -= g[..., None, :, :] * xi[..., :, None, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,8 @@ class CurvatureBundle:
     ``lc_riemann``/``riemann`` [n, l, i, j, k], both Ricci tensors and
     scalars, the per-point Einstein fits ``lc_einstein_fits`` of the
     Levi-Civita Ricci operator, the closed-form modified curvature with its
-    cross-check residuals and the Weyl tensor.
+    cross-check residuals, the Weyl tensor, and g wedge g and Q(g,S), built
+    once for every row that reads them: ``g_wedge_g`` and ``tachibana_ricci``.
 
     The chart and structure callables run once each on first-order jets of
     all the points, which give g, dg, dxi and deta.  The curvature pass runs
@@ -181,8 +184,8 @@ class CurvatureBundle:
     ):
         self.manifold = manifold
         self.structure = structure
-        p = manifold.require_inside(points).reshape(-1, manifold.dim)
-        self.p = _frozen(p)
+        # the caller owns the points: the record keeps its own copy
+        self.p = _frozen(np.array(manifold.require_inside(points)).reshape(-1, manifold.dim))
         self._fields: dict[str, list[np.ndarray]] = {}
 
     @cached_property
@@ -239,6 +242,8 @@ class CurvatureBundle:
         # bytes per point: one rank-4 array, such as the second metric partials
         ranges = _chunk_ranges(len(self.p), 8 * self.manifold.dim**4)
         chunks = [self._curvature_chunk(lo, hi) for lo, hi in ranges]
+        if len(chunks) == 1:
+            return {k: _frozen(v) for k, v in chunks[0].items()}
         return {k: _frozen(np.concatenate([c[k] for c in chunks])) for k in chunks[0]}
 
     def _curvature_chunk(self, lo: int, hi: int) -> dict[str, np.ndarray]:
@@ -251,7 +256,7 @@ class CurvatureBundle:
             # d_a G^k_ij = d_a Gamma^k_ij - d_a eta_j delta^k_i - d_a g_ij xi^k - g_ij d_a xi^k
             g, xi = self.metric.matrix[lo:hi], self.xi[lo:hi]
             dmodified = _modified_coefficients(dlc, dg, self.deta[lo:hi], xi[:, None])
-            dmodified = dmodified - g[:, None, None] * self.dxi[lo:hi, :, :, None, None]
+            dmodified -= g[:, None, None] * self.dxi[lo:hi, :, :, None, None]
             out["riemann"] = riemann_of_connection(self.gamma[lo:hi], dmodified)
         return out
 
@@ -312,16 +317,26 @@ class CurvatureBundle:
         }
 
     @cached_property
+    def g_wedge_g(self) -> np.ndarray:
+        """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components [n, l, i, j, k]."""
+        return _frozen(_wedge(self.metric.matrix))
+
+    @cached_property
+    def tachibana_ricci(self) -> np.ndarray:
+        """Q(g,S)(Z,U; X,Y), the action of g wedge_g on S, at the pairs X < Y: [n, pair, Z, U]."""
+        return _frozen(_pair_action(self.g_wedge_g, self.lc_ricci))
+
+    @cached_property
     def weyl(self) -> np.ndarray:
         """Conformal curvature tensor of the metric, (1,3) components [n, l, i, j, k].
 
         C(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY]/(m-2)
                   + r [g(Y,Z)X - g(X,Z)Y] / ((m-1)(m-2))
+        as two wedges: the terms in g are one, with B = Q - r/(m-1) I and Q = g^-1 S.
         """
         m, g, s = self.manifold.dim, self.metric.matrix, self.lc_ricci
-        term_s = _wedge(s) + _wedge(g, self.metric.inverse @ s)
-        scale = self.lc_scalar[:, None, None, None, None]
-        return _frozen(self.lc_riemann - term_s / (m - 2) + scale * _wedge(g) / ((m - 1) * (m - 2)))
+        shift = self.metric.inverse @ s - (self.lc_scalar / (m - 1))[:, None, None] * np.eye(m)
+        return _frozen(self.lc_riemann - (_wedge(s) + _wedge(g, shift)) / (m - 2))
 
 
 def scalar_shift(n: int) -> float:
@@ -335,7 +350,33 @@ def _wedge(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     ``b`` holds B[..., l, i], the identity by default: then a = g gives the metric wedge.
     """
     b = np.eye(a.shape[-1]) if b is None else b
-    return np.einsum("...jk,...li->...lijk", a, b) - np.einsum("...ik,...lj->...lijk", a, b)
+    # the second term is the first with i and j swapped
+    first = np.einsum("...jk,...li->...lijk", a, b)
+    return first - np.swapaxes(first, -3, -2)
+
+
+def _derivation(rows: np.ndarray, t: np.ndarray, symmetric: bool = False) -> np.ndarray:
+    """out[n, f] = -(A_f t[n] + t[n] A_f^t) for the (d, d) matrices A_f stacked in rows[n].
+
+    A ``symmetric`` t has t A_f^t = (A_f t)^t: one matmul gives both products.
+    """
+    k, d = t.shape[:2]
+    out = (rows @ t).reshape(k, -1, d, d)
+    if symmetric:
+        out = out + out.swapaxes(2, 3)
+    else:
+        # a contiguous t^t: matmul is about twice as slow on the transposed view
+        t_t = np.ascontiguousarray(np.swapaxes(t, 1, 2))
+        out += (rows @ t_t).reshape(k, -1, d, d).swapaxes(2, 3)
+    return np.negative(out, out=out)
+
+
+def _pair_action(curv: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """(curv(X,Y) . target)(Z,U) at the pairs X < Y: curv[n, l, X, Y, z] -> out[n, pair, Z, U]."""
+    n, m = curv.shape[:2]
+    x, y = np.triu_indices(m, k=1)
+    # T(A Z, U) + T(Z, A U) = (A^t T + T A)(Z, U): the family's rows are the A(X,Y)^t
+    return _derivation(curv[:, :, x, y, :].transpose(0, 2, 3, 1).reshape(n, -1, m), target)
 
 
 def _ricci_components(riem: np.ndarray) -> np.ndarray:
@@ -344,8 +385,7 @@ def _ricci_components(riem: np.ndarray) -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only copy: every check reads the same bundle."""
-    arr = np.array(arr, dtype=float)
+    """``arr``, a fresh result of the record, made read-only in place: every check reads it."""
     arr.setflags(write=False)
     return arr
 
@@ -356,11 +396,10 @@ def curvature_bundle(conn: NonMetricConnection, points: np.ndarray) -> Curvature
 
 
 def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
-    """Torsion T(X,Y) = eta(X) Y - eta(Y) X, from the coefficient skew part."""
-    gamma, eta = geometry.gamma, geometry.eta
-    eye = np.eye(geometry.manifold.dim)
+    """Torsion T(X,Y) = eta(X) Y - eta(Y) X = -(X wedge_g Y) xi, from the coefficient skew part."""
+    gamma = geometry.gamma
     torsion = gamma - np.swapaxes(gamma, -1, -2)
-    want = np.einsum("...i,kj->...kij", eta, eye) - np.einsum("...j,ki->...kij", eta, eye)
+    want = -np.einsum("...kijz,...z->...kij", geometry.g_wedge_g, geometry.xi)
     return sides_row("torsion-form", geometry.p, torsion, want)
 
 

@@ -127,25 +127,18 @@ def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidu
 
     Each identity gets its own report.  Each is orientation-sensitive, so
     the table sets ``opposite_sign`` for it and the extras record the
-    residual against the sign-flipped right-hand side.
+    residual against the sign-flipped right-hand side.  Each of the first
+    three right sides is its left side's contraction with -(g wedge g) in
+    place of R, (X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, with eta = g(., xi).
     """
     n = geometry.manifold.n
-    eye = np.eye(geometry.manifold.dim)
-    g, eta, xi = geometry.metric.matrix, geometry.eta, geometry.xi
-    riem, ric = geometry.lc_riemann, geometry.lc_ricci
-    sides = {
-        "curvature-eta-component": (
-            np.einsum("...l,...lijk->...ijk", eta, riem),
-            np.einsum("...j,...ik->...ijk", eta, g) - np.einsum("...i,...jk->...ijk", eta, g),
-        ),
-        "curvature-on-reeb": (
-            np.einsum("...lijk,...k->...lij", riem, xi),
-            np.einsum("...i,lj->...lij", eta, eye) - np.einsum("...j,li->...lij", eta, eye),
-        ),
-        "curvature-from-reeb": (
-            np.einsum("...i,...lijk->...ljk", xi, riem),
-            np.einsum("...k,lj->...ljk", eta, eye) - np.einsum("...jk,...l->...ljk", g, xi),
-        ),
-        "ricci-on-reeb": ((ric @ xi[..., None])[..., 0], -2.0 * n * eta),
+    eta, xi = geometry.eta, geometry.xi
+    riem, ric, wedge = geometry.lc_riemann, geometry.lc_ricci, geometry.g_wedge_g
+    contractions = {
+        "curvature-eta-component": lambda t: np.einsum("...l,...lijk->...ijk", eta, t),
+        "curvature-on-reeb": lambda t: np.einsum("...lijk,...k->...lij", t, xi),
+        "curvature-from-reeb": lambda t: np.einsum("...i,...lijk->...ljk", xi, t),
     }
+    sides = {name: (f(riem), -f(wedge)) for name, f in contractions.items()}
+    sides["ricci-on-reeb"] = ((ric @ xi[..., None])[..., 0], -2.0 * n * eta)
     return [sides_row(name, geometry.p, lhs, rhs) for name, (lhs, rhs) in sides.items()]

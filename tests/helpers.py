@@ -4,13 +4,16 @@ The package takes every partial from jets; central differences of a
 field's values live here only, as the independent check of those partials.
 The package acts with curvature-like tensors on (0,2) targets and on
 curvature operators only; the per-slot action on a (0,k) tensor at every
-(X,Y) lives here, as the rank-k reference for those actions.
+(X,Y) lives here, as the rank-k reference for those actions, and so does
+the four-term semi-symmetry bracket at every (X,Y), the rank-4 reference
+for the record's Q(g,S) at the slot pairs.
 """
 
 import numpy as np
 
 from kenmotsu import ChartManifold, jets
 from kenmotsu.catalog import _flat, _hyperbolic_times_flat, warped
+from kenmotsu.connection import _wedge
 
 STEP = 1e-4
 
@@ -91,3 +94,13 @@ def _action_on_all_pairs(curv: np.ndarray, target: np.ndarray, k: int) -> np.nda
     n, m = curv.shape[:2]
     out = _endomorphism_action(curv.reshape(n, m, m * m, m), target, k)
     return out.reshape(out.shape[:-1] + (m, m))
+
+
+def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
+    """The four-term bracket, indexed out[..., z, u, i, j] for arguments (Z,U,X,Y).
+
+    It is Q(g,S) = -S((X wedge_g Y) Z, U) - S(Z, (X wedge_g Y) U), each term
+    minus a wedge of g: with B = S^t on the Z slot and B = S on the U slot.
+    """
+    first = np.moveaxis(_wedge(g, np.swapaxes(ric, -1, -2)), -1, -4)
+    return -first - np.moveaxis(_wedge(g, ric), -1, -3)

@@ -86,6 +86,26 @@ def test_removed_flag_exits_2_without_a_traceback():
     assert proc.stderr.count("error:") == 1
 
 
+def test_a_reader_closing_the_pipe_early_gets_the_broken_pipe_status_and_no_traceback():
+    # as `kenmotsu --json | head -c 10`: the default report (about 600 kB)
+    # outgrows the pipe's buffer, so the CLI is still writing when the
+    # reader closes its end
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "kenmotsu", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        status = proc.wait(timeout=120)
+    assert head == b'{\n  "confi'
+    assert status == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == ""
+
+
 def test_every_chart_matches_on_the_default_run(capsys):
     # every row keeps its table gate on every chart, ne5's curvature rows
     # included

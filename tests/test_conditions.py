@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import _action_on_all_pairs, generic_chart, ne7
+from helpers import _action_on_all_pairs, _semisymmetry_defect, generic_chart, ne7
 
 from kenmotsu import (
+    AlmostContactStructure,
     CurvatureBundle,
     NonMetricConnection,
     by_name,
@@ -13,8 +14,15 @@ from kenmotsu import (
     check_weyl,
     check_weyl_commutation,
 )
-from kenmotsu.conditions import _pair_action, _wedge, _weyl_trace
-from kenmotsu.connection import CHUNK_BYTES, _chunk_ranges, _fit_operators, curvature_bundle
+from kenmotsu.conditions import _pair_action, _weyl_trace
+from kenmotsu.connection import (
+    CHUNK_BYTES,
+    _chunk_ranges,
+    _derivation,
+    _fit_operators,
+    _wedge,
+    curvature_bundle,
+)
 from kenmotsu.report import per_point
 
 
@@ -112,6 +120,69 @@ def test_pair_action_equals_the_all_pairs_reference(name):
             got = _pair_action(curv, target)
             assert got.shape == (3, len(x), manifold.dim, manifold.dim)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_matmul_derivation_equals_two_matmuls_on_a_symmetric_target():
+    # for a symmetric t, t A^t is the transpose of A t; the family here is
+    # not antisymmetric, so a derivation without the transposed product, or
+    # with t in its place, is off by far more than roundoff
+    rng = np.random.default_rng(31)
+    rows = rng.normal(size=(4, 6 * 10, 10))
+    t = rng.normal(size=(4, 10, 10))
+    t = t + np.swapaxes(t, 1, 2)
+    two = _derivation(rows, t)
+    one = _derivation(rows, t, symmetric=True)
+    family = rows.reshape(4, 6, 10, 10)
+    want = -(family @ t[:, None] + t[:, None] @ np.swapaxes(family, 2, 3))
+    assert one.shape == two.shape == (4, 6, 10, 10)
+    assert np.max(np.abs(two - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(one - two)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _generic_record(count: int, seed: int) -> CurvatureBundle:
+    """The generic chart with a constant structure: xi = eta = e_4, phi = 0."""
+    e = np.eye(5)[4]
+    structure = AlmostContactStructure(lambda x: np.zeros((5, 5)), lambda x: e, lambda x: e)
+    points = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(count, 5))
+    return CurvatureBundle(generic_chart(), structure, points)
+
+
+@pytest.mark.parametrize("name", ["h5", "ne5", "generic"])
+def test_semisymmetry_condition_equals_the_rank4_bracket(name):
+    # the row applies g^-1 to the Z slot of the record's Q(g,S) at the pairs
+    # X < Y; the reference builds the four-term bracket at every (X,Y)
+    b = _generic_record(4, 37) if name == "generic" else record(name, 4, seed=37)
+    defect = _semisymmetry_defect(b.metric.matrix, b.lc_ricci)
+    want = per_point(np.einsum("...az,...zuij->...auij", b.metric.inverse, defect))
+    got = check_semisymmetry_condition(b)[0].residuals
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    if name != "h5":
+        assert np.min(want) > 1e-3
+
+
+def _three_term_weyl(b: CurvatureBundle) -> np.ndarray:
+    """C = R - [S wedge I + g wedge Q]/(m-2) + r (g wedge g)/((m-1)(m-2)), Q = g^-1 S."""
+    m, g, s = b.manifold.dim, b.metric.matrix, b.lc_ricci
+    term_s = _wedge(s) + _wedge(g, b.metric.inverse @ s)
+    scale = b.lc_scalar[:, None, None, None, None]
+    return b.lc_riemann - term_s / (m - 2) + scale * _wedge(g) / ((m - 1) * (m - 2))
+
+
+@pytest.mark.parametrize("name", ["ne5", "ne7", "generic"])
+def test_two_wedge_weyl_equals_the_three_term_formula(name):
+    if name == "generic":
+        manifold = generic_chart()
+        points = np.random.default_rng(41).uniform(-0.5, 0.5, size=(4, 5))
+    else:
+        ex = ne7() if name == "ne7" else by_name(name)
+        manifold, points = ex.manifold, ex.sample_points(4, seed=41)
+    b = CurvatureBundle(manifold, None, points)
+    want = _three_term_weyl(b)
+    scale = np.max(np.abs(b.lc_riemann))
+    assert np.max(np.abs(want)) > 1e-2 * scale
+    assert np.max(np.abs(b.weyl - want)) <= 1e-13 * scale
+    # the trace of C stays at roundoff
+    assert np.max(_weyl_trace(b.weyl, b.metric.matrix, b.metric.inverse)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("name,tol", [("h3", 1e-5), ("h5", 1e-5), ("ne5", 1e-4)])
@@ -325,7 +396,8 @@ def _weyl_commutation_peak(count: int) -> int:
     conn = NonMetricConnection(ex.manifold, ex.structure)
     geometry = curvature_bundle(conn, ex.sample_points(count, seed=5))
     # build what the check reads
-    geometry.metric, geometry.weyl, geometry.lc_scalar, geometry.lc_einstein_fits
+    geometry.metric, geometry.g_wedge_g, geometry.weyl, geometry.lc_scalar
+    geometry.lc_einstein_fits
     tracemalloc.start()
     try:
         check_weyl_commutation(geometry)
@@ -337,7 +409,7 @@ def _weyl_commutation_peak(count: int) -> int:
 def test_weyl_commutation_memory_is_bounded_by_its_chunks():
     # the actions on the curvature operators run over chunks sized from
     # CHUNK_BYTES, so the peak of the check on a prebuilt record does not
-    # grow with the points.  It reads 3.5 CHUNK_BYTES; chunks sized from two
+    # grow with the points.  It reads 3.7 CHUNK_BYTES; chunks sized from two
     # families instead of the three stacked read 5.3 and fail the bound.
     small, large = _weyl_commutation_peak(20), _weyl_commutation_peak(200)
     assert large <= 4.5 * CHUNK_BYTES

@@ -31,6 +31,15 @@ CHARTS = ("euclidean3", "h3", "h5", "ne5")
 POINTS = 2
 
 
+def _replace_everywhere(monkeypatch, fn, replacement) -> None:
+    """Replace every binding of ``fn`` in the package with ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if name == "kenmotsu" or name.startswith("kenmotsu."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _count_calls(monkeypatch, fn) -> list[int]:
     """Replace every binding of ``fn`` in the package with a counting wrapper."""
     calls = [0]
@@ -39,11 +48,7 @@ def _count_calls(monkeypatch, fn) -> list[int]:
         calls[0] += 1
         return fn(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "kenmotsu" or name.startswith("kenmotsu."):
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, counted)
+    _replace_everywhere(monkeypatch, fn, counted)
     return calls
 
 
@@ -90,6 +95,33 @@ def test_at_most_one_record_and_two_curvature_passes_per_point(monkeypatch):
     # nonzero: a call that escaped the patched bindings would read as no work
     assert 0 < passes[0] <= 2 * points
     assert 0 < bundles[0] <= points
+
+
+def test_the_metric_wedge_is_built_once_per_record(monkeypatch):
+    # torsion-form, three curvature identities, tachibana-metric and every
+    # chunk of the Weyl commutation read the record's one g wedge g; 60
+    # points span two curvature chunks and six commutation chunks per chart,
+    # so a wedge of the metric built per chunk, or per row, fails here
+    records, metric_wedges = [], []
+    build, wedge = connection.curvature_bundle, connection._wedge
+
+    def recorded(*args):
+        records.append(build(*args))
+        return records[-1]
+
+    def watched(a, b=None):
+        if b is None:
+            metric_wedges.append(a)
+        return wedge(a, b)
+
+    _replace_everywhere(monkeypatch, build, recorded)
+    _replace_everywhere(monkeypatch, wedge, watched)
+    report = run(RunConfig(manifolds=CHARTS, suites=SUITE_ORDER, num_points=60))
+    assert report.exit_status == 0
+    assert len(records) == len(CHARTS)
+    for geometry in records:
+        g = geometry.metric.matrix
+        assert sum(np.shares_memory(a, g) for a in metric_wedges) == 1
 
 
 def _count_catalog_callables(monkeypatch) -> Counter:
