@@ -194,7 +194,8 @@ class _ManifoldRunner:
         except _NUMERICAL_ERRORS as exc:
             self.error = str(exc)
         self.verdicts: dict = {
-            "kenmotsu": None if self.error else self.kenmotsu.passed,
+            # Kenmotsu's definition presupposes an almost contact metric structure
+            "kenmotsu": None if self.error else self.axioms.passed and self.kenmotsu.passed,
             "einstein": None,
             "einstein_fit": None,
             "eta_einstein_fit": None,

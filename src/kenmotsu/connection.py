@@ -15,7 +15,8 @@ curvature of D relates to the Levi-Civita curvature by a closed form, and
 on the Reeb field it vanishes identically; both facts are checked
 numerically by computing the curvature twice, once straight from the
 coefficient field and once through the closed form.  Everything downstream
-consumes the direct computation; the closed form only feeds cross-checks.
+consumes the direct computation; the closed form lives in the one check
+that compares the two, :func:`check_curvature_relation`.
 
 :class:`CurvatureBundle` is the geometry every check reads, computed for a
 whole batch of points at once: each ``check_*`` function of the package
@@ -152,26 +153,18 @@ class CurvatureBundle:
     (nabla_a eta)_j, one Levi-Civita and one modified curvature pass
     ``lc_riemann``/``riemann`` [n, l, i, j, k], both Ricci tensors and
     scalars, the per-point Einstein fits ``lc_einstein_fits`` of the
-    Levi-Civita Ricci operator, the closed-form modified curvature with its
-    cross-check residuals, the Weyl tensor, and g wedge g and Q(g,S), built
-    once for every row that reads them: ``g_wedge_g`` and ``tachibana_ricci``.
+    Levi-Civita Ricci operator, the Weyl tensor, and g wedge g and Q(g,S),
+    built once for every row that reads them: ``g_wedge_g`` and
+    ``tachibana_ricci``.  A part that one row alone reads, such as the
+    closed-form curvature of :func:`check_curvature_relation`, is that row's
+    local and never kept here.
 
     The chart and structure callables run once each on first-order jets of
     all the points, which give g, dg, dxi and deta.  The curvature pass runs
     over chunks of points (:func:`_chunk_ranges`), each evaluating the metric
     on second-order jets for the Christoffel partials in closed form, so no
-    Hessian is ever held for all the points.
-    ``riemann``/``ricci``/``scalar`` come from the partials of the modified
-    coefficients (the direct route, consumed downstream); ``*_closed_form``
-    come from the Levi-Civita curvature through
-
-        K(X,Y)Z = R(X,Y)Z + g(Y,Z) X - g(X,Z) Y
-                  + 2 [g(Y,Z) eta(X) - g(X,Z) eta(Y)] xi
-        Ric_K   = S + 2(n+1) g - 2 eta (x) eta
-        scal_K  = r + 2n(2n+3)
-
-    and ``cross`` holds, per point, the max-abs disagreements plus the
-    symmetry defect of the direct Ricci tensor.  A bundle without a
+    Hessian is ever held for all the points.  ``riemann``/``ricci``/``scalar``
+    come from the partials of the modified coefficients.  A bundle without a
     structure serves Levi-Civita data only; its structure parts raise
     :class:`~kenmotsu.structure.StructureError`.
     """
@@ -291,32 +284,6 @@ class CurvatureBundle:
         return _fit_operators(self.metric.inverse @ self.lc_ricci)
 
     @cached_property
-    def riemann_closed_form(self) -> np.ndarray:
-        # K - R = g(Y,Z) BX - g(X,Z) BY with BX = X + 2 eta(X) xi
-        b = np.eye(self.manifold.dim) + 2.0 * np.einsum("...l,...i->...li", self.xi, self.eta)
-        return _frozen(self.lc_riemann + _wedge(self.metric.matrix, b))
-
-    @cached_property
-    def ricci_closed_form(self) -> np.ndarray:
-        n, g, eta = self.manifold.n, self.metric.matrix, self.eta
-        outer = np.einsum("...i,...j->...ij", eta, eta)
-        return _frozen(self.lc_ricci + 2.0 * (n + 1) * g - 2.0 * outer)
-
-    @cached_property
-    def scalar_closed_form(self) -> np.ndarray:
-        return _frozen(self.lc_scalar + scalar_shift(self.manifold.n))
-
-    @cached_property
-    def cross(self) -> dict[str, np.ndarray]:
-        ric = self.ricci
-        return {
-            "riemann": per_point(self.riemann - self.riemann_closed_form),
-            "ricci": per_point(ric - self.ricci_closed_form),
-            "scalar": np.abs(self.scalar - self.scalar_closed_form),
-            "ricci-symmetry": per_point(ric - np.swapaxes(ric, -1, -2)),
-        }
-
-    @cached_property
     def g_wedge_g(self) -> np.ndarray:
         """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components [n, l, i, j, k]."""
         return _frozen(_wedge(self.metric.matrix))
@@ -337,11 +304,6 @@ class CurvatureBundle:
         m, g, s = self.manifold.dim, self.metric.matrix, self.lc_ricci
         shift = self.metric.inverse @ s - (self.lc_scalar / (m - 1))[:, None, None] * np.eye(m)
         return _frozen(self.lc_riemann - (_wedge(s) + _wedge(g, shift)) / (m - 2))
-
-
-def scalar_shift(n: int) -> float:
-    """scal_K - r = 2n(2n+3), the shift between the scalar curvatures in dimension 2n + 1."""
-    return 2.0 * n * (2 * n + 3)
 
 
 def _wedge(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -432,21 +394,37 @@ def check_deformation_form(geometry: CurvatureBundle) -> IdentityResidualReport:
     return sides_row("deformation-form", geometry.p, beta, 2.0 * g)
 
 
-_CROSS_TO_IDENTITY = {
-    "riemann": "riemann-cross-check",
-    "ricci": "ricci-cross-check",
-    "scalar": "scalar-cross-check",
-    "ricci-symmetry": "ricci-symmetry",
-}
+def scalar_shift(n: int) -> float:
+    """scal_K - r in dimension 2n + 1, by the closed form of :func:`check_curvature_relation`."""
+    return 2.0 * n * (2 * n + 3)
 
 
 def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
-    """Cross-check direct vs closed-form curvature at each point.
+    """Cross-check the direct modified curvature against its closed form, point by point.
+
+    The closed forms come from the Levi-Civita curvature R, Ricci tensor S
+    and scalar r:
+
+        K(X,Y)Z = R(X,Y)Z + g(Y,Z) BX - g(X,Z) BY,  BX = X + 2 eta(X) xi
+        Ric_K   = S + 2(n+1) g - 2 eta (x) eta
+        scal_K  = r + 2n(2n+3)
 
     Returns one report per comparison: Riemann, Ricci, scalar, and the
-    symmetry defect of the direct Ricci tensor.
+    symmetry defect of the direct Ricci tensor.  Each closed form is reduced
+    to its per-point residuals at once; none is kept.
     """
-    return [row(name, geometry.p, geometry.cross[key]) for key, name in _CROSS_TO_IDENTITY.items()]
+    n, g, xi, eta = geometry.manifold.n, geometry.metric.matrix, geometry.xi, geometry.eta
+    b = np.eye(geometry.manifold.dim) + 2.0 * np.einsum("...l,...i->...li", xi, eta)
+    riemann = geometry.riemann - (geometry.lc_riemann + _wedge(g, b))
+    ric, outer = geometry.ricci, np.einsum("...i,...j->...ij", eta, eta)
+    ricci = ric - (geometry.lc_ricci + 2.0 * (n + 1) * g - 2.0 * outer)
+    scalar = geometry.scalar - (geometry.lc_scalar + scalar_shift(n))
+    return [
+        row("riemann-cross-check", geometry.p, per_point(riemann)),
+        row("ricci-cross-check", geometry.p, per_point(ricci)),
+        row("scalar-cross-check", geometry.p, np.abs(scalar)),
+        row("ricci-symmetry", geometry.p, per_point(ric - np.swapaxes(ric, -1, -2))),
+    ]
 
 
 def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidualReport:

@@ -11,8 +11,10 @@ for the record's Q(g,S) at the slot pairs.
 
 import numpy as np
 
-from kenmotsu import ChartManifold, jets
-from kenmotsu.catalog import _flat, _hyperbolic_times_flat, warped
+from kenmotsu import AlmostContactStructure, ChartManifold, jets
+from kenmotsu.catalog import (
+    NamedExample, _constant, _diagonal, _flat, _hyperbolic_times_flat, _planar_phi, warped,
+)
 from kenmotsu.connection import _wedge
 
 STEP = 1e-4
@@ -55,6 +57,35 @@ def ne7():
         domain=((-2.0, 2.0), (0.5, 3.0)) + ((-2.0, 2.0),) * 4 + ((-1.0, 1.0),),
         sample_box=((-1.0, 1.0), (0.7, 2.5)) + ((-1.0, 1.0),) * 4 + ((-0.5, 0.5),),
         expected_kenmotsu=True, expected_einstein=False, expected_weyl_flat=False,
+    )
+
+
+def h5z():
+    """h5 in upper half-space coordinates (x1..x4, z), z = e^-t: xi and eta vary with z.
+
+    The metric is (dx^2 + dz^2)/z^2, with xi = -z d_z, eta = -dz/z and the
+    planar phi.  Every catalog chart has constant xi and eta, so only here
+    do dxi and deta enter the rows.
+    """
+
+    def metric(p):
+        return jets.matrix(_diagonal([1.0 / p[..., 4] ** 2] * 5))
+
+    def last_component(entry):
+        """The vector or covector field (0, 0, 0, 0, ``entry(z)``)."""
+        return lambda p: jets.matrix([[0.0] * 4 + [entry(p[..., 4])]])[..., 0, :]
+
+    return NamedExample(
+        name="h5z",
+        manifold=ChartManifold(5, metric, ((-2.0, 2.0),) * 4 + ((0.3, 3.0),)),
+        structure=AlmostContactStructure(
+            phi=_constant(_planar_phi(5)),
+            xi=last_component(lambda z: -z),
+            eta=last_component(lambda z: -1.0 / z),
+        ),
+        expected_kenmotsu=True, expected_einstein=True, expected_weyl_flat=True,
+        sample_box=((-1.0, 1.0),) * 4 + ((0.6, 1.6),),
+        notes="h5 in upper half-space coordinates; non-constant xi and eta",
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import beta2, ne7
+from helpers import beta2, h5z, ne7
 
 import kenmotsu.cli as cli
 from kenmotsu import by_name, catalog
@@ -144,6 +144,17 @@ def test_dim7_chart_matches_every_row_and_the_scalar_shift(monkeypatch):
     assert verdicts["kenmotsu"] is True
     assert verdicts["expected_scalar_shift"] == 54.0
     assert verdicts["scalar_shift_deviation"] < 1e-9
+
+
+def test_upper_half_space_h5_matches_every_row(monkeypatch):
+    # the catalog's xi and eta are constant, so dxi and deta vanish wherever
+    # it looks; here they do not, and every row that reads them must still hold
+    outcome = _run_outside_catalog(monkeypatch, h5z())
+    rows = [r for s in outcome.suites for r in s.rows]
+    assert len(rows) == 25
+    assert max(r.max_residual for r in rows if r.expected) < 1e-12
+    assert outcome.verdicts["kenmotsu"] is True
+    assert outcome.verdicts["einstein"] is True
 
 
 def test_beta_two_chart_is_not_kenmotsu(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -337,6 +338,23 @@ def test_axiom_failure_skips_downstream_suites(monkeypatch):
         assert suite.status == "skipped"
         assert "structure axioms" in suite.note
         assert suite.matched  # skipped suites do not add extra failures
+
+
+def test_kenmotsu_verdict_requires_the_structure_axioms(monkeypatch):
+    # h3's Kenmotsu condition reads only xi and eta, so it still holds with
+    # phi = 0; without an almost contact metric structure the chart is not
+    # Kenmotsu, whatever that condition says
+    base = by_name("h3")
+    broken = dataclasses.replace(
+        base, structure=dataclasses.replace(base.structure, phi=lambda p: np.zeros((3, 3)))
+    )
+    monkeypatch.setattr(cli, "by_name", lambda name: broken)
+    report = run(RunConfig(manifolds=("h3",), suites=("all",), num_points=3))
+    (outcome,) = report.manifolds
+    assert outcome.suites[0].rows[0].max_residual > 1.0
+    assert outcome.suites[1].status == "skipped"
+    assert outcome.verdicts["kenmotsu"] is False
+    assert "    kenmotsu: no\n" in cli.render_text(report)
 
 
 def _skewed_h3(monkeypatch, skew: float) -> None:

@@ -16,6 +16,7 @@ from kenmotsu import (
     check_torsion,
     curvature_bundle,
 )
+from kenmotsu.cli import SUITE_ORDER, RunConfig, _ManifoldRunner
 from kenmotsu.structure import _kenmotsu_residuals
 
 
@@ -107,9 +108,9 @@ def test_curvature_bundle_h3_values():
     ex, conn = connection_for("h3")
     p = ex.sample_points(1, seed=5)[0]
     bundle = curvature_bundle(conn, p)  # one point is a batch of one
-    for key in ("riemann", "ricci", "scalar", "ricci-symmetry"):
-        assert bundle.cross[key].shape == (1,)
-        assert bundle.cross[key][0] < 1e-9, key
+    for report in check_curvature_relation(bundle):
+        assert report.residuals.shape == (1,)
+        assert report.residuals[0] < 1e-9, report.identity
     # closed-form targets on a constant-curvature chart
     g = bundle.metric.matrix[0]
     eta = ex.structure.eta(p)
@@ -194,3 +195,16 @@ def test_reeb_curvature_degeneracy_fails_on_control():
     report = check_reeb_curvature_degeneracy(record("euclidean3", 4, seed=7))
     assert not report.passed
     assert report.max_residual >= 1.9
+
+
+def test_the_record_keeps_only_the_shared_rank4_tensors():
+    # after every suite on h5, the record holds the two curvature passes and
+    # the two rank-4 tensors that several rows read; a closed form that one
+    # row alone compares against is that row's local
+    config = RunConfig(manifolds=("h5",), suites=SUITE_ORDER, num_points=4)
+    runner = _ManifoldRunner(by_name("h5"), config)
+    assert runner.outcome(SUITE_ORDER).matched
+    parts = dict(vars(runner.geometry))
+    parts.update(parts.pop("_curvature"))
+    rank4 = {name for name, part in parts.items() if getattr(part, "ndim", 0) == 5}
+    assert rank4 == {"lc_riemann", "riemann", "weyl", "g_wedge_g"}
