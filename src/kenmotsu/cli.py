@@ -19,6 +19,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .catalog import NamedExample, by_name, catalog
 from .charts import DomainError, MetricError
 from .conditions import (
@@ -39,7 +41,7 @@ from .connection import (
     curvature_bundle,
     scalar_shift,
 )
-from .report import IDENTITIES, IdentityResidualReport, to_json, write_json
+from .report import IDENTITIES, IdentityResidualReport, _read_only, to_json, write_json
 from .structure import (
     StructureError,
     check_almost_contact,
@@ -52,6 +54,9 @@ SUITE_ORDER = tuple(dict.fromkeys(identity.suite for identity in IDENTITIES.valu
 # a chart or structure that cannot be evaluated at a sample point: an error
 # row in the report, never a traceback
 _NUMERICAL_ERRORS = (DomainError, MetricError, StructureError)
+
+# bytes a run's largest chart may be estimated to peak at; more is refused
+MEMORY_BUDGET = 2 * 2**30
 
 
 class UsageError(ValueError):
@@ -116,21 +121,25 @@ class SuiteOutcome:
             return False
         return all(r.matched for r in self.rows)
 
-    def tree(self) -> dict:
+    def tree(self, points: np.ndarray) -> dict:
         return {
             "name": self.name,
             "status": self.status,
             "note": self.note,
-            "identities": [r.tree() for r in self.rows],
+            "identities": [r.tree(points) for r in self.rows],
         }
 
 
 @dataclass
 class ManifoldOutcome:
     name: str
-    dim: int
+    points: np.ndarray
     suites: list[SuiteOutcome] = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     @property
     def matched(self) -> bool:
@@ -140,7 +149,7 @@ class ManifoldOutcome:
         return {
             "name": self.name,
             "dim": self.dim,
-            "suites": [s.tree() for s in self.suites],
+            "suites": [s.tree(self.points) for s in self.suites],
             "verdicts": self.verdicts,
         }
 
@@ -177,7 +186,7 @@ class _ManifoldRunner:
         self.example = example
         self.config = config
         try:
-            points = example.sample_points(config.num_points, config.seed)
+            self.points = _read_only(example.sample_points(config.num_points, config.seed))
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         # a chart or structure that fails at a sample point makes every
@@ -187,7 +196,7 @@ class _ManifoldRunner:
             # the geometry of every sample point, computed on first use for
             # all of them at once and read by every suite
             self.geometry = curvature_bundle(
-                NonMetricConnection(example.manifold, example.structure), points
+                NonMetricConnection(example.manifold, example.structure), self.points
             )
             self.axioms = self._stamped(check_almost_contact(self.geometry))
             self.kenmotsu = self._stamped(check_kenmotsu(self.geometry))
@@ -291,11 +300,8 @@ class _ManifoldRunner:
         return [*check_weyl(self.geometry), check_weyl_commutation(self.geometry)]
 
     def outcome(self, requested: tuple[str, ...]) -> ManifoldOutcome:
-        out = ManifoldOutcome(name=self.example.name, dim=self.example.manifold.dim)
-        for suite in requested:
-            out.suites.append(self.run_suite(suite))
-        out.verdicts = self.verdicts
-        return out
+        suites = [self.run_suite(suite) for suite in requested]
+        return ManifoldOutcome(self.example.name, self.points, suites, self.verdicts)
 
 
 def run(config: RunConfig) -> RunReport:
@@ -310,6 +316,16 @@ def run(config: RunConfig) -> RunReport:
             raise UsageError(str(exc.args[0])) from exc
     if not examples:
         raise UsageError("no manifolds requested")
+    # the peak's measured growth per point, rounded up: rank-4 curvature
+    # arrays, or first-order partials where no suite reads curvature
+    dim = max(example.manifold.dim for example in examples)
+    first_order = set(suites) <= {"axioms", "kenmotsu"}
+    peak = (48 * dim**3 if first_order else 80 * dim**4) * config.num_points
+    if peak > MEMORY_BUDGET:
+        raise UsageError(
+            f"--points {config.num_points} would take about {peak / 2**20:.0f} MiB on a"
+            f" dim-{dim} chart, above the {MEMORY_BUDGET // 2**20} MiB budget; use fewer points"
+        )
     outcomes = [
         _ManifoldRunner(example, config).outcome(suites) for example in examples
     ]

@@ -124,7 +124,7 @@ def check_derivation_identity(geometry: CurvatureBundle) -> IdentityResidualRepo
     lhs = _pair_action(geometry.riemann, geometry.ricci)
     rhs = _pair_action(geometry.lc_riemann, geometry.lc_ricci)
     rhs += geometry.tachibana_ricci
-    return sides_row("derivation-identity", geometry.p, lhs, rhs)
+    return sides_row("derivation-identity", lhs, rhs)
 
 
 def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
@@ -138,7 +138,7 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
     forced to 0) and of ric_K (free a, b) as the ``joint-*`` extras of the
     two fit rows.
     """
-    n, p = geometry.manifold.n, geometry.p
+    n = geometry.manifold.n
     ginv, xi, eta = geometry.metric.inverse, geometry.xi, geometry.eta
     # the bracket is Q(g,S) at the pairs X < Y; g^-1 on its Z slot makes the
     # residual scale-free, in the (1,1) convention of the fits
@@ -168,7 +168,7 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
         "scalar-curvature-constant": (np.abs(geometry.lc_scalar - r), {"target": r}),
         "modified-scalar-constant": (np.abs(geometry.scalar - scal_k), {"target": scal_k}),
     }
-    return [row(name, p, residuals, extras) for name, (residuals, extras) in rows.items()]
+    return [row(name, residuals, extras) for name, (residuals, extras) in rows.items()]
 
 
 def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -208,7 +208,7 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     m = geometry.manifold.dim
     if m < 5:
         note = "conformal tensor is identically zero in dimension 3"
-        return row("weyl-tachibana", geometry.p[:0], [], status="not-applicable", note=note)
+        return row("weyl-tachibana", [], status="not-applicable", note=note)
     status, note = "ok", ""
     if not geometry.lc_einstein_fits.residual.max() < EINSTEIN_FIT_THRESHOLD:
         status, note = "info", "Einstein hypothesis fails here; magnitudes recorded only"
@@ -223,16 +223,16 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     mags = {k: np.concatenate(v) for k, v in zip(keys, zip(*chunks))}
     headline = np.max([mags[k] for k in keys[:3]], axis=0)
     extras = {k: float(np.max(v)) for k, v in mags.items()}
-    return row("weyl-tachibana", geometry.p, headline, extras, status=status, note=note)
+    return row("weyl-tachibana", headline, extras, status=status, note=note)
 
 
 def check_weyl(
     geometry: CurvatureBundle,
 ) -> tuple[IdentityResidualReport, IdentityResidualReport, IdentityResidualReport]:
     """Tracelessness, vanishing, and metric-Tachibana sanity in one sweep."""
-    p, g, weyl = geometry.p, geometry.metric.matrix, geometry.weyl
+    g, weyl = geometry.metric.matrix, geometry.weyl
     return (
-        row("weyl-traceless", p, _weyl_trace(weyl, g, geometry.metric.inverse)),
-        row("weyl-vanishing", p, per_point(weyl)),
-        row("tachibana-metric", p, per_point(_pair_action(geometry.g_wedge_g, g))),
+        row("weyl-traceless", _weyl_trace(weyl, g, geometry.metric.inverse)),
+        row("weyl-vanishing", per_point(weyl)),
+        row("tachibana-metric", per_point(_pair_action(geometry.g_wedge_g, g))),
     )

@@ -40,8 +40,8 @@ from .charts import (
     levi_civita,
     riemann_of_connection,
 )
-from .report import IdentityResidualReport, per_point, row, sides_row
-from .structure import AlmostContactStructure, StructureError
+from .report import IdentityResidualReport, _read_only, per_point, row, sides_row
+from .structure import AlmostContactStructure, StructureError, _kenmotsu_residuals
 from .tensors import MetricPair
 
 # bytes that one array of a chunk of points may take: the curvature pass
@@ -140,10 +140,10 @@ def _fit_operators(
 class CurvatureBundle:
     """The geometry of a chart and its structure at a batch of N points.
 
-    ``p`` is the read-only (N, dim) array of the points; every report row
-    built from the bundle holds this one array.  Every other array has a
-    leading point axis of length N, followed by one axis of length dim per
-    tensor slot; scalars per point have shape (N,).  Each part is computed
+    ``p`` is the read-only (N, dim) array of the points, in the order of
+    every row's residuals.  Every other array has a leading point axis of
+    length N, followed by one axis of length dim per tensor slot; scalars
+    per point have shape (N,).  Each part is computed
     on first use and then kept, for all points at once:
     ``metric`` (a :class:`~kenmotsu.tensors.MetricPair` of (N, dim, dim)
     arrays) and its partials ``dg[n, a, i, j]`` = d_a g_ij, ``phi``, ``eta``,
@@ -178,7 +178,7 @@ class CurvatureBundle:
         self.manifold = manifold
         self.structure = structure
         # the caller owns the points: the record keeps its own copy
-        self.p = _frozen(np.array(manifold.require_inside(points)).reshape(-1, manifold.dim))
+        self.p = _read_only(np.array(manifold.require_inside(points)).reshape(-1, manifold.dim))
         self._fields: dict[str, list[np.ndarray]] = {}
 
     @cached_property
@@ -216,17 +216,17 @@ class CurvatureBundle:
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:
-        return _frozen(levi_civita(self.metric, self.dg))
+        return _read_only(levi_civita(self.metric, self.dg))
 
     @cached_property
     def lc_nabla_eta(self) -> np.ndarray:
         """lc_nabla_eta[n, a, j] = (nabla_a eta)_j, nabla the Levi-Civita connection."""
-        return _frozen(_nabla_form(self.deta, self.eta, self.lc_gamma))
+        return _read_only(_nabla_form(self.deta, self.eta, self.lc_gamma))
 
     @cached_property
     def gamma(self) -> np.ndarray:
         """Coefficients of the modified connection at the points."""
-        return _frozen(
+        return _read_only(
             _modified_coefficients(self.lc_gamma, self.metric.matrix, self.eta, self.xi)
         )
 
@@ -236,8 +236,8 @@ class CurvatureBundle:
         ranges = _chunk_ranges(len(self.p), 8 * self.manifold.dim**4)
         chunks = [self._curvature_chunk(lo, hi) for lo, hi in ranges]
         if len(chunks) == 1:
-            return {k: _frozen(v) for k, v in chunks[0].items()}
-        return {k: _frozen(np.concatenate([c[k] for c in chunks])) for k in chunks[0]}
+            return {k: _read_only(v) for k, v in chunks[0].items()}
+        return {k: _read_only(np.concatenate([c[k] for c in chunks])) for k in chunks[0]}
 
     def _curvature_chunk(self, lo: int, hi: int) -> dict[str, np.ndarray]:
         """Both curvature passes for points lo..hi, with d Gamma in closed form."""
@@ -264,19 +264,19 @@ class CurvatureBundle:
 
     @cached_property
     def lc_ricci(self) -> np.ndarray:
-        return _frozen(_ricci_components(self.lc_riemann))
+        return _read_only(_ricci_components(self.lc_riemann))
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return _frozen(_ricci_components(self.riemann))
+        return _read_only(_ricci_components(self.riemann))
 
     @cached_property
     def lc_scalar(self) -> np.ndarray:
-        return _frozen(np.einsum("...jk,...jk->...", self.metric.inverse, self.lc_ricci))
+        return _read_only(np.einsum("...jk,...jk->...", self.metric.inverse, self.lc_ricci))
 
     @cached_property
     def scalar(self) -> np.ndarray:
-        return _frozen(np.einsum("...jk,...jk->...", self.metric.inverse, self.ricci))
+        return _read_only(np.einsum("...jk,...jk->...", self.metric.inverse, self.ricci))
 
     @cached_property
     def lc_einstein_fits(self) -> EinsteinFit:
@@ -286,12 +286,12 @@ class CurvatureBundle:
     @cached_property
     def g_wedge_g(self) -> np.ndarray:
         """(X wedge_g Y) Z = g(Y,Z) X - g(X,Z) Y, (1,3) components [n, l, i, j, k]."""
-        return _frozen(_wedge(self.metric.matrix))
+        return _read_only(_wedge(self.metric.matrix))
 
     @cached_property
     def tachibana_ricci(self) -> np.ndarray:
         """Q(g,S)(Z,U; X,Y), the action of g wedge_g on S, at the pairs X < Y: [n, pair, Z, U]."""
-        return _frozen(_pair_action(self.g_wedge_g, self.lc_ricci))
+        return _read_only(_pair_action(self.g_wedge_g, self.lc_ricci))
 
     @cached_property
     def weyl(self) -> np.ndarray:
@@ -303,7 +303,7 @@ class CurvatureBundle:
         """
         m, g, s = self.manifold.dim, self.metric.matrix, self.lc_ricci
         shift = self.metric.inverse @ s - (self.lc_scalar / (m - 1))[:, None, None] * np.eye(m)
-        return _frozen(self.lc_riemann - (_wedge(s) + _wedge(g, shift)) / (m - 2))
+        return _read_only(self.lc_riemann - (_wedge(s) + _wedge(g, shift)) / (m - 2))
 
 
 def _wedge(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -346,12 +346,6 @@ def _ricci_components(riem: np.ndarray) -> np.ndarray:
     return np.trace(riem, axis1=-4, axis2=-3)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, a fresh result of the record, made read-only in place: every check reads it."""
-    arr.setflags(write=False)
-    return arr
-
-
 def curvature_bundle(conn: NonMetricConnection, points: np.ndarray) -> CurvatureBundle:
     """The geometry record of ``conn`` at a batch of points (or one point, as a batch of one)."""
     return CurvatureBundle(conn.manifold, conn.structure, points)
@@ -362,7 +356,7 @@ def check_torsion(geometry: CurvatureBundle) -> IdentityResidualReport:
     gamma = geometry.gamma
     torsion = gamma - np.swapaxes(gamma, -1, -2)
     want = -np.einsum("...kijz,...z->...kij", geometry.g_wedge_g, geometry.xi)
-    return sides_row("torsion-form", geometry.p, torsion, want)
+    return sides_row("torsion-form", torsion, want)
 
 
 def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
@@ -372,26 +366,24 @@ def check_nonmetricity(geometry: CurvatureBundle) -> IdentityResidualReport:
     want = 2.0 * np.einsum("...i,...aj->...aij", eta, g) + 2.0 * np.einsum(
         "...j,...ai->...aij", eta, g
     )
-    return sides_row("nonmetricity", geometry.p, grad, want)
+    return sides_row("nonmetricity", grad, want)
 
 
 def check_reeb_transport(geometry: CurvatureBundle) -> IdentityResidualReport:
     """D_X xi = -2 eta(X) xi."""
     grad = _nabla_vector(geometry.dxi, geometry.xi, geometry.gamma)
     want = -2.0 * np.einsum("...i,...j->...ij", geometry.eta, geometry.xi)
-    return sides_row("reeb-transport", geometry.p, grad, want)
+    return sides_row("reeb-transport", grad, want)
 
 
 def check_deformation_form(geometry: CurvatureBundle) -> IdentityResidualReport:
     """The form beta(X,Y) = (nabla_X eta)(Y) + eta(X) eta(Y) + g(X,Y) equals 2g.
 
-    nabla is Levi-Civita here; this is the shape of the connection's
-    defining deformation, and it collapsing to 2g is equivalent to the
-    Kenmotsu condition.
+    nabla is Levi-Civita here; beta, the shape of the connection's defining
+    deformation, has beta - 2g = nabla eta + eta (x) eta - g, the
+    ``eta-gradient`` residual of :func:`~kenmotsu.structure.check_kenmotsu`.
     """
-    g, eta = geometry.metric.matrix, geometry.eta
-    beta = geometry.lc_nabla_eta + np.einsum("...i,...j->...ij", eta, eta) + g
-    return sides_row("deformation-form", geometry.p, beta, 2.0 * g)
+    return row("deformation-form", _kenmotsu_residuals(geometry)["eta-gradient"])
 
 
 def scalar_shift(n: int) -> float:
@@ -420,10 +412,10 @@ def check_curvature_relation(geometry: CurvatureBundle) -> list[IdentityResidual
     ricci = ric - (geometry.lc_ricci + 2.0 * (n + 1) * g - 2.0 * outer)
     scalar = geometry.scalar - (geometry.lc_scalar + scalar_shift(n))
     return [
-        row("riemann-cross-check", geometry.p, per_point(riemann)),
-        row("ricci-cross-check", geometry.p, per_point(ricci)),
-        row("scalar-cross-check", geometry.p, np.abs(scalar)),
-        row("ricci-symmetry", geometry.p, per_point(ric - np.swapaxes(ric, -1, -2))),
+        row("riemann-cross-check", per_point(riemann)),
+        row("ricci-cross-check", per_point(ricci)),
+        row("scalar-cross-check", np.abs(scalar)),
+        row("ricci-symmetry", per_point(ric - np.swapaxes(ric, -1, -2))),
     ]
 
 
@@ -439,4 +431,4 @@ def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidu
     degen = np.einsum("...lijk,...k->...lij", geometry.riemann, xi)
     lc = np.einsum("...lijk,...k->...lij", geometry.lc_riemann, xi)
     extras = {"levi-civita-contrast": float(np.max(per_point(lc)))}
-    return row("irregularity", geometry.p, per_point(degen), extras)
+    return row("irregularity", per_point(degen), extras)

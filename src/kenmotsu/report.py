@@ -8,12 +8,12 @@ says, per identity, which suite runs it, how tight its gate is and what a
 chart is expected to make of it; the checks and the CLI both read it.
 Every check builds each of its rows in one call, :func:`row` or, for an
 identity lhs = rhs, :func:`sides_row`; the CLI reports the same records,
-with each row's expectation set.
-:func:`to_json` renders a report's tree, in which every row
-(:meth:`IdentityResidualReport.tree`) keeps its points as arrays, with the
-bytes ``json.dumps(indent=2)`` writes once those points are written out as
-records, in a fraction of its time; :func:`write_json` hands the same text
-to a stream piece by piece.
+with each row's expectation set.  A row holds residuals only: the sample
+points belong to the chart, and the report tree pairs them with each row
+(:meth:`IdentityResidualReport.tree`), kept as arrays.  :func:`to_json`
+renders that tree with the bytes ``json.dumps(indent=2)`` writes once
+those points are written out as records, in a fraction of its time;
+:func:`write_json` hands the same text to a stream piece by piece.
 """
 
 from __future__ import annotations
@@ -33,17 +33,16 @@ _STATUSES = ("ok", "info", "not-applicable")
 
 
 class IdentityResidualReport:
-    """Outcome of checking one identity over a set of sample points.
+    """Outcome of checking one identity over a chart's sample points.
 
-    A row is built whole: ``coords`` is the (N, dim) array of the points and
-    ``residuals`` the N max-abs residuals, one per point in point order.
-    Both are kept read-only; a read-only float ``coords`` is kept as is, not
-    copied.  The checks of this package pass a chart's shared sample array
-    (``CurvatureBundle.p``), so every row of a chart holds the same object
-    and :func:`to_json` renders its coordinates once per report.  The record
-    is a plain class, not a dataclass; two records are equal when their
-    fields and arrays are.  ``max_residual`` is NaN when any residual is
-    NaN, so such a row fails its gate.
+    A row is built whole: ``residuals`` holds the N max-abs residuals, one
+    per point in the order of the chart's (N, dim) sample array, and is kept
+    read-only.  The points themselves belong to the chart, not the row: the
+    CLI's ``ManifoldOutcome`` holds them once and pairs them with each row's
+    residuals when the report is written (:meth:`tree`).  The record is a
+    plain class, not a dataclass; two records are equal when their fields
+    and residuals are.  ``max_residual`` is NaN when any residual is NaN, so
+    such a row fails its gate.
 
     ``extras`` carries named scalar diagnostics (signed residuals,
     contrast values, fitted coefficients) that accompany the headline
@@ -55,7 +54,6 @@ class IdentityResidualReport:
         self,
         identity: str,
         tolerance: float,
-        coords,
         residuals,
         extras: dict[str, float] | None = None,
         status: str = "ok",
@@ -64,19 +62,11 @@ class IdentityResidualReport:
     ):
         if status not in _STATUSES:
             raise ValueError(f"unknown status {status!r}")
-        coords = np.asarray(coords, dtype=float)
-        residuals = np.array(residuals, dtype=float)
-        if coords.ndim != 2 or residuals.shape != (len(coords),):
-            raise ValueError(
-                f"points of shape {coords.shape} but residuals of shape {residuals.shape}"
-            )
-        if coords.flags.writeable:
-            coords = coords.copy()
         self.identity = identity
         self.tolerance = tolerance
-        self.coords, self.residuals = _read_only(coords), _read_only(residuals)
+        self.residuals = residuals = _read_only(np.array(residuals, dtype=float))
         # np.max propagates NaN, where Python's max skips one that is not first
-        self.max_residual = float(np.max(residuals)) if len(residuals) else 0.0
+        self.max_residual = float(np.max(residuals)) if residuals.size else 0.0
         self.extras = {} if extras is None else extras
         self.status = status
         self.note = note
@@ -85,7 +75,7 @@ class IdentityResidualReport:
     def __repr__(self) -> str:
         return (
             f"IdentityResidualReport({self.identity!r}, {self.tolerance!r},"
-            f" max_residual={self.max_residual!r}, points={len(self.residuals)},"
+            f" max_residual={self.max_residual!r}, points={self.residuals.size},"
             f" status={self.status!r})"
         )
 
@@ -96,7 +86,6 @@ class IdentityResidualReport:
             (self.identity, self.tolerance, self.extras, self.status, self.note, self.expected)
             == (other.identity, other.tolerance, other.extras, other.status, other.note,
                 other.expected)
-            and np.array_equal(self.coords, other.coords)
             and np.array_equal(self.residuals, other.residuals)
         )
 
@@ -120,8 +109,8 @@ class IdentityResidualReport:
         """True unless the row is gated and passed where it should fail, or failed where not."""
         return not self.gated or self.passed == self.expected
 
-    def tree(self) -> dict:
-        """The row as :func:`to_json` writes it, its points kept as one block of arrays."""
+    def tree(self, points: np.ndarray) -> dict:
+        """The row as :func:`to_json` writes it, paired with its chart's (N, dim) ``points``."""
         return {
             "identity": self.identity,
             "tolerance": float(self.tolerance),
@@ -130,25 +119,24 @@ class IdentityResidualReport:
             "status": self.status,
             "note": self.note,
             "extras": {k: float(v) for k, v in sorted(self.extras.items())},
-            "points": _PointsBlock(self.coords, self.residuals),
+            "points": _PointsBlock(points, self.residuals),
             "expected": self.expected,
             "matched": self.matched,
         }
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array that nothing else writes, made read-only in place."""
     arr.setflags(write=False)
     return arr
 
 
+@dataclass(frozen=True)
 class _PointsBlock:
-    """A row's points and residuals, written by :func:`to_json` as one list."""
+    """A chart's points and one row's residuals, written by :func:`to_json` as one list."""
 
-    __slots__ = ("coords", "residuals")
-
-    def __init__(self, coords: np.ndarray, residuals: np.ndarray):
-        self.coords = coords
-        self.residuals = residuals
+    coords: np.ndarray
+    residuals: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -217,19 +205,18 @@ def per_point(residual: np.ndarray) -> np.ndarray:
 
 def row(
     identity: str,
-    points,
     residuals,
     extras: dict[str, float] | None = None,
     *,
     status: str = "ok",
     note: str = "",
 ) -> IdentityResidualReport:
-    """The row of ``identity`` over ``points``, gated at the table's tolerance."""
+    """The row of ``identity`` with these per-point residuals, gated at the table's tolerance."""
     tolerance = IDENTITIES[identity].tolerance
-    return IdentityResidualReport(identity, tolerance, points, residuals, extras, status, note)
+    return IdentityResidualReport(identity, tolerance, residuals, extras, status, note)
 
 
-def sides_row(identity: str, points, lhs: np.ndarray, rhs: np.ndarray) -> IdentityResidualReport:
+def sides_row(identity: str, lhs: np.ndarray, rhs: np.ndarray) -> IdentityResidualReport:
     """The row of the identity lhs = rhs: per point, the largest entry of |lhs - rhs|.
 
     Where the table sets ``opposite_sign``, the extras also hold the
@@ -238,7 +225,7 @@ def sides_row(identity: str, points, lhs: np.ndarray, rhs: np.ndarray) -> Identi
     extras = {}
     if IDENTITIES[identity].opposite_sign:
         extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
-    return row(identity, points, per_point(lhs - rhs), extras)
+    return row(identity, per_point(lhs - rhs), extras)
 
 
 def to_json(obj) -> str:
@@ -305,11 +292,15 @@ def _points_template(coords: np.ndarray, nl: str) -> str:
 
 
 def _write_points(block: _PointsBlock, nl: str, put, templates: dict) -> None:
-    """Put a row's points block, its coordinates taken from ``templates``."""
+    """Put a row's points block; refuse one whose residual count is neither 0 nor the chart's."""
     residuals = block.residuals
-    if not len(residuals):
+    if not residuals.size:
         put("[]")
         return
+    if block.coords.ndim != 2 or residuals.shape != (len(block.coords),):
+        raise ValueError(
+            f"points of shape {block.coords.shape} but residuals of shape {residuals.shape}"
+        )
     # the points object is alive for the whole render, so its id is stable
     key = (id(block.coords), nl)
     if key not in templates:

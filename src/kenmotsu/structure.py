@@ -92,7 +92,7 @@ def check_almost_contact(geometry: CurvatureBundle) -> IdentityResidualReport:
     res = _axiom_residuals(geometry)
     headline = np.max([res[k] for k in _AXIOM_KEYS], axis=0)
     extras = {k: float(np.max(v)) for k, v in res.items()}
-    return row("structure-axioms", geometry.p, headline, extras)
+    return row("structure-axioms", headline, extras)
 
 
 def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
@@ -114,7 +114,7 @@ def check_kenmotsu(geometry: CurvatureBundle) -> IdentityResidualReport:
     res = _kenmotsu_residuals(geometry)
     headline = np.maximum(res["reeb-gradient"], res["eta-gradient"])
     extras = {k: float(np.max(v)) for k, v in res.items()}
-    return row("kenmotsu-condition", geometry.p, headline, extras)
+    return row("kenmotsu-condition", headline, extras)
 
 
 def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidualReport]:
@@ -141,4 +141,4 @@ def check_curvature_identities(geometry: CurvatureBundle) -> list[IdentityResidu
     }
     sides = {name: (f(riem), -f(wedge)) for name, f in contractions.items()}
     sides["ricci-on-reeb"] = ((ric @ xi[..., None])[..., 0], -2.0 * n * eta)
-    return [sides_row(name, geometry.p, lhs, rhs) for name, (lhs, rhs) in sides.items()]
+    return [sides_row(name, lhs, rhs) for name, (lhs, rhs) in sides.items()]

@@ -127,13 +127,48 @@ def test_nonpositive_points_rejected(capsys):
 
 def test_points_beyond_the_sampler_limit_are_usage_errors(capsys):
     # the sampler's one getrandbits call takes a C int; both counts are
-    # refused before anything is allocated
+    # refused before anything is allocated, the CLI's by its memory budget
     limit = (2**31 - 1) // 64
     assert main(["--points", str(10**12)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: count * dim must be in [1, {limit}], got {10**12} * 3\n"
+    assert err.startswith(f"error: --points {10**12} would take about") and err.count("\n") == 1
+    with pytest.raises(ValueError, match=re.escape(f"in [1, {limit}], got {10**12} * 3")):
+        by_name("h3").sample_points(10**12, seed=0)
     with pytest.raises(ValueError, match=re.escape(f"in [1, {limit}], got 7000000 * 5")):
         by_name("h5").sample_points(7_000_000, seed=0)
+
+
+class _Sampled(Exception):
+    """Raised in place of sampling: the run got past its memory check."""
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (["--manifold", "h5", "--points", "6710886"], True),
+        (["--manifold", "h3", "--manifold", "h5", "--points", "43000"], True),
+        (["--manifold", "h5", "--points", "42000"], False),
+        (["--manifold", "h5", "--suite", "axioms", "--suite", "kenmotsu", "--points", "300000"],
+         False),
+        (["--manifold", "h5", "--suite", "kenmotsu", "--points", "400000"], True),
+    ],
+    ids=["sampler-limit", "largest-chart", "within-budget", "first-order", "first-order-over"],
+)
+def test_a_run_beyond_the_memory_budget_is_refused_before_sampling(argv, refused, monkeypatch,
+                                                                   capsys):
+    # sampling raises, so a run that is not refused stops there and never
+    # allocates for its points
+    def sample_points(self, count, seed):
+        raise _Sampled
+
+    monkeypatch.setattr(NamedExample, "sample_points", sample_points)
+    if not refused:
+        with pytest.raises(_Sampled):
+            main(argv)
+        return
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "MiB budget" in err
 
 
 def test_resolve_suites_order():

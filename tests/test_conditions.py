@@ -14,6 +14,7 @@ from kenmotsu import (
     check_weyl,
     check_weyl_commutation,
 )
+from kenmotsu import connection
 from kenmotsu.conditions import _pair_action, _weyl_trace
 from kenmotsu.connection import (
     CHUNK_BYTES,
@@ -304,6 +305,39 @@ def test_check_weyl_report_names():
     assert vanishing.identity == "weyl-vanishing"
     assert metric_q.identity == "tachibana-metric"
     assert traceless.passed and vanishing.passed and metric_q.passed
+
+
+def _weyl_without_ricci_terms(b: CurvatureBundle, monkeypatch) -> None:
+    """The record's C made R + r/((m-1)(m-2)) g wedge g, the Weyl formula without Ricci terms."""
+    m = b.manifold.dim
+    scale = (b.lc_scalar / ((m - 1) * (m - 2)))[:, None, None, None, None]
+    b.__dict__["weyl"] = b.lc_riemann + scale * b.g_wedge_g
+
+
+def _derivation_without_its_transpose(b: CurvatureBundle, monkeypatch) -> None:
+    """Every derivation made -A t, without its t A^t term."""
+    def half(rows, t, symmetric=False):
+        k, d = t.shape[:2]
+        return -(rows @ t).reshape(k, -1, d, d)
+
+    monkeypatch.setattr(connection, "_derivation", half)
+
+
+@pytest.mark.parametrize("name", ["h5", "ne5"])
+@pytest.mark.parametrize(
+    "identity, mutate",
+    [("weyl-traceless", _weyl_without_ricci_terms),
+     ("tachibana-metric", _derivation_without_its_transpose)],
+    ids=["weyl-traceless", "tachibana-metric"],
+)
+def test_a_row_that_holds_on_every_metric_fails_its_mutant(identity, mutate, name, monkeypatch):
+    # the table expects these rows to pass on every chart, so no control
+    # chart can fail them: each fails a test-only mutant of what it reads
+    b = lc_record(name, 4, seed=1)
+    assert {r.identity: r for r in check_weyl(b)}[identity].passed
+    mutate(b, monkeypatch)
+    mutated = {r.identity: r for r in check_weyl(b)}[identity]
+    assert not mutated.passed and mutated.max_residual > 1.0
 
 
 def test_weyl_commutation_not_applicable_in_dim3():

@@ -1,8 +1,9 @@
 """The report writer against ``json.dumps(obj, indent=2)``, kept here as the reference.
 
-A report's tree holds each row's points as one block of arrays; the
-reference writes that block out as ``{"point", "residual"}`` records of
-Python floats, built here from the arrays, not by the package.
+A report's tree pairs each row's residuals with its chart's points in one
+block of arrays; the reference writes that block out as
+``{"point", "residual"}`` records of Python floats, built here from the
+arrays, not by the package.
 """
 
 import json
@@ -42,12 +43,12 @@ def test_every_catalog_chart_with_all_suites():
 
 
 def test_rows_with_odd_values():
+    points = np.array([[0.5, -0.0], [math.inf, 1.0], [-math.inf, math.nan], [1e-300, 2.5e16]])
     rows = [
-        IdentityResidualReport("empty", 1e-5, np.empty((0, 2)), []),
+        IdentityResidualReport("empty", 1e-5, []),
         IdentityResidualReport(
             "non-finite",
             1e-5,
-            [[0.5, -0.0], [math.inf, 1.0], [-math.inf, math.nan], [1e-300, 2.5e16]],
             [math.nan, math.inf, -math.inf, 0.0],
             extras={"nan": math.nan, "inf": math.inf, "ninf": -math.inf},
             expected=True,
@@ -55,8 +56,7 @@ def test_rows_with_odd_values():
         IdentityResidualReport(
             "noted",
             1e-5,
-            [[1.0]],
-            [1e-12],
+            [1e-12, 0.0, 2.0, -1.0],
             status="info",
             note='a "quoted" back\\slash, été ∇ξ and a\ttab',
             expected=False,
@@ -69,7 +69,7 @@ def test_rows_with_odd_values():
     ]
     manifold = ManifoldOutcome(
         "odd",
-        3,
+        points,
         suites=suites,
         verdicts={"kenmotsu": None, "einstein": False, "einstein_fit": {"a": -2.0}, "x": True},
     )
@@ -82,48 +82,67 @@ def test_rows_with_odd_values():
 
 
 def _shared_points_report() -> RunReport:
-    """One chart whose rows share its points, beside a row with its own points."""
+    """One chart whose rows share its points, beside a chart of another dimension."""
     shared = np.array(
         [[0.5, -0.0, math.nan], [math.inf, 1e-300, 2.5e16], [-math.inf, 1.0, -2.0]]
     )
-    shared.setflags(write=False)
-    first = row("torsion-form", shared, [0.0, 1e-12, math.nan])
-    second = row("nonmetricity", shared, [math.inf, 2.0, -0.0])
+    first = row("torsion-form", [0.0, 1e-12, math.nan])
+    second = row("nonmetricity", [math.inf, 2.0, -0.0])
     second.tolerance = 1e-3
     first.expected = second.expected = True
-    # as many points as the chart, of another dimension, in the same chart
-    library = IdentityResidualReport(
-        "library", 1e-5, [[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]], [3e-7, 0.0, 1e-3],
-        expected=True,
-    )
-    empty = IdentityResidualReport("empty", 1e-5, np.empty((0, 3)), [], expected=True)
-    suites = [SuiteOutcome("a", rows=[first, second]), SuiteOutcome("b", rows=[library, empty])]
+    empty = IdentityResidualReport("empty", 1e-5, [], expected=True)
+    # as many points as the first chart, of another dimension
+    library = IdentityResidualReport("library", 1e-5, [3e-7, 0.0, 1e-3], expected=True)
+    other = np.array([[0.25, -1.5], [1.0, 2.0], [-0.0, 7.0]])
+    suites = [SuiteOutcome("a", rows=[first, second]), SuiteOutcome("b", rows=[empty])]
     config = RunConfig(manifolds=("odd",), suites=("all",))
-    return RunReport(config, [ManifoldOutcome("odd", 3, suites=suites, verdicts={})])
+    return RunReport(config, [
+        ManifoldOutcome("odd", shared, suites=suites, verdicts={}),
+        ManifoldOutcome("flat", other, suites=[SuiteOutcome("b", rows=[library])], verdicts={}),
+    ])
 
 
 def test_rows_share_points_and_keep_their_own():
     report = _shared_points_report()
     text = report.to_json()
     assert text == _reference(report.tree())
-    suites = json.loads(text)["manifolds"][0]["suites"]
-    rows = [row for suite in suites for row in suite["identities"]]
-    assert [len(row["points"]) for row in rows] == [3, 3, 3, 0]
-    assert rows[2]["points"][0]["point"] == [0.25, -1.5]
+    charts = json.loads(text)["manifolds"]
+    rows = [row for chart in charts for suite in chart["suites"] for row in suite["identities"]]
+    assert [len(row["points"]) for row in rows] == [3, 3, 0, 3]
+    assert [chart["dim"] for chart in charts] == [3, 2]
+    assert rows[1]["points"][1]["point"] == [math.inf, 1e-300, 2.5e16]
+    assert rows[3]["points"][0]["point"] == [0.25, -1.5]
     assert math.isnan(rows[0]["max_residual"]) and not rows[0]["passed"]
 
 
 def test_rows_of_one_points_object_at_two_indents():
-    row = _shared_points_report().manifolds[0].suites[0].rows[0]
-    tree = [row.tree(), {"x": row.tree()}]
+    chart = _shared_points_report().manifolds[0]
+    row = chart.suites[0].rows[0]
+    tree = [row.tree(chart.points), {"x": row.tree(chart.points)}]
     assert to_json(tree) == _reference(tree)
 
 
-def test_a_row_gates_its_worst_residual():
-    points = np.array([[float(i), 1.0] for i in range(4)])
+def test_the_writer_pairs_each_row_with_its_chart_points():
+    # a row without residuals writes no points in a chart that has them;
+    # a row whose residual count is neither 0 nor the chart's is refused
+    points = np.array([[0.5, 1.0], [2.0, -1.0], [0.0, 3.0]])
+    config = RunConfig(manifolds=("c",), suites=("all",))
 
+    def report(residuals) -> RunReport:
+        suite = SuiteOutcome("s", rows=[row("weyl-traceless", residuals)])
+        return RunReport(config, [ManifoldOutcome("c", points, suites=[suite])])
+
+    text = report([]).to_json()
+    assert '"points": []' in text and '"point"' not in text
+    assert json.loads(text)["manifolds"][0]["dim"] == 2
+    for residuals in ([0.0, 1.0], [0.0] * 4):
+        with pytest.raises(ValueError, match="points of shape"):
+            report(residuals).to_json()
+
+
+def test_a_row_gates_its_worst_residual():
     def worst(residuals):
-        return IdentityResidualReport("x", 1e-5, points[: len(residuals)], residuals)
+        return IdentityResidualReport("x", 1e-5, residuals)
 
     assert worst([]).max_residual == 0.0 and worst([]).passed
     assert worst([2e-6, 0.0]).max_residual == 2e-6 and worst([2e-6, 0.0]).passed
@@ -135,22 +154,22 @@ def test_a_row_gates_its_worst_residual():
 
 @pytest.mark.parametrize(
     "points, residuals",
-    [([[0.0, 1.0], [1.0, 1.0]], [0.0]), ([[0.0, 1.0]], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0])],
-    ids=["fewer-residuals", "more-residuals", "flat-points"],
+    [([[0.0, 1.0], [1.0, 1.0]], [0.0]), ([[0.0, 1.0]], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0]),
+     ([[0.0, 1.0]], 1.0), ([[0.0, 1.0]], [[0.0]])],
+    ids=["fewer-residuals", "more-residuals", "flat-points", "scalar-residual", "nested-residuals"],
 )
 def test_a_row_takes_one_residual_per_point(points, residuals):
+    # the record holds residuals only; writing it beside its chart's points checks the count
+    report = IdentityResidualReport("x", 1e-5, residuals)
     with pytest.raises(ValueError, match="points of shape"):
-        IdentityResidualReport("x", 1e-5, points, residuals)
+        to_json(report.tree(np.array(points)))
 
 
 def test_records_compare_by_value():
     def built(residual, status="ok"):
-        points = np.array([[0.5, 1.0], [2.0, -1.0]])
-        return IdentityResidualReport("x", 1e-5, points, [0.0, residual], {"a": 1.0}, status)
+        return IdentityResidualReport("x", 1e-5, [0.0, residual], {"a": 1.0}, status)
 
-    assert built(1e-9) == IdentityResidualReport(
-        "x", 1e-5, [[0.5, 1.0], [2.0, -1.0]], [0.0, 1e-9], extras={"a": 1.0}
-    )
+    assert built(1e-9) == IdentityResidualReport("x", 1e-5, [0.0, 1e-9], extras={"a": 1.0})
     assert built(2e-9) != built(1e-9)
     assert built(1e-9) != built(1e-9, status="info")
 

@@ -107,7 +107,6 @@ def test_reports_carry_per_point_residuals():
     ex = by_name("h3")
     points = ex.sample_points(5, seed=6)
     report = check_kenmotsu(record(ex, points))
-    assert np.array_equal(report.coords, points)
     assert report.residuals.shape == (5,)
     assert np.all(report.residuals >= 0.0)
 
