@@ -180,7 +180,7 @@ class RunReport:
 
 
 class _ManifoldRunner:
-    """Runs suites for one example, sharing its geometry record and verdicts."""
+    """Runs suites for one example, sharing its geometry record."""
 
     def __init__(self, example: NamedExample, config: RunConfig):
         self.example = example
@@ -198,30 +198,13 @@ class _ManifoldRunner:
             self.geometry = curvature_bundle(
                 NonMetricConnection(example.manifold, example.structure), self.points
             )
-            self.axioms = self._stamped(check_almost_contact(self.geometry))
-            self.kenmotsu = self._stamped(check_kenmotsu(self.geometry))
+            self.axioms = self._gated(check_almost_contact(self.geometry))
+            self.kenmotsu = self._gated(check_kenmotsu(self.geometry))
         except _NUMERICAL_ERRORS as exc:
             self.error = str(exc)
-        self.verdicts: dict = {
-            # Kenmotsu's definition presupposes an almost contact metric structure
-            "kenmotsu": None if self.error else self.axioms.passed and self.kenmotsu.passed,
-            "einstein": None,
-            "einstein_fit": None,
-            "eta_einstein_fit": None,
-            "mean_scalar": None,
-            "mean_modified_scalar": None,
-            "scalar_shift_deviation": None,
-            "expected_scalar_shift": scalar_shift(example.n),
-        }
-
-    def _stamped(self, report: IdentityResidualReport) -> IdentityResidualReport:
-        """Apply a --tol override; otherwise the row keeps the table's tolerance."""
-        if report.identity in self.config.tolerances:
-            report.tolerance = float(self.config.tolerances[report.identity])
-        return report
 
     def _gated(self, report: IdentityResidualReport) -> IdentityResidualReport:
-        """Set the row's status, expectation and tolerance for this chart."""
+        """Set the row's status, expectation and tolerance for this chart; idempotent."""
         identity = IDENTITIES[report.identity]
         ex = self.example
         if identity.kenmotsu_only and not ex.expected_kenmotsu:
@@ -229,29 +212,35 @@ class _ManifoldRunner:
             report.note = "closed form not applicable off the Kenmotsu class"
         if report.status == "ok":
             report.expected = all(getattr(ex, f"expected_{flag}") for flag in identity.expect)
-        self._read_verdicts(report)
-        return self._stamped(report)
+        report.tolerance = float(self.config.tolerances.get(report.identity, identity.tolerance))
+        return report
 
-    def _read_verdicts(self, report: IdentityResidualReport) -> None:
-        """Take the verdicts a row carries: the joint fits, the scalar means, the scalar shift."""
-        extras = report.extras
-        if report.identity == "einstein-ricci-fit":
-            self.verdicts["einstein"] = extras["joint-residual"] < EINSTEIN_FIT_THRESHOLD
-            self.verdicts["einstein_fit"] = {
-                "a": extras["joint-a"],
-                "residual": extras["joint-residual"],
-            }
-        elif report.identity == "eta-einstein-fit":
-            self.verdicts["eta_einstein_fit"] = {
-                "a": extras["joint-a"],
-                "b": extras["joint-b"],
-                "residual": extras["joint-residual"],
-            }
-        elif report.identity == "semisymmetry-condition":
-            self.verdicts["mean_scalar"] = extras["mean-lc-scalar"]
-            self.verdicts["mean_modified_scalar"] = extras["mean-modified-scalar"]
-        elif report.identity == "scalar-cross-check" and self.example.expected_kenmotsu:
-            self.verdicts["scalar_shift_deviation"] = report.max_residual
+    def _verdicts(self, suites: list[SuiteOutcome]) -> dict:
+        """The chart's verdicts, read from the gated rows of the suites that ran.
+
+        The joint fits, the scalar means and the scalar shift are read off
+        their rows, and are None where the suite holding the row did not run.
+        """
+        rows = {r.identity: r for suite in suites for r in suite.rows}
+        fit = rows.get("einstein-ricci-fit")
+        eta_fit = rows.get("eta-einstein-fit")
+        scalars = rows.get("semisymmetry-condition")
+        shift = rows.get("scalar-cross-check") if self.example.expected_kenmotsu else None
+        return {
+            # Kenmotsu's definition presupposes an almost contact metric structure
+            "kenmotsu": None if self.error else self.axioms.passed and self.kenmotsu.passed,
+            "einstein": None if fit is None
+            else fit.extras["joint-residual"] < EINSTEIN_FIT_THRESHOLD,
+            "einstein_fit": None if fit is None
+            else {"a": fit.extras["joint-a"], "residual": fit.extras["joint-residual"]},
+            "eta_einstein_fit": None if eta_fit is None
+            else {k: eta_fit.extras[f"joint-{k}"] for k in ("a", "b", "residual")},
+            "mean_scalar": None if scalars is None else scalars.extras["mean-lc-scalar"],
+            "mean_modified_scalar": None if scalars is None
+            else scalars.extras["mean-modified-scalar"],
+            "scalar_shift_deviation": None if shift is None else shift.max_residual,
+            "expected_scalar_shift": scalar_shift(self.example.n),
+        }
 
     def run_suite(self, suite: str) -> SuiteOutcome:
         if self.error is not None:
@@ -301,7 +290,7 @@ class _ManifoldRunner:
 
     def outcome(self, requested: tuple[str, ...]) -> ManifoldOutcome:
         suites = [self.run_suite(suite) for suite in requested]
-        return ManifoldOutcome(self.example.name, self.points, suites, self.verdicts)
+        return ManifoldOutcome(self.example.name, self.points, suites, self._verdicts(suites))
 
 
 def run(config: RunConfig) -> RunReport:
@@ -309,7 +298,8 @@ def run(config: RunConfig) -> RunReport:
     if not suites:
         raise UsageError("no suites requested")
     examples = []
-    for name in config.manifolds:
+    # a repeated name runs its chart once, in first-seen order
+    for name in dict.fromkeys(config.manifolds):
         try:
             examples.append(by_name(name))
         except KeyError as exc:
@@ -322,8 +312,9 @@ def run(config: RunConfig) -> RunReport:
     first_order = set(suites) <= {"axioms", "kenmotsu"}
     peak = (48 * dim**3 if first_order else 80 * dim**4) * config.num_points
     if peak > MEMORY_BUDGET:
+        # rounded to MiB in integers: --points has no bound, a float would overflow
         raise UsageError(
-            f"--points {config.num_points} would take about {peak / 2**20:.0f} MiB on a"
+            f"--points {config.num_points} would take about {(peak + 2**19) // 2**20} MiB on a"
             f" dim-{dim} chart, above the {MEMORY_BUDGET // 2**20} MiB budget; use fewer points"
         )
     outcomes = [

@@ -9,6 +9,8 @@ the four-term semi-symmetry bracket at every (X,Y), the rank-4 reference
 for the record's Q(g,S) at the slot pairs.
 """
 
+import dataclasses
+
 import numpy as np
 
 from kenmotsu import AlmostContactStructure, ChartManifold, jets
@@ -87,6 +89,35 @@ def h5z():
         sample_box=((-1.0, 1.0),) * 4 + ((0.6, 1.6),),
         notes="h5 in upper half-space coordinates; non-constant xi and eta",
     )
+
+
+def h5polar():
+    """h5 with polar coordinates (r, theta) on the first fibre plane: phi varies with r.
+
+    The metric is e^{2t}(dr^2 + r^2 dtheta^2 + dx3^2 + dx4^2) + dt^2, with
+    phi d_r = d_theta / r, phi d_theta = -r d_r and the planar rotation on
+    (x3, x4); xi = eta = e_t.  Every other chart has a constant phi, for
+    which phi^T g phi and phi g phi^T agree; here phi varies and they differ.
+    """
+
+    def phi(p):
+        r = p[..., 0]
+        return jets.matrix([
+            [0.0, -r, 0.0, 0.0, 0.0],
+            [1.0 / r, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -1.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0] * 5,
+        ])
+
+    example = warped(
+        "h5polar", 1.0, lambda x: _diagonal([1.0, x[..., 0] ** 2, 1.0, 1.0]),
+        domain=((0.3, 3.0),) + ((-2.0, 2.0),) * 3 + ((-1.0, 1.0),),
+        sample_box=((0.6, 2.0),) + ((-1.0, 1.0),) * 3 + ((-0.5, 0.5),),
+        expected_kenmotsu=True, expected_einstein=True, expected_weyl_flat=True,
+        notes="h5 in polar coordinates on one fibre plane; non-constant phi",
+    )
+    return dataclasses.replace(example, structure=dataclasses.replace(example.structure, phi=phi))
 
 
 def beta2():

@@ -30,13 +30,16 @@ from kenmotsu import (
     check_weyl_commutation,
 )
 from kenmotsu.cli import main
+from kenmotsu.report import IDENTITIES
 
 N_POINTS = 20
 SEED = 0
 KENMOTSU_NAMES = ("h3", "h5", "ne5")
-# double finite-difference passes on the curved-coefficient chart ne5 get
-# one extra decade of slack; the warped charts hold the tight tolerance
-FD_TOL = {"h3": 1e-5, "h5": 1e-5, "ne5": 1e-4}
+
+
+def _gate(row) -> float:
+    """The gate of the row's identity, as the identity table sets it."""
+    return IDENTITIES[row.identity].tolerance
 
 
 def _verdict(label: str, ok: bool, detail: str) -> bool:
@@ -72,12 +75,10 @@ def semisymmetry(records):
 
 
 def test_01_structure_axioms(records):
-    worst = 0.0
-    for name in KENMOTSU_NAMES:
-        rep = check_almost_contact(records[name])
-        worst = max(worst, rep.max_residual)
-    ok = worst < 1e-10
-    assert _verdict("structure axioms", ok, f"worst {worst:.2e}, tol 1e-10")
+    reps = [check_almost_contact(records[name]) for name in KENMOTSU_NAMES]
+    worst = max(rep.max_residual for rep in reps)
+    ok = all(rep.max_residual < _gate(rep) for rep in reps)
+    assert _verdict("structure axioms", ok, f"worst {worst:.2e}")
 
 
 def test_02_kenmotsu_condition(records):
@@ -85,7 +86,7 @@ def test_02_kenmotsu_condition(records):
     parts = []
     for name in KENMOTSU_NAMES:
         rep = check_kenmotsu(records[name])
-        ok = ok and rep.max_residual < FD_TOL[name]
+        ok = ok and rep.max_residual < _gate(rep)
         parts.append(f"{name} {rep.max_residual:.1e}")
     control = check_kenmotsu(records["euclidean3"])
     ok = ok and control.max_residual >= 0.5
@@ -99,7 +100,7 @@ def test_03_curvature_identities(records):
     for name in KENMOTSU_NAMES:
         reports = check_curvature_identities(records[name])
         worst = max(r.max_residual for r in reports)
-        ok = ok and worst < FD_TOL[name]
+        ok = ok and all(r.max_residual < _gate(r) for r in reports)
         parts.append(f"{name} {worst:.1e}")
     assert _verdict("curvature identities", ok, ", ".join(parts))
 
@@ -108,10 +109,9 @@ def test_04_curvature_cross_check(cross_reports):
     ok = True
     parts = []
     for name in KENMOTSU_NAMES:
-        riem = cross_reports[name]["riemann-cross-check"].max_residual
-        ric = cross_reports[name]["ricci-cross-check"].max_residual
-        worst = max(riem, ric)
-        ok = ok and worst < FD_TOL[name]
+        reports = [cross_reports[name][key] for key in ("riemann-cross-check", "ricci-cross-check")]
+        worst = max(r.max_residual for r in reports)
+        ok = ok and all(r.max_residual < _gate(r) for r in reports)
         parts.append(f"{name} {worst:.1e}")
     assert _verdict("curvature cross-check", ok, ", ".join(parts))
 
@@ -123,17 +123,17 @@ def test_05_connection_invariants(records):
     for record in records.values():
         rep = check_torsion(record)
         worst_torsion = max(worst_torsion, rep.max_residual)
-    ok = ok and worst_torsion < 1e-10
+        ok = ok and rep.max_residual < _gate(rep)
     for name in KENMOTSU_NAMES:
         for check in (check_nonmetricity, check_reeb_transport, check_deformation_form):
             rep = check(records[name])
             worst_rest = max(worst_rest, rep.max_residual)
-    ok = ok and worst_rest < 1e-5
+            ok = ok and rep.max_residual < _gate(rep)
     assert _verdict(
         "connection invariants",
         ok,
-        f"torsion {worst_torsion:.1e} (tol 1e-10), "
-        f"non-metricity/transport/deformation {worst_rest:.1e} (tol 1e-5)",
+        f"torsion {worst_torsion:.1e}, "
+        f"non-metricity/transport/deformation {worst_rest:.1e}",
     )
 
 
@@ -143,8 +143,7 @@ def test_06_contraction_consistency(cross_reports, semisymmetry, records):
     for name in KENMOTSU_NAMES:
         scalar = cross_reports[name]["scalar-cross-check"]
         symmetry = cross_reports[name]["ricci-symmetry"]
-        worst = max(scalar.max_residual, symmetry.max_residual)
-        ok = ok and worst < 1e-5
+        ok = ok and all(r.max_residual < _gate(r) for r in (scalar, symmetry))
         means = semisymmetry[name]["semisymmetry-condition"].extras
         shift = means["mean-modified-scalar"] - means["mean-lc-scalar"]
         want = records[name].manifold.n
@@ -159,7 +158,7 @@ def test_07_reeb_curvature_degeneracy(records):
     for name in KENMOTSU_NAMES:
         rep = check_reeb_curvature_degeneracy(records[name])
         contrast = rep.extras["levi-civita-contrast"]
-        ok = ok and rep.max_residual < FD_TOL[name] and contrast > 0.5
+        ok = ok and rep.max_residual < _gate(rep) and contrast > 0.5
         parts.append(f"{name} {rep.max_residual:.1e} (contrast {contrast:.2f})")
     assert _verdict("reeb degeneracy", ok, ", ".join(parts))
 
@@ -169,9 +168,9 @@ def test_08_derivation_identity(records):
     parts = []
     for name in KENMOTSU_NAMES:
         rep = check_derivation_identity(records[name])
-        ok = ok and rep.max_residual < 1e-4
+        ok = ok and rep.max_residual < _gate(rep)
         parts.append(f"{name} {rep.max_residual:.1e}")
-    assert _verdict("derivation identity", ok, ", ".join(parts) + ", tol 1e-4")
+    assert _verdict("derivation identity", ok, ", ".join(parts))
 
 
 def test_09_semisymmetry_forces_einstein(semisymmetry, records):
@@ -182,16 +181,18 @@ def test_09_semisymmetry_forces_einstein(semisymmetry, records):
         rows = semisymmetry[name]
         condition = rows["semisymmetry-condition"]
         fit, modified = rows["einstein-ricci-fit"].extras, rows["eta-einstein-fit"].extras
+        fit_tol = _gate(rows["einstein-ricci-fit"])
+        modified_tol = _gate(rows["eta-einstein-fit"])
         scalar = condition.extras["mean-lc-scalar"]
         modified_scalar = condition.extras["mean-modified-scalar"]
         checks = (
-            condition.max_residual < 1e-5,
-            abs(fit["joint-a"] + 2 * n) < 1e-4 and fit["joint-residual"] < 1e-4,
-            abs(modified["joint-a"] - 2) < 1e-4
-            and abs(modified["joint-b"] + 2) < 1e-4
-            and modified["joint-residual"] < 1e-4,
-            abs(scalar + 2 * n * (2 * n + 1)) < 1e-4,
-            abs(modified_scalar - 4 * n) < 1e-4,
+            condition.max_residual < _gate(condition),
+            abs(fit["joint-a"] + 2 * n) < fit_tol and fit["joint-residual"] < fit_tol,
+            abs(modified["joint-a"] - 2) < modified_tol
+            and abs(modified["joint-b"] + 2) < modified_tol
+            and modified["joint-residual"] < modified_tol,
+            abs(scalar + 2 * n * (2 * n + 1)) < _gate(rows["scalar-curvature-constant"]),
+            abs(modified_scalar - 4 * n) < _gate(rows["modified-scalar-constant"]),
         )
         ok = ok and all(checks)
         parts.append(
@@ -222,10 +223,10 @@ def test_11_weyl_behaviour(records):
     for name in ("h3", "h5"):
         _, vanishing, _ = check_weyl(records[name])
         worst_flat = max(worst_flat, vanishing.max_residual)
-    ok = ok and worst_flat < 1e-5
+        ok = ok and vanishing.max_residual < _gate(vanishing)
     parts.append(f"h3/h5 flat {worst_flat:.1e}")
     traceless, vanishing, metric_q = check_weyl(records["ne5"])
-    ok = ok and traceless.max_residual < 1e-5 and metric_q.max_residual < 1e-12
+    ok = ok and all(r.max_residual < _gate(r) for r in (traceless, metric_q))
     parts.append(
         f"ne5 traceless {traceless.max_residual:.1e}"
         f" (weyl magnitude {vanishing.max_residual:.2f})"
@@ -236,7 +237,7 @@ def test_11_weyl_behaviour(records):
         comm.extras["tachibana-riemann"],
         comm.extras["tachibana-weyl"],
     )
-    ok = ok and degenerate < 1e-5
+    ok = ok and degenerate < _gate(comm)
     parts.append(f"h5 commutation {degenerate:.1e}")
     assert _verdict("weyl behaviour", ok, ", ".join(parts))
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import beta2, h5z, ne7
+from helpers import beta2, h5polar, h5z, ne7
 
 import kenmotsu.cli as cli
 from kenmotsu import by_name, catalog
@@ -150,6 +150,17 @@ def test_upper_half_space_h5_matches_every_row(monkeypatch):
     # the catalog's xi and eta are constant, so dxi and deta vanish wherever
     # it looks; here they do not, and every row that reads them must still hold
     outcome = _run_outside_catalog(monkeypatch, h5z())
+    rows = [r for s in outcome.suites for r in s.rows]
+    assert len(rows) == 25
+    assert max(r.max_residual for r in rows if r.expected) < 1e-12
+    assert outcome.verdicts["kenmotsu"] is True
+    assert outcome.verdicts["einstein"] is True
+
+
+def test_polar_h5_matches_every_row(monkeypatch):
+    # on the other charts phi is constant and phi^T g phi equals phi g phi^T;
+    # here phi varies with r and the two differ, and every row must still hold
+    outcome = _run_outside_catalog(monkeypatch, h5polar())
     rows = [r for s in outcome.suites for r in s.rows]
     assert len(rows) == 25
     assert max(r.max_residual for r in rows if r.expected) < 1e-12

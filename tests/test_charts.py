@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import beta2, central_difference, generic_chart, h5z, ne7
+from helpers import beta2, central_difference, generic_chart, h5polar, h5z, ne7
 
 from kenmotsu import (
     ChartManifold,
@@ -150,7 +150,11 @@ def test_metric_pair_at_names_the_point_whose_inverse_fails():
         chart.metric_pair_at(points)
 
 
-@pytest.mark.parametrize("name", [ex.name for ex in catalog()] + ["generic", "h5z"])
+# test-only charts whose structure fields vary: xi and eta on h5z, phi on h5polar
+VARYING = {"h5z": h5z, "h5polar": h5polar}
+
+
+@pytest.mark.parametrize("name", [ex.name for ex in catalog()] + ["generic", *VARYING])
 def test_finite_difference_matches_analytic_partials(name):
     # the jets' partials against central differences of the values, one
     # point at a time: the metric's first partials against differences of
@@ -160,7 +164,7 @@ def test_finite_difference_matches_analytic_partials(name):
         m, structure = generic_chart(), None
         points = np.random.default_rng(5).uniform(-0.5, 0.5, size=(5, 5))
     else:
-        ex = h5z() if name == "h5z" else by_name(name)
+        ex = VARYING[name]() if name in VARYING else by_name(name)
         m, structure, points = ex.manifold, ex.structure, ex.sample_points(5, seed=5)
     for p in points:
         _, dg, ddg = m.metric_partials_at(p, 2)

@@ -178,6 +178,40 @@ def test_resolve_suites_order():
         resolve_suites(["bogus"])
 
 
+def test_a_repeated_manifold_runs_once_in_first_seen_order(capsys):
+    # as a repeated --suite does; the config keeps the flags as given
+    argv = ["--manifold", "h5", "--manifold", "h3", "--manifold", "h5",
+            "--suite", "axioms", "--points", "2", "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [m["name"] for m in doc["manifolds"]] == ["h5", "h3"]
+    assert doc["config"]["manifolds"] == ["h5", "h3", "h5"]
+
+
+@pytest.mark.parametrize("chart", ["euclidean3", "ne5"])
+def test_verdicts_are_read_from_the_gated_rows(chart):
+    # gating a row again changes nothing, and the runner keeps no verdicts of
+    # its own: the same rows give the same verdicts, and a suite that did not
+    # run leaves its verdicts None
+    config = RunConfig(manifolds=(chart,), suites=SUITE_ORDER, num_points=3,
+                       tolerances={"scalar-cross-check": 1e-3})
+    runner = cli._ManifoldRunner(by_name(chart), config)
+    outcome = runner.outcome(SUITE_ORDER)
+    rows = [r for s in outcome.suites for r in s.rows]
+    gates = [(r.status, r.note, r.expected, r.tolerance) for r in rows]
+    assert [(r.status, r.note, r.expected, r.tolerance) for r in map(runner._gated, rows)] == gates
+    assert not hasattr(runner, "verdicts")
+    assert runner._verdicts(outcome.suites) == outcome.verdicts
+    assert outcome.verdicts["einstein"] is not None
+    without = [s for s in outcome.suites if s.name != "semisymmetry"]
+    verdicts = runner._verdicts(without)
+    assert verdicts["kenmotsu"] == outcome.verdicts["kenmotsu"]
+    assert [k for k, v in verdicts.items() if v is None] == [
+        "einstein", "einstein_fit", "eta_einstein_fit", "mean_scalar", "mean_modified_scalar",
+        *(["scalar_shift_deviation"] if chart == "euclidean3" else []),
+    ]
+
+
 def test_run_requires_suites():
     with pytest.raises(UsageError):
         run(RunConfig(manifolds=("h3",), suites=()))
