@@ -79,9 +79,11 @@ class RunConfig:
             raise UsageError("--seed must be a non-negative integer")
         if self.output_format not in ("text", "json"):
             raise UsageError(f"unknown output format {self.output_format!r}")
-        for name in self.tolerances:
+        for name, value in self.tolerances.items():
             if name not in IDENTITIES:
                 raise UsageError(f"unknown identity in --tol: {name!r}")
+            if not 0.0 < float(value) < math.inf:
+                raise UsageError(f"tolerance must be a positive finite number: {name}={value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -430,8 +432,6 @@ def _parse_tolerances(pairs: list[str]) -> dict[str, float]:
             out[name] = float(value)
         except ValueError as exc:
             raise UsageError(f"bad tolerance value in {pair!r}") from exc
-        if not (out[name] > 0 and math.isfinite(out[name])):
-            raise UsageError(f"tolerance must be a positive finite number in {pair!r}")
     return out
 
 

@@ -95,46 +95,42 @@ class EinsteinFit:
     b: float | np.ndarray
     residual: float | np.ndarray
 
-    def __post_init__(self) -> None:
-        if np.any(np.asarray(self.residual) < 0):
-            raise ValueError("residual must be nonnegative")
-
 
 def _fit_operators(
-    ops: np.ndarray,
-    xi: np.ndarray | None = None,
-    eta: np.ndarray | None = None,
-    joint: bool = False,
-) -> EinsteinFit:
-    """Fit each (1,1) operator ``ops[n]`` to a*I, or to a*I + b*(xi (x) eta).
+    ops: np.ndarray, xi: np.ndarray | None = None, eta: np.ndarray | None = None
+) -> tuple[EinsteinFit, EinsteinFit]:
+    """Fit the (1,1) operators ``ops[n]`` to a*I, or to a*I + b*(xi (x) eta): (per_point, joint).
 
     The least-squares fit is the orthogonal projection of the operator onto
     span{I, xi (x) eta}: a = tr/m for the plain fit (``xi`` None), the 2x2
     normal equations otherwise.  Their determinant is at least
     (1 - 1/m) m |xi (x) eta|^2, so only a zero outer product leaves them
-    singular; b is then 0, the minimum-norm fit.  Per point the fields are
-    (N,) arrays; ``joint`` fits one (a, b) to all points and gives floats.
-    ``residual`` is the largest absolute entry of the operator minus its fit.
+    singular; b is then 0, the minimum-norm fit.  The equations' terms are
+    built once per point: the per-point fits solve each point's terms and
+    have (N,) fields, the joint fit solves their sums, one (a, b) for all
+    points, and has floats.  ``residual`` is the largest absolute entry of
+    the operator minus its fit.
     """
     m = ops.shape[-1]
-    total = (lambda x: np.sum(x, keepdims=True)) if joint else (lambda x: x)
-    uu = total(np.full(len(ops), float(m)))
-    uy = total(np.trace(ops, axis1=-2, axis2=-1))
-    a, b, outer = uy / uu, np.zeros_like(uy), 0.0
+    outer, terms = 0.0, [np.full(len(ops), float(m)), np.trace(ops, axis1=-2, axis2=-1)]
     if xi is not None:
         outer = np.einsum("...i,...j->...ij", xi, eta)
-        uv = total(np.trace(outer, axis1=-2, axis2=-1))
-        vv = total(np.sum(outer * outer, axis=(-2, -1)))
-        vy = total(np.sum(outer * ops, axis=(-2, -1)))
+        terms += [np.trace(outer, axis1=-2, axis2=-1), np.sum(outer * outer, axis=(-2, -1)),
+                  np.sum(outer * ops, axis=(-2, -1))]
+
+    # the plain fit has no outer-product terms: vv = 0 gives a = tr/m and b = 0
+    def solve(uu, uy, uv=0.0, vv=0.0, vy=0.0) -> EinsteinFit:
         solvable = vv > 0.0
         det = np.where(solvable, uu * vv - uv * uv, 1.0)
-        a = np.where(solvable, (vv * uy - uv * vy) / det, a)
+        a = np.where(solvable, (vv * uy - uv * vy) / det, uy / uu)
         b = np.where(solvable, (uu * vy - uv * uy) / det, 0.0)
-    fitted = a[:, None, None] * np.eye(m) + b[:, None, None] * outer
-    residual = np.max(np.abs(ops - fitted), axis=(-2, -1))
-    if joint:
-        return EinsteinFit(a=float(a[0]), b=float(b[0]), residual=float(np.max(residual)))
-    return EinsteinFit(a=a, b=b, residual=residual)
+        fitted = a[:, None, None] * np.eye(m) + b[:, None, None] * outer
+        return EinsteinFit(a=a, b=b, residual=np.max(np.abs(ops - fitted), axis=(-2, -1)))
+
+    joint = solve(*(np.sum(t, keepdims=True) for t in terms))
+    return solve(*terms), EinsteinFit(
+        a=float(joint.a[0]), b=float(joint.b[0]), residual=float(np.max(joint.residual))
+    )
 
 
 class CurvatureBundle:
@@ -152,8 +148,8 @@ class CurvatureBundle:
     the Levi-Civita derivative of eta ``lc_nabla_eta[n, a, j]`` =
     (nabla_a eta)_j, one Levi-Civita and one modified curvature pass
     ``lc_riemann``/``riemann`` [n, l, i, j, k], both Ricci tensors and
-    scalars, the per-point Einstein fits ``lc_einstein_fits`` of the
-    Levi-Civita Ricci operator, the Weyl tensor, and g wedge g and Q(g,S),
+    scalars, the per-point and joint Einstein fits ``lc_einstein_fits`` of
+    the Levi-Civita Ricci operator, the Weyl tensor, and g wedge g and Q(g,S),
     built once for every row that reads them: ``g_wedge_g`` and
     ``tachibana_ricci``.  A part that one row alone reads, such as the
     closed-form curvature of :func:`check_curvature_relation`, is that row's
@@ -279,8 +275,8 @@ class CurvatureBundle:
         return _read_only(np.einsum("...jk,...jk->...", self.metric.inverse, self.ricci))
 
     @cached_property
-    def lc_einstein_fits(self) -> EinsteinFit:
-        """Per point, the fit of the Levi-Civita Ricci operator to a*I, as (N,) arrays."""
+    def lc_einstein_fits(self) -> tuple[EinsteinFit, EinsteinFit]:
+        """The fits of the Levi-Civita Ricci operator to a*I: (per_point, joint)."""
         return _fit_operators(self.metric.inverse @ self.lc_ricci)
 
     @cached_property

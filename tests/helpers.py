@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from kenmotsu import AlmostContactStructure, ChartManifold, jets
+from kenmotsu import AlmostContactStructure, ChartManifold, by_name, jets
 from kenmotsu.catalog import (
     NamedExample, _constant, _diagonal, _flat, _hyperbolic_times_flat, _planar_phi, warped,
 )
@@ -127,6 +127,87 @@ def beta2():
         domain=((-2.0, 2.0),) * 2 + ((-1.0, 1.0),),
         sample_box=((-1.0, 1.0),) * 2 + ((-0.5, 0.5),),
         expected_kenmotsu=False, expected_einstein=True, expected_weyl_flat=True,
+    )
+
+
+def sheared(example, a, name, domain, sample_box):
+    """``example``, whose structure is constant, in the linear coordinates x = A x'.
+
+    The metric is g'(x') = A^t g(A x') A, built entry by entry over jets;
+    phi' = A^-1 phi A, xi' = A^-1 xi and eta' = eta A.  A shear that mixes
+    the Reeb axis into another moves xi off its coordinate axis, so
+    xi (x) eta and eta (x) xi are different arrays there.
+    """
+    a = np.asarray(a, dtype=float)
+    dim, inverse = len(a), np.linalg.inv(a)
+    origin = np.zeros(dim)
+    phi, xi, eta = (getattr(example.structure, f"{f}_at")(dim, origin)[0]
+                    for f in ("phi", "xi", "eta"))
+
+    def metric(p):
+        x = jets.matrix([[sum(a[i, k] * p[..., k] for k in range(dim)) for i in range(dim)]])
+        g = example.manifold.metric(x[..., 0, :])
+        return jets.matrix([[sum(a[k, i] * a[l, j] * g[..., k, l]
+                                 for k in range(dim) for l in range(dim))
+                             for j in range(dim)] for i in range(dim)])
+
+    return dataclasses.replace(
+        example, name=name, manifold=ChartManifold(dim, metric, domain), sample_box=sample_box,
+        structure=AlmostContactStructure(
+            phi=_constant(inverse @ phi @ a), xi=_constant(inverse @ xi), eta=_constant(eta @ a)
+        ),
+        notes=f"{example.name} in the sheared coordinates x = A x'",
+    )
+
+
+def _shear(dim, column):
+    """The identity with 0.5 at (0, ``column``): x1 = x1' + 0.5 x'_column."""
+    a = np.eye(dim)
+    a[0, column] = 0.5
+    return a
+
+
+def h5shear():
+    """h5 under x1 = x1' + 0.5 t': xi' = d_t - 0.5 d_1 and eta' = dt."""
+    return sheared(by_name("h5"), _shear(5, 4), "h5shear",
+                   domain=((-3.0, 3.0),) * 4 + ((-1.0, 1.0),), sample_box=((-0.5, 0.5),) * 5)
+
+
+def euclidean3shear():
+    """euclidean3 under x1 = x1' + 0.5 t': the control chart off the coordinate axes."""
+    base = by_name("euclidean3")
+    return sheared(base, _shear(3, 2), "euclidean3shear",
+                   domain=base.manifold.domain, sample_box=base.sample_box)
+
+
+def heis3():
+    """Blair's Sasakian R^3: eta = (dz - y dx)/2, xi = 2 d_z, g = eta (x) eta + (dx^2 + dy^2)/4.
+
+    phi d_x = -d_y and phi d_y = d_x + y d_z.  A contact metric chart,
+    d eta != 0, where every other chart has d eta = 0: the modified Ricci
+    tensor is not symmetric here.
+    """
+
+    def metric(p):
+        y = p[..., 1]
+        return jets.matrix([[0.25 * y * y + 0.25, 0.0, -0.25 * y],
+                            [0.0, 0.25, 0.0],
+                            [-0.25 * y, 0.0, 0.25]])
+
+    def phi(p):
+        return jets.matrix([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, p[..., 1], 0.0]])
+
+    def eta(p):
+        return jets.matrix([[-0.5 * p[..., 1], 0.0, 0.5]])[..., 0, :]
+
+    return NamedExample(
+        name="heis3",
+        manifold=ChartManifold(3, metric, ((-2.0, 2.0),) * 3),
+        structure=AlmostContactStructure(phi=phi, xi=_constant(np.array([0.0, 0.0, 2.0])),
+                                         eta=eta),
+        expected_kenmotsu=False, expected_einstein=False, expected_weyl_flat=True,
+        sample_box=((-1.0, 1.0),) * 3,
+        notes="Sasakian: a contact metric control, d eta != 0",
     )
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import beta2, h5polar, h5z, ne7
+from helpers import beta2, euclidean3shear, h5polar, h5shear, h5z, heis3, ne7
 
 import kenmotsu.cli as cli
 from kenmotsu import by_name, catalog
@@ -166,6 +166,35 @@ def test_polar_h5_matches_every_row(monkeypatch):
     assert max(r.max_residual for r in rows if r.expected) < 1e-12
     assert outcome.verdicts["kenmotsu"] is True
     assert outcome.verdicts["einstein"] is True
+
+
+@pytest.mark.parametrize("chart,kenmotsu", [(h5shear, True), (euclidean3shear, False)])
+def test_sheared_chart_matches_every_row(monkeypatch, chart, kenmotsu):
+    # on every other chart xi and eta lie on one coordinate axis and
+    # xi (x) eta equals eta (x) xi; here they differ, so a transposed outer
+    # product in a row fails it
+    example = chart()
+    origin = np.zeros(example.manifold.dim)
+    xi = example.structure.xi_at(len(origin), origin)[0]
+    eta = example.structure.eta_at(len(origin), origin)[0]
+    assert np.max(np.abs(np.outer(xi, eta) - np.outer(eta, xi))) == 0.5
+    outcome = _run_outside_catalog(monkeypatch, example)
+    rows = [r for s in outcome.suites for r in s.rows]
+    assert len(rows) == 25
+    assert max(r.max_residual for r in rows if r.expected) < 1e-12
+    assert outcome.verdicts["kenmotsu"] is kenmotsu
+    assert outcome.verdicts["einstein"] is True
+
+
+def test_sasakian_chart_matches_every_row(monkeypatch):
+    # a contact metric structure, d eta != 0: almost contact metric but
+    # neither Kenmotsu nor Einstein
+    outcome = _run_outside_catalog(monkeypatch, heis3())
+    rows = {r.identity: r for s in outcome.suites for r in s.rows}
+    assert len(rows) == 25
+    assert rows["structure-axioms"].max_residual < 1e-12
+    assert outcome.verdicts["kenmotsu"] is False
+    assert outcome.verdicts["einstein"] is False
 
 
 def test_beta_two_chart_is_not_kenmotsu(monkeypatch):

@@ -51,6 +51,14 @@ def test_bad_tolerance_flags(flag, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+def test_run_config_refuses_a_tolerance_that_is_not_positive_and_finite(value):
+    # the library's entry point checks what --tol checks: a NaN once failed
+    # every row it gated and went into the JSON config, and inf passed them all
+    with pytest.raises(UsageError, match="positive finite"):
+        RunConfig(manifolds=("h3",), suites=("axioms",), tolerances={"irregularity": value})
+
+
 @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
 def test_bad_step_is_usage_error(step, capsys):
     with pytest.raises(SystemExit) as exit_:

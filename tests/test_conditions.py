@@ -14,8 +14,8 @@ from kenmotsu import (
     check_weyl,
     check_weyl_commutation,
 )
-from kenmotsu import connection
-from kenmotsu.conditions import _pair_action, _weyl_trace
+from kenmotsu import EinsteinFit, connection
+from kenmotsu.conditions import EINSTEIN_FIT_THRESHOLD, _pair_action, _weyl_trace
 from kenmotsu.connection import (
     CHUNK_BYTES,
     _chunk_ranges,
@@ -200,13 +200,13 @@ def test_einstein_fit_recovers_exact_combinations():
     pair = ex.manifold.metric_pair_at(p)
     xi = ex.structure.xi(p)
     eta = ex.structure.eta(p)
-    fit = _fit_operators((pair.inverse @ pair.matrix)[None], joint=True)
+    _, fit = _fit_operators((pair.inverse @ pair.matrix)[None])
     assert fit.a == pytest.approx(1.0, abs=1e-12)
     assert fit.b == 0.0
     assert fit.residual < 1e-12
     # a made-up eta-einstein tensor is recovered exactly
     target = 1.5 * pair.matrix - 0.25 * np.outer(eta, eta)
-    fit2 = _fit_operators((pair.inverse @ target)[None], xi[None], eta[None], joint=True)
+    _, fit2 = _fit_operators((pair.inverse @ target)[None], xi[None], eta[None])
     assert fit2.a == pytest.approx(1.5, abs=1e-10)
     assert fit2.b == pytest.approx(-0.25, abs=1e-10)
     assert fit2.residual < 1e-10
@@ -229,8 +229,7 @@ def test_closed_form_fits_equal_least_squares(fit_eta):
     xi, eta = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
     xi[3] = 0.0  # a zero outer product leaves b at 0, as the minimum-norm solve does
     args = (xi, eta) if fit_eta else (None, None)
-    per_point = _fit_operators(ops, *args)
-    joint = _fit_operators(ops, *args, joint=True)
+    per_point, joint = _fit_operators(ops, *args)
     fits = [(per_point.a[n], per_point.b[n], per_point.residual[n]) for n in range(7)]
     samples = [((ops[n],), (xi[n],) if fit_eta else None, (eta[n],)) for n in range(7)]
     fits.append((joint.a, joint.b, joint.residual))
@@ -357,9 +356,26 @@ def test_weyl_commutation_degenerate_on_h5():
 
 @pytest.mark.parametrize("name,status", [("h5", "ok"), ("ne5", "info"), ("h3", "not-applicable")])
 def test_weyl_commutation_takes_the_einstein_hypothesis_from_the_record(name, status):
-    # gated where every per-point Einstein fit of the record holds, informational
-    # where one fails, vacuous in dimension 3
+    # gated where the record's joint Einstein fit holds, informational where
+    # it fails, vacuous in dimension 3
     assert check_weyl_commutation(record(name, 3, seed=20)).status == status
+
+
+def test_weyl_commutation_gates_on_the_joint_einstein_fit():
+    # every per-point fit holds but no single a*I fits all the points: the
+    # gate reads the joint residual, the number the einstein verdict reads
+    geometry = lc_record("h5", 3, seed=20)
+    _, joint = geometry.lc_einstein_fits
+    assert joint.residual < EINSTEIN_FIT_THRESHOLD
+    assert check_weyl_commutation(geometry).status == "ok"
+    geometry.lc_einstein_fits = (
+        EinsteinFit(a=np.array([-3.0, -4.0, -5.0]), b=np.zeros(3), residual=np.zeros(3)),
+        EinsteinFit(a=-4.0, b=0.0, residual=1.0),
+    )
+    assert max(geometry.lc_einstein_fits[0].residual) < EINSTEIN_FIT_THRESHOLD
+    report = check_weyl_commutation(geometry)
+    assert report.status == "info"
+    assert "Einstein hypothesis fails" in report.note
 
 
 def test_weyl_commutation_informational_off_einstein():

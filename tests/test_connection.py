@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import heis3
 
 from kenmotsu import (
     NonMetricConnection,
@@ -180,6 +181,16 @@ def test_curvature_relation_fails_on_control():
     assert by_id["scalar-cross-check"].max_residual < 1e-9
     # the direct modified ricci is symmetric here as well
     assert by_id["ricci-symmetry"].max_residual < 1e-9
+
+
+def test_ricci_symmetry_fails_off_closed_eta():
+    # d eta != 0 on the Sasakian heis3, and there the Ricci tensor of D is
+    # not symmetric; every catalog chart has d eta = 0
+    ex = heis3()
+    geometry = curvature_bundle(NonMetricConnection(ex.manifold, ex.structure),
+                                ex.sample_points(20, seed=0))
+    by_id = {r.identity: r for r in check_curvature_relation(geometry)}
+    assert by_id["ricci-symmetry"].max_residual >= 1.0
 
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
