@@ -103,17 +103,6 @@ class ChartManifold:
         """The contact half-dimension: dim = 2n + 1."""
         return (self.dim - 1) // 2
 
-    def _inside(self, p: np.ndarray) -> np.ndarray:
-        lo = np.array([lo for lo, _ in self.domain])
-        hi = np.array([hi for _, hi in self.domain])
-        return np.all((lo <= p) & (p <= hi), axis=-1)
-
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=float)
-        if p.shape != (self.dim,):
-            return False
-        return bool(self._inside(p))
-
     def require_inside(self, points: np.ndarray) -> np.ndarray:
         """The points as a float array, if there is at least one and every one lies in the box."""
         p = np.asarray(points, dtype=float)
@@ -121,7 +110,8 @@ class ChartManifold:
             raise DomainError(f"point has shape {p.shape}, expected ({self.dim},)")
         if p.size == 0:
             raise DomainError(f"no points: the batch has shape {p.shape}")
-        outside = ~self._inside(p)
+        lo, hi = np.array(self.domain).T
+        outside = ~np.all((lo <= p) & (p <= hi), axis=-1)
         if np.any(outside):
             first = p.reshape(-1, self.dim)[np.argmax(outside.ravel())]
             raise DomainError(f"point {first.tolist()} leaves the chart domain")

@@ -52,6 +52,31 @@ def generic_chart() -> ChartManifold:
     return ChartManifold(dim=5, metric=metric, domain=((-1.0, 1.0),) * 5)
 
 
+def s2s3() -> ChartManifold:
+    """S^2(1) x S^3(sqrt 2) in coordinates (theta, phi, chi, alpha, beta).
+
+    g = dtheta^2 + sin^2 theta dphi^2 + 2 (dchi^2 + sin^2 chi (dalpha^2 + sin^2 alpha dbeta^2)):
+    both factors have Ricci tensor equal to their metric, so S = g and r = 5.
+    It is Einstein and not a space form, and its Weyl tensor is not zero,
+    unlike every Einstein chart of the catalog.
+    """
+
+    def metric(p):
+        theta, chi, alpha = p[..., 0], p[..., 2], p[..., 3]
+        sphere3 = 2.0 * jets.sin(chi) ** 2
+        return jets.matrix(_diagonal(
+            [1.0, jets.sin(theta) ** 2, 2.0, sphere3, sphere3 * jets.sin(alpha) ** 2]))
+
+    polar, azimuth = (0.5, 2.6), (-3.0, 3.0)
+    return ChartManifold(5, metric, (polar, azimuth, polar, polar, azimuth))
+
+
+def s2s3_points(count: int, seed: int) -> np.ndarray:
+    """Uniform draws from the sample box of :func:`s2s3`, inside its domain with a margin."""
+    box = np.array([(0.7, 2.4), (-2.0, 2.0), (0.7, 2.4), (0.7, 2.4), (-2.0, 2.0)])
+    return np.random.default_rng(seed).uniform(box[:, 0], box[:, 1], size=(count, 5))
+
+
 def ne7():
     """ne5's fibre times a flat plane: a dim-7 Kenmotsu chart, n = 3."""
     return warped(

@@ -74,9 +74,10 @@ def test_domain_membership_and_margins():
     # the box is closed and no call takes a margin: the partials come from
     # the point itself, so a corner is inside and a hair beyond it is not
     m = by_name("h3").manifold
-    assert m.contains(np.array([0.0, 0.0, 0.0]))
-    assert m.contains(np.array([2.0, 0.0, -1.0]))
-    assert not m.contains(np.array([0.0, 0.0, 5.0]))
+    inside = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, -1.0]])
+    assert m.require_inside(inside).tolist() == inside.tolist()
+    with pytest.raises(DomainError, match="leaves the chart domain"):
+        m.require_inside(np.array([0.0, 0.0, 5.0]))
     with pytest.raises(DomainError, match=r"^point \[0\.0, 0\.0, 1\.001\] leaves the chart domain$"):
         m.require_inside(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.001]]))
     with pytest.raises(DomainError):

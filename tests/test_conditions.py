@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import _action_on_all_pairs, _semisymmetry_defect, generic_chart, ne7
+from helpers import (
+    _action_on_all_pairs, _semisymmetry_defect, generic_chart, ne7, s2s3, s2s3_points,
+)
 
 from kenmotsu import (
     AlmostContactStructure,
@@ -383,36 +385,16 @@ def test_weyl_commutation_informational_off_einstein():
     assert report.status == "info"
     assert report.passed  # informational rows never gate
     assert report.max_residual > 0.01
-    # both normalizations of the scaled relation are recorded
-    assert "relation-total-dim" in report.extras
-    assert "relation-contact-n" in report.extras
+    assert report.extras["relation-total-dim"] == report.max_residual
     assert report.extras["tachibana-riemann"] > 0.01
 
 
-@pytest.mark.parametrize("name", ["h5", "ne5", "ne7", "generic", "generic-chunks"])
-def test_weyl_commutation_on_pairs_equals_full_actions(name):
-    # the check takes the actions on the pairs X < Y of the endomorphisms
-    # and on the curvature operators of the forms, antisymmetrized in their
-    # outer slots; the reference here takes the rank-6 actions on every
-    # (X,Y) and every slot of those antisymmetrized forms.  The catalog's
-    # curvatures vanish on many pairs; the generic chart's on none.
-    # "generic-chunks" spans several chunks of points, so a chunk boundary
-    # that misaligns points and residuals fails it.
-    if name.startswith("generic"):
-        manifold = generic_chart()
-        count = 4 if name == "generic" else 25
-        points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(count, 5)))
-    else:
-        ex = ne7() if name == "ne7" else by_name(name)
-        manifold = ex.manifold
-        points = ex.sample_points(3 if name == "ne7" else 4, seed=19)
-    m, n = manifold.dim, manifold.n
-    if name == "generic-chunks":
-        # the induced actions of 3 * 10 endomorphisms on 10 pairs take
-        # 3 * 10**3 values per point in dim 5
-        assert len(_chunk_ranges(len(points), 8 * 3 * 10**3)) >= 3
-    b = CurvatureBundle(manifold, None, points)
-    report = check_weyl_commutation(b)
+def _full_weyl_actions(b: CurvatureBundle, scale: int) -> dict[str, np.ndarray]:
+    """The rank-6 reference of the Weyl row, with the scaled relation under r / ``scale``.
+
+    The actions run on every (X,Y) and every slot of the (0,4) forms of R
+    and C, antisymmetrized in their outer slots.
+    """
     g, riem, weyl = b.metric.matrix, b.lc_riemann, b.weyl
     r = b.lc_scalar.reshape((-1,) + (1,) * 6)
     raw = [np.einsum("...al,...lijk->...aijk", g, t) for t in (riem, weyl)]
@@ -423,22 +405,70 @@ def test_weyl_commutation_on_pairs_equals_full_actions(name):
     riem4, weyl4 = (0.5 * (t - np.swapaxes(t, 1, 4)) for t in raw)
     commutator = _action_on_all_pairs(weyl, riem4, 4) - _action_on_all_pairs(riem, weyl4, 4)
     q_riem = _action_on_all_pairs(_wedge(g), riem4, 4)
-    values = {
+    return {
         "commutator": commutator,
         "tachibana-riemann": q_riem,
         "tachibana-weyl": _action_on_all_pairs(_wedge(g), weyl4, 4),
-        "relation-total-dim": commutator + r / (m * (m - 1)) * q_riem,
-        "relation-contact-n": commutator + r / (n * (n - 1)) * q_riem,
+        "relation-total-dim": commutator + r / scale * q_riem,
     }
+
+
+@pytest.mark.parametrize("name", ["h5", "ne5", "ne7", "s2s3", "generic", "generic-chunks"])
+def test_weyl_commutation_on_pairs_equals_full_actions(name):
+    # the check takes the actions on the pairs X < Y of the endomorphisms
+    # and on the curvature operators of the forms, antisymmetrized in their
+    # outer slots; the reference takes the rank-6 actions on every (X,Y)
+    # and every slot.  The catalog's curvatures vanish on many pairs; the
+    # generic chart's on none; on s2s3 the relation holds while its terms
+    # do not vanish.  "generic-chunks" spans several chunks of points, so a
+    # chunk boundary that misaligns points and residuals fails it.
+    if name.startswith("generic"):
+        manifold = generic_chart()
+        count = 4 if name == "generic" else 25
+        points = list(np.random.default_rng(19).uniform(-0.5, 0.5, size=(count, 5)))
+    elif name == "s2s3":
+        manifold, points = s2s3(), s2s3_points(4, seed=19)
+    else:
+        ex = ne7() if name == "ne7" else by_name(name)
+        manifold = ex.manifold
+        points = ex.sample_points(3 if name == "ne7" else 4, seed=19)
+    m = manifold.dim
+    if name == "generic-chunks":
+        # the induced actions of 3 * 10 endomorphisms on 10 pairs take
+        # 3 * 10**3 values per point in dim 5
+        assert len(_chunk_ranges(len(points), 8 * 3 * 10**3)) >= 3
+    b = CurvatureBundle(manifold, None, points)
+    report = check_weyl_commutation(b)
+    values = _full_weyl_actions(b, m * (m - 1))
     assert values.keys() == report.extras.keys()
     full = {}
     for key, value in values.items():
         assert value.shape == (len(points),) + (m,) * 6
         full[key] = per_point(value)
         np.testing.assert_allclose(report.extras[key], max(full[key]), rtol=1e-12, err_msg=key)
-    magnitudes = ("commutator", "tachibana-riemann", "tachibana-weyl")
-    headline = np.max([full[key] for key in magnitudes], axis=0)
-    np.testing.assert_allclose(report.residuals, headline, rtol=1e-12)
+    np.testing.assert_allclose(report.residuals, full["relation-total-dim"], rtol=1e-12)
+
+
+def test_weyl_commutation_gates_the_relation_on_a_non_space_form_einstein_chart():
+    # S^2(1) x S^3(sqrt 2) is Einstein (S = g, r = 5) with C != 0: the
+    # relation holds to roundoff while each of its terms is of order one,
+    # so a check that gates the terms themselves, or the relation under
+    # another scale or sign, fails here
+    b = CurvatureBundle(s2s3(), None, s2s3_points(20, seed=0))
+    joint = b.lc_einstein_fits[1]
+    assert joint.residual < 1e-12 and abs(joint.a - 1.0) < 1e-12
+    report = check_weyl_commutation(b)
+    assert report.status == "ok" and report.passed
+    assert report.extras["relation-total-dim"] <= 1e-12
+    for key in ("commutator", "tachibana-riemann", "tachibana-weyl"):
+        assert report.extras[key] >= 0.1, key
+    # the contact half-dimension n = 2 in place of the dimension m = 5
+    contact_n = _full_weyl_actions(b, 2 * (2 - 1))["relation-total-dim"]
+    assert np.max(per_point(contact_n)) >= 1.0
+    rows = {r.identity: r for r in check_weyl(b)}
+    np.testing.assert_allclose(rows["weyl-vanishing"].max_residual, 0.75, rtol=1e-6)
+    assert not rows["weyl-vanishing"].passed
+    assert rows["weyl-traceless"].passed and rows["tachibana-metric"].passed
 
 
 def _weyl_commutation_peak(count: int) -> int:
