@@ -22,6 +22,7 @@ box on which metric entries stay within a few orders of magnitude of 1
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from dataclasses import dataclass
@@ -97,7 +98,8 @@ def _planar_phi(dim: int) -> np.ndarray:
 
 
 def _constant(value: np.ndarray):
-    """A field equal to ``value`` at every point: a plain array of its own shape, zero partials."""
+    """A field equal to ``value``, made read-only, at every point: a plain array, zero partials."""
+    value.setflags(write=False)
     return lambda p: value
 
 
@@ -120,7 +122,9 @@ def warped(name: str, beta: float, fiber: Callable, domain: tuple, sample_box: t
 
     def metric(p: jets.Jet) -> jets.Jet:
         w = jets.exp(2.0 * beta * p[..., -1])
-        rows = [[w * e for e in row] + [0.0] for row in fiber(p[..., :k])]
+        # a zero entry stays a number, which jets.matrix leaves unwritten
+        rows = [[w * e if isinstance(e, jets.Jet) or e != 0.0 else e for e in row] + [0.0]
+                for row in fiber(p[..., :k])]
         return jets.matrix(rows + [[0.0] * k + [1.0]])
 
     xi = np.eye(dim)[-1]
@@ -147,11 +151,17 @@ def _hyperbolic_times_flat(x: jets.Jet) -> list[list]:
 
 
 def catalog() -> list[NamedExample]:
+    """The four charts, in report order: a new list of the examples built once per process."""
+    return list(_examples().values())
+
+
+@functools.cache
+def _examples() -> dict[str, NamedExample]:
     space_form = dict(
         expected_kenmotsu=True, expected_einstein=True, expected_weyl_flat=True,
         notes="constant curvature -1 warped chart; Einstein with S = -(dim-1) g",
     )
-    return [
+    examples = [
         warped(
             "euclidean3", 0.0, _flat,
             domain=((-2.0, 2.0),) * 3,
@@ -179,11 +189,11 @@ def catalog() -> list[NamedExample]:
             notes="hyperbolic-times-flat Kaehler fiber; Kenmotsu but not Einstein",
         ),
     ]
+    return {example.name: example for example in examples}
 
 
 def by_name(name: str) -> NamedExample:
-    for example in catalog():
-        if example.name == name:
-            return example
-    known = ", ".join(e.name for e in catalog())
-    raise KeyError(f"no example named {name!r}; known: {known}")
+    examples = _examples()
+    if name not in examples:
+        raise KeyError(f"no example named {name!r}; known: {', '.join(examples)}")
+    return examples[name]

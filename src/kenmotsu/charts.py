@@ -97,6 +97,9 @@ class ChartManifold:
         object.__setattr__(
             self, "domain", tuple((float(lo), float(hi)) for lo, hi in self.domain)
         )
+        bounds = np.array(self.domain).T  # lows and highs, read-only, for require_inside
+        bounds.setflags(write=False)
+        object.__setattr__(self, "_bounds", bounds)
 
     @property
     def n(self) -> int:
@@ -110,7 +113,7 @@ class ChartManifold:
             raise DomainError(f"point has shape {p.shape}, expected ({self.dim},)")
         if p.size == 0:
             raise DomainError(f"no points: the batch has shape {p.shape}")
-        lo, hi = np.array(self.domain).T
+        lo, hi = self._bounds
         outside = ~np.all((lo <= p) & (p <= hi), axis=-1)
         if np.any(outside):
             first = p.reshape(-1, self.dim)[np.argmax(outside.ravel())]

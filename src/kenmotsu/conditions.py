@@ -38,6 +38,8 @@ row gates that relation, not the vanishing of its terms.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .connection import (
@@ -46,13 +48,15 @@ from .connection import (
     _derivation,
     _fit_operators,
     _pair_action,
+    _slot_pairs,
 )
-from .report import IdentityResidualReport, per_point, row, sides_row
+from .report import IdentityResidualReport, _read_only, per_point, row, sides_row
 
 # threshold on the joint Einstein fit residual, in (1,1) components
 EINSTEIN_FIT_THRESHOLD = 1e-4
 
 
+@cache
 def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs i < j of m indices, and the induced action of an endomorphism on 2-forms.
 
@@ -62,9 +66,10 @@ def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     endomorphism A[c, z] acts on it by (A w)(Z_1, Z_2) = w(A Z_1, Z_2)
     + w(Z_1, A Z_2): the pairs x pairs matrix from pair r to pair q is
     sum_{c,z} A[c, z] induced[(c, z), (q, r)], so one matmul against
-    ``induced`` gives it for a whole stack of endomorphisms.
+    ``induced`` gives it for a whole stack of endomorphisms.  The tables
+    are built once per m and are read-only.
     """
-    i, j = np.triu_indices(m, k=1)
+    i, j = _slot_pairs(m)
     q = np.arange(len(i))
     sign = np.zeros((m, m, len(i)))
     sign[i, j, q] = 1.0
@@ -72,7 +77,7 @@ def _two_form_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     induced = np.zeros((m, m, len(i), len(i)))
     induced[:, i, q] = sign[:, j]
     induced[:, j, q] = sign[i].transpose(1, 0, 2)
-    return i, j, induced.reshape(m * m, -1)
+    return i, j, _read_only(induced.reshape(m * m, -1))
 
 
 def _commutation_maxima(
@@ -214,7 +219,7 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     chunks = [_commutation_maxima(geometry, slice(lo, hi), tables)
               for lo, hi in _chunk_ranges(len(geometry.p), 8 * 3 * pairs**3)]
     mags = {k: np.concatenate(v) for k, v in zip(keys, zip(*chunks))}
-    extras = {k: float(np.max(v)) for k, v in mags.items()}
+    extras = {k: float(v.max()) for k, v in mags.items()}
     return row("weyl-tachibana", mags["relation-total-dim"], extras, status=status, note=note)
 
 

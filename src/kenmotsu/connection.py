@@ -26,7 +26,7 @@ identity.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +125,11 @@ def _fit_operators(
         a = np.where(solvable, (vv * uy - uv * vy) / det, uy / uu)
         b = np.where(solvable, (uu * vy - uv * uy) / det, 0.0)
         fitted = a[:, None, None] * np.eye(m) + b[:, None, None] * outer
-        return EinsteinFit(a=a, b=b, residual=np.max(np.abs(ops - fitted), axis=(-2, -1)))
+        return EinsteinFit(a=a, b=b, residual=per_point(ops - fitted))
 
     joint = solve(*(np.sum(t, keepdims=True) for t in terms))
     return solve(*terms), EinsteinFit(
-        a=float(joint.a[0]), b=float(joint.b[0]), residual=float(np.max(joint.residual))
+        a=float(joint.a[0]), b=float(joint.b[0]), residual=float(joint.residual.max())
     )
 
 
@@ -329,10 +329,16 @@ def _derivation(rows: np.ndarray, t: np.ndarray, symmetric: bool = False) -> np.
     return np.negative(out, out=out)
 
 
+@cache
+def _slot_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot pairs X < Y of m indices, as read-only index arrays built once per m."""
+    return tuple(_read_only(index) for index in np.triu_indices(m, k=1))
+
+
 def _pair_action(curv: np.ndarray, target: np.ndarray) -> np.ndarray:
     """(curv(X,Y) . target)(Z,U) at the pairs X < Y: curv[n, l, X, Y, z] -> out[n, pair, Z, U]."""
     n, m = curv.shape[:2]
-    x, y = np.triu_indices(m, k=1)
+    x, y = _slot_pairs(m)
     # T(A Z, U) + T(Z, A U) = (A^t T + T A)(Z, U): the family's rows are the A(X,Y)^t
     return _derivation(curv[:, :, x, y, :].transpose(0, 2, 3, 1).reshape(n, -1, m), target)
 
@@ -426,5 +432,5 @@ def check_reeb_curvature_degeneracy(geometry: CurvatureBundle) -> IdentityResidu
     xi = geometry.xi
     degen = np.einsum("...lijk,...k->...lij", geometry.riemann, xi)
     lc = np.einsum("...lijk,...k->...lij", geometry.lc_riemann, xi)
-    extras = {"levi-civita-contrast": float(np.max(per_point(lc)))}
+    extras = {"levi-civita-contrast": float(per_point(lc).max())}
     return row("irregularity", per_point(degen), extras)

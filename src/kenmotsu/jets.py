@@ -133,7 +133,8 @@ def matrix(rows: list[list]) -> Jet | np.ndarray:
               None if first.hess is None else np.zeros(shape + (dim, dim)))
     for i, j, e in entries:
         if not isinstance(e, Jet):
-            out.value[..., i, j] = e
+            if e != 0.0:  # the arrays start zero-filled
+                out.value[..., i, j] = e
             continue
         out.value[..., i, j], out.grad[..., i, j, :] = e.value, e.grad
         if out.hess is not None:

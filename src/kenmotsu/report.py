@@ -65,8 +65,8 @@ class IdentityResidualReport:
         self.identity = identity
         self.tolerance = tolerance
         self.residuals = residuals = _read_only(np.array(residuals, dtype=float))
-        # np.max propagates NaN, where Python's max skips one that is not first
-        self.max_residual = float(np.max(residuals)) if residuals.size else 0.0
+        # an ndarray max propagates NaN, where Python's max skips one that is not first
+        self.max_residual = float(residuals.max()) if residuals.size else 0.0
         self.extras = {} if extras is None else extras
         self.status = status
         self.note = note
@@ -200,7 +200,7 @@ IDENTITIES: dict[str, Identity] = {
 
 def per_point(residual: np.ndarray) -> np.ndarray:
     """Max-abs over every axis but the leading point axis: one residual per point."""
-    return np.max(np.abs(residual), axis=tuple(range(1, residual.ndim)))
+    return np.abs(residual).reshape(len(residual), -1).max(axis=1)
 
 
 def row(
@@ -224,7 +224,7 @@ def sides_row(identity: str, lhs: np.ndarray, rhs: np.ndarray) -> IdentityResidu
     """
     extras = {}
     if IDENTITIES[identity].opposite_sign:
-        extras["opposite-sign-residual"] = float(np.max(per_point(lhs + rhs)))
+        extras["opposite-sign-residual"] = float(per_point(lhs + rhs).max())
     return row(identity, per_point(lhs - rhs), extras)
 
 

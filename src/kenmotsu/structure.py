@@ -91,7 +91,7 @@ def check_almost_contact(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the three structure axioms at each point."""
     res = _axiom_residuals(geometry)
     headline = np.max([res[k] for k in _AXIOM_KEYS], axis=0)
-    extras = {k: float(np.max(v)) for k, v in res.items()}
+    extras = {k: float(v.max()) for k, v in res.items()}
     return row("structure-axioms", headline, extras)
 
 
@@ -113,7 +113,7 @@ def check_kenmotsu(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the defining covariant-derivative condition at each point."""
     res = _kenmotsu_residuals(geometry)
     headline = np.maximum(res["reeb-gradient"], res["eta-gradient"])
-    extras = {k: float(np.max(v)) for k, v in res.items()}
+    extras = {k: float(v.max()) for k, v in res.items()}
     return row("kenmotsu-condition", headline, extras)
 
 

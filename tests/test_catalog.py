@@ -16,7 +16,24 @@ def test_catalog_names_and_order():
 def test_by_name_rejects_unknown():
     with pytest.raises(KeyError) as err:
         by_name("nope")
-    assert "euclidean3" in str(err.value)
+    assert "known: euclidean3, h3, h5, ne5" in str(err.value)
+
+
+def test_by_name_reads_the_catalog_built_once():
+    examples = catalog()
+    for ex in examples:
+        assert by_name(ex.name) == ex
+        assert by_name(ex.name) is by_name(ex.name)
+    # each call gives a new list; clearing one leaves the lookups as they were
+    assert catalog() is not examples
+    looked_up = {ex.name: by_name(ex.name) for ex in examples}
+    examples.clear()
+    assert all(by_name(name) is ex for name, ex in looked_up.items())
+    assert [ex.name for ex in catalog()] == list(looked_up)
+    # the constant structure fields are shared by every run: none can be written
+    phi = by_name("h3").structure.phi(None)
+    with pytest.raises(ValueError):
+        phi[0, 0] = 1.0
 
 
 def test_expected_flags():
