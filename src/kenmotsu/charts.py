@@ -136,11 +136,13 @@ class ChartManifold:
         """g_ij and g^ij at each point: one inverse, one validation.
 
         ``g`` is the metric at the points, when the caller has it already
-        from :meth:`metric_partials_at`.
+        from :meth:`metric_partials_at`: a ``g`` of another batch shape raises.
         """
         p = self.require_inside(points)
         if g is None:
             g = self.metric_partials_at(p)[0]
+        elif np.shape(g) != p.shape[:-1] + (self.dim, self.dim):
+            raise MetricError(f"metric of shape {np.shape(g)} handed for points of shape {p.shape}")
         try:
             return MetricPair.from_matrix(g)
         except MetricError as exc:

@@ -218,23 +218,26 @@ class _ManifoldRunner:
         return report
 
     def _verdicts(self, suites: list[SuiteOutcome]) -> dict:
-        """The chart's verdicts, read from the gated rows of the suites that ran.
+        """The chart's verdicts, read from the record and the gated rows of the suites that ran.
 
-        The joint fits, the scalar means and the scalar shift are read off
-        their rows, and are None where the suite holding the row did not run.
+        The Einstein verdict reads the record's one fit, as ``weyl-tachibana``
+        does, once the semisymmetry or the Weyl suite ran; the modified
+        fit, the scalar means and the scalar shift are read off their rows.
+        Each is None where what it reads did not run.
         """
         rows = {r.identity: r for suite in suites for r in suite.rows}
-        fit = rows.get("einstein-ricci-fit")
+        fit = None
+        if any(s.status == "ran" and s.name in ("semisymmetry", "weyl") for s in suites):
+            lc_fit = self.geometry.lc_einstein_fit
+            fit = {"a": lc_fit.a, "residual": float(lc_fit.residual.max())}
         eta_fit = rows.get("eta-einstein-fit")
         scalars = rows.get("semisymmetry-condition")
         shift = rows.get("scalar-cross-check") if self.example.expected_kenmotsu else None
         return {
             # Kenmotsu's definition presupposes an almost contact metric structure
             "kenmotsu": None if self.error else self.axioms.passed and self.kenmotsu.passed,
-            "einstein": None if fit is None
-            else fit.extras["joint-residual"] < EINSTEIN_FIT_THRESHOLD,
-            "einstein_fit": None if fit is None
-            else {"a": fit.extras["joint-a"], "residual": fit.extras["joint-residual"]},
+            "einstein": None if fit is None else fit["residual"] < EINSTEIN_FIT_THRESHOLD,
+            "einstein_fit": fit,
             "eta_einstein_fit": None if eta_fit is None
             else {k: eta_fit.extras[f"joint-{k}"] for k in ("a", "b", "residual")},
             "mean_scalar": None if scalars is None else scalars.extras["mean-lc-scalar"],

@@ -52,7 +52,7 @@ from .connection import (
 )
 from .report import IdentityResidualReport, _read_only, per_point, row, sides_row
 
-# threshold on the joint Einstein fit residual, in (1,1) components
+# threshold on the largest residual of the Einstein fit, in (1,1) components
 EINSTEIN_FIT_THRESHOLD = 1e-4
 
 
@@ -138,9 +138,11 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
     r = -2n(2n+1), ric_K = 2g - 2 eta (x) eta and scal_K = 4n.  Returns the
     ``semisymmetry-condition`` row, whose extras hold the means of both
     scalar curvatures, then one row per consequence: the per-point
-    deviations from those targets, with the joint Einstein fits of S (b
-    forced to 0) and of ric_K (free a, b) as the ``joint-*`` extras of the
-    two fit rows.
+    deviations from those targets.  The two fit rows measure each point
+    against the one fit over all the points, of S (b forced to 0) and of
+    ric_K (free a, b): the fit's distance from its target, or the point's
+    own residual if larger; the fit's a, b and largest residual are the
+    rows' ``joint-*`` extras.
     """
     n = geometry.manifold.n
     ginv, xi, eta = geometry.metric.inverse, geometry.xi, geometry.eta
@@ -151,19 +153,20 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
         "mean-lc-scalar": float(np.mean(geometry.lc_scalar)),
         "mean-modified-scalar": float(np.mean(geometry.scalar)),
     }
-    plain, plain_joint = geometry.lc_einstein_fits
-    modified, eta_joint = _fit_operators(ginv @ geometry.ricci, xi, eta)
+    plain = geometry.lc_einstein_fit
+    modified = _fit_operators(ginv @ geometry.ricci, xi, eta)
     # the scalar curvatures the chain forces: r of S and scal_K of ric_K
     r, scal_k = -2.0 * n * (2 * n + 1), 4.0 * n
     rows = {
         "semisymmetry-condition": (per_point(defect_norm), means),
         "einstein-ricci-fit": (
-            np.maximum(np.abs(plain.a + 2.0 * n), plain.residual),
-            {"joint-a": plain_joint.a, "joint-residual": plain_joint.residual},
+            np.maximum(abs(plain.a + 2.0 * n), plain.residual),
+            {"joint-a": plain.a, "joint-residual": float(plain.residual.max())},
         ),
         "eta-einstein-fit": (
-            np.max([np.abs(modified.a - 2.0), np.abs(modified.b + 2.0), modified.residual], axis=0),
-            {"joint-a": eta_joint.a, "joint-b": eta_joint.b, "joint-residual": eta_joint.residual},
+            np.maximum(max(abs(modified.a - 2.0), abs(modified.b + 2.0)), modified.residual),
+            {"joint-a": modified.a, "joint-b": modified.b,
+             "joint-residual": float(modified.residual.max())},
         ),
         "scalar-curvature-constant": (np.abs(geometry.lc_scalar - r), {"target": r}),
         "modified-scalar-constant": (np.abs(geometry.scalar - scal_k), {"target": scal_k}),
@@ -195,9 +198,10 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     Q(g,R)|; the extras hold the largest |C . R - R . C|, |Q(g,R)| and
     |Q(g,C)| and the largest residual, ``relation-total-dim``.  The chart
     counts as Einstein where one a*I fits the Levi-Civita Ricci operator at
-    all points, the joint fit residual below :data:`EINSTEIN_FIT_THRESHOLD`,
-    as for the CLI's einstein verdict.  Off the Einstein case the row is
-    informational: the relation need not hold there.
+    all points, the fit's largest residual below
+    :data:`EINSTEIN_FIT_THRESHOLD`, as for the CLI's einstein verdict.  Off
+    the Einstein case the row is informational: the relation need not hold
+    there.
 
     Each form is stored as its curvature operator on 2-forms, and R, C and
     the wedge act only at their slot pairs (:func:`_commutation_maxima`;
@@ -209,7 +213,7 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
         note = "conformal tensor is identically zero in dimension 3"
         return row("weyl-tachibana", [], status="not-applicable", note=note)
     status, note = "ok", ""
-    if not geometry.lc_einstein_fits[1].residual < EINSTEIN_FIT_THRESHOLD:
+    if not geometry.lc_einstein_fit.residual.max() < EINSTEIN_FIT_THRESHOLD:
         status, note = "info", "Einstein hypothesis fails here; the relation is recorded, not gated"
     keys = ("commutator", "tachibana-riemann", "tachibana-weyl", "relation-total-dim")
     tables = _two_form_tables(m)

@@ -83,54 +83,42 @@ class NonMetricConnection:
 
 @dataclass(frozen=True)
 class EinsteinFit:
-    """Least-squares fit of a Ricci operator to a*I + b*(xi (x) eta).
+    """One least-squares fit of the Ricci operators at N points to a*I + b*(xi (x) eta).
 
     Everything is in (1,1) "normalized" components, so ``residual`` is
-    comparable across metrics of very different scales.  ``b`` is zero by
-    construction for the plain Einstein fit.  The fields are floats for one
-    fit and (N,) arrays for the per-point fits of a batch.
+    comparable across metrics of very different scales.  ``a`` and ``b``
+    are floats, ``b`` zero by construction for the plain Einstein fit;
+    ``residual[n]`` is the largest absolute entry of operator n minus the fit.
     """
 
-    a: float | np.ndarray
-    b: float | np.ndarray
-    residual: float | np.ndarray
+    a: float
+    b: float
+    residual: np.ndarray
 
 
 def _fit_operators(
     ops: np.ndarray, xi: np.ndarray | None = None, eta: np.ndarray | None = None
-) -> tuple[EinsteinFit, EinsteinFit]:
-    """Fit the (1,1) operators ``ops[n]`` to a*I, or to a*I + b*(xi (x) eta): (per_point, joint).
+) -> EinsteinFit:
+    """Fit the (1,1) operators ``ops[n]`` to one a*I, or to one a*I + b*(xi (x) eta).
 
-    The least-squares fit is the orthogonal projection of the operator onto
-    span{I, xi (x) eta}: a = tr/m for the plain fit (``xi`` None), the 2x2
-    normal equations otherwise.  Their determinant is at least
-    (1 - 1/m) m |xi (x) eta|^2, so only a zero outer product leaves them
-    singular; b is then 0, the minimum-norm fit.  The equations' terms are
-    built once per point: the per-point fits solve each point's terms and
-    have (N,) fields, the joint fit solves their sums, one (a, b) for all
-    points, and has floats.  ``residual`` is the largest absolute entry of
-    the operator minus its fit.
+    The least-squares fit over all the points is the orthogonal projection
+    of the stacked operators onto span{I, xi (x) eta}: a = sum tr / (N m)
+    for the plain fit (``xi`` None), the 2x2 normal equations summed over
+    the points otherwise.  Their determinant is at least (1 - 1/m) m
+    sum |xi (x) eta|^2, so only zero outer products everywhere leave them
+    singular; b is then 0, the minimum-norm fit.
     """
     m = ops.shape[-1]
-    outer, terms = 0.0, [np.full(len(ops), float(m)), np.trace(ops, axis1=-2, axis2=-1)]
+    uu, uy = float(m * len(ops)), np.sum(np.trace(ops, axis1=-2, axis2=-1))
+    outer, a, b = 0.0, uy / uu, 0.0
     if xi is not None:
         outer = np.einsum("...i,...j->...ij", xi, eta)
-        terms += [np.trace(outer, axis1=-2, axis2=-1), np.sum(outer * outer, axis=(-2, -1)),
-                  np.sum(outer * ops, axis=(-2, -1))]
-
-    # the plain fit has no outer-product terms: vv = 0 gives a = tr/m and b = 0
-    def solve(uu, uy, uv=0.0, vv=0.0, vy=0.0) -> EinsteinFit:
-        solvable = vv > 0.0
-        det = np.where(solvable, uu * vv - uv * uv, 1.0)
-        a = np.where(solvable, (vv * uy - uv * vy) / det, uy / uu)
-        b = np.where(solvable, (uu * vy - uv * uy) / det, 0.0)
-        fitted = a[:, None, None] * np.eye(m) + b[:, None, None] * outer
-        return EinsteinFit(a=a, b=b, residual=per_point(ops - fitted))
-
-    joint = solve(*(np.sum(t, keepdims=True) for t in terms))
-    return solve(*terms), EinsteinFit(
-        a=float(joint.a[0]), b=float(joint.b[0]), residual=float(joint.residual.max())
-    )
+        uv = np.sum(np.trace(outer, axis1=-2, axis2=-1))
+        vv, vy = (np.sum(np.sum(outer * t, axis=(-2, -1))) for t in (outer, ops))
+        if vv > 0.0:
+            det = uu * vv - uv * uv
+            a, b = (vv * uy - uv * vy) / det, (uu * vy - uv * uy) / det
+    return EinsteinFit(float(a), float(b), per_point(ops - (a * np.eye(m) + b * outer)))
 
 
 class CurvatureBundle:
@@ -148,9 +136,9 @@ class CurvatureBundle:
     the Levi-Civita derivative of eta ``lc_nabla_eta[n, a, j]`` =
     (nabla_a eta)_j, one Levi-Civita and one modified curvature pass
     ``lc_riemann``/``riemann`` [n, l, i, j, k], both Ricci tensors and
-    scalars, the per-point and joint Einstein fits ``lc_einstein_fits`` of
-    the Levi-Civita Ricci operator, the Weyl tensor, and g wedge g and Q(g,S),
-    built once for every row that reads them: ``g_wedge_g`` and
+    scalars, the one Einstein fit ``lc_einstein_fit`` of the Levi-Civita
+    Ricci operator over all the points, the Weyl tensor, and g wedge g and
+    Q(g,S), built once for every row that reads them: ``g_wedge_g`` and
     ``tachibana_ricci``.  A part that one row alone reads, such as the
     closed-form curvature of :func:`check_curvature_relation`, is that row's
     local and never kept here.
@@ -275,8 +263,8 @@ class CurvatureBundle:
         return _read_only(np.einsum("...jk,...jk->...", self.metric.inverse, self.ricci))
 
     @cached_property
-    def lc_einstein_fits(self) -> tuple[EinsteinFit, EinsteinFit]:
-        """The fits of the Levi-Civita Ricci operator to a*I: (per_point, joint)."""
+    def lc_einstein_fit(self) -> EinsteinFit:
+        """The one fit of the Levi-Civita Ricci operator to a*I over all the points."""
         return _fit_operators(self.metric.inverse @ self.lc_ricci)
 
     @cached_property

@@ -147,6 +147,8 @@ def variables(points: np.ndarray, order: int) -> Jet:
 
     The partials are read-only broadcast views; every operation makes new arrays.
     """
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order!r}")
     dim = points.shape[-1]
     hess = np.broadcast_to(0.0, points.shape + (dim, dim)) if order == 2 else None
     return Jet(points, np.broadcast_to(np.eye(dim), points.shape + (dim,)), hess)

@@ -16,6 +16,7 @@ from kenmotsu import (
     levi_civita,
 )
 from kenmotsu.charts import (
+    _christoffel_partials,
     _nabla_bilinear,
     _nabla_form,
     _nabla_vector,
@@ -151,6 +152,35 @@ def test_metric_pair_at_names_the_point_whose_inverse_fails():
         chart.metric_pair_at(points)
 
 
+def test_metric_pair_at_refuses_a_metric_of_another_batch():
+    # a metric of 5 points handed in for 2 would give a pair of the wrong
+    # batch, or index past the batch to name a failing point beyond it
+    manifold = by_name("h3").manifold
+    p = by_name("h3").sample_points(5, 0)
+    g = manifold.metric_partials_at(p)[0]
+    assert manifold.metric_pair_at(p, g).matrix.shape == (5, 3, 3)
+    bad = np.array(g)
+    bad[4, 0, 1] += 1e-6
+    message = "metric of shape (5, 3, 3) handed for points of shape (2, 3)"
+    for metric in (g, bad):
+        with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+            manifold.metric_pair_at(p[:2], metric)
+    with pytest.raises(MetricError, match=re.escape("points of shape (3,)")):
+        manifold.metric_pair_at(p[0], g)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_a_jet_order_other_than_one_or_two_is_refused(order):
+    # the jet path (h5's metric) and the constant path (its xi) start in the
+    # same place, so neither drops or invents partials
+    ex = by_name("h5")
+    p = ex.sample_points(3, 0)
+    with pytest.raises(ValueError, match="^jet order must be 1 or 2, got"):
+        ex.manifold.metric_partials_at(p, order)
+    with pytest.raises(ValueError, match="^jet order must be 1 or 2, got"):
+        _partials_at(ex.structure.xi, p, (5,), order, "xi", MetricError)
+
+
 # test-only charts whose structure fields vary: xi and eta on h5z, phi on h5polar
 VARYING = {"h5z": h5z, "h5polar": h5polar}
 
@@ -159,8 +189,10 @@ VARYING = {"h5z": h5z, "h5polar": h5polar}
 def test_finite_difference_matches_analytic_partials(name):
     # the jets' partials against central differences of the values, one
     # point at a time: the metric's first partials against differences of
-    # its values, its second against differences of its first, and each
-    # structure field's partials against differences of its values
+    # its values, its second against differences of its first, the
+    # Christoffel partials in closed form against differences of the
+    # Christoffel symbols, and each structure field's partials against
+    # differences of its values
     if name == "generic":
         m, structure = generic_chart(), None
         points = np.random.default_rng(5).uniform(-0.5, 0.5, size=(5, 5))
@@ -173,6 +205,12 @@ def test_finite_difference_matches_analytic_partials(name):
         assert np.max(np.abs(fd - dg)) < 1e-9
         fd2 = central_difference(lambda q: m.metric_partials_at(q)[1], p)
         assert np.max(np.abs(fd2 - ddg)) < 1e-9
+        # each term of d Gamma counts: the one symmetric in the derivative
+        # and the first lower slot cancels out of every curvature
+        inverse, gamma = m.metric_pair_at(p).inverse[None], christoffel(m, p)[None]
+        dgamma = _christoffel_partials(inverse, dg[None], ddg[None], gamma)
+        fd3 = central_difference(lambda q: christoffel(m, q), p)
+        assert np.max(np.abs(fd3 - dgamma[0])) < 1e-9
         for field in () if structure is None else ("phi", "xi", "eta"):
             at = getattr(structure, f"{field}_at")
             fd = central_difference(lambda q: at(m.dim, q)[0], p)

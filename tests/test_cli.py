@@ -15,6 +15,7 @@ import kenmotsu.cli as cli
 from kenmotsu import AlmostContactStructure, by_name
 from kenmotsu.catalog import NamedExample
 from kenmotsu.cli import SUITE_ORDER, RunConfig, UsageError, main, resolve_suites, run
+from kenmotsu.conditions import EINSTEIN_FIT_THRESHOLD
 from kenmotsu.report import IDENTITIES
 
 
@@ -83,11 +84,18 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     ]
 
 
-def test_removed_flag_exits_2_without_a_traceback():
+@pytest.mark.parametrize("argv", [
+    ["--step", "5e-324"], ["--points", "0"], ["--seed", "-1"], ["--manifold", "nope"],
+    ["--suite", "nope"], ["--tol", "einstein-ricci-fit=nan"], ["--tol", "nosuch=1"],
+    ["--tol", "x"],
+], ids=["step", "points", "seed", "manifold", "suite", "tol-nan", "tol-name", "tol-form"])
+def test_usage_error_exits_2_without_a_traceback(argv):
+    # a real interpreter under -W error: a usage error is one error line,
+    # never a traceback or a warning turned into one
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "kenmotsu", "--step", "5e-324"],
+        [sys.executable, "-W", "error", "-m", "kenmotsu", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 2 and proc.stdout == ""
@@ -211,13 +219,36 @@ def test_verdicts_are_read_from_the_gated_rows(chart):
     assert not hasattr(runner, "verdicts")
     assert runner._verdicts(outcome.suites) == outcome.verdicts
     assert outcome.verdicts["einstein"] is not None
-    without = [s for s in outcome.suites if s.name != "semisymmetry"]
+    # the Weyl suite alone decides the Einstein verdict from the same fit
+    weyl = runner._verdicts([s for s in outcome.suites if s.name != "semisymmetry"])
+    for key in ("einstein", "einstein_fit"):
+        assert weyl[key] == outcome.verdicts[key]
+    without = [s for s in outcome.suites if s.name not in ("semisymmetry", "weyl")]
     verdicts = runner._verdicts(without)
     assert verdicts["kenmotsu"] == outcome.verdicts["kenmotsu"]
     assert [k for k, v in verdicts.items() if v is None] == [
         "einstein", "einstein_fit", "eta_einstein_fit", "mean_scalar", "mean_modified_scalar",
         *(["scalar_shift_deviation"] if chart == "euclidean3" else []),
     ]
+
+
+def test_a_weyl_run_gives_the_einstein_verdict_its_gate_read(capsys):
+    # weyl-tachibana is gated on h5 and informational on ne5 by the record's
+    # one fit, and the einstein verdict beside it reads the same fit
+    argv = ["--manifold", "h5", "--manifold", "ne5", "--suite", "weyl", "--points", "5"]
+    assert main([*argv, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    verdicts = {m["name"]: m["verdicts"] for m in doc["manifolds"]}
+    statuses = {m["name"]: m["suites"][0]["identities"][-1]["status"] for m in doc["manifolds"]}
+    assert statuses == {"h5": "ok", "ne5": "info"}
+    assert verdicts["h5"]["einstein"] is True and verdicts["ne5"]["einstein"] is False
+    assert verdicts["h5"]["einstein_fit"]["a"] == pytest.approx(-4.0, abs=1e-9)
+    assert verdicts["ne5"]["einstein_fit"]["residual"] >= EINSTEIN_FIT_THRESHOLD
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "    einstein: yes (a = -4.000000, fit residual " in out
+    assert "    einstein: no (a = " in out
+    assert "not evaluated" not in out
 
 
 def test_run_requires_suites():

@@ -220,48 +220,49 @@ def test_einstein_fit_recovers_exact_combinations():
     pair = ex.manifold.metric_pair_at(p)
     xi = ex.structure.xi(p)
     eta = ex.structure.eta(p)
-    _, fit = _fit_operators((pair.inverse @ pair.matrix)[None])
+    fit = _fit_operators((pair.inverse @ pair.matrix)[None])
     assert fit.a == pytest.approx(1.0, abs=1e-12)
     assert fit.b == 0.0
-    assert fit.residual < 1e-12
+    assert fit.residual.shape == (1,) and fit.residual[0] < 1e-12
     # a made-up eta-einstein tensor is recovered exactly
     target = 1.5 * pair.matrix - 0.25 * np.outer(eta, eta)
-    _, fit2 = _fit_operators((pair.inverse @ target)[None], xi[None], eta[None])
+    fit2 = _fit_operators((pair.inverse @ target)[None], xi[None], eta[None])
     assert fit2.a == pytest.approx(1.5, abs=1e-10)
     assert fit2.b == pytest.approx(-0.25, abs=1e-10)
-    assert fit2.residual < 1e-10
+    assert fit2.residual[0] < 1e-10
 
 
 def _lstsq_fit(ops, xi, eta):
-    """The reference: one least-squares solve over all the given points."""
+    """The reference: one least-squares solve over all the points, and each point's misfit."""
     columns = [np.concatenate([np.eye(op.shape[0]).ravel() for op in ops])]
     if xi is not None:
         columns.append(np.concatenate([np.outer(x, e).ravel() for x, e in zip(xi, eta)]))
     design, y = np.stack(columns, axis=1), np.concatenate([op.ravel() for op in ops])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return coef, np.max(np.abs(y - design @ coef))
+    return coef, np.max(np.abs(y - design @ coef).reshape(len(ops), -1), axis=1)
 
 
 @pytest.mark.parametrize("fit_eta", [False, True], ids=["plain", "eta"])
 def test_closed_form_fits_equal_least_squares(fit_eta):
+    # the one fit solves the normal equations summed over the points: it is
+    # the least-squares fit of all the stacked operators, and each point is
+    # measured against it
     rng = np.random.default_rng(4)
     ops = rng.normal(size=(7, 5, 5))
     xi, eta = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
-    xi[3] = 0.0  # a zero outer product leaves b at 0, as the minimum-norm solve does
+    xi[3] = 0.0  # a point without outer product still counts in the fit
     args = (xi, eta) if fit_eta else (None, None)
-    per_point, joint = _fit_operators(ops, *args)
-    fits = [(per_point.a[n], per_point.b[n], per_point.residual[n]) for n in range(7)]
-    samples = [((ops[n],), (xi[n],) if fit_eta else None, (eta[n],)) for n in range(7)]
-    fits.append((joint.a, joint.b, joint.residual))
-    samples.append((ops, xi if fit_eta else None, eta))
-    for (a, b, residual), sample in zip(fits, samples):
-        coef, want_residual = _lstsq_fit(*sample)
-        want_b = coef[1] if fit_eta else 0.0
-        assert a == pytest.approx(coef[0], rel=1e-12, abs=1e-12)
-        assert b == pytest.approx(want_b, rel=1e-12, abs=1e-12)
-        assert residual == pytest.approx(want_residual, rel=1e-12)
-    assert per_point.b[3] == 0.0
-    assert isinstance(joint.a, float)
+    fit = _fit_operators(ops, *args)
+    coef, want_residual = _lstsq_fit(ops, *args)
+    assert isinstance(fit.a, float) and isinstance(fit.b, float)
+    assert fit.a == pytest.approx(coef[0], rel=1e-12, abs=1e-12)
+    assert fit.b == pytest.approx(coef[1] if fit_eta else 0.0, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(fit.residual, want_residual, rtol=1e-12)
+    if fit_eta:
+        # no outer product at any point: b is 0, the minimum-norm solve's, and
+        # a is the plain fit's
+        singular = _fit_operators(ops, np.zeros_like(xi), eta)
+        assert singular.b == 0.0 and singular.a == _fit_operators(ops).a
 
 
 @pytest.mark.parametrize("name,n", [("h3", 1), ("h5", 2)])
@@ -382,17 +383,12 @@ def test_weyl_commutation_takes_the_einstein_hypothesis_from_the_record(name, st
 
 
 def test_weyl_commutation_gates_on_the_joint_einstein_fit():
-    # every per-point fit holds but no single a*I fits all the points: the
-    # gate reads the joint residual, the number the einstein verdict reads
+    # the one a*I fits two of the points but not the third: the gate reads
+    # the fit's largest residual, the number the einstein verdict reads
     geometry = lc_record("h5", 3, seed=20)
-    _, joint = geometry.lc_einstein_fits
-    assert joint.residual < EINSTEIN_FIT_THRESHOLD
+    assert geometry.lc_einstein_fit.residual.max() < EINSTEIN_FIT_THRESHOLD
     assert check_weyl_commutation(geometry).status == "ok"
-    geometry.lc_einstein_fits = (
-        EinsteinFit(a=np.array([-3.0, -4.0, -5.0]), b=np.zeros(3), residual=np.zeros(3)),
-        EinsteinFit(a=-4.0, b=0.0, residual=1.0),
-    )
-    assert max(geometry.lc_einstein_fits[0].residual) < EINSTEIN_FIT_THRESHOLD
+    geometry.lc_einstein_fit = EinsteinFit(a=-4.0, b=0.0, residual=np.array([0.0, 1.0, 0.0]))
     report = check_weyl_commutation(geometry)
     assert report.status == "info"
     assert "Einstein hypothesis fails" in report.note
@@ -481,8 +477,8 @@ def test_weyl_commutation_gates_the_relation_on_a_non_space_form_einstein_chart(
     # so a check that gates the terms themselves, or the relation under
     # another scale or sign, fails here
     b = CurvatureBundle(s2s3(), None, s2s3_points(20, seed=0))
-    joint = b.lc_einstein_fits[1]
-    assert joint.residual < 1e-12 and abs(joint.a - 1.0) < 1e-12
+    fit = b.lc_einstein_fit
+    assert fit.residual.max() < 1e-12 and abs(fit.a - 1.0) < 1e-12
     report = check_weyl_commutation(b)
     assert report.status == "ok" and report.passed
     assert report.extras["relation-total-dim"] <= 1e-12
@@ -503,7 +499,7 @@ def _weyl_commutation_peak(count: int) -> int:
     geometry = curvature_bundle(conn, ex.sample_points(count, seed=5))
     # build what the check reads
     geometry.metric, geometry.g_wedge_g, geometry.weyl, geometry.lc_scalar
-    geometry.lc_einstein_fits
+    geometry.lc_einstein_fit
     tracemalloc.start()
     try:
         check_weyl_commutation(geometry)

@@ -4,13 +4,17 @@ Run from the repository root:
 
     python3 tools/mutation_sweep.py
 
-Three operators run over ``connection.py``, ``structure.py``, ``charts.py``
+Four operators run over ``connection.py``, ``structure.py``, ``charts.py``
 and ``conditions.py`` of ``src/kenmotsu``:
 
 - ``einsum``: swap one adjacent pair of letters in an einsum's output;
 - ``swapaxes``: drop one ``swapaxes`` call, ``np.swapaxes(t, a, b)`` or
   ``t.swapaxes(a, b)`` becoming ``t``;
-- ``augassign``: swap ``+=`` with ``-=``.
+- ``augassign``: swap ``+=`` with ``-=``;
+- ``zero``: turn one load of a partial array, a name or an attribute of
+  :data:`PARTIALS` or a partial parameter of the function it is in
+  (:data:`PARTIAL_PARAMETERS`), into ``(0 * ...)``; a load whose only use
+  is an attribute read, such as ``dg.shape``, is skipped.
 
 The working tree, README and tests included, is copied once to a temporary
 directory.  Each mutant is written there in turn and tier-1, less this
@@ -41,6 +45,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("connection.py", "structure.py", "charts.py", "conditions.py")
 ALLOW_LIST = ROOT / "tools" / "equivalent_mutants.txt"
+# the partial arrays of the pipeline, wherever they are loaded
+PARTIALS = {"dg", "ddg", "dxi", "deta", "dlc", "dmodified"}
+# the parameters that take partials, in the functions that take them
+PARTIAL_PARAMETERS = {
+    "levi_civita": {"dg"},
+    "_christoffel_partials": {"dg", "ddg"},
+    "riemann_of_connection": {"dgamma"},
+    "_nabla_vector": {"dv"},
+    "_nabla_form": {"domega"},
+    "_nabla_bilinear": {"dw"},
+}
 # the sweep's own tests read the mutated sources, so they would kill every mutant
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutation_sweep.py"]
@@ -81,7 +96,15 @@ def _edits(tree: ast.AST, source: str, starts: list[int]):
         inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
         return max(inside, key=lambda f: f.lineno).name if inside else "<module>"
 
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            function = owner(node)
+            if ((name in PARTIALS or name in PARTIAL_PARAMETERS.get(function, ()))
+                    and not isinstance(parents[node], ast.Attribute)):
+                lo, hi = _span(node, starts)
+                yield node, function, lo, hi, f"(0 * {source[lo:hi]})"
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             name = node.func.attr
             first = node.args[0] if node.args else None
