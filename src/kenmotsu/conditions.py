@@ -48,6 +48,7 @@ from .connection import (
     _derivation,
     _fit_operators,
     _pair_action,
+    _ricci_components,
     _slot_pairs,
 )
 from .report import IdentityResidualReport, _read_only, per_point, row, sides_row
@@ -174,20 +175,6 @@ def check_semisymmetry_condition(geometry: CurvatureBundle) -> list[IdentityResi
     return [row(name, residuals, extras) for name, (residuals, extras) in rows.items()]
 
 
-def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Per point, the max absolute value over all six single g-traces of the (0,4) form."""
-    n, m = g.shape[:2]
-    # the (0,4) form: g lowers the upper slot
-    c4 = (g @ weyl.reshape(n, m, -1)).reshape(weyl.shape)
-    worst = np.zeros(n)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            moved = np.moveaxis(c4, (a + 1, b + 1), (1, 2))
-            trace = ginv.reshape(n, 1, m * m) @ moved.reshape(n, m * m, -1)
-            worst = np.maximum(worst, per_point(trace))
-    return worst
-
-
 def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
     """The Weyl relation of Einstein manifolds: C . R - R . C = -[r / (m(m-1))] Q(g,R).
 
@@ -230,10 +217,14 @@ def check_weyl_commutation(geometry: CurvatureBundle) -> IdentityResidualReport:
 def check_weyl(
     geometry: CurvatureBundle,
 ) -> tuple[IdentityResidualReport, IdentityResidualReport, IdentityResidualReport]:
-    """Tracelessness, vanishing, and metric-Tachibana sanity in one sweep."""
+    """Tracelessness, vanishing, and metric-Tachibana sanity, read from the record's C.
+
+    ``weyl-traceless`` is C's Ricci contraction C^l_{ljk}: C is antisymmetric in
+    its middle slots as built, and its other traces restate that or R's pair symmetry.
+    """
     g, weyl = geometry.metric.matrix, geometry.weyl
     return (
-        row("weyl-traceless", _weyl_trace(weyl, g, geometry.metric.inverse)),
+        row("weyl-traceless", per_point(_ricci_components(weyl))),
         row("weyl-vanishing", per_point(weyl)),
         row("tachibana-metric", per_point(_pair_action(geometry.g_wedge_g, g))),
     )

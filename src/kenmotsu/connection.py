@@ -35,7 +35,6 @@ from .charts import (
     ChartManifold,
     _christoffel_partials,
     _nabla_bilinear,
-    _nabla_form,
     _nabla_vector,
     levi_civita,
     riemann_of_connection,
@@ -133,8 +132,8 @@ class CurvatureBundle:
     arrays) and its partials ``dg[n, a, i, j]`` = d_a g_ij, ``phi``, ``eta``,
     ``xi``, their partials ``dxi[n, a, k]`` and ``deta[n, a, j]``, the
     Levi-Civita and modified coefficients ``lc_gamma``/``gamma`` [n, k, i, j],
-    the Levi-Civita derivative of eta ``lc_nabla_eta[n, a, j]`` =
-    (nabla_a eta)_j, one Levi-Civita and one modified curvature pass
+    the Kenmotsu condition's per-point residuals ``kenmotsu_residuals``,
+    one Levi-Civita and one modified curvature pass
     ``lc_riemann``/``riemann`` [n, l, i, j, k], both Ricci tensors and
     scalars, the one Einstein fit ``lc_einstein_fit`` of the Levi-Civita
     Ricci operator over all the points, the Weyl tensor, and g wedge g and
@@ -202,10 +201,7 @@ class CurvatureBundle:
     def lc_gamma(self) -> np.ndarray:
         return _read_only(levi_civita(self.metric, self.dg))
 
-    @cached_property
-    def lc_nabla_eta(self) -> np.ndarray:
-        """lc_nabla_eta[n, a, j] = (nabla_a eta)_j, nabla the Levi-Civita connection."""
-        return _read_only(_nabla_form(self.deta, self.eta, self.lc_gamma))
+    kenmotsu_residuals = cached_property(_kenmotsu_residuals)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -373,7 +369,7 @@ def check_deformation_form(geometry: CurvatureBundle) -> IdentityResidualReport:
     deformation, has beta - 2g = nabla eta + eta (x) eta - g, the
     ``eta-gradient`` residual of :func:`~kenmotsu.structure.check_kenmotsu`.
     """
-    return row("deformation-form", _kenmotsu_residuals(geometry)["eta-gradient"])
+    return row("deformation-form", geometry.kenmotsu_residuals["eta-gradient"])
 
 
 def scalar_shift(n: int) -> float:

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .charts import _nabla_vector, _partials_at
-from .report import IdentityResidualReport, per_point, row, sides_row
+from .charts import _nabla_form, _nabla_vector, _partials_at
+from .report import IdentityResidualReport, _read_only, per_point, row, sides_row
 
 if TYPE_CHECKING:
     from .connection import CurvatureBundle
@@ -96,22 +96,20 @@ def check_almost_contact(geometry: CurvatureBundle) -> IdentityResidualReport:
 
 
 def _kenmotsu_residuals(b) -> dict[str, np.ndarray]:
-    """Per-point residuals of the two equivalent forms of the defining condition."""
-    dim = b.manifold.dim
-    eta, xi = b.eta, b.xi
-    grad_xi = _nabla_vector(b.dxi, xi, b.lc_gamma)
+    """Per-point residuals of the two forms of the defining condition, kept by the record."""
+    eta, xi, lc = b.eta, b.xi, b.lc_gamma
     # (nabla_{d_a} xi)^k = delta^k_a - eta_a xi^k
-    want_xi = np.eye(dim) - np.einsum("...i,...j->...ij", eta, xi)
+    want_xi = np.eye(b.manifold.dim) - np.einsum("...i,...j->...ij", eta, xi)
     want_eta = b.metric.matrix - np.einsum("...i,...j->...ij", eta, eta)
     return {
-        "reeb-gradient": per_point(grad_xi - want_xi),
-        "eta-gradient": per_point(b.lc_nabla_eta - want_eta),
+        "reeb-gradient": _read_only(per_point(_nabla_vector(b.dxi, xi, lc) - want_xi)),
+        "eta-gradient": _read_only(per_point(_nabla_form(b.deta, eta, lc) - want_eta)),
     }
 
 
 def check_kenmotsu(geometry: CurvatureBundle) -> IdentityResidualReport:
     """Check the defining covariant-derivative condition at each point."""
-    res = _kenmotsu_residuals(geometry)
+    res = geometry.kenmotsu_residuals
     headline = np.maximum(res["reeb-gradient"], res["eta-gradient"])
     extras = {k: float(v.max()) for k, v in res.items()}
     return row("kenmotsu-condition", headline, extras)

@@ -6,7 +6,8 @@ The package acts with curvature-like tensors on (0,2) targets and on
 curvature operators only; the per-slot action on a (0,k) tensor at every
 (X,Y) lives here, as the rank-k reference for those actions, and so does
 the four-term semi-symmetry bracket at every (X,Y), the rank-4 reference
-for the record's Q(g,S) at the slot pairs.
+for the record's Q(g,S) at the slot pairs, and the six single g-traces of
+the Weyl tensor, the reference for the one trace the package takes.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from kenmotsu.catalog import (
     NamedExample, _constant, _diagonal, _flat, _hyperbolic_times_flat, _planar_phi, warped,
 )
 from kenmotsu.connection import _wedge
+from kenmotsu.report import per_point
 
 STEP = 1e-4
 
@@ -272,3 +274,17 @@ def _semisymmetry_defect(g: np.ndarray, ric: np.ndarray) -> np.ndarray:
     """
     first = np.moveaxis(_wedge(g, np.swapaxes(ric, -1, -2)), -1, -4)
     return -first - np.moveaxis(_wedge(g, ric), -1, -3)
+
+
+def _weyl_trace(weyl: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Per point, the max absolute value over all six single g-traces of the (0,4) form."""
+    n, m = g.shape[:2]
+    # the (0,4) form: g lowers the upper slot
+    c4 = (g @ weyl.reshape(n, m, -1)).reshape(weyl.shape)
+    worst = np.zeros(n)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            moved = np.moveaxis(c4, (a + 1, b + 1), (1, 2))
+            trace = ginv.reshape(n, 1, m * m) @ moved.reshape(n, m * m, -1)
+            worst = np.maximum(worst, per_point(trace))
+    return worst

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
-    _action_on_all_pairs, _semisymmetry_defect, generic_chart, ne7, s2s3, s2s3_points,
+    _action_on_all_pairs, _semisymmetry_defect, _weyl_trace, generic_chart, ne7, s2s3,
+    s2s3_points,
 )
 
 from kenmotsu import (
@@ -17,9 +18,7 @@ from kenmotsu import (
     check_weyl_commutation,
 )
 from kenmotsu import EinsteinFit, connection
-from kenmotsu.conditions import (
-    EINSTEIN_FIT_THRESHOLD, _pair_action, _two_form_tables, _weyl_trace,
-)
+from kenmotsu.conditions import EINSTEIN_FIT_THRESHOLD, _pair_action, _two_form_tables
 from kenmotsu.connection import (
     CHUNK_BYTES,
     _chunk_ranges,
@@ -202,7 +201,8 @@ def test_two_wedge_weyl_equals_the_three_term_formula(name):
     scale = np.max(np.abs(b.lc_riemann))
     assert np.max(np.abs(want)) > 1e-2 * scale
     assert np.max(np.abs(b.weyl - want)) <= 1e-13 * scale
-    # the trace of C stays at roundoff
+    # the row's one trace of C and all six of its single traces stay at roundoff
+    assert np.max(check_weyl(b)[0].residuals) <= 1e-13 * scale
     assert np.max(_weyl_trace(b.weyl, b.metric.matrix, b.metric.inverse)) <= 1e-13 * scale
 
 
@@ -314,8 +314,7 @@ def test_weyl_vanishes_on_space_form_h5():
 
 def test_weyl_traceless_but_nonzero_on_ne5():
     b = lc_record("ne5", 3, seed=14)
-    trace = _weyl_trace(b.weyl, b.metric.matrix, b.metric.inverse)
-    assert np.all(trace < 1e-9)
+    assert np.all(check_weyl(b)[0].residuals < 1e-9)
     assert np.all(per_point(b.weyl) > 0.01)
 
 

@@ -13,7 +13,8 @@ the jets of a whole batch of points, so the number of calls to them does
 not grow with the number of points either: each runs once on first-order
 jets of all the points, and the metric once more on second-order jets per
 curvature chunk.  The sample points' metric is validated and inverted
-exactly once.
+exactly once.  The Kenmotsu condition's residuals are computed once per
+chart, for both rows that read them.
 """
 
 import dataclasses
@@ -68,6 +69,7 @@ def test_calls_per_chart_do_not_grow_with_points(monkeypatch):
     counters = {
         "levi_civita": _count_calls(monkeypatch, charts.levi_civita),
         "riemann_of_connection": _count_calls(monkeypatch, charts.riemann_of_connection),
+        "_nabla_vector": _count_calls(monkeypatch, charts._nabla_vector),
         "metric_pair_at": _count_method(monkeypatch, charts.ChartManifold, "metric_pair_at"),
     }
 
@@ -84,6 +86,8 @@ def test_calls_per_chart_do_not_grow_with_points(monkeypatch):
     # one chunk per chart: one Christoffel evaluation and two curvature passes
     assert two["levi_civita"] == len(CHARTS)
     assert two["riemann_of_connection"] == 2 * len(CHARTS)
+    # one Kenmotsu pass, read by kenmotsu-condition and deformation-form, and reeb-transport
+    assert two["_nabla_vector"] == 2 * len(CHARTS)
 
 
 def test_at_most_one_record_and_two_curvature_passes_per_point(monkeypatch):

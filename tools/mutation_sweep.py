@@ -8,8 +8,9 @@ Four operators run over ``connection.py``, ``structure.py``, ``charts.py``
 and ``conditions.py`` of ``src/kenmotsu``:
 
 - ``einsum``: swap one adjacent pair of letters in an einsum's output;
-- ``swapaxes``: drop one ``swapaxes`` call, ``np.swapaxes(t, a, b)`` or
-  ``t.swapaxes(a, b)`` becoming ``t``;
+- ``swapaxes``: drop one ``swapaxes`` or ``moveaxis`` call,
+  ``np.swapaxes(t, a, b)``, ``t.swapaxes(a, b)`` or ``np.moveaxis(t, a, b)``
+  becoming ``t``;
 - ``augassign``: swap ``+=`` with ``-=``;
 - ``zero``: turn one load of a partial array, a name or an attribute of
   :data:`PARTIALS` or a partial parameter of the function it is in
@@ -116,8 +117,8 @@ def _edits(tree: ast.AST, source: str, starts: list[int]):
                         swapped = out[:i] + out[i + 1] + out[i] + out[i + 2:]
                         lo, hi = _span(first, starts)
                         yield node, owner(node), lo, hi, f'"{head}->{swapped}"'
-            elif name == "swapaxes":
-                # np.swapaxes(t, a, b) keeps t; t.swapaxes(a, b) keeps t
+            elif name in ("swapaxes", "moveaxis"):
+                # np.swapaxes(t, a, b) and np.moveaxis(t, a, b) keep t; t.swapaxes(a, b) keeps t
                 is_function = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
                 kept = first if is_function else node.func.value
                 lo, hi = _span(node, starts)
