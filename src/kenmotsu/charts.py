@@ -42,9 +42,11 @@ def _partials_at(
 
     ``f`` runs once, on the coordinate jets of ``order`` 1 or 2 of the points
     flattened to (N, dim).  value[..., *shape], partials[..., a, *shape] and
-    at order 2 second[..., a, b, *shape] are fresh read-only arrays.  A plain
-    array of the field's own ``shape`` is a constant, with zero partials; any
-    other plain array, or a jet of another shape, raises ``error`` naming ``what``.
+    at order 2 second[..., a, b, *shape] are read-only and share no memory with
+    what ``f`` returned.  A plain array of the field's own ``shape`` is a
+    constant: one private copy broadcast over the batch, with zero partials
+    broadcast alike.  Any other plain array, or a jet of another shape, raises
+    ``error`` naming ``what``.
     """
     p = np.asarray(points, dtype=float)
     flat = p.reshape(-1, p.shape[-1]).view()
@@ -59,12 +61,12 @@ def _partials_at(
             parts.append(np.moveaxis(out.hess, (-2, -1), (1, 2)))
         parts = [np.array(part, dtype=float) for part in parts]
     else:
-        value = np.asarray(out, dtype=float)
+        value = np.array(out, dtype=float)
         if value.shape != shape:
             raise error(f"{what} returned a plain array of shape {value.shape}: neither a jet"
                         f" nor a constant of shape {shape}")
-        parts = [np.array(np.broadcast_to(value, (n,) + shape))]
-        parts += [np.zeros((n,) + (dim,) * k + shape) for k in range(1, order + 1)]
+        parts = [np.broadcast_to(value, (n,) + shape)]
+        parts += [np.broadcast_to(0.0, (n,) + (dim,) * k + shape) for k in range(1, order + 1)]
     for part in parts:
         part.setflags(write=False)
     return [part.reshape(p.shape[:-1] + part.shape[1:]) for part in parts]

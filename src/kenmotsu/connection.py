@@ -162,7 +162,6 @@ class CurvatureBundle:
         self.structure = structure
         # the caller owns the points: the record keeps its own copy
         self.p = _read_only(np.array(manifold.require_inside(points)).reshape(-1, manifold.dim))
-        self._fields: dict[str, list[np.ndarray]] = {}
 
     @cached_property
     def _metric(self) -> tuple[MetricPair, np.ndarray]:
@@ -184,18 +183,16 @@ class CurvatureBundle:
             raise StructureError(f"no {part}: the geometry record has no structure")
         return self.structure
 
-    def _field(self, name: str) -> list[np.ndarray]:
-        """[value, partials] of the structure field ``name`` at the points, evaluated once."""
-        if name not in self._fields:
-            at = getattr(self._structure(name), f"{name}_at")
-            self._fields[name] = at(self.manifold.dim, self.p)
-        return self._fields[name]
+    @cached_property
+    def _fields(self) -> dict[str, list[np.ndarray]]:
+        """[value, partials] of phi, xi and eta at the points, one call of each field."""
+        return self._structure("phi, xi or eta").fields_at(self.manifold.dim, self.p)
 
-    phi = property(lambda self: self._field("phi")[0])
-    eta = property(lambda self: self._field("eta")[0])
-    deta = property(lambda self: self._field("eta")[1])
-    xi = property(lambda self: self._field("xi")[0])
-    dxi = property(lambda self: self._field("xi")[1])
+    phi = property(lambda self: self._fields["phi"][0])
+    eta = property(lambda self: self._fields["eta"][0])
+    deta = property(lambda self: self._fields["eta"][1])
+    xi = property(lambda self: self._fields["xi"][0])
+    dxi = property(lambda self: self._fields["xi"][1])
 
     @cached_property
     def lc_gamma(self) -> np.ndarray:

@@ -45,9 +45,7 @@ class AlmostContactStructure:
     covector components.  Each takes the coordinate jets of a batch of
     points (see :func:`~kenmotsu.jets.variables`) and returns a jet with the
     batch axis, or a plain array of the field's own shape for a constant
-    field.  The ``*_at`` methods take one point (dim,) or a batch (..., dim)
-    and return [value, partials] with the batch's axes, partials[..., a, ...]
-    = d_a value, from one call of the field.  Nothing is validated on
+    field.  :meth:`fields_at` evaluates all three.  Nothing is validated on
     construction; run :func:`check_almost_contact`.
     """
 
@@ -55,14 +53,16 @@ class AlmostContactStructure:
     xi: Callable
     eta: Callable
 
-    def phi_at(self, dim: int, points: np.ndarray) -> list[np.ndarray]:
-        return _partials_at(self.phi, points, (dim, dim), 1, "phi", StructureError)
+    def fields_at(self, dim: int, points: np.ndarray) -> dict[str, list[np.ndarray]]:
+        """{"phi", "xi", "eta"} -> [value, partials] at one point (dim,) or a batch (..., dim).
 
-    def xi_at(self, dim: int, points: np.ndarray) -> list[np.ndarray]:
-        return _partials_at(self.xi, points, (dim,), 1, "xi", StructureError)
-
-    def eta_at(self, dim: int, points: np.ndarray) -> list[np.ndarray]:
-        return _partials_at(self.eta, points, (dim,), 1, "eta", StructureError)
+        Each field runs once, on first-order jets of the points; value and
+        partials[..., a, ...] = d_a value carry the batch's axes.  A constant
+        field is held once, broadcast read-only over the batch with zero partials.
+        """
+        fields = (("phi", self.phi, (dim, dim)), ("xi", self.xi, (dim,)), ("eta", self.eta, (dim,)))
+        return {name: _partials_at(f, points, shape, 1, name, StructureError)
+                for name, f, shape in fields}
 
 
 def _axiom_residuals(b) -> dict[str, np.ndarray]:

@@ -168,8 +168,7 @@ def sheared(example, a, name, domain, sample_box):
     a = np.asarray(a, dtype=float)
     dim, inverse = len(a), np.linalg.inv(a)
     origin = np.zeros(dim)
-    phi, xi, eta = (getattr(example.structure, f"{f}_at")(dim, origin)[0]
-                    for f in ("phi", "xi", "eta"))
+    phi, xi, eta = (parts[0] for parts in example.structure.fields_at(dim, origin).values())
 
     def metric(p):
         x = jets.matrix([[sum(a[i, k] * p[..., k] for k in range(dim)) for i in range(dim)]])

@@ -16,6 +16,7 @@ import pytest
 from kenmotsu import (
     AlmostContactStructure,
     ChartManifold,
+    CurvatureBundle,
     MetricError,
     NonMetricConnection,
     StructureError,
@@ -51,17 +52,43 @@ def test_batch_form_callables_equal_their_per_point_values(ex):
     # bit for bit
     points = np.array(ex.sample_points(6, seed=11))
     m, s = ex.manifold, ex.structure
-    fields = {
-        "metric": lambda q: m.metric_partials_at(q, 2),
-        "phi": lambda q: s.phi_at(m.dim, q),
-        "xi": lambda q: s.xi_at(m.dim, q),
-        "eta": lambda q: s.eta_at(m.dim, q),
-    }
-    for name, at in fields.items():
-        batch = at(points)
-        for i, p in enumerate(points):
-            for got, want in zip(batch, at(p), strict=True):
+
+    def at(q):
+        return {"metric": m.metric_partials_at(q, 2), **s.fields_at(m.dim, q)}
+
+    batch = at(points)
+    for i, p in enumerate(points):
+        for name, parts in at(p).items():
+            for got, want in zip(batch[name], parts, strict=True):
                 assert np.array_equal(got[i], want), (name, i)
+
+
+@pytest.mark.parametrize("ex", catalog(), ids=[ex.name for ex in catalog()])
+def test_constant_fields_are_held_once_read_only(ex):
+    # a field that returns a plain array is one private copy of it,
+    # broadcast over the points with zero partials broadcast alike: stride 0
+    # on the point axis, read-only, and no memory shared with the returned array
+    returned = {}
+
+    def kept(name, f):
+        def call(x):
+            returned[name] = f(x)
+            return returned[name]
+
+        return call
+
+    s = ex.structure
+    structure = AlmostContactStructure(*(kept(f, getattr(s, f)) for f in ("phi", "xi", "eta")))
+    b = CurvatureBundle(ex.manifold, structure, ex.sample_points(4, seed=2))
+    parts = {"phi": [b.phi], "xi": [b.xi, b.dxi], "eta": [b.eta, b.deta]}
+    constant = [f for f, out in returned.items() if not isinstance(out, jets.Jet)]
+    assert constant == ["phi", "xi", "eta"]
+    for f in constant:
+        for part in parts[f]:
+            assert part.shape[0] == 4 and part.strides[0] == 0, f
+            assert not part.flags.writeable, f
+            assert not np.shares_memory(part, returned[f]), f
+    assert not np.any(b.dxi) and not np.any(b.deta)
 
 
 def test_batch_form_callable_of_wrong_shape_is_rejected():
@@ -83,7 +110,7 @@ def test_batch_form_callable_of_wrong_shape_is_rejected():
         with pytest.raises(MetricError, match=rf"^metric {plain} \([12], 3, 3\)"):
             chart.metric_at(points)
         with pytest.raises(StructureError, match=rf"^xi {plain} \([12], 3\)"):
-            structure.xi_at(3, points)
+            structure.fields_at(3, points)
     wrong = ChartManifold(dim=3, metric=lambda p: jets.matrix([[p[..., 0]] * 2] * 2),
                           domain=h3.manifold.domain)
     with pytest.raises(MetricError, match=r"^metric returned shape \(2, 2, 2\) for a batch"):

@@ -191,8 +191,8 @@ def test_sheared_chart_matches_every_row(monkeypatch, chart, kenmotsu):
     # product in a row fails it
     example = chart()
     origin = np.zeros(example.manifold.dim)
-    xi = example.structure.xi_at(len(origin), origin)[0]
-    eta = example.structure.eta_at(len(origin), origin)[0]
+    fields = example.structure.fields_at(len(origin), origin)
+    xi, eta = fields["xi"][0], fields["eta"][0]
     assert np.max(np.abs(np.outer(xi, eta) - np.outer(eta, xi))) == 0.5
     outcome = _run_outside_catalog(monkeypatch, example)
     rows = [r for s in outcome.suites for r in s.rows]

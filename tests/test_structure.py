@@ -51,9 +51,9 @@ def test_structure_field_shape_errors():
         phi=lambda p: np.zeros((2, 2)), xi=ex.structure.xi, eta=ex.structure.eta
     )
     with pytest.raises(StructureError):
-        bad.phi_at(3, np.zeros(3))
+        bad.fields_at(3, np.zeros(3))
     with pytest.raises(StructureError):
-        ex.structure.xi_at(5, np.zeros(3))
+        ex.structure.fields_at(5, np.zeros(3))
 
 
 @pytest.mark.parametrize("name", ["h3", "h5", "ne5"])
