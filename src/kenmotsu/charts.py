@@ -178,8 +178,11 @@ def levi_civita(pair: MetricPair, dg: np.ndarray) -> np.ndarray:
     d_l g_ij), contracted as one batched matmul.
     """
     m = pair.dim
-    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1) - dg
-    return 0.5 * (pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m))).reshape(dg.shape)
+    term = np.swapaxes(dg, -3, -2) + np.moveaxis(dg, -3, -1)
+    term -= dg
+    gamma = pair.inverse @ term.reshape(dg.shape[:-3] + (m, m * m))
+    gamma *= 0.5
+    return gamma.reshape(dg.shape)
 
 
 def _christoffel_partials(

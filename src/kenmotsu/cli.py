@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -58,6 +59,10 @@ _NUMERICAL_ERRORS = (DomainError, MetricError, StructureError)
 # bytes a run's largest chart may be estimated to peak at; more is refused
 MEMORY_BUDGET = 2 * 2**30
 
+# characters the JSON report gathers before each write to the stream: an
+# unbuffered stdout makes one system call per write
+JSON_CHUNK = 2**16
+
 
 class UsageError(ValueError):
     """Bad configuration: unknown name, malformed flag value, and so on."""
@@ -73,6 +78,14 @@ class RunConfig:
     output_format: str = "text"
 
     def __post_init__(self) -> None:
+        for name, flag in (("num_points", "--points"), ("seed", "--seed")):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # an int to Python, but never a count or a seed
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise UsageError(f"{flag} must be an integer, got {value!r}") from None
         if self.num_points < 1:
             raise UsageError("--points must be at least 1")
         if self.seed < 0:
@@ -170,8 +183,24 @@ class RunReport:
         return to_json(self.tree())
 
     def write_json(self, stream) -> None:
-        """Write the text of :meth:`to_json` to ``stream`` as it is rendered, never whole."""
-        write_json(self.tree(), stream.write)
+        """Write the text of :meth:`to_json` to ``stream`` as it is rendered, never whole.
+
+        Pieces are gathered into writes of at least :data:`JSON_CHUNK`
+        characters; only the last write may be shorter.
+        """
+        pieces, size = [], 0
+
+        def put(piece: str) -> None:
+            nonlocal size
+            pieces.append(piece)
+            size += len(piece)
+            if size >= JSON_CHUNK:
+                stream.write("".join(pieces))
+                pieces.clear()
+                size = 0
+
+        write_json(self.tree(), put)
+        stream.write("".join(pieces))
 
     def tree(self) -> dict:
         return {

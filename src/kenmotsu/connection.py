@@ -276,11 +276,18 @@ class CurvatureBundle:
 
         C(X,Y)Z = R(X,Y)Z - [S(Y,Z)X - S(X,Z)Y + g(Y,Z)QX - g(X,Z)QY]/(m-2)
                   + r [g(Y,Z)X - g(X,Z)Y] / ((m-1)(m-2))
-        as two wedges: the terms in g are one, with B = Q - r/(m-1) I and Q = g^-1 S.
+        built as one rank-4 term g(Y,Z)BX + S(Y,Z)X, B = Q - r/(m-1) I and Q = g^-1 S,
+        antisymmetrized in X and Y once, then scaled and added to R in place.
         """
         m, g, s = self.manifold.dim, self.metric.matrix, self.lc_ricci
         shift = self.metric.inverse @ s - (self.lc_scalar / (m - 1))[:, None, None] * np.eye(m)
-        return _read_only(self.lc_riemann - (_wedge(s) + _wedge(g, shift)) / (m - 2))
+        half = np.einsum("...jk,...li->...lijk", g, shift)
+        diagonal = np.arange(m)
+        half[:, diagonal, diagonal] += s[:, None]
+        weyl = half - np.swapaxes(half, -3, -2)
+        weyl /= 2 - m
+        weyl += self.lc_riemann
+        return _read_only(weyl)
 
 
 def _wedge(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

@@ -141,6 +141,25 @@ def test_nonpositive_points_rejected(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "field,flag,value",
+    [("num_points", "--points", 2.5), ("num_points", "--points", "3"),
+     ("num_points", "--points", True), ("seed", "--seed", 1.5), ("seed", "--seed", False)],
+)
+def test_non_integer_points_or_seed_is_usage_error(field, flag, value):
+    # a library caller gets the usage error the CLI's own parser would give,
+    # not a TypeError from deep in the sampler; a bool is no count or seed
+    with pytest.raises(UsageError, match=re.escape(f"{flag} must be an integer, got {value!r}")):
+        run(RunConfig(manifolds=("h3",), suites=("axioms",), **{field: value}))
+
+
+def test_integer_like_points_and_seed_are_stored_as_int():
+    config = RunConfig(manifolds=("h3",), suites=("axioms",), num_points=np.int64(3),
+                       seed=np.uint8(2))
+    assert type(config.num_points) is int and type(config.seed) is int
+    assert json.loads(run(config).to_json())["config"]["num_points"] == 3
+
+
 def test_points_beyond_the_sampler_limit_are_usage_errors(capsys):
     # the sampler's one getrandbits call takes a C int; both counts are
     # refused before anything is allocated, the CLI's by its memory budget
@@ -369,7 +388,7 @@ def test_json_output_is_deterministic(capsys):
 
 
 @pytest.mark.parametrize("argv", [[], ["--points", "137", "--seed", "1"]])
-def test_json_cli_streams_the_report_text(argv, monkeypatch, capsys):
+def test_json_cli_streams_the_report_text(argv, monkeypatch):
     config = RunConfig(
         manifolds=tuple(ex.name for ex in k.catalog()),
         suites=("all",),
@@ -382,9 +401,25 @@ def test_json_cli_streams_the_report_text(argv, monkeypatch, capsys):
     def whole_text(self):
         raise AssertionError("the CLI must not build the whole report text")
 
+    class Recorder:
+        """An unbuffered stdout: one system call per write."""
+
+        def write(self, text):
+            writes.append(text)
+
+        def flush(self):
+            pass
+
+    writes = []
     monkeypatch.setattr(cli.RunReport, "to_json", whole_text)
+    monkeypatch.setattr(sys, "stdout", Recorder())
     assert main(["--json", *argv]) == 0
-    assert capsys.readouterr().out == expected
+    assert "".join(writes) == expected
+    # the report and then its newline: each chunk but the report's last is
+    # at least JSON_CHUNK long, and none comes near the whole report
+    assert writes[-1] == "\n" and len(writes) > 3
+    assert min(map(len, writes[:-2])) >= cli.JSON_CHUNK
+    assert max(map(len, writes)) < 2 * cli.JSON_CHUNK
 
 
 def test_cli_run_never_imports_numpy_random():

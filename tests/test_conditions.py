@@ -189,7 +189,7 @@ def _three_term_weyl(b: CurvatureBundle) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name", ["ne5", "ne7", "generic"])
-def test_two_wedge_weyl_equals_the_three_term_formula(name):
+def test_weyl_equals_the_three_term_formula(name):
     if name == "generic":
         manifold = generic_chart()
         points = np.random.default_rng(41).uniform(-0.5, 0.5, size=(4, 5))
